@@ -1,0 +1,103 @@
+"""Evaluation context and error types shared by every module.
+
+All numerical routines are pure functions of their inputs and a QContext,
+which carries the deformation parameter q, the order parameter alpha and
+the truncation policy for infinite series, products and Jackson integrals.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+
+class QError(Exception):
+    """Base class for all library errors."""
+
+
+class NonConvergence(QError):
+    """A series, product or Jackson integral failed to meet its tolerance."""
+
+
+class DomainError(QError):
+    """An operator or function was evaluated outside its domain."""
+
+
+class PoleError(QError):
+    """Evaluation hit a pole (e_q pole, or the Gamma reflection pole)."""
+
+
+class NegativeRadicand(QError):
+    """A normalization radicand came out non-positive (parameter misuse)."""
+
+
+class NotDiagonal(QError):
+    """A matrix expected to be diagonal has significant off-diagonal entries."""
+
+
+class DimensionError(QError):
+    """A matrix dimension is too small for the requested construction."""
+
+
+class QuadratureFailure(QError):
+    """Classical quadrature could not reach the requested tolerance."""
+
+
+class ConfigError(QError):
+    """A suite or CLI configuration violates an invariant."""
+
+
+class UnknownFunction(QError):
+    """The CLI was asked to evaluate a function that is not registered."""
+
+
+class ArgumentError(QError):
+    """A CLI argument is missing or cannot be parsed."""
+
+
+@dataclass(frozen=True)
+class QContext:
+    """Global evaluation parameters threaded through every operation.
+
+    q          : deformation parameter, strictly inside (0, 1)
+    alpha      : order parameter, > -1
+    series_tol : truncation target for infinite sums/products
+    max_terms  : hard cap on series/product terms
+    lattice_lo, lattice_hi : Jackson-integral exponent window; the lattice
+        points are q**n for lattice_lo <= n <= lattice_hi, so lattice_lo < 0
+        covers the large-x end of the geometric lattice.
+    """
+
+    q: float
+    alpha: float = -0.5
+    series_tol: float = 1e-14
+    max_terms: int = 400
+    lattice_lo: int = -40
+    lattice_hi: int = 120
+
+    def __post_init__(self):
+        if not 0.0 < self.q < 1.0:
+            raise ConfigError(f"q must lie in (0, 1), got {self.q}")
+        if not self.alpha > -1.0:
+            raise ConfigError(f"alpha must be > -1, got {self.alpha}")
+        if not self.series_tol > 0.0:
+            raise ConfigError("series_tol must be positive")
+        if self.max_terms < 1:
+            raise ConfigError("max_terms must be >= 1")
+        if not self.lattice_lo < 0 < self.lattice_hi:
+            raise ConfigError("lattice window must satisfy lattice_lo < 0 < lattice_hi")
+
+    def with_alpha(self, alpha: float) -> "QContext":
+        """Same context with a different order parameter."""
+        return replace(self, alpha=alpha)
+
+
+@dataclass(frozen=True)
+class TruncatedValue:
+    """A truncated series/product value with an explicit remainder bound."""
+
+    value: float
+    tail_bound: float
+    terms_used: int
+
+    def __float__(self) -> float:
+        return self.value

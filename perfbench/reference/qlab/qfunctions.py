@@ -1,0 +1,182 @@
+"""q-analogues of the exponential, trigonometric and Bessel functions.
+
+The two Euler q-exponentials are evaluated through their product forms, the
+q-trigonometric functions as explicitly real series, and the q-Bessel
+functions (Jackson second kind, Hahn-Exton, modified) by their series with
+generalized q-shifted factorials.  Also provides the residuals of the
+iterated-difference identities on the modified q-Bessel function.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .context import (ArgumentError, DomainError, NonConvergence, PoleError,
+                      QContext, TruncatedValue)
+from .qcore import _gen_qpoch, _qpoch, _qpoch_inf, qderiv, qderiv_pow
+
+BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
+
+
+def qexp_big(z: float, base: float) -> TruncatedValue:
+    """E_base(z) = (-z; base)_inf, entire in z."""
+    _check_base(base)
+    return _qpoch_inf(-z, base, 1e-14, 600)
+
+
+def qexp_small(z: float, base: float) -> TruncatedValue:
+    """e_base(z) = 1 / (z; base)_inf.
+
+    The product form extends the |z| < 1 series to all real z away from
+    the poles z = base^{-k}.
+    """
+    _check_base(base)
+    if z > 0.0:
+        zq = z
+        for _ in range(600):
+            if abs(1.0 - zq) < 1e-12:
+                raise PoleError(f"e_q pole at z={z} (base={base})")
+            if zq < 1e-12:
+                break
+            zq *= base
+    p = _qpoch_inf(z, base, 1e-14, 600)
+    if not math.isfinite(p.value):
+        # product overflow: e_q underflows to zero (large negative argument)
+        return TruncatedValue(0.0, 0.0, p.terms_used)
+    if p.value == 0.0:
+        raise PoleError(f"e_q pole at z={z} (base={base})")
+    value = 1.0 / p.value
+    return TruncatedValue(value, abs(value) * p.tail_bound / max(abs(p.value), 1e-300),
+                          p.terms_used)
+
+
+def _check_base(base: float) -> None:
+    if not 0.0 < base < 1.0:
+        raise DomainError(f"base must lie in (0, 1), got {base}")
+
+
+def qtrig(z: float, which: str, base: float) -> float:
+    """Cos_q / Sin_q: the real even/odd parts of E_q at imaginary argument.
+
+    Cos_q(z) = sum (-1)^n q^{n(2n-1)} z^{2n} / (q;q)_{2n}
+    Sin_q(z) = sum (-1)^n q^{n(2n+1)} z^{2n+1} / (q;q)_{2n+1}
+    """
+    _check_base(base)
+    q = base
+    if which not in ("cos", "sin"):
+        raise ArgumentError(f"qtrig expects 'cos' or 'sin', got {which!r}")
+    total = 0.0
+    for n in range(300):
+        if which == "cos":
+            t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / _qpoch(q, 2 * n, q)
+        else:
+            t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / _qpoch(q, 2 * n + 1, q)
+        total += t
+        if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
+            return total
+    raise NonConvergence(f"q-trigonometric series did not converge at z={z}")
+
+
+def qexp_gen(z: float, ctx: QContext) -> float:
+    """Generalized q-exponential E_{q,alpha}(z) with generalized factorials."""
+    q, alpha = ctx.q, ctx.alpha
+    total = 0.0
+    for k in range(ctx.max_terms):
+        t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
+        total += t
+        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and k > 2:
+            return total
+    raise NonConvergence(f"E_(q,alpha) series did not converge at z={z}")
+
+
+def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
+    """q-Bessel functions of the three kinds used here, order > -1.
+
+    second_jackson: J_order^{(2)}(x; q^2)
+    hahn_exton    : J_order^{(3)}(x; q^2)
+    modified      : j_order(x; q^2), even and entire in x
+    """
+    if kind not in BESSEL_KINDS:
+        raise ArgumentError(f"unknown Bessel kind: {kind!r}")
+    if order <= -1.0:
+        raise DomainError("Bessel order must be > -1")
+    q = ctx.q
+    q2 = q * q
+    if kind == "modified":
+        return _bessel_series(x, order, 1.0, ctx)
+    if x <= 0.0 and order != int(order):
+        raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
+    pref = (
+        _qpoch_inf(q ** (2.0 * order + 2.0), q2, ctx.series_tol, ctx.max_terms).value
+        / _qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
+    )
+    if kind == "second_jackson":
+        half = x / 2.0
+        return pref * half ** order * _bessel_series(half, order, None, ctx)
+    return pref * x ** order * _bessel_series(x, order, 1.0, ctx)
+
+
+def _bessel_series(u: float, order: float, exponent_base: float | None, ctx: QContext) -> float:
+    """Common series sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}.
+
+    exponent_base None selects the second-Jackson weight q^{2n(n+order)};
+    otherwise the Hahn-Exton/modified weight q^{n(n+1)}.
+    """
+    q = ctx.q
+    total = 0.0
+    t = 1.0  # n = 0 term; later terms by ratio to avoid u**(2n) overflow
+    u2 = u * u
+    for n in range(ctx.max_terms):
+        total += t
+        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and n > 2:
+            return total
+        if exponent_base is None:
+            w = q ** (2.0 * (2 * n + 1 + order))
+        else:
+            w = q ** (2 * (n + 1))
+        t *= -w * u2 / ((1.0 - q ** (2 * n + 2))
+                        * (1.0 - q ** (2.0 * order + 2.0 + 2 * n)))
+    raise NonConvergence(f"q-Bessel series did not converge at argument {u}")
+
+
+def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QContext) -> float:
+    """Residual of the iterated-difference identities on j_alpha.
+
+    even_order: Delta^{2n} j_a(l x) = (-1)^n q^{n(n+1)} l^{2n} (1-q)^{-2n}
+                j_a(q^n l x)
+    odd_order : Delta^{2n+1} j_a(l x) = (-1)^{n+1} q^{(n+1)(n+2)} l^{2n+2}
+                (1-q)^{-(2n+1)} (1-q^{2a+2})^{-1} x j_{a+1}(q^{n+1} l x)
+
+    The left side is computed by iterating the difference operator on a
+    function handle; the right side by direct series evaluation.
+    """
+    if x == 0.0:
+        raise DomainError("residual is evaluated away from x = 0")
+    if parity not in ("even_order", "odd_order"):
+        raise ArgumentError(f"unknown parity: {parity!r}")
+    q, alpha = ctx.q, ctx.alpha
+    k = 2 * n if parity == "even_order" else 2 * n + 1
+    handle = qderiv_pow(lambda t: qbessel(lam * t, alpha, "modified", ctx),
+                        k, "delta_alpha", ctx)
+    lhs = handle(x)
+    if parity == "even_order":
+        rhs = ((-1.0) ** n * q ** (n * (n + 1.0)) * lam ** (2 * n)
+               / (1.0 - q) ** (2 * n)
+               * qbessel(q ** n * lam * x, alpha, "modified", ctx))
+    else:
+        rhs = ((-1.0) ** (n + 1) * q ** ((n + 1.0) * (n + 2.0)) * lam ** (2 * n + 2)
+               / ((1.0 - q) ** (2 * n + 1) * (1.0 - q ** (2.0 * alpha + 2.0)))
+               * x * qbessel(q ** (n + 1) * lam * x, alpha + 1.0, "modified", ctx))
+    return abs(lhs - rhs)
+
+
+def first_qderiv_bessel_residual(lam: float, x: float, ctx: QContext) -> float:
+    """Residual of D_q j_a(l x) = -q^2 l^2 x / ((1-q)(1-q^{2a+2})) j_{a+1}(q l x)."""
+    if x == 0.0:
+        raise DomainError("residual is evaluated away from x = 0")
+    q, alpha = ctx.q, ctx.alpha
+    lhs = qderiv(lambda t: qbessel(lam * t, alpha, "modified", ctx), x, "backward", ctx)
+    rhs = (-(q ** 2) * lam ** 2 * x
+           / ((1.0 - q) * (1.0 - q ** (2.0 * alpha + 2.0)))
+           * qbessel(q * lam * x, alpha + 1.0, "modified", ctx))
+    return abs(lhs - rhs)
