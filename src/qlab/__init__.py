@@ -20,13 +20,13 @@ from .qcore import (FunctionHandle, ParityParts, gen_qfact, gen_qint,
 from .qfunctions import (BESSEL_KINDS, bessel_delta_residual,
                          first_qderiv_bessel_residual, qbessel, qexp_big,
                          qexp_gen, qexp_small, qtrig)
-from .qhermite import (HermiteFamily, OrthoCheckParams,
-                       bessel_expansion_residual, bessel_weight_transform,
-                       discrete_orthogonality_rhs, hermite_h, hermite_h_scaled,
-                       hermite_via_laguerre, integral_representation_residual,
-                       moment_check, moment_constant, norm_constants,
-                       orthogonality, poisson_kernel_residual, qlaguerre,
-                       relation_residual, rogers_ramanujan_residual, weight)
+from .qhermite import (OrthoCheckParams, bessel_expansion_residual,
+                       bessel_weight_transform, discrete_orthogonality_rhs,
+                       hermite_h, hermite_h_scaled, hermite_via_laguerre,
+                       integral_representation_residual, moment_check,
+                       moment_constant, norm_constants, orthogonality,
+                       poisson_kernel_residual, qlaguerre, relation_residual,
+                       rogers_ramanujan_residual, weight)
 from .qoscillator import (AlgebraRelation, OperatorMatrix, algebra_residual,
                           apply_ladder, build_matrix, eigen_residual,
                           inner_product, phi, raised_from_ground,

@@ -19,22 +19,45 @@ import scipy.integrate
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (_gen_qpoch, _qpoch, _qpoch_inf, jackson_integral, qderiv_pow,
-                    theta)
+from .qcore import (_gen_qint, _gen_qpoch, _qpoch, _qpoch_inf, jackson_integral,
+                    qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small
 from .report import CheckResult
 
-N_MAX_DEFAULT = 40
+
+class _Factorials:
+    """The finite q-shifted factorials of one (q, alpha), grown on demand.
+
+    qp[n] = (q;q)_n, qq[n] = (q^2;q^2)_n, ab[n] = (q^{2 alpha + 2};q^2)_n and
+    gp[n] = (q;q)_{n,alpha}.  Each list is extended by the running product of
+    _qpoch and _gen_qpoch, so every entry is bit-for-bit the value they return.
+    """
+
+    def __init__(self, q: float, alpha: float):
+        self.q, self.alpha = q, alpha
+        self.qp, self.qq, self.ab, self.gp = [1.0], [1.0], [1.0], [1.0]
+        self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
+        self._gen_qfact = 1.0
+
+    def upto(self, n: int) -> "_Factorials":
+        """This table, with every list holding index n."""
+        if n < 0:
+            raise DomainError("qpoch requires n >= 0")
+        q = self.q
+        while len(self.gp) <= n:
+            for i, (vals, base) in enumerate(((self.qp, q), (self.qq, q * q),
+                                              (self.ab, q * q))):
+                vals.append(vals[-1] * (1.0 - self._aq[i]))
+                self._aq[i] *= base
+            k = len(self.gp)
+            self._gen_qfact *= _gen_qint(k, q, self.alpha)
+            self.gp.append((1.0 - q) ** k * self._gen_qfact)
+        return self
 
 
-@lru_cache(maxsize=None)
-def _cached_qpoch(a: float, n: int, q: float) -> float:
-    return _qpoch(a, n, q)
-
-
-@lru_cache(maxsize=None)
-def _cached_gen_qpoch(n: int, q: float, alpha: float) -> float:
-    return _gen_qpoch(n, q, alpha)
+@lru_cache(maxsize=256)
+def _factorials(q: float, alpha: float) -> _Factorials:
+    return _Factorials(q, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -43,14 +66,7 @@ def _cached_gen_qpoch(n: int, q: float, alpha: float) -> float:
 
 def hermite_h(n: int, x: float, ctx: QContext) -> float:
     """Generalized discrete q-Hermite II polynomial of degree n at x."""
-    q, alpha = ctx.q, ctx.alpha
-    total = 0.0
-    for k in range(n // 2 + 1):
-        total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
-                  * x ** (n - 2 * k)
-                  / (_cached_qpoch(q * q, k, q * q)
-                     * _cached_gen_qpoch(n - 2 * k, q, alpha)))
-    return _cached_qpoch(q, n, q) * total
+    return _hermite(n, x, ctx, 0.0)
 
 
 def hermite_h_scaled(n: int, x: float, ctx: QContext) -> float:
@@ -60,43 +76,46 @@ def hermite_h_scaled(n: int, x: float, ctx: QContext) -> float:
     q^{n^2/2} prefactor into each term keeps every intermediate in double
     range, which the bilinear kernel sums need at large degree.
     """
-    q, alpha = ctx.q, ctx.alpha
+    return _hermite(n, x, ctx, n * n / 2.0)
+
+
+def _hermite(n: int, x: float, ctx: QContext, offset: float) -> float:
+    # q^offset hermite_h(n, x), the offset folded into each term's power of q
+    q = ctx.q
+    fac = _factorials(q, ctx.alpha).upto(n)
     total = 0.0
-    for k in range(n // 2 + 1):
-        expo = n * n / 2.0 - 2.0 * n * k + k * (2.0 * k + 1.0)
-        total += ((-1.0) ** k * q ** expo * x ** (n - 2 * k)
-                  / (_cached_qpoch(q * q, k, q * q)
-                     * _cached_gen_qpoch(n - 2 * k, q, alpha)))
-    return _cached_qpoch(q, n, q) * total
+    try:
+        for k in range(n // 2 + 1):
+            total += ((-1.0) ** k * q ** (offset - 2.0 * n * k + k * (2.0 * k + 1.0))
+                      * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
+    except OverflowError as exc:
+        raise DomainError(f"degree-{n} polynomial term overflows at x = {x}, "
+                          f"q = {q}") from exc
+    return fac.qp[n] * total
 
 
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     """q-Laguerre polynomial L_n^{(order)}(x; q^2), generalized-factorial form."""
     q = ctx.q
-    q2 = q * q
+    fac = _factorials(q, order).upto(2 * n)
     total = 0.0
     for k in range(n + 1):
         total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
-                  / (_cached_gen_qpoch(2 * k, q, order)
-                     * _cached_qpoch(q2, n - k, q2)))
-    return _cached_qpoch(q ** (2.0 * order + 2.0), n, q2) * total
+                  / (fac.gp[2 * k] * fac.qq[n - k]))
+    return fac.ab[n] * total
 
 
 def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     """hermite_h through its q-Laguerre factorization (independent route)."""
     q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
     arg = q ** (-2.0 * alpha - 1.0) * x * x
+    fac = _factorials(q, alpha).upto(n)
     if n % 2 == 0:
         m = n // 2
-        return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0))
-                * _cached_qpoch(q, 2 * m, q)
-                / _cached_qpoch(q ** (2.0 * alpha + 2.0), m, q2)
+        return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0)) * fac.qp[2 * m] / fac.ab[m]
                 * qlaguerre(m, alpha, arg, ctx))
     m = (n - 1) // 2
-    return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0))
-            * _cached_qpoch(q, 2 * m + 1, q)
-            / _cached_qpoch(q ** (2.0 * alpha + 2.0), m + 1, q2)
+    return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1] / fac.ab[m + 1]
             * x * qlaguerre(m, alpha + 1.0, arg, ctx))
 
 
@@ -127,9 +146,8 @@ def norm_constants(n: int, ctx: QContext) -> tuple[float, float, float]:
     if radicand <= 0.0:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
     big_c = math.sqrt(radicand)
-    d = (big_c * q ** (n * n / 2.0)
-         * math.sqrt(_cached_gen_qpoch(n, q, alpha))
-         / _cached_qpoch(q, n, q))
+    fac = _factorials(q, alpha).upto(n)
+    d = big_c * q ** (n * n / 2.0) * math.sqrt(fac.gp[n]) / fac.qp[n]
     return d, big_c, moment_constant(ctx)
 
 
@@ -144,27 +162,6 @@ def moment_constant(ctx: QContext) -> float:
             * _qpoch_inf(q2, q2, tol, mt).value
             / (_qpoch_inf(-q, q2, tol, mt).value ** 2
                * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value))
-
-
-@dataclass
-class HermiteFamily:
-    """Evaluation cache for one (q, alpha): factorials up to a degree bound."""
-
-    ctx: QContext
-    n_max: int = N_MAX_DEFAULT
-
-    def __post_init__(self):
-        q, alpha = self.ctx.q, self.ctx.alpha
-        self.gen_qpoch = [_gen_qpoch(n, q, alpha) for n in range(self.n_max + 1)]
-        self.qpoch = [_qpoch(q, n, q) for n in range(self.n_max + 1)]
-
-    def hermite(self, n: int, x: float) -> float:
-        if n > self.n_max:
-            raise DomainError(f"degree {n} exceeds family bound {self.n_max}")
-        return hermite_h(n, x, self.ctx)
-
-    def d(self, n: int) -> float:
-        return norm_constants(n, self.ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +193,24 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext,
         x = point
         z = 0.3 if second is None else second
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
-        total = 0.0
-        below = 0
-        for m in range(300):
-            t = (q ** (-m / 2.0) * hermite_h_scaled(m, x, ctx) * z ** m
-                 / _cached_qpoch(q, m, q))
-            total += t
-            if abs(t) < ctx.series_tol * max(1.0, abs(total)):
-                below += 1
-                if below >= 3 and m > 4:
-                    break
-            else:
-                below = 0
-        return _rel(lhs, total)
+        fac = _factorials(q, alpha)
+        rhs = _kernel_sum(
+            lambda m: (q ** (-m / 2.0) * hermite_h_scaled(m, x, ctx) * z ** m
+                       / fac.upto(m).qp[m]),
+            ctx)
+        return _rel(lhs, rhs)
 
     if kind == "inversion":
         x = point
+        fac = _factorials(q, alpha).upto(n)
         total = 0.0
         scale = 0.0
         for k in range(n // 2 + 1):
-            t = (q ** (-2.0 * n * k + 3.0 * k * k)
-                 * hermite_h(n - 2 * k, x, ctx)
-                 / (_cached_qpoch(q * q, k, q * q)
-                    * _cached_qpoch(q, n - 2 * k, q)))
+            t = (q ** (-2.0 * n * k + 3.0 * k * k) * hermite_h(n - 2 * k, x, ctx)
+                 / (fac.qq[k] * fac.qp[n - 2 * k]))
             total += t
             scale += abs(t)
-        gp = _cached_gen_qpoch(n, q, alpha)
+        gp = fac.gp[n]
         return abs(x ** n - gp * total) / (1.0 + abs(x) ** n + gp * scale)
 
     if kind == "forward_shift":
@@ -308,7 +297,7 @@ def moment_check(n: int, ctx: QContext) -> float:
     integral = jackson_integral(f, "halfline", ctx).value
     c = moment_constant(ctx)
     closed = (c * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
-              * _cached_qpoch(q ** (2.0 * alpha + 2.0), n, q2))
+              * _factorials(q, alpha).upto(n).ab[n])
     return abs(integral - closed) / abs(closed)
 
 
@@ -438,14 +427,14 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
         raise NonConvergence(f"weight underflows at x = {x}: the representation "
                              f"cannot be resolved in double precision")
 
+    fac = _factorials(q, alpha).upto(n)
     if n % 2 == 0:
         m = n // 2
         shift = q ** m
         power = 2.0 * m + 2.0 * alpha + 1.0
         order = alpha
         pref = ((-1.0) ** m * q ** (-float(m * m) + m * (2.0 * alpha + 3.0))
-                * _cached_qpoch(q, 2 * m, q)
-                / (c * _cached_gen_qpoch(2 * m, q, alpha) * w))
+                * fac.qp[2 * m] / (c * fac.gp[2 * m] * w))
     else:
         m = (n - 1) // 2
         shift = q ** (m + 1)
@@ -455,9 +444,8 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
         # odd number of times: (q-1)^{2m+1} / (1-q)^{2m+1} = -1 absorbs the
         # extra minus that a naive reading of the closed form would give
         pref = ((-1.0) ** m * q ** (-float(m * m) + (m + 1.0) * (2.0 * alpha + 3.0))
-                * _cached_qpoch(q, 2 * m + 1, q) * x
-                / (c * (1.0 - q ** (2.0 * alpha + 2.0))
-                   * _cached_gen_qpoch(2 * m + 1, q, alpha) * w))
+                * fac.qp[2 * m + 1] * x
+                / (c * (1.0 - q ** (2.0 * alpha + 2.0)) * fac.gp[2 * m + 1] * w))
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
@@ -489,14 +477,15 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
     tol, mt = ctx.series_tol, ctx.max_terms
+    fac = _factorials(q, alpha).upto(n)
     num = (2.0 * (1.0 - q)
            * _qpoch_inf(-q, q2, tol, mt).value ** 2
            * _qpoch_inf(q2, q2, tol, mt).value
-           * q ** (-float(n * n)) * _cached_qpoch(q, n, q) ** 2)
+           * q ** (-float(n * n)) * fac.qp[n] ** 2)
     den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
            * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value
-           * _cached_gen_qpoch(n, q, alpha))
+           * fac.gp[n])
     return num / den
 
 
@@ -587,10 +576,12 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext,
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
-def _kernel_sum(term, ctx: QContext, cap: int = 300) -> float:
+def _kernel_sum(term, ctx: QContext) -> float:
+    """term(0) + term(1) + ..., stopped once three successive terms fall below
+    series_tol relative to the sum; NonConvergence after ctx.max_terms terms."""
     total = 0.0
     below = 0
-    for i in range(cap):
+    for i in range(ctx.max_terms):
         t = term(i)
         total += t
         if abs(t) < ctx.series_tol * max(1.0, abs(total)):
@@ -599,7 +590,8 @@ def _kernel_sum(term, ctx: QContext, cap: int = 300) -> float:
                 return total
         else:
             below = 0
-    return total
+    raise NonConvergence(f"kernel series did not meet tol={ctx.series_tol} "
+                         f"within {ctx.max_terms} terms (sum so far {total!r})")
 
 
 def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> float:
@@ -616,9 +608,10 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
 
     if which == "half_integer_corollary":
         cctx = ctx.with_alpha(-0.5)
+        fac = _factorials(q, cctx.alpha)
         lhs = _kernel_sum(
             lambda i: (hermite_h_scaled(i, x, cctx) * hermite_h_scaled(i, y, cctx)
-                       / _cached_qpoch(q, i, q)),
+                       / fac.upto(i).qp[i]),
             cctx)
         from .qfunctions import qtrig
         pref = (_qpoch_inf(q, q2, ctx.series_tol, ctx.max_terms).value
@@ -634,8 +627,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
         raise DomainError("general Poisson kernel form needs x, y > 0")
     alpha = ctx.alpha
     scale = q ** (alpha + 0.5)
+    fac = _factorials(q, alpha)
     lhs = _kernel_sum(
-        lambda i: (_cached_gen_qpoch(i, q, alpha) / _cached_qpoch(q, i, q) ** 2
+        lambda i: (fac.upto(i).gp[i] / fac.qp[i] ** 2
                    * hermite_h_scaled(i, scale * x, ctx)
                    * hermite_h_scaled(i, scale * y, ctx)),
         ctx)
@@ -656,12 +650,10 @@ def bessel_expansion_residual(x: float, ctx: QContext) -> float:
     if x <= 0.0:
         raise DomainError("Bessel expansion residual needs x > 0")
     q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
     scale = q ** (alpha + 0.5)
+    fac = _factorials(q, alpha)
     lhs = _kernel_sum(
-        lambda i: ((-1.0) ** i * q ** i
-                   * _cached_qpoch(q ** (2.0 * alpha + 2.0), i, q2)
-                   / _cached_qpoch(q, 2 * i, q)
+        lambda i: ((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i]
                    * hermite_h_scaled(2 * i, scale * x, ctx)),
         ctx)
     rhs = x ** (-alpha - 1.0) * qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
@@ -675,11 +667,8 @@ def rogers_ramanujan_residual(ctx: QContext) -> float:
     # the summand arises as q^{2n} (q^{2a+2};q^2)_n (q;q^2)_n / (q;q)_{2n};
     # since (q;q)_{2n} = (q;q^2)_n (q^2;q^2)_n the odd-index factor cancels,
     # leaving a plain q-binomial sum
-    lhs = _kernel_sum(
-        lambda i: (q ** (2 * i)
-                   * _cached_qpoch(q ** (2.0 * alpha + 2.0), i, q2)
-                   / _cached_qpoch(q2, i, q2)),
-        ctx)
+    fac = _factorials(q, alpha)
+    lhs = _kernel_sum(lambda i: q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i], ctx)
     rhs = (_qpoch_inf(q ** (2.0 * alpha + 4.0), q2, ctx.series_tol, ctx.max_terms).value
            / _qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value)
     return abs(lhs - rhs)

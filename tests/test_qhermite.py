@@ -8,13 +8,15 @@ import sys
 import pytest
 
 import qlab
-from qlab import (NonConvergence, OrthoCheckParams, PoleError, QContext,
-                  bessel_expansion_residual, bessel_weight_transform,
+from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
+                  QContext, bessel_expansion_residual, bessel_weight_transform,
                   discrete_orthogonality_rhs, hermite_h, hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
                   moment_check, moment_constant, norm_constants, orthogonality,
                   poisson_kernel_residual, qlaguerre, relation_residual,
                   rogers_ramanujan_residual, weight)
+from qlab.qcore import _gen_qpoch, _qpoch
+from qlab.qhermite import _Factorials, _factorials
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
@@ -39,6 +41,11 @@ class TestPolynomial:
                     assert hermite_h(n, -x, ctx) == pytest.approx(
                         (-1.0) ** n * hermite_h(n, x, ctx), rel=1e-12, abs=1e-12)
 
+    def test_overflow_raises_domain_error(self):
+        # q^{-2nk + k(2k+1)} leaves double range at degree 40 for small q
+        with pytest.raises(DomainError):
+            hermite_h(40, 0.7, QContext(q=0.05))
+
     def test_scaled_variant(self):
         for n in range(7):
             want = CTX.q ** (n * n / 2.0) * hermite_h(n, 0.8, CTX)
@@ -61,6 +68,40 @@ class TestPolynomial:
             want = (qpoch(q ** (2 * a + 2), n, ctx2)
                     / qpoch(q * q, n, ctx2))
             assert qlaguerre(n, a, 0.0, ctx) == pytest.approx(want, rel=1e-12)
+
+
+class TestFactorialTable:
+    QS = (0.05, 0.3, 0.5, 0.8, 0.95)
+    ALPHAS = (-0.9, -0.5, 0.25, 1.3, 2.3)
+
+    def test_entries_equal_the_direct_products(self):
+        # bit-for-bit, not approximately: the table replaces these calls
+        for q in self.QS:
+            q2 = q * q
+            for a in self.ALPHAS:
+                f = _Factorials(q, a).upto(120)
+                for n in range(121):
+                    assert f.qp[n] == _qpoch(q, n, q)
+                    assert f.qq[n] == _qpoch(q2, n, q2)
+                    assert f.ab[n] == _qpoch(q ** (2.0 * a + 2.0), n, q2)
+                    assert f.gp[n] == _gen_qpoch(n, q, a)
+
+    def test_independent_of_request_order(self):
+        for q in self.QS:
+            for a in self.ALPHAS:
+                f = _Factorials(q, a)
+                assert len(f.upto(7).gp) == 8  # grown only as far as asked
+                f.upto(3)
+                f.upto(120)
+                g = _Factorials(q, a).upto(120)
+                assert (f.qp, f.qq, f.ab, f.gp) == (g.qp, g.qq, g.ab, g.gp)
+
+    def test_negative_index_raises(self):
+        with pytest.raises(DomainError):
+            _Factorials(0.5, 0.25).upto(-1)
+
+    def test_cache_is_bounded(self):
+        assert _factorials.cache_info().maxsize is not None
 
 
 class TestWeight:
@@ -202,3 +243,16 @@ class TestTransformsAndKernels:
     def test_rogers_ramanujan(self):
         for ctx in GRID:
             assert rogers_ramanujan_residual(ctx) < 1e-12
+
+    def test_kernel_sum_raises_at_max_terms(self):
+        # the sum needs more than max_terms terms: no partial sum comes back
+        with pytest.raises(NonConvergence):
+            rogers_ramanujan_residual(QContext(q=0.5, alpha=0.25, max_terms=5))
+        # here the closed form converges within max_terms; the sum does not
+        with pytest.raises(NonConvergence, match="kernel series"):
+            rogers_ramanujan_residual(QContext(q=0.05, alpha=0.25, max_terms=8))
+
+    def test_kernel_sum_runs_to_max_terms(self):
+        # about 600 terms at q = 0.97; a sum capped below that reads 4e-7
+        ctx = QContext(q=0.97, alpha=0.25, max_terms=2000)
+        assert rogers_ramanujan_residual(ctx) < 1e-10
