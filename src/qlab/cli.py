@@ -266,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", default="all")
+    p_verify.add_argument("--suite", default=SuiteConfig.suite)
     p_verify.add_argument("--q", type=float, action="append")
     p_verify.add_argument("--alpha", type=float, action="append")
-    p_verify.add_argument("--n-max", type=int, default=8)
-    p_verify.add_argument("--dim", type=int, default=12)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--n-max", type=int, default=SuiteConfig.n_max)
+    p_verify.add_argument("--dim", type=int, default=SuiteConfig.dim)
+    p_verify.add_argument("--tol", type=float, default=SuiteConfig.tol)
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)

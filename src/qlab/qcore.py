@@ -198,22 +198,27 @@ def _memoized(f: FunctionHandle) -> FunctionHandle:
     return g
 
 
-def qderiv_pow(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> FunctionHandle:
-    """k-fold composition of a delta-type q-difference operator.
+def _memoized_power(f: FunctionHandle, op: Callable[[FunctionHandle, float], float],
+                    k: int) -> FunctionHandle:
+    """k-fold composition of the operator g -> (x -> op(g, x)) applied to f.
 
-    Each level memoizes its values: iterated operators revisit the same
-    q-lattice points, so caching turns the exponential evaluation tree
-    into O(k) points per level.
+    Each level memoizes its values: iterated difference and ladder operators
+    revisit the same q-lattice points, so caching turns the exponential
+    evaluation tree into O(k) points per level.
     """
+    g = _memoized(f)
+    for _ in range(k):
+        g = _memoized(lambda x, p=g: op(p, x))
+    return g
+
+
+def qderiv_pow(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> FunctionHandle:
+    """k-fold composition of a delta-type q-difference operator."""
     if variant not in ("delta_alpha", "delta_alpha_plus"):
         raise ArgumentError("qderiv_pow supports the delta variants only")
     if k < 0:
         raise DomainError("qderiv_pow requires k >= 0")
-    g = _memoized(f)
-    for _ in range(k):
-        prev = g
-        g = _memoized(lambda x, p=prev: qderiv(p, x, variant, ctx))
-    return g
+    return _memoized_power(f, lambda p, x: qderiv(p, x, variant, ctx), k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import scipy.integrate
 
@@ -88,9 +87,11 @@ def _hermite(n: int, x: float, ctx: QContext, offset: float) -> float:
         for k in range(n // 2 + 1):
             total += ((-1.0) ** k * q ** (offset - 2.0 * n * k + k * (2.0 * k + 1.0))
                       * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
-    except OverflowError as exc:
-        raise DomainError(f"degree-{n} polynomial term overflows at x = {x}, "
-                          f"q = {q}") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a power of q overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
+        # underflows to 0 with (1-q)^n
+        raise DomainError(f"degree-{n} polynomial term leaves double range at "
+                          f"x = {x}, q = {q}") from exc
     return fac.qp[n] * total
 
 
@@ -110,13 +111,17 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     q, alpha = ctx.q, ctx.alpha
     arg = q ** (-2.0 * alpha - 1.0) * x * x
     fac = _factorials(q, alpha).upto(n)
-    if n % 2 == 0:
-        m = n // 2
-        return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0)) * fac.qp[2 * m] / fac.ab[m]
-                * qlaguerre(m, alpha, arg, ctx))
-    m = (n - 1) // 2
-    return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1] / fac.ab[m + 1]
-            * x * qlaguerre(m, alpha + 1.0, arg, ctx))
+    try:
+        if n % 2 == 0:
+            m = n // 2
+            return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0)) * fac.qp[2 * m] / fac.ab[m]
+                    * qlaguerre(m, alpha, arg, ctx))
+        m = (n - 1) // 2
+        return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1]
+                / fac.ab[m + 1] * x * qlaguerre(m, alpha + 1.0, arg, ctx))
+    except OverflowError as exc:
+        raise DomainError(f"degree-{n} Laguerre route leaves double range at "
+                          f"x = {x}, q = {q}") from exc
 
 
 def weight(x: float, ctx: QContext) -> float:
@@ -178,12 +183,11 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def relation_residual(kind: str, n: int, point: float, ctx: QContext,
-                      second: Optional[float] = None) -> float:
+def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
     """Scale-normalized residual |LHS - RHS| / (1 + |LHS| + |RHS|) of one
     structural relation of the polynomial family.
 
-    generating     : point is x, second is z (default 0.3)
+    generating     : generating function at x = point, z = 0.3
     inversion      : monomial expansion of x^n re-evaluated at point
     forward_shift, backward_shift, qdiff: three-term relations at x = point
     rodrigues      : weight * polynomial vs iterated difference of the weight
@@ -191,7 +195,7 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext,
     q, alpha = ctx.q, ctx.alpha
     if kind == "generating":
         x = point
-        z = 0.3 if second is None else second
+        z = 0.3
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
         fac = _factorials(q, alpha)
         rhs = _kernel_sum(
@@ -294,10 +298,13 @@ def moment_check(n: int, ctx: QContext) -> float:
         env = qexp_small(-q * y * y, q2).value
         return _damped(env, lambda: y ** (2.0 * n + 2.0 * alpha + 1.0))
 
-    integral = jackson_integral(f, "halfline", ctx).value
-    c = moment_constant(ctx)
-    closed = (c * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
-              * _factorials(q, alpha).upto(n).ab[n])
+    try:
+        integral = jackson_integral(f, "halfline", ctx).value
+        closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
+                  * _factorials(q, alpha).upto(n).ab[n])
+    except OverflowError as exc:
+        raise DomainError(f"degree-{n} moment leaves double range at q = {q}, "
+                          f"alpha = {alpha}") from exc
     return abs(integral - closed) / abs(closed)
 
 
@@ -453,7 +460,11 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
                        * y ** power)
 
     if _lattice_ratio(x, ctx) < 1.0:
-        integral = jackson_integral(f, "halfline", ctx).value
+        try:
+            integral = jackson_integral(f, "halfline", ctx).value
+        except OverflowError as exc:
+            raise DomainError(f"integrand leaves double range on the lattice at "
+                              f"x = {x}, q = {q}, alpha = {alpha}") from exc
     else:
         integral = _continued_halfline(f, x, shift, order, power, ctx)
     rep = pref * integral
@@ -468,8 +479,6 @@ class OrthoCheckParams:
     n: int
     m: int
     mode: str  # "discrete_jackson" or "continuous_quadrature"
-    quad_points: int = 200
-    quad_cutoff: Optional[float] = None
 
 
 def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
@@ -478,10 +487,14 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     q2 = q * q
     tol, mt = ctx.series_tol, ctx.max_terms
     fac = _factorials(q, alpha).upto(n)
-    num = (2.0 * (1.0 - q)
-           * _qpoch_inf(-q, q2, tol, mt).value ** 2
-           * _qpoch_inf(q2, q2, tol, mt).value
-           * q ** (-float(n * n)) * fac.qp[n] ** 2)
+    try:
+        num = (2.0 * (1.0 - q)
+               * _qpoch_inf(-q, q2, tol, mt).value ** 2
+               * _qpoch_inf(q2, q2, tol, mt).value
+               * q ** (-float(n * n)) * fac.qp[n] ** 2)
+    except OverflowError as exc:
+        raise DomainError(f"degree-{n} discrete norm leaves double range at "
+                          f"q = {q}") from exc
     den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
            * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value
@@ -510,7 +523,7 @@ def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
     return x
 
 
-def _piecewise_quad(f, cutoff: float, ctx: QContext, limit: int) -> tuple[float, float]:
+def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
     """Integrate f over (0, cutoff) on geometric subintervals, summing errors."""
     q = ctx.q
     edges = [0.0]
@@ -522,26 +535,27 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext, limit: int) -> tuple[float,
     total = 0.0
     err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = scipy.integrate.quad(f, lo, hi, limit=limit, epsabs=1e-13, epsrel=1e-11)
+        v, e = scipy.integrate.quad(f, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11)
         total += v
         err += e
     return total, err
 
 
-def orthogonality(params: OrthoCheckParams, ctx: QContext,
-                  tol: Optional[float] = None) -> CheckResult:
+def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
     """Check one orthogonality entry (n, m) in the requested mode.
 
     discrete_jackson     : Jackson line integral against the closed-form
-                           diagonal; off-diagonal against the diagonal scale.
+                           diagonal; off-diagonal against the diagonal scale;
+                           tolerance 1e-8.
     continuous_quadrature: classical adaptive quadrature of
-                           d_n d_m h_n h_m w |x|^{2a+1}, expected delta_{nm}.
+                           d_n d_m h_n h_m w |x|^{2a+1}, expected delta_{nm};
+                           tolerance 1e-6, which also bounds the quadrature
+                           error (QuadratureFailure beyond it).
     """
     n, m = params.n, params.m
     base = {"n": n, "m": m, "q": ctx.q, "alpha": ctx.alpha, "mode": params.mode}
 
     if params.mode == "discrete_jackson":
-        tol = 1e-8 if tol is None else tol
         f = _ortho_integrand(n, m, ctx)
         integral = jackson_integral(f, "line", ctx).value
         scale = math.sqrt(discrete_orthogonality_rhs(n, ctx)
@@ -550,16 +564,15 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext,
             residual = abs(integral - scale) / scale
         else:
             residual = abs(integral) / scale
-        return CheckResult("discrete_orthogonality", base, residual, tol)
+        return CheckResult("discrete_orthogonality", base, residual, 1e-8)
 
     if params.mode == "continuous_quadrature":
-        tol = 1e-6 if tol is None else tol
+        tol = 1e-6
         d_n = norm_constants(n, ctx)[0]
         d_m = norm_constants(m, ctx)[0]
         f = _ortho_integrand(n, m, ctx)
         g = lambda x: f(x) + f(-x)  # noqa: E731
-        cutoff = params.quad_cutoff or _auto_cutoff(n, m, ctx)
-        value, err = _piecewise_quad(g, cutoff, ctx, params.quad_points)
+        value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
         value *= d_n * d_m
         err *= d_n * d_m  # error in the normalized entry, not the raw integral
         if err > tol:

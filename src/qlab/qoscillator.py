@@ -17,7 +17,8 @@ import numpy as np
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
-from .qcore import FunctionHandle, gen_qfact, parity_split, sym_qnumber, _gen_qint
+from .qcore import (FunctionHandle, _gen_qint, _memoized_power, gen_qfact, parity_split,
+                    sym_qnumber)
 from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, hermite_h,
                        norm_constants, weight)
 
@@ -70,7 +71,7 @@ class OperatorMatrix:
             raise ArgumentError(f"non-finite entries in operator {self.label!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _d_const(n: int, q: float, alpha: float) -> float:
     return norm_constants(n, QContext(q=q, alpha=alpha))[0]
 
@@ -279,9 +280,11 @@ def eigen_residual(n: int, x: float, ctx: QContext) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale)
 
 
-def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext,
-                  tol: float = 1e-7) -> float:
-    """Quadrature inner product int f g |x|^{2a+1} dx over the line."""
+def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
+    """Quadrature inner product int f g |x|^{2a+1} dx over the line.
+
+    Raises QuadratureFailure when the quadrature error exceeds 1e-7.
+    """
     alpha = ctx.alpha
 
     def integrand(x: float) -> float:
@@ -290,9 +293,9 @@ def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext,
         return (f(x) * g(x) + f(-x) * g(-x)) * x ** (2.0 * alpha + 1.0)
 
     cutoff = _auto_cutoff(8, 8, ctx)
-    value, err = _piecewise_quad(integrand, cutoff, ctx, 200)
-    if err > tol:
-        raise QuadratureFailure(f"inner-product quadrature error {err} exceeds {tol}")
+    value, err = _piecewise_quad(integrand, cutoff, ctx)
+    if err > 1e-7:
+        raise QuadratureFailure(f"inner-product quadrature error {err} exceeds 1e-7")
     return value
 
 
@@ -305,8 +308,6 @@ def selfadjoint_residual(f: FunctionHandle, g: FunctionHandle, ctx: QContext) ->
 
 def raised_from_ground(n: int, x: float, ctx: QContext) -> float:
     """(n!_{q,a})^{-1/2} (a+)^n phi_0 evaluated at x."""
-    f: FunctionHandle = wave_function(0, ctx)
-    for _ in range(n):
-        prev = f
-        f = lambda t, p=prev: apply_ladder(p, "a_plus", t, ctx)
-    return f(x) / math.sqrt(gen_qfact(n, ctx))
+    raised = _memoized_power(wave_function(0, ctx),
+                             lambda p, t: apply_ladder(p, "a_plus", t, ctx), n)
+    return raised(x) / math.sqrt(gen_qfact(n, ctx))

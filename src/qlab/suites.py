@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -20,15 +20,12 @@ from .context import ConfigError, QContext, QError
 from .qcore import gen_qint, gen_qpoch, qderiv_pow, qnumber, qpoch_inf, sym_qnumber
 from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
                          qbessel, qexp_big, qexp_gen, qtrig)
-from .qhermite import (OrthoCheckParams, bessel_weight_transform, hermite_h,
+from .qhermite import (RELATION_KINDS, OrthoCheckParams, _rel,
+                       bessel_expansion_residual, bessel_weight_transform, hermite_h,
                        hermite_via_laguerre, integral_representation_residual,
                        moment_check, orthogonality, poisson_kernel_residual,
-                       bessel_expansion_residual, relation_residual,
-                       rogers_ramanujan_residual, weight)
+                       relation_residual, rogers_ramanujan_residual)
 from .report import CheckResult, VerificationReport
-
-SUITE_NAMES = ("all", "qcalculus", "special_functions", "hermite_identities",
-               "orthogonality", "kernels", "oscillator_algebra")
 
 DEFAULT_Q_GRID = (0.3, 0.5, 0.8)
 DEFAULT_ALPHA_GRID = (-0.5, 0.25, 1.3)
@@ -74,13 +71,12 @@ class SuiteConfig:
         }
 
 
-def _checked(name: str, params: dict, tol: float,
-             fn: Callable[[], float]) -> CheckResult:
-    """Run one residual computation, trapping library errors as entries."""
+def _checked(name: str, params: dict, tol: float, fn: Callable[..., float],
+             *args) -> CheckResult:
+    """Run the residual fn(*args) as one check, trapping library errors as entries."""
     t0 = time.perf_counter()
     try:
-        residual = float(fn())
-        result = CheckResult(name, params, residual, tol)
+        result = CheckResult(name, params, float(fn(*args)), tol)
     except QError as exc:
         result = CheckResult(name, params, math.inf, tol, passed=False,
                              error=f"{type(exc).__name__}: {exc}")
@@ -98,7 +94,24 @@ def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext) -> float:
     lhs = qderiv_pow(lambda t: t ** n, k, "delta_alpha", ctx)(x)
     rhs = (gen_qpoch(n, ctx) * x ** (n - k)
            / ((1.0 - ctx.q) ** k * gen_qpoch(n - k, ctx)))
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _rel(lhs, rhs)
+
+
+def _bridge_residual(x: float, ctx: QContext) -> float:
+    return abs(sym_qnumber(x, math.sqrt(ctx.q))
+               - ctx.q ** (-(x - 1.0) / 2.0) * qnumber(x, ctx))
+
+
+def _addition_residual(q: float, rng: np.random.Generator) -> float:
+    # worst scale-normalized residual of the symmetric q-number addition
+    # identity over 50 random triples
+    worst = 0.0
+    for a, b, c in rng.uniform(-5.0, 5.0, size=(50, 3)):
+        t1 = sym_qnumber(a, q) * sym_qnumber(b - c, q)
+        t2 = sym_qnumber(b, q) * sym_qnumber(c - a, q)
+        t3 = sym_qnumber(c, q) * sym_qnumber(a - b, q)
+        worst = max(worst, abs(t1 + t2 + t3) / (1.0 + abs(t1) + abs(t2) + abs(t3)))
+    return worst
 
 
 def suite_qcalculus(cfg: SuiteConfig) -> list[CheckResult]:
@@ -110,33 +123,21 @@ def suite_qcalculus(cfg: SuiteConfig) -> list[CheckResult]:
                 for x in (0.3, -1.1):
                     out.append(_checked(
                         "monomial_delta_rule", {**base, "n": n, "k": k, "x": x},
-                        max(cfg.tol, 1e-12),
-                        lambda n=n, k=k, x=x, c=ctx: _monomial_rule_residual(n, k, x, c)))
+                        max(cfg.tol, 1e-12), _monomial_rule_residual, n, k, x, ctx))
         for x in (1.0, 2.0, 2.0 * ctx.alpha + 2.0, 7.3):
-            out.append(_checked(
-                "sym_qnumber_bridge", {**base, "x": x}, 1e-12,
-                lambda x=x, c=ctx: abs(
-                    sym_qnumber(x, math.sqrt(c.q))
-                    - c.q ** (-(x - 1.0) / 2.0) * qnumber(x, c))))
+            out.append(_checked("sym_qnumber_bridge", {**base, "x": x}, 1e-12,
+                                _bridge_residual, x, ctx))
     rng = np.random.default_rng(cfg.seed)
     for q in cfg.q_values:
-        triples = rng.uniform(-5.0, 5.0, size=(50, 3))
-        worst = 0.0
-        for a, b, c in triples:
-            t1 = sym_qnumber(a, q) * sym_qnumber(b - c, q)
-            t2 = sym_qnumber(b, q) * sym_qnumber(c - a, q)
-            t3 = sym_qnumber(c, q) * sym_qnumber(a - b, q)
-            r = abs(t1 + t2 + t3) / (1.0 + abs(t1) + abs(t2) + abs(t3))
-            worst = max(worst, r)
-        out.append(CheckResult("qnumber_addition_identity",
-                               {"q": q, "triples": 50, "seed": cfg.seed},
-                               worst, 1e-12))
+        out.append(_checked("qnumber_addition_identity",
+                            {"q": q, "triples": 50, "seed": cfg.seed}, 1e-12,
+                            _addition_residual, q, rng))
     return out
 
 
-def _qexp_series(z: float, q: float, terms: int = 200) -> float:
+def _qexp_series(z: float, q: float) -> float:
     total, t = 0.0, 1.0
-    for k in range(terms):
+    for k in range(200):
         total += t
         t *= q ** k * z / (1.0 - q ** (k + 1))
         if abs(t) < 1e-16 * max(1.0, abs(total)):
@@ -144,42 +145,44 @@ def _qexp_series(z: float, q: float, terms: int = 200) -> float:
     return total
 
 
+def _qexp_residual(z: float, q: float) -> float:
+    return abs(qexp_big(z, q).value - _qexp_series(z, q))
+
+
+def _collapse_residual(z: float, ctx: QContext) -> float:
+    return abs(qexp_gen(z, ctx) - qexp_big(z, ctx.q).value)
+
+
 def suite_special_functions(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     for q in cfg.q_values:
         base = {"q": q}
         for z in (0.3, -0.7, 1.2):
-            out.append(_checked(
-                "qexp_big_product_vs_series", {**base, "z": z}, 1e-12,
-                lambda z=z, q=q: abs(qexp_big(z, q).value - _qexp_series(z, q))))
+            out.append(_checked("qexp_big_product_vs_series", {**base, "z": z}, 1e-12,
+                                _qexp_residual, z, q))
         ctx_half = QContext(q=q, alpha=-0.5)
         for z in (0.5, -0.8):
             out.append(_checked(
                 "qexp_gen_collapse_classical", {**base, "z": z, "alpha": -0.5}, 1e-12,
-                lambda z=z, q=q, c=ctx_half: abs(qexp_gen(z, c) - qexp_big(z, q).value)))
+                _collapse_residual, z, ctx_half))
         for x in (0.4, 0.9):
             for which, order in (("cos", -0.5), ("sin", 0.5)):
                 out.append(_checked(
                     "qbessel_half_integer_trig", {**base, "x": x, "which": which},
-                    cfg.tol,
-                    lambda x=x, which=which, order=order, q=q: _half_integer_residual(
-                        x, which, order, QContext(q=q, alpha=-0.5))))
+                    cfg.tol, _half_integer_residual, x, which, order, ctx_half))
     for ctx in _grid(cfg):
         base = {"q": ctx.q, "alpha": ctx.alpha}
         for x in (0.4, 0.9):
-            out.append(_checked(
-                "qbessel_contiguous_recurrence", {**base, "x": x}, cfg.tol,
-                lambda x=x, c=ctx: _contiguous_residual(x, c)))
-            out.append(_checked(
-                "qbessel_first_difference", {**base, "lam": 0.8, "x": x}, cfg.tol,
-                lambda x=x, c=ctx: first_qderiv_bessel_residual(0.8, x, c)))
+            out.append(_checked("qbessel_contiguous_recurrence", {**base, "x": x},
+                                cfg.tol, _contiguous_residual, x, ctx))
+            out.append(_checked("qbessel_first_difference", {**base, "lam": 0.8, "x": x},
+                                cfg.tol, first_qderiv_bessel_residual, 0.8, x, ctx))
         for n in (1, 2):
             for parity in ("even_order", "odd_order"):
                 out.append(_checked(
                     "qbessel_iterated_difference",
                     {**base, "n": n, "parity": parity, "lam": 0.7, "x": 0.9},
-                    cfg.tol,
-                    lambda n=n, p=parity, c=ctx: bessel_delta_residual(n, 0.7, 0.9, p, c)))
+                    cfg.tol, bessel_delta_residual, n, 0.7, 0.9, parity, ctx))
     return out
 
 
@@ -189,7 +192,7 @@ def _half_integer_residual(x: float, which: str, order: float, ctx: QContext) ->
             / (qpoch_inf(q * q, QContext(q=q * q)).value * math.sqrt(x)))
     lhs = qbessel(2.0 * x, order, "second_jackson", ctx)
     rhs = pref * qtrig(x, which, q)
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _rel(lhs, rhs)
 
 
 def _contiguous_residual(x: float, ctx: QContext) -> float:
@@ -197,56 +200,63 @@ def _contiguous_residual(x: float, ctx: QContext) -> float:
     j = lambda nu: qbessel(2.0 * x, nu, "second_jackson", ctx)  # noqa: E731
     lhs = q ** (2.0 * alpha + 2.0) * x * j(alpha + 2.0)
     rhs = (1.0 - q ** (2.0 * alpha + 2.0)) * j(alpha + 1.0) - x * j(alpha)
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _rel(lhs, rhs)
 
 
 def suite_hermite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
-    kinds = ("generating", "inversion", "forward_shift", "backward_shift",
-             "qdiff", "rodrigues")
     for ctx in _grid(cfg):
         base = {"q": ctx.q, "alpha": ctx.alpha}
-        for kind in kinds:
+        for kind in RELATION_KINDS:
             for n in range(min(cfg.n_max, 8) + 1):
                 for x in (0.3, -0.7, 1.5):
-                    out.append(_checked(
-                        "hermite_relation_" + kind,
-                        {**base, "n": n, "x": x}, cfg.tol,
-                        lambda k=kind, n=n, x=x, c=ctx: relation_residual(k, n, x, c)))
+                    out.append(_checked("hermite_relation_" + kind,
+                                        {**base, "n": n, "x": x}, cfg.tol,
+                                        relation_residual, kind, n, x, ctx))
         for n in range(min(cfg.n_max, 12) + 1):
             for x in (-1.2, 0.8):
-                out.append(_checked(
-                    "hermite_two_route", {**base, "n": n, "x": x}, cfg.tol,
-                    lambda n=n, x=x, c=ctx: _two_route_residual(n, x, c)))
-                out.append(_checked(
-                    "hermite_parity", {**base, "n": n, "x": x}, 1e-13,
-                    lambda n=n, x=x, c=ctx: abs(
-                        hermite_h(n, -x, c) - (-1.0) ** n * hermite_h(n, x, c))
-                    / (1.0 + abs(hermite_h(n, x, c)))))
+                out.append(_checked("hermite_two_route", {**base, "n": n, "x": x},
+                                    cfg.tol, _two_route_residual, n, x, ctx))
+                out.append(_checked("hermite_parity", {**base, "n": n, "x": x},
+                                    1e-13, _parity_residual, n, x, ctx))
         for n in range(5):
-            out.append(_checked(
-                "weight_moment", {**base, "n": n}, cfg.tol,
-                lambda n=n, c=ctx: moment_check(n, c)))
+            out.append(_checked("weight_moment", {**base, "n": n}, cfg.tol,
+                                moment_check, n, ctx))
         # Bessel-transform identities hold on the lattice only inside
         # |x| < q^{alpha+1/2}; sample well inside that disc
         lim = ctx.q ** (ctx.alpha + 0.5)
         for frac in (0.3, 0.6):
             x = frac * lim
-            out.append(_checked(
-                "weight_bessel_transform", {**base, "x": x}, cfg.tol,
-                lambda x=x, c=ctx: bessel_weight_transform(x, c)))
+            out.append(_checked("weight_bessel_transform", {**base, "x": x}, cfg.tol,
+                                bessel_weight_transform, x, ctx))
         for n in range(5):
             x = 0.5 * lim
-            out.append(_checked(
-                "integral_representation", {**base, "n": n, "x": x}, cfg.tol,
-                lambda n=n, x=x, c=ctx: integral_representation_residual(n, x, c)))
+            out.append(_checked("integral_representation", {**base, "n": n, "x": x},
+                                cfg.tol, integral_representation_residual, n, x, ctx))
     return out
 
 
 def _two_route_residual(n: int, x: float, ctx: QContext) -> float:
-    a = hermite_h(n, x, ctx)
-    b = hermite_via_laguerre(n, x, ctx)
-    return abs(a - b) / (1.0 + abs(a) + abs(b))
+    return _rel(hermite_h(n, x, ctx), hermite_via_laguerre(n, x, ctx))
+
+
+def _parity_residual(n: int, x: float, ctx: QContext) -> float:
+    return (abs(hermite_h(n, -x, ctx) - (-1.0) ** n * hermite_h(n, x, ctx))
+            / (1.0 + abs(hermite_h(n, x, ctx))))
+
+
+def _ortho_residual(n: int, m: int, mode: str, ctx: QContext) -> float:
+    return orthogonality(OrthoCheckParams(n, m, mode), ctx).residual
+
+
+def _diagonal_residual(n: int, ctx: QContext, diag: list[float], params: dict) -> float:
+    # the continuous diagonal must not depend on n: compare with the first
+    # one, and record the value in the entry's parameters
+    value = orthogonality(
+        OrthoCheckParams(n, n, "continuous_quadrature"), ctx).params["value"]
+    diag.append(value)
+    params["value"] = value
+    return abs(value - diag[0])
 
 
 def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
@@ -256,32 +266,17 @@ def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
         n_hi = min(cfg.n_max, 8)
         for n in range(n_hi + 1):
             for m in range(n, n_hi + 1):
-                out.append(_checked(
-                    "discrete_orthogonality", {**base, "n": n, "m": m}, cfg.tol,
-                    lambda n=n, m=m, c=ctx: orthogonality(
-                        OrthoCheckParams(n, m, "discrete_jackson"), c).residual))
+                out.append(_checked("discrete_orthogonality", {**base, "n": n, "m": m},
+                                    cfg.tol, _ortho_residual, n, m, "discrete_jackson", ctx))
         # continuous quadrature: off-diagonal entries must vanish; the
         # diagonal is checked for independence of n, and its common value
         # (the normalization constant of the continuous measure) is reported
         n_cont = min(cfg.n_max, 6)
         diag: list[float] = []
         for n in range(n_cont + 1):
-            t0 = time.perf_counter()
-            try:
-                value = orthogonality(
-                    OrthoCheckParams(n, n, "continuous_quadrature"), ctx).params["value"]
-                diag.append(value)
-                res = CheckResult(
-                    "continuous_diagonal_consistency",
-                    {**base, "n": n, "value": value},
-                    abs(value - diag[0]), cfg.quad_tol)
-            except QError as exc:
-                res = CheckResult(
-                    "continuous_diagonal_consistency", {**base, "n": n},
-                    math.inf, cfg.quad_tol, passed=False,
-                    error=f"{type(exc).__name__}: {exc}")
-            res.runtime_ms = (time.perf_counter() - t0) * 1e3
-            out.append(res)
+            params = {**base, "n": n}
+            out.append(_checked("continuous_diagonal_consistency", params, cfg.quad_tol,
+                                _diagonal_residual, n, ctx, diag, params))
         if diag:
             out.append(CheckResult(
                 "continuous_diagonal_offset",
@@ -293,10 +288,9 @@ def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
                 max(abs(v - 1.0) for v in diag), cfg.quad_tol))
         for n in range(n_cont + 1):
             for m in range(n + 1, n_cont + 1):
-                out.append(_checked(
-                    "continuous_offdiagonal", {**base, "n": n, "m": m}, cfg.quad_tol,
-                    lambda n=n, m=m, c=ctx: orthogonality(
-                        OrthoCheckParams(n, m, "continuous_quadrature"), c).residual))
+                out.append(_checked("continuous_offdiagonal", {**base, "n": n, "m": m},
+                                    cfg.quad_tol, _ortho_residual, n, m,
+                                    "continuous_quadrature", ctx))
     return out
 
 
@@ -305,25 +299,34 @@ def suite_kernels(cfg: SuiteConfig) -> list[CheckResult]:
     for ctx in _grid(cfg):
         base = {"q": ctx.q, "alpha": ctx.alpha}
         for (x, y) in ((0.8, 0.3), (1.2, 0.5)):
-            out.append(_checked(
-                "poisson_kernel_at_one", {**base, "x": x, "y": y}, cfg.tol,
-                lambda x=x, y=y, c=ctx: poisson_kernel_residual(x, y, "general", c)))
+            out.append(_checked("poisson_kernel_at_one", {**base, "x": x, "y": y},
+                                cfg.tol, poisson_kernel_residual, x, y, "general", ctx))
         for x in (0.5, 1.2):
-            out.append(_checked(
-                "bessel_expansion", {**base, "x": x}, cfg.tol,
-                lambda x=x, c=ctx: bessel_expansion_residual(x, c)))
-        out.append(_checked(
-            "rogers_ramanujan_sum", base, max(cfg.tol, 1e-10),
-            lambda c=ctx: rogers_ramanujan_residual(c)))
+            out.append(_checked("bessel_expansion", {**base, "x": x}, cfg.tol,
+                                bessel_expansion_residual, x, ctx))
+        out.append(_checked("rogers_ramanujan_sum", base, max(cfg.tol, 1e-10),
+                            rogers_ramanujan_residual, ctx))
     for q in cfg.q_values:
         ctx = QContext(q=q, alpha=-0.5)
         for (x, y) in ((0.8, 0.3), (1.2, 0.5)):
             out.append(_checked(
-                "poisson_kernel_trig_corollary", {"q": q, "alpha": -0.5,
-                                                  "x": x, "y": y}, cfg.tol,
-                lambda x=x, y=y, c=ctx: poisson_kernel_residual(
-                    x, y, "half_integer_corollary", c)))
+                "poisson_kernel_trig_corollary", {"q": q, "alpha": -0.5, "x": x, "y": y},
+                cfg.tol, poisson_kernel_residual, x, y, "half_integer_corollary", ctx))
     return out
+
+
+def _ladder_residual(n: int, which: str, ctx: QContext) -> float:
+    # a phi_n = sqrt([[n]]) phi_{n-1} and a+ phi_n = sqrt([[n+1]]) phi_{n+1}
+    # at x = 0.7; a phi_0 = 0
+    lhs = qoscillator.apply_ladder(qoscillator.wave_function(n, ctx), which, 0.7, ctx)
+    if which == "a" and n == 0:
+        return abs(lhs)
+    m = n - 1 if which == "a" else n + 1
+    return abs(lhs - math.sqrt(gen_qint(max(n, m), ctx)) * qoscillator.phi(m, 0.7, ctx))
+
+
+def _raising_residual(n: int, ctx: QContext) -> float:
+    return abs(qoscillator.raised_from_ground(n, 0.7, ctx) - qoscillator.phi(n, 0.7, ctx))
 
 
 def suite_oscillator_algebra(cfg: SuiteConfig) -> list[CheckResult]:
@@ -331,42 +334,28 @@ def suite_oscillator_algebra(cfg: SuiteConfig) -> list[CheckResult]:
     for ctx in _grid(cfg):
         base = {"q": ctx.q, "alpha": ctx.alpha, "dim": cfg.dim}
         for name in qoscillator.RELATION_NAMES:
-            out.append(_checked(
-                "algebra_" + name, base, max(cfg.tol, 1e-11),
-                lambda n=name, c=ctx: qoscillator.algebra_residual(
-                    qoscillator.AlgebraRelation(n), cfg.dim, c)))
+            out.append(_checked("algebra_" + name, base, max(cfg.tol, 1e-11),
+                                qoscillator.algebra_residual,
+                                qoscillator.AlgebraRelation(name), cfg.dim, ctx))
         for n in range(min(cfg.n_max, 8) + 1):
             for k in (-2, 0, 3):
                 x = ctx.q ** k
-                out.append(_checked(
-                    "oscillator_eigenrelation", {**base, "n": n, "x": x}, 1e-9,
-                    lambda n=n, x=x, c=ctx: qoscillator.eigen_residual(n, x, c)))
-        out.append(_checked(
-            "ground_state_annihilation", {**base, "x": 0.7}, 1e-11,
-            lambda c=ctx: abs(qoscillator.apply_ladder(
-                qoscillator.wave_function(0, c), "a", 0.7, c))))
+                out.append(_checked("oscillator_eigenrelation", {**base, "n": n, "x": x},
+                                    1e-9, qoscillator.eigen_residual, n, x, ctx))
+        out.append(_checked("ground_state_annihilation", {**base, "x": 0.7}, 1e-11,
+                            _ladder_residual, 0, "a", ctx))
         for n in (1, 3, min(cfg.n_max, 6)):
-            out.append(_checked(
-                "ladder_lowering", {**base, "n": n, "x": 0.7}, 1e-9,
-                lambda n=n, c=ctx: abs(
-                    qoscillator.apply_ladder(qoscillator.wave_function(n, c),
-                                             "a", 0.7, c)
-                    - math.sqrt(gen_qint(n, c)) * qoscillator.phi(n - 1, 0.7, c))))
-            out.append(_checked(
-                "ladder_raising", {**base, "n": n, "x": 0.7}, 1e-9,
-                lambda n=n, c=ctx: abs(
-                    qoscillator.apply_ladder(qoscillator.wave_function(n, c),
-                                             "a_plus", 0.7, c)
-                    - math.sqrt(gen_qint(n + 1, c)) * qoscillator.phi(n + 1, 0.7, c))))
+            out.append(_checked("ladder_lowering", {**base, "n": n, "x": 0.7}, 1e-9,
+                                _ladder_residual, n, "a", ctx))
+            out.append(_checked("ladder_raising", {**base, "n": n, "x": 0.7}, 1e-9,
+                                _ladder_residual, n, "a_plus", ctx))
         for n in range(min(cfg.n_max, 5) + 1):
-            out.append(_checked(
-                "repeated_raising", {**base, "n": n, "x": 0.7}, cfg.tol,
-                lambda n=n, c=ctx: abs(qoscillator.raised_from_ground(n, 0.7, c)
-                                       - qoscillator.phi(n, 0.7, c))))
-        out.append(_checked(
-            "h_selfadjointness", {**base, "pair": "phi1_phi3"}, 1e-7,
-            lambda c=ctx: qoscillator.selfadjoint_residual(
-                qoscillator.wave_function(1, c), qoscillator.wave_function(3, c), c)))
+            out.append(_checked("repeated_raising", {**base, "n": n, "x": 0.7}, cfg.tol,
+                                _raising_residual, n, ctx))
+        out.append(_checked("h_selfadjointness", {**base, "pair": "phi1_phi3"}, 1e-7,
+                            qoscillator.selfadjoint_residual,
+                            qoscillator.wave_function(1, ctx),
+                            qoscillator.wave_function(3, ctx), ctx))
     return out
 
 
@@ -378,6 +367,8 @@ _SUITES = {
     "kernels": suite_kernels,
     "oscillator_algebra": suite_oscillator_algebra,
 }
+
+SUITE_NAMES = ("all", *_SUITES)
 
 
 def run_suite(cfg: SuiteConfig, tool_version: str) -> VerificationReport:

@@ -10,6 +10,7 @@ from qlab import (AlgebraRelation, ArgumentError, DimensionError, QContext,
                   gen_qfact, gen_qint, inner_product, phi, raised_from_ground,
                   selfadjoint_residual, sym_qbracket_diag, sym_qnumber,
                   wave_function)
+from qlab import qoscillator
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
@@ -26,6 +27,9 @@ class TestWaveFunctions:
     def test_wave_function_handle_matches_phi(self):
         f = wave_function(3, CTX)
         assert f(0.7) == pytest.approx(phi(3, 0.7, CTX))
+
+    def test_norm_constant_cache_is_bounded(self):
+        assert qoscillator._d_const.cache_info().maxsize is not None
 
     def test_normalization_constant_in_n(self):
         # the continuous norm carries a constant, n-independent factor for
@@ -71,6 +75,26 @@ class TestLadder:
         for n in range(5):
             got = raised_from_ground(n, 0.7, CTX)
             assert got == pytest.approx(phi(n, 0.7, CTX), abs=1e-9)
+
+    def test_repeated_raising_equals_plain_composition(self):
+        # memoizing the levels changes no value: compare with the unmemoized
+        # composition, bit for bit
+        for n in range(5):
+            f = wave_function(0, CTX)
+            for _ in range(n):
+                f = lambda t, p=f: apply_ladder(p, "a_plus", t, CTX)  # noqa: E731
+            want = f(0.7) / math.sqrt(gen_qfact(n, CTX))
+            assert raised_from_ground(n, 0.7, CTX) == want
+
+    def test_repeated_raising_cost_is_polynomial(self, monkeypatch):
+        # each level is evaluated once per lattice point, not 8 times per
+        # call of the level above (8^n ladder calls)
+        calls = []
+        ladder = qoscillator.apply_ladder
+        monkeypatch.setattr(qoscillator, "apply_ladder",
+                            lambda *args: calls.append(1) or ladder(*args))
+        raised_from_ground(6, 0.7, CTX)
+        assert len(calls) <= 6 * 6 + 6
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ArgumentError):

@@ -9,7 +9,7 @@ import pytest
 
 import qlab
 from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
-                  QContext, bessel_expansion_residual, bessel_weight_transform,
+                  QContext, QError, bessel_expansion_residual, bessel_weight_transform,
                   discrete_orthogonality_rhs, hermite_h, hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
                   moment_check, moment_constant, norm_constants, orthogonality,
@@ -102,6 +102,39 @@ class TestFactorialTable:
 
     def test_cache_is_bounded(self):
         assert _factorials.cache_info().maxsize is not None
+
+
+class TestOutOfRangeRaisesDomainError:
+    # each case raised a raw OverflowError or ZeroDivisionError before
+
+    def test_discrete_orthogonality_rhs(self):
+        # q^{-n^2} overflows at degree 27
+        with pytest.raises(DomainError):
+            discrete_orthogonality_rhs(27, QContext(q=0.3261, alpha=0.2537))
+
+    def test_hermite_via_laguerre(self):
+        # q^{-m(2m-1)} overflows at degree 40 for small q
+        with pytest.raises(DomainError):
+            hermite_via_laguerre(40, 0.7, QContext(q=0.05))
+
+    def test_moment_check(self):
+        # y^{2n+2a+1} overflows at the lattice point y = q^-40
+        with pytest.raises(DomainError):
+            moment_check(8, QContext(q=0.1389, alpha=2.5756))
+
+    def test_integral_representation_inside_disc(self):
+        # y^power overflows at the lattice point y = q^-40 for large alpha
+        with pytest.raises(DomainError):
+            integral_representation_residual(0, 0.5 * 0.5 ** 20.5,
+                                             QContext(q=0.5, alpha=20.0))
+
+    def test_hermite_h_generalized_factorial_underflow(self):
+        # (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha} underflows to 0 with (1-q)^n
+        ctx = QContext(q=0.99)
+        with pytest.raises(DomainError):
+            hermite_h(170, 0.5, ctx)
+        with pytest.raises(QError):
+            poisson_kernel_residual(0.8, 0.3, "general", ctx.with_alpha(0.25))
 
 
 class TestWeight:

@@ -1,0 +1,67 @@
+"""Golden test of the verification check list.
+
+A small configuration runs every suite; the test pins, entry by entry and in
+order, each check's name, parameters (floats at relative 1e-12), tolerance,
+verdict and error type against ``data/suite_checks_golden.json``.  The
+configuration covers the alpha = -1/2 classical entry, PoleError entries at
+integer alpha (among them continuous_diagonal_consistency entries with no
+"value" parameter) and DimensionError entries of the algebra relations that
+need dim >= 5.
+
+When the check list changes on purpose, rewrite the fixture with
+``PYTHONPATH=src python tests/test_suites.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from qlab import SuiteConfig, run_suite
+
+FIXTURE = Path(__file__).parent / "data" / "suite_checks_golden.json"
+CONFIG = SuiteConfig(q_values=(0.5,), alpha_values=(-0.5, 1.0), n_max=2, dim=4)
+
+
+def _entries() -> list[dict]:
+    return [{"name": r.name, "params": r.params, "tolerance": r.tolerance,
+             "pass": r.passed,
+             "error": r.error.split(":", 1)[0] if r.error else None}
+            for r in run_suite(CONFIG, tool_version="golden").results]
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _entries(), json.loads(FIXTURE.read_text())
+
+
+def test_check_list_matches_golden(checks):
+    got, want = checks
+    assert len(got) == len(want) == 314
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g["name"], g["pass"], g["error"]) == (w["name"], w["pass"], w["error"]), i
+        assert _same(g["tolerance"], w["tolerance"]), (i, g["name"])
+        assert list(g["params"]) == list(w["params"]), (i, g["name"])
+        for key, value in w["params"].items():
+            assert _same(g["params"][key], value), (i, g["name"], key)
+
+
+def test_golden_covers_error_and_classical_entries(checks):
+    _, want = checks
+    errors = {w["error"] for w in want}
+    assert {"PoleError", "DimensionError"} <= errors
+    diag = [w for w in want if w["name"] == "continuous_diagonal_consistency"]
+    assert any(w["error"] == "PoleError" and "value" not in w["params"] for w in diag)
+    assert any(w["name"] == "continuous_unit_diagonal_classical" for w in want)
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(_entries(), indent=1) + "\n")
