@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+from numpy import ndarray  # isinstance(a, np.ndarray) looks the class up on every call
+
 from .context import (ArgumentError, DomainError, NonConvergence, QContext,
                       TruncatedValue)
 
@@ -58,19 +61,27 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
     return _qpoch_inf(a, ctx.q, ctx.series_tol, ctx.max_terms)
 
 
-def _qpoch_inf(a: float, q: float, tol: float, max_terms: int) -> TruncatedValue:
-    if a == 0.0:
-        return TruncatedValue(1.0, 0.0, 0)
+def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
+    # a may be a numpy array: every entry then takes the factor count that
+    # the stopping rule gives its largest |a|, and the value is an array
+    array = isinstance(a, ndarray)
+    top = float(np.max(np.abs(a))) if array else abs(a)
+    if top == 0.0:
+        return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
     out = 1.0
-    aq = a
+    aq = a.copy() if array else a  # an array is updated in place
     for k in range(1, max_terms + 1):
         out *= 1.0 - aq
         aq *= q
-        s = abs(aq) / (1.0 - q)
+        top *= q  # |aq|, or the largest |aq| of an array
+        s = top / (1.0 - q)
         if s < 0.5:
             rel_tail = math.expm1(2.0 * s)
             if rel_tail <= tol:
-                tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
+                if array:
+                    tail = np.where(np.isfinite(out), np.abs(out) * rel_tail, np.inf)
+                else:
+                    tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
                 return TruncatedValue(out, tail, k)
     raise NonConvergence(
         f"(a;q)_inf did not meet tol={tol} within {max_terms} factors (a={a}, q={q})"
@@ -143,7 +154,8 @@ class ParityParts:
 
 
 def parity_split(f: FunctionHandle) -> ParityParts:
-    """Split f into even part (f(x)+f(-x))/2 and odd part (f(x)-f(-x))/2."""
+    """Split f into even part (f(x)+f(-x))/2 and odd part (f(x)-f(-x))/2; the
+    parts take a numpy array of points wherever f does."""
     return ParityParts(
         even=lambda x: 0.5 * (f(x) + f(-x)),
         odd=lambda x: 0.5 * (f(x) - f(-x)),

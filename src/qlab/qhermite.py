@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import scipy.integrate
+import numpy as np
+from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on every call
 
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
@@ -78,8 +79,9 @@ def hermite_h_scaled(n: int, x: float, ctx: QContext) -> float:
     return _hermite(n, x, ctx, n * n / 2.0)
 
 
-def _hermite(n: int, x: float, ctx: QContext, offset: float) -> float:
-    # q^offset hermite_h(n, x), the offset folded into each term's power of q
+def _hermite(n: int, x, ctx: QContext, offset: float):
+    # q^offset hermite_h(n, x), the offset folded into each term's power of q;
+    # x may be a numpy array
     q = ctx.q
     fac = _factorials(q, ctx.alpha).upto(n)
     total = 0.0
@@ -87,8 +89,10 @@ def _hermite(n: int, x: float, ctx: QContext, offset: float) -> float:
         for k in range(n // 2 + 1):
             total += ((-1.0) ** k * q ** (offset - 2.0 * n * k + k * (2.0 * k + 1.0))
                       * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
+        if isinstance(total, ndarray) and not np.isfinite(total).all():
+            raise OverflowError("an array holds the overflow as inf or nan")
     except (OverflowError, ZeroDivisionError) as exc:
-        # a power of q overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
+        # a power of q or x overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
         # underflows to 0 with (1-q)^n
         raise DomainError(f"degree-{n} polynomial term leaves double range at "
                           f"x = {x}, q = {q}") from exc
@@ -124,10 +128,18 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
                           f"x = {x}, q = {q}") from exc
 
 
-def weight(x: float, ctx: QContext) -> float:
-    """Orthogonality weight e_{q^2}(-q^{-2 alpha - 1} x^2); even, positive."""
+def weight(x, ctx: QContext):
+    """Orthogonality weight e_{q^2}(-q^{-2 alpha - 1} x^2); even, positive.
+
+    x may be a numpy array.  There the weight is 1 / (z; q^2)_inf with the
+    factor count of the largest |z|; as z <= 0 the product is >= 1, and it
+    overflows to inf exactly where the weight underflows to 0.
+    """
     q = ctx.q
     z = -(q ** (-2.0 * ctx.alpha - 1.0)) * x * x
+    if isinstance(z, ndarray):
+        with np.errstate(over="ignore"):
+            return 1.0 / _qpoch_inf(z, q * q, 1e-14, 600).value
     return qexp_small(z, q * q).value
 
 
@@ -281,12 +293,19 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
 # Moments, integral representations, orthogonality
 # ---------------------------------------------------------------------------
 
-def _damped(env: float, rest) -> float:
-    # The q-exponential envelope underflows long before the polynomial or
-    # Bessel factors matter; skip them once it is negligibly small.
+def _damped(env, x, rest):
+    # env * rest(x), where the q-exponential envelope env underflows long
+    # before the polynomial or Bessel factors matter: skip them once it is
+    # negligibly small.  On arrays rest sees only the points it is needed at.
+    if isinstance(env, ndarray):
+        out = np.zeros_like(env)
+        keep = ~(np.abs(env) < 1e-250)
+        if keep.any():
+            out[keep] = env[keep] * rest(x[keep])
+        return out
     if env == 0.0 or abs(env) < 1e-250:
         return 0.0
-    return env * rest()
+    return env * rest(x)
 
 
 def moment_check(n: int, ctx: QContext) -> float:
@@ -296,7 +315,7 @@ def moment_check(n: int, ctx: QContext) -> float:
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, lambda: y ** (2.0 * n + 2.0 * alpha + 1.0))
+        return _damped(env, y, lambda t: t ** (2.0 * n + 2.0 * alpha + 1.0))
 
     try:
         integral = jackson_integral(f, "halfline", ctx).value
@@ -338,8 +357,8 @@ def bessel_weight_transform(x: float, ctx: QContext) -> float:
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, lambda: qbessel(x * y, alpha, "modified", ctx)
-                       * y ** (2.0 * alpha + 1.0))
+        return _damped(env, y, lambda t: qbessel(x * t, alpha, "modified", ctx)
+                       * t ** (2.0 * alpha + 1.0))
 
     integral = jackson_integral(f, "halfline", ctx).value
     c = moment_constant(ctx)
@@ -456,8 +475,8 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, lambda: qbessel(shift * x * y, order, "modified", ctx)
-                       * y ** power)
+        return _damped(env, y, lambda t: qbessel(shift * x * t, order, "modified", ctx)
+                       * t ** power)
 
     if _lattice_ratio(x, ctx) < 1.0:
         try:
@@ -503,28 +522,62 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
 
 
 def _ortho_integrand(n: int, m: int, ctx: QContext):
+    # w h_n h_m |x|^{2a+1}, at a point or on a numpy array of points
     alpha = ctx.alpha
 
-    def f(x: float) -> float:
-        w = weight(x, ctx)
-        return _damped(w, lambda: hermite_h(n, x, ctx) * hermite_h(m, x, ctx)
-                       * abs(x) ** (2.0 * alpha + 1.0))
+    def f(x):
+        return _damped(weight(x, ctx), x,
+                       lambda t: hermite_h(n, t, ctx) * hermite_h(m, t, ctx)
+                       * abs(t) ** (2.0 * alpha + 1.0))
 
     return f
 
 
 def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
-    q, alpha = ctx.q, ctx.alpha
+    # the first x = q^{-k}, k >= 0, where w(x) x^{n+m+2a+1} < 1e-24: where the
+    # weight underflows to 0, or else compared in logs, as the power alone
+    # can overflow
+    power = n + m + 2.0 * ctx.alpha + 1.0
     x = 1.0
     for _ in range(200):
-        if weight(x, ctx) * x ** (n + m + 2.0 * alpha + 1.0) < 1e-24:
+        w = weight(x, ctx)
+        if w == 0.0 or math.log(w) + power * math.log(x) < math.log(1e-24):
             return x
-        x /= q
+        x /= ctx.q
     return x
 
 
+#: (nodes, weights) of the 20- and 40-node Gauss-Legendre rules on [-1, 1]
+_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 40))
+
+
+def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Jacobi rule of the weight (1 + t)^beta on [-1, 1], beta > -1,
+    by Golub-Welsch, with its weights divided by (1 + t)^beta at the nodes:
+    sum(weights * f(nodes)) then integrates f = (1 + t)^beta times a smooth
+    factor as accurately as Gauss-Legendre integrates a smooth f."""
+    j = np.arange(1.0, k)
+    s = 2.0 * j + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
+    off = 2.0 * j * (j + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    return nodes, weights / (1.0 + nodes) ** beta
+
+
 def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
-    """Integrate f over (0, cutoff) on geometric subintervals, summing errors."""
+    """Integrate f over (0, cutoff) on the geometric panels [0, cutoff q^45],
+    then x 1/q up to cutoff, with a 20- and a 40-node rule on each panel:
+    (the 40-node sum, its distance from the 20-node sum).
+
+    f is |x|^{2 alpha + 1} times a factor smooth at 0, as in both callers.
+    The panels away from 0 take Gauss-Legendre rules; the first takes the
+    Gauss-Jacobi rules of the weight x^{2 alpha + 1}, which stay accurate
+    where that power is singular at 0 (alpha < -1/2).  f is called once per
+    rule, on the numpy array of all that rule's nodes.  Floating-point
+    warnings are silenced here; the callers' gates reject a non-finite
+    result.
+    """
     q = ctx.q
     edges = [0.0]
     x = cutoff * q ** 45
@@ -532,13 +585,17 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
         edges.append(x)
         x /= q
     edges.append(cutoff)
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = scipy.integrate.quad(f, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += v
-        err += e
-    return total, err
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half, mid = (hi - lo)[:, None] / 2.0, (hi + lo)[:, None] / 2.0
+    sums = []
+    with np.errstate(all="ignore"):
+        for nodes, weights in _GAUSS_LEGENDRE:
+            t, w = np.tile(nodes, (len(lo), 1)), np.tile(weights, (len(lo), 1))
+            t[0], w[0] = _gauss_jacobi(len(nodes), 2.0 * ctx.alpha + 1.0)
+            points = mid + half * t
+            sums.append(np.sum(half * w * f(points.ravel()).reshape(points.shape)))
+        coarse, fine = sums
+        return float(fine), float(abs(fine - coarse))
 
 
 def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
@@ -547,10 +604,11 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
     discrete_jackson     : Jackson line integral against the closed-form
                            diagonal; off-diagonal against the diagonal scale;
                            tolerance 1e-8.
-    continuous_quadrature: classical adaptive quadrature of
+    continuous_quadrature: Gauss-Legendre quadrature (_piecewise_quad) of
                            d_n d_m h_n h_m w |x|^{2a+1}, expected delta_{nm};
                            tolerance 1e-6, which also bounds the quadrature
-                           error (QuadratureFailure beyond it).
+                           error (QuadratureFailure beyond it, or when the
+                           value or its error is not finite).
     """
     n, m = params.n, params.m
     base = {"n": n, "m": m, "q": ctx.q, "alpha": ctx.alpha, "mode": params.mode}
@@ -571,13 +629,17 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
         d_n = norm_constants(n, ctx)[0]
         d_m = norm_constants(m, ctx)[0]
         f = _ortho_integrand(n, m, ctx)
-        g = lambda x: f(x) + f(-x)  # noqa: E731
+        # the line integrand f(x) + f(-x) is 2 f(x) or 0, since h_k has the
+        # parity of k and w, |x| are even; one evaluation of f serves, and odd
+        # entries vanish exactly (numpy's power is not sign-symmetric to the
+        # last bit)
+        g = lambda x: (1.0 + (-1.0) ** (n + m)) * f(x)  # noqa: E731
         value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
         value *= d_n * d_m
         err *= d_n * d_m  # error in the normalized entry, not the raw integral
-        if err > tol:
-            raise QuadratureFailure(
-                f"quadrature error {err} exceeds tolerance {tol} for (n,m)=({n},{m})")
+        if not (math.isfinite(value) and err <= tol):
+            raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
+                                    f"tolerance {tol} for (n,m)=({n},{m})")
         base["value"] = value
         residual = abs(value - (1.0 if n == m else 0.0))
         return CheckResult("continuous_orthonormality", base, residual, tol)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy import ndarray  # isinstance(v, np.ndarray) looks the class up on every call
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
@@ -71,38 +72,43 @@ class OperatorMatrix:
             raise ArgumentError(f"non-finite entries in operator {self.label!r}")
 
 
+def _sqrt(v):
+    # np.sqrt on an array; math.sqrt keeps a float a float (the same value)
+    return np.sqrt(v) if isinstance(v, ndarray) else math.sqrt(v)
+
+
 @lru_cache(maxsize=256)
 def _d_const(n: int, q: float, alpha: float) -> float:
     return norm_constants(n, QContext(q=q, alpha=alpha))[0]
 
 
-def phi(n: int, x: float, ctx: QContext) -> float:
-    """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x)."""
+def phi(n: int, x, ctx: QContext):
+    """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
+    numpy array."""
     d = _d_const(n, ctx.q, ctx.alpha)
-    w = weight(x, ctx)
-    return _damped(math.sqrt(w), lambda: d * hermite_h(n, x, ctx))
+    return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 
 def wave_function(n: int, ctx: QContext) -> FunctionHandle:
-    """phi_n as a function handle."""
+    """phi_n as a function handle, of a point or a numpy array of points."""
     return lambda x: phi(n, x, ctx)
 
 
-def apply_ladder(f: FunctionHandle, which: str, x: float, ctx: QContext) -> float:
+def apply_ladder(f: FunctionHandle, which: str, x, ctx: QContext):
     """Apply the lowering (a), raising (a_plus) or H operator to f at x != 0.
 
     All three act block-diagonally on the even/odd parts.  The dilation and
     multiplication factors compose so that the square-root factor is always
     evaluated at the shifted point for the q^{-1}-dilation and at the base
-    point for the q-dilation.
+    point for the q-dilation.  x may be a numpy array if f accepts one.
     """
-    if x == 0.0:
+    if np.any(x == 0.0):
         raise DomainError("ladder operators are not evaluated at x = 0")
     q, alpha = ctx.q, ctx.alpha
     parts = parity_split(f)
     fe, fo = parts.even, parts.odd
-    root_up = math.sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)    # with f(x/q)
-    root_dn = math.sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)    # with f(qx)
+    root_up = _sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)    # with f(x/q)
+    root_dn = _sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)    # with f(qx)
 
     if which == "a":
         pref = math.sqrt(q) / (math.sqrt(1.0 - q) * x)
@@ -283,19 +289,20 @@ def eigen_residual(n: int, x: float, ctx: QContext) -> float:
 def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
     """Quadrature inner product int f g |x|^{2a+1} dx over the line.
 
-    Raises QuadratureFailure when the quadrature error exceeds 1e-7.
+    f and g are called on numpy arrays of quadrature nodes, all nonzero.
+    Raises QuadratureFailure when the quadrature value is not finite or its
+    error exceeds 1e-7.
     """
     alpha = ctx.alpha
 
-    def integrand(x: float) -> float:
-        if x == 0.0:
-            return 0.0
+    def integrand(x):
         return (f(x) * g(x) + f(-x) * g(-x)) * x ** (2.0 * alpha + 1.0)
 
     cutoff = _auto_cutoff(8, 8, ctx)
     value, err = _piecewise_quad(integrand, cutoff, ctx)
-    if err > 1e-7:
-        raise QuadratureFailure(f"inner-product quadrature error {err} exceeds 1e-7")
+    if not (math.isfinite(value) and err <= 1e-7):
+        raise QuadratureFailure(f"inner-product quadrature value {value} with error "
+                                f"{err} misses 1e-7")
     return value
 
 

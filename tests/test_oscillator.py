@@ -1,15 +1,16 @@
 """Unit tests for wave functions, ladder operators, and the matrix algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qlab import (AlgebraRelation, ArgumentError, DimensionError, QContext,
-                  algebra_residual, apply_ladder, build_matrix, eigen_residual,
-                  gen_qfact, gen_qint, inner_product, phi, raised_from_ground,
-                  selfadjoint_residual, sym_qbracket_diag, sym_qnumber,
-                  wave_function)
+from qlab import (AlgebraRelation, ArgumentError, DimensionError, DomainError,
+                  QContext, QuadratureFailure, algebra_residual, apply_ladder,
+                  build_matrix, eigen_residual, gen_qfact, gen_qint, inner_product,
+                  phi, raised_from_ground, selfadjoint_residual, sym_qbracket_diag,
+                  sym_qnumber, wave_function)
 from qlab import qoscillator
 
 CTX = QContext(q=0.5, alpha=0.25)
@@ -47,6 +48,26 @@ class TestWaveFunctions:
         # same parity, different degree (opposite parity vanishes trivially)
         f, g = wave_function(1, CTX), wave_function(3, CTX)
         assert abs(inner_product(f, g, CTX)) < 1e-6
+
+    def test_array_matches_float(self):
+        xs = np.array([-1.7, -0.4, 0.0, 0.9, 6.0])
+        for n in range(5):
+            for x, v in zip(xs, phi(n, xs, CTX)):
+                assert v == pytest.approx(phi(n, float(x), CTX), rel=1e-13, abs=1e-15)
+
+    def test_non_finite_inner_product_raises(self):
+        # an integrand that is NaN on 0.5 < |x| < 0.6, or overflows at the
+        # nodes, raises instead of returning NaN or inf, and no warning escapes
+        def nan_band(x):
+            return np.where((np.abs(x) > 0.5) & (np.abs(x) < 0.6), np.nan, np.exp(-x * x))
+
+        def overflowing(x):
+            return np.exp(x * x)
+
+        for f in (nan_band, overflowing):
+            with pytest.raises(QuadratureFailure), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                inner_product(f, f, CTX)
 
 
 class TestLadder:
@@ -95,6 +116,18 @@ class TestLadder:
                             lambda *args: calls.append(1) or ladder(*args))
         raised_from_ground(6, 0.7, CTX)
         assert len(calls) <= 6 * 6 + 6
+
+    def test_array_matches_float(self):
+        xs = np.array([-1.3, 0.4, 0.7, 2.2])
+        f = wave_function(3, CTX)
+        for which in ("a", "a_plus", "H"):
+            for x, v in zip(xs, apply_ladder(f, which, xs, CTX)):
+                assert v == pytest.approx(apply_ladder(f, which, float(x), CTX),
+                                          rel=1e-13, abs=1e-15)
+
+    def test_zero_in_array_raises(self):
+        with pytest.raises(DomainError):
+            apply_ladder(wave_function(1, CTX), "H", np.array([0.5, 0.0]), CTX)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ArgumentError):

@@ -4,17 +4,22 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 
 import qlab
 from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
-                  QContext, QError, bessel_expansion_residual, bessel_weight_transform,
-                  discrete_orthogonality_rhs, hermite_h, hermite_h_scaled,
+                  QContext, QError, QuadratureFailure, bessel_expansion_residual,
+                  bessel_weight_transform, discrete_orthogonality_rhs, hermite_h,
+                  hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
                   moment_check, moment_constant, norm_constants, orthogonality,
                   poisson_kernel_residual, qlaguerre, relation_residual,
                   rogers_ramanujan_residual, weight)
+from qlab import qhermite
 from qlab.qcore import _gen_qpoch, _qpoch
 from qlab.qhermite import _Factorials, _factorials
 
@@ -45,6 +50,22 @@ class TestPolynomial:
         # q^{-2nk + k(2k+1)} leaves double range at degree 40 for small q
         with pytest.raises(DomainError):
             hermite_h(40, 0.7, QContext(q=0.05))
+
+    def test_array_matches_float(self):
+        xs = np.array([-2.5, -0.7, 0.0, 0.3, 1.1, 4.0])
+        for n in range(9):
+            got = hermite_h(n, xs, CTX)
+            for x, v in zip(xs, got):
+                assert v == pytest.approx(hermite_h(n, float(x), CTX), rel=1e-14, abs=1e-14)
+
+    def test_array_overflow_raises_domain_error(self):
+        # x^2 leaves double range: a float raises through OverflowError, an
+        # array through the inf it holds
+        with pytest.raises(DomainError):
+            hermite_h(2, 1e200, CTX)
+        with pytest.raises(DomainError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            hermite_h(2, np.array([0.5, 1e200]), CTX)
 
     def test_scaled_variant(self):
         for n in range(7):
@@ -144,6 +165,18 @@ class TestWeight:
             assert w > 0.0
             assert weight(-x, CTX) == pytest.approx(w)
 
+    def test_array_matches_float(self):
+        # one factor count, from the largest |z|, serves every point; where
+        # the product overflows the weight is 0, as on a float, and silently
+        xs = np.array([0.0, 0.2, -0.9, 3.0, 40.0, 1e6, 1e30])
+        for ctx in GRID:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = weight(xs, ctx)
+            for x, v in zip(xs, got):
+                assert v == pytest.approx(weight(float(x), ctx), rel=1e-14, abs=0.0)
+        assert weight(1e30, CTX) == 0.0
+
     def test_rapid_decay(self):
         # 1/(z; q^2)_inf decay accelerates with |x|: log-convex falloff
         w = [weight(x, CTX) for x in (0.5, 4.0, 8.0, 16.0)]
@@ -201,11 +234,66 @@ class TestOrthogonality:
         for v in values[1:]:
             assert v == pytest.approx(values[0], abs=1e-6)
 
+    def test_continuous_cutoff_past_power_overflow(self):
+        # the cutoff scan for n = m = 12 passes x = 0.3^-21, where the float
+        # power x^{n+m+2a+1} overflows; the diagonal still equals n = 0's
+        ctx = QContext(q=0.3, alpha=0.25)
+        high = orthogonality(OrthoCheckParams(12, 12, "continuous_quadrature"), ctx)
+        low = orthogonality(OrthoCheckParams(0, 0, "continuous_quadrature"), ctx)
+        assert high.params["value"] == pytest.approx(low.params["value"], rel=1e-12)
+
+    @pytest.mark.parametrize("value, err", [(math.nan, math.nan), (1.0, math.nan),
+                                            (math.inf, 0.0)])
+    def test_continuous_non_finite_quadrature_raises(self, monkeypatch, value, err):
+        # a NaN error compares false against the tolerance: it must fail too
+        monkeypatch.setattr(qhermite, "_piecewise_quad", lambda f, c, ctx: (value, err))
+        with pytest.raises(QuadratureFailure):
+            orthogonality(OrthoCheckParams(0, 2, "continuous_quadrature"), CTX)
+
+    @pytest.mark.parametrize("n, q, alpha", [(0, 0.5, -0.5), (3, 0.3, 1.3),
+                                             (2, 0.5, 0.25), (2, 0.3, -0.75)])
+    def test_continuous_integral_matches_mpmath(self, n, q, alpha):
+        # the raw integral against an independent 30-digit evaluation, to 1e-12
+        # relative; at alpha = -0.75 the integrand is singular at 0 like |x|^-0.5
+        ctx = QContext(q=q, alpha=alpha)
+        d = norm_constants(n, ctx)[0]
+        value = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"),
+                              ctx).params["value"]
+        want = _mp_raw_diagonal(n, q, alpha)
+        assert abs(value / (d * d) - want) <= 1e-12 * abs(want)
+
     def test_continuous_diagonal_unity_at_classical_alpha(self):
         ctx = QContext(q=0.5, alpha=-0.5)
         for n in range(4):
             r = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"), ctx)
             assert r.params["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+def _mp_raw_diagonal(n: int, q: float, alpha: float):
+    """int w h_n^2 |x|^{2 alpha + 1} dx over the line at 30 digits:
+    the weight as 1 / (z; q^2)_inf by mpmath's qp, the polynomials as their
+    explicit sums in mpf, the half line split at q^12, q^6, 1, q^-6, q^-12."""
+    mp = mpmath.MPContext()
+    mp.dps = 30
+    q, a = mp.mpf(q), mp.mpf(alpha)
+    q2 = q * q
+
+    def gen_qpoch(k):  # (q;q)_{k,alpha}
+        return mp.fprod(1 - q ** (j + (2 * a + 1) * (j % 2)) for j in range(1, k + 1))
+
+    def terms(deg):  # (power of x, coefficient) of the explicit sum of h_deg
+        return [(deg - 2 * k, (-1) ** k * mp.qp(q, q, deg) * q ** (k * (2 * k + 1) - 2 * deg * k)
+                 / (mp.qp(q2, q2, k) * gen_qpoch(deg - 2 * k)))
+                for k in range(deg // 2 + 1)]
+
+    hn, z_scale = terms(n), -q ** (-2 * a - 1)
+
+    def integrand(x):
+        return (mp.fsum(c * x ** p for p, c in hn) ** 2 * x ** (2 * a + 1)
+                / mp.qp(z_scale * x * x, q2))
+
+    splits = [mp.zero] + [q ** k for k in (12, 6, 0, -6, -12)] + [mp.inf]
+    return 2 * mp.quad(integrand, splits, maxdegree=5)
 
 
 class TestTransformsAndKernels:
@@ -255,6 +343,13 @@ class TestTransformsAndKernels:
         # mpmath serves only the continued lattice sum outside the disc
         src = os.path.dirname(os.path.dirname(qlab.__file__))
         code = "import sys, qlab; sys.exit('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_does_not_load_scipy(self):
+        # the quadrature runs on numpy alone
+        src = os.path.dirname(os.path.dirname(qlab.__file__))
+        code = "import sys, qlab; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
