@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -136,6 +137,41 @@ def _gen_qpoch(n: int, q: float, alpha: float) -> float:
     return (1.0 - q) ** n * _gen_qfact(n, q, alpha)
 
 
+class _Factorials:
+    """The finite q-shifted factorials of one (q, alpha), grown on demand.
+
+    qp[n] = (q;q)_n, qq[n] = (q^2;q^2)_n, ab[n] = (q^{2 alpha + 2};q^2)_n and
+    gp[n] = (q;q)_{n,alpha}.  Each list is extended by the running product of
+    _qpoch and _gen_qpoch, so every entry is bit-for-bit the value they return.
+    """
+
+    def __init__(self, q: float, alpha: float):
+        self.q, self.alpha = q, alpha
+        self.qp, self.qq, self.ab, self.gp = [1.0], [1.0], [1.0], [1.0]
+        self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
+        self._gen_qfact = 1.0
+
+    def upto(self, n: int) -> "_Factorials":
+        """This table, with every list holding index n."""
+        if n < 0:
+            raise DomainError("qpoch requires n >= 0")
+        q = self.q
+        while len(self.gp) <= n:
+            for i, (vals, base) in enumerate(((self.qp, q), (self.qq, q * q),
+                                              (self.ab, q * q))):
+                vals.append(vals[-1] * (1.0 - self._aq[i]))
+                self._aq[i] *= base
+            k = len(self.gp)
+            self._gen_qfact *= _gen_qint(k, q, self.alpha)
+            self.gp.append((1.0 - q) ** k * self._gen_qfact)
+        return self
+
+
+@lru_cache(maxsize=256)
+def _factorials(q: float, alpha: float) -> _Factorials:
+    return _Factorials(q, alpha)
+
+
 def theta(n: int) -> int:
     """Parity indicator: 1 for even n, 0 for odd n."""
     return 1 if n % 2 == 0 else 0
@@ -199,38 +235,52 @@ def qderiv(f: FunctionHandle, x: float, variant: str, ctx: QContext) -> float:
     raise ArgumentError(f"unknown q-derivative variant: {variant!r}")
 
 
-def _memoized(f: FunctionHandle) -> FunctionHandle:
-    cache: dict[float, float] = {}
-
-    def g(x: float) -> float:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
-    return g
-
-
-def _memoized_power(f: FunctionHandle, op: Callable[[FunctionHandle, float], float],
-                    k: int) -> FunctionHandle:
-    """k-fold composition of the operator g -> (x -> op(g, x)) applied to f.
-
-    Each level memoizes its values: iterated difference and ladder operators
-    revisit the same q-lattice points, so caching turns the exponential
-    evaluation tree into O(k) points per level.
-    """
-    g = _memoized(f)
-    for _ in range(k):
-        g = _memoized(lambda x, p=g: op(p, x))
-    return g
-
-
 def qderiv_pow(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> FunctionHandle:
-    """k-fold composition of a delta-type q-difference operator."""
+    """k-fold composition of a delta-type q-difference operator.
+
+    The handle evaluates f once at each of the 2(k + 1) lattice points +-p_i,
+    p_0 = x and p_{i+1} = q p_i (p_i / q for delta_alpha_plus), then applies
+    the operator k times to the lists of values.  A level maps the values
+    g(+-p_i) to its even and odd halves e_i, o_i and sets g'(p_i) = A + B,
+    g'(-p_i) = B - A, with A the difference of the even half and B that of
+    the odd half at p_i: the even half is the same at -p_i and the odd half
+    is negated, exactly, and so are A and the denominator.  Every operation
+    is qderiv's, in qderiv's order, so the value is bit for bit that of k
+    nested qderiv calls.
+    """
     if variant not in ("delta_alpha", "delta_alpha_plus"):
         raise ArgumentError("qderiv_pow supports the delta variants only")
     if k < 0:
         raise DomainError("qderiv_pow requires k >= 0")
-    return _memoized_power(f, lambda p, x: qderiv(p, x, variant, ctx), k)
+    if k == 0:
+        return f
+    q = ctx.q
+    shift = q ** (2.0 * ctx.alpha + 1.0)
+    backward = variant == "delta_alpha"
+
+    def g(x: float) -> float:
+        points = [x]
+        for _ in range(k):
+            points.append(points[-1] * q if backward else points[-1] / q)
+        if 0.0 in points[:k]:
+            raise DomainError("q-difference operators are not evaluated at x = 0")
+        denoms = [(1.0 - q) * p for p in points[:k]]
+        plus = [f(p) for p in points]
+        minus = [f(-p) for p in points]
+        for _ in range(k):
+            even = [0.5 * (a + b) for a, b in zip(plus, minus)]
+            odd = [0.5 * (a - b) for a, b in zip(plus, minus)]
+            if backward:
+                ev = [(e0 - e1) / d for e0, e1, d in zip(even, even[1:], denoms)]
+                od = [(o0 - shift * o1) / d for o0, o1, d in zip(odd, odd[1:], denoms)]
+            else:
+                ev = [(e1 - e0) / d for e0, e1, d in zip(even, even[1:], denoms)]
+                od = [(o1 - shift * o0) / d for o0, o1, d in zip(odd, odd[1:], denoms)]
+            plus = [a + b for a, b in zip(ev, od)]
+            minus = [b - a for a, b in zip(ev, od)]
+        return plus[0]
+
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 
 from .context import (ArgumentError, DomainError, NonConvergence, PoleError,
                       QContext, TruncatedValue)
-from .qcore import _gen_qpoch, _qpoch, _qpoch_inf, qderiv, qderiv_pow
+from .qcore import _factorials, _qpoch_inf, qderiv, qderiv_pow
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -65,12 +65,14 @@ def qtrig(z: float, which: str, base: float) -> float:
     q = base
     if which not in ("cos", "sin"):
         raise ArgumentError(f"qtrig expects 'cos' or 'sin', got {which!r}")
+    fac = _factorials(q, -0.5)  # for (q;q)_n, where alpha does not enter
     total = 0.0
     for n in range(300):
+        qp = fac.upto(2 * n + 1).qp
         if which == "cos":
-            t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / _qpoch(q, 2 * n, q)
+            t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / qp[2 * n]
         else:
-            t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / _qpoch(q, 2 * n + 1, q)
+            t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / qp[2 * n + 1]
         total += t
         if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
             return total
@@ -79,10 +81,11 @@ def qtrig(z: float, which: str, base: float) -> float:
 
 def qexp_gen(z: float, ctx: QContext) -> float:
     """Generalized q-exponential E_{q,alpha}(z) with generalized factorials."""
-    q, alpha = ctx.q, ctx.alpha
+    q = ctx.q
+    fac = _factorials(q, ctx.alpha)
     total = 0.0
     for k in range(ctx.max_terms):
-        t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
+        t = q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k]
         total += t
         if abs(t) < ctx.series_tol * max(1.0, abs(total)) and k > 2:
             return total

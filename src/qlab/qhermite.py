@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on every call
@@ -19,75 +19,25 @@ from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on eve
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (_gen_qint, _gen_qpoch, _qpoch, _qpoch_inf, jackson_integral,
-                    qderiv_pow, theta)
+from .qcore import (_Factorials, _factorials, _gen_qpoch, _qpoch, _qpoch_inf,  # noqa: F401
+                    jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small
 from .report import CheckResult
-
-
-class _Factorials:
-    """The finite q-shifted factorials of one (q, alpha), grown on demand.
-
-    qp[n] = (q;q)_n, qq[n] = (q^2;q^2)_n, ab[n] = (q^{2 alpha + 2};q^2)_n and
-    gp[n] = (q;q)_{n,alpha}.  Each list is extended by the running product of
-    _qpoch and _gen_qpoch, so every entry is bit-for-bit the value they return.
-    """
-
-    def __init__(self, q: float, alpha: float):
-        self.q, self.alpha = q, alpha
-        self.qp, self.qq, self.ab, self.gp = [1.0], [1.0], [1.0], [1.0]
-        self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
-        self._gen_qfact = 1.0
-
-    def upto(self, n: int) -> "_Factorials":
-        """This table, with every list holding index n."""
-        if n < 0:
-            raise DomainError("qpoch requires n >= 0")
-        q = self.q
-        while len(self.gp) <= n:
-            for i, (vals, base) in enumerate(((self.qp, q), (self.qq, q * q),
-                                              (self.ab, q * q))):
-                vals.append(vals[-1] * (1.0 - self._aq[i]))
-                self._aq[i] *= base
-            k = len(self.gp)
-            self._gen_qfact *= _gen_qint(k, q, self.alpha)
-            self.gp.append((1.0 - q) ** k * self._gen_qfact)
-        return self
-
-
-@lru_cache(maxsize=256)
-def _factorials(q: float, alpha: float) -> _Factorials:
-    return _Factorials(q, alpha)
 
 
 # ---------------------------------------------------------------------------
 # Polynomials and weight
 # ---------------------------------------------------------------------------
 
-def hermite_h(n: int, x: float, ctx: QContext) -> float:
-    """Generalized discrete q-Hermite II polynomial of degree n at x."""
-    return _hermite(n, x, ctx, 0.0)
-
-
-def hermite_h_scaled(n: int, x: float, ctx: QContext) -> float:
-    """q^{n^2/2} times hermite_h(n, x): the overflow-safe kernel scaling.
-
-    The polynomial's dominant coefficient grows like q^{-n^2}; folding the
-    q^{n^2/2} prefactor into each term keeps every intermediate in double
-    range, which the bilinear kernel sums need at large degree.
-    """
-    return _hermite(n, x, ctx, n * n / 2.0)
-
-
-def _hermite(n: int, x, ctx: QContext, offset: float):
-    # q^offset hermite_h(n, x), the offset folded into each term's power of q;
-    # x may be a numpy array
+def hermite_h(n: int, x, ctx: QContext):
+    """Generalized discrete q-Hermite II polynomial of degree n at x, by its
+    explicit sum; x may be a numpy array."""
     q = ctx.q
     fac = _factorials(q, ctx.alpha).upto(n)
     total = 0.0
     try:
         for k in range(n // 2 + 1):
-            total += ((-1.0) ** k * q ** (offset - 2.0 * n * k + k * (2.0 * k + 1.0))
+            total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
                       * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
         if isinstance(total, ndarray) and not np.isfinite(total).all():
             raise OverflowError("an array holds the overflow as inf or nan")
@@ -97,6 +47,41 @@ def _hermite(n: int, x, ctx: QContext, offset: float):
         raise DomainError(f"degree-{n} polynomial term leaves double range at "
                           f"x = {x}, q = {q}") from exc
     return fac.qp[n] * total
+
+
+def hermite_h_scaled(n: int, x, ctx: QContext):
+    """q^{n^2/2} times hermite_h(n, x): the overflow-safe kernel scaling.
+
+    The polynomial's dominant coefficient grows like q^{-n^2}; in the
+    q^{n^2/2} scaling the three-term recurrence (_scaled_walk) keeps every
+    intermediate in double range, at O(n) cost.
+    """
+    value = next(islice(_scaled_walk(x, ctx), n, None))
+    if not np.isfinite(value).all():
+        raise DomainError(f"degree-{n} scaled polynomial leaves double range at x = {x}")
+    return value
+
+
+def _scaled_walk(x, ctx: QContext):
+    """Yield s_n = q^{n^2/2} h_n(x) for n = 0, 1, 2, ...
+
+    Matching the top two coefficients of the explicit sum gives the
+    three-term recurrence x h_n = A_n h_{n+1} + C_n h_{n-1}, with A_n = 1 for
+    odd n, A_n = (1 - q^{n+2a+2}) / (1 - q^{n+1}) for even n and
+    C_n = q^{1-2n} (1 - q^n).  In the q^{n^2/2} scaling it reads
+    s_{n+1} = (q^{n+1/2} x s_n - q (1 - q^n) s_{n-1}) / A_n, from s_0 = 1 and
+    s_1 = q^{1/2} (1 - q) x / (1 - q^{2a+2}).
+    """
+    q, alpha = ctx.q, ctx.alpha
+    lead = 1.0 - q ** (2.0 * alpha + 2.0)
+    if lead == 0.0:
+        raise DomainError(f"(q;q)_(1,alpha) rounds to 0 at q = {q}, alpha = {alpha}")
+    prev, cur = 1.0, q ** 0.5 * (1.0 - q) * x / lead
+    yield prev
+    for n in count(1):
+        yield cur
+        a = 1.0 if n % 2 else (1.0 - q ** (n + 2.0 * alpha + 2.0)) / (1.0 - q ** (n + 1.0))
+        prev, cur = cur, (q ** (n + 0.5) * x * cur - q * (1.0 - q ** n) * prev) / a
 
 
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
@@ -210,10 +195,8 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         z = 0.3
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
         fac = _factorials(q, alpha)
-        rhs = _kernel_sum(
-            lambda m: (q ** (-m / 2.0) * hermite_h_scaled(m, x, ctx) * z ** m
-                       / fac.upto(m).qp[m]),
-            ctx)
+        rhs = _kernel_sum((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
+                           for m, s in enumerate(_scaled_walk(x, ctx))), ctx)
         return _rel(lhs, rhs)
 
     if kind == "inversion":
@@ -651,13 +634,13 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
-def _kernel_sum(term, ctx: QContext) -> float:
-    """term(0) + term(1) + ..., stopped once three successive terms fall below
-    series_tol relative to the sum; NonConvergence after ctx.max_terms terms."""
+def _kernel_sum(terms, ctx: QContext) -> float:
+    """The sum of the iterable terms, stopped once three successive terms fall
+    below series_tol relative to the sum; NonConvergence after ctx.max_terms
+    terms."""
     total = 0.0
     below = 0
-    for i in range(ctx.max_terms):
-        t = term(i)
+    for i, t in zip(range(ctx.max_terms), terms):
         total += t
         if abs(t) < ctx.series_tol * max(1.0, abs(total)):
             below += 1
@@ -669,12 +652,29 @@ def _kernel_sum(term, ctx: QContext) -> float:
                          f"within {ctx.max_terms} terms (sum so far {total!r})")
 
 
+def _poisson_coefficients(ctx: QContext):
+    """Yield c_i = (q;q)_{i,alpha} / (q;q)_i^2 for i = 0, 1, 2, ... as the
+    running product c_i = c_{i-1} g_i / (1 - q^i)^2, g_i = 1 - q^i for even i
+    and 1 - q^{i+2a+1} for odd i: every factor stays near 1, where
+    (q;q)_{i,alpha} = (1-q)^i i!_{q,alpha} underflows with (1-q)^i."""
+    q, alpha = ctx.q, ctx.alpha
+    c = 1.0
+    yield c
+    for i in count(1):
+        g = 1.0 - q ** (i if i % 2 == 0 else i + 2.0 * alpha + 1.0)
+        c *= g / (1.0 - q ** i) ** 2
+        yield c
+
+
 def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> float:
     """Residual of the Poisson kernel evaluated at one.
 
     general              : bilinear sum of the generalized family against the
                            second-kind q-Bessel product (x, y > 0 required)
     half_integer_corollary: the alpha = -1/2 Cos_q/Sin_q form
+
+    The bilinear sums walk the scaled polynomials at x and at y by their
+    three-term recurrence (_scaled_walk): N terms cost O(N).
     """
     if abs(x - y) < 1e-8:
         raise DomainError("Poisson kernel residual needs x != y")
@@ -684,10 +684,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
     if which == "half_integer_corollary":
         cctx = ctx.with_alpha(-0.5)
         fac = _factorials(q, cctx.alpha)
-        lhs = _kernel_sum(
-            lambda i: (hermite_h_scaled(i, x, cctx) * hermite_h_scaled(i, y, cctx)
-                       / fac.upto(i).qp[i]),
-            cctx)
+        lhs = _kernel_sum((sx * sy / fac.upto(i).qp[i] for i, (sx, sy)
+                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))),
+                          cctx)
         from .qfunctions import qtrig
         pref = (_qpoch_inf(q, q2, ctx.series_tol, ctx.max_terms).value
                 / (_qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
@@ -702,12 +701,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
         raise DomainError("general Poisson kernel form needs x, y > 0")
     alpha = ctx.alpha
     scale = q ** (alpha + 0.5)
-    fac = _factorials(q, alpha)
-    lhs = _kernel_sum(
-        lambda i: (fac.upto(i).gp[i] / fac.qp[i] ** 2
-                   * hermite_h_scaled(i, scale * x, ctx)
-                   * hermite_h_scaled(i, scale * y, ctx)),
-        ctx)
+    lhs = _kernel_sum((c * sx * sy for c, sx, sy in zip(
+        _poisson_coefficients(ctx), _scaled_walk(scale * x, ctx),
+        _scaled_walk(scale * y, ctx))), ctx)
     pref = (_qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
             * (x * y) ** (-alpha)
             / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2,
@@ -721,16 +717,16 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
 
 
 def bessel_expansion_residual(x: float, ctx: QContext) -> float:
-    """Residual of the even-polynomial expansion of the second q-Bessel."""
+    """Residual of the even-polynomial expansion of the second q-Bessel; the
+    even scaled polynomials come from one recurrence walk (_scaled_walk)."""
     if x <= 0.0:
         raise DomainError("Bessel expansion residual needs x > 0")
     q, alpha = ctx.q, ctx.alpha
     scale = q ** (alpha + 0.5)
     fac = _factorials(q, alpha)
-    lhs = _kernel_sum(
-        lambda i: ((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i]
-                   * hermite_h_scaled(2 * i, scale * x, ctx)),
-        ctx)
+    lhs = _kernel_sum(((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i] * s
+                       for i, s in enumerate(islice(_scaled_walk(scale * x, ctx),
+                                                    0, None, 2))), ctx)
     rhs = x ** (-alpha - 1.0) * qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
     return abs(lhs - rhs)
 
@@ -743,7 +739,7 @@ def rogers_ramanujan_residual(ctx: QContext) -> float:
     # since (q;q)_{2n} = (q;q^2)_n (q^2;q^2)_n the odd-index factor cancels,
     # leaving a plain q-binomial sum
     fac = _factorials(q, alpha)
-    lhs = _kernel_sum(lambda i: q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i], ctx)
+    lhs = _kernel_sum((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()), ctx)
     rhs = (_qpoch_inf(q ** (2.0 * alpha + 4.0), q2, ctx.series_tol, ctx.max_terms).value
            / _qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value)
     return abs(lhs - rhs)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy import ndarray  # isinstance(v, np.ndarray) looks the class up on every call
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
-from .qcore import (FunctionHandle, _gen_qint, _memoized_power, gen_qfact, parity_split,
-                    sym_qnumber)
+from .qcore import FunctionHandle, _gen_qint, gen_qfact, parity_split, sym_qnumber
 from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, hermite_h,
                        norm_constants, weight)
 
@@ -290,8 +290,10 @@ def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
     """Quadrature inner product int f g |x|^{2a+1} dx over the line.
 
     f and g are called on numpy arrays of quadrature nodes, all nonzero.
-    Raises QuadratureFailure when the quadrature value is not finite or its
-    error exceeds 1e-7.
+    Raises QuadratureFailure when the quadrature value is not finite, its
+    error exceeds 1e-7, or the integrand at the cutoff c, times c, exceeds
+    1e-7 (the dropped tail is then not negligible: wave functions of degree
+    16 and up at q = 0.5 reach past the fixed cutoff).
     """
     alpha = ctx.alpha
 
@@ -303,6 +305,10 @@ def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
     if not (math.isfinite(value) and err <= 1e-7):
         raise QuadratureFailure(f"inner-product quadrature value {value} with error "
                                 f"{err} misses 1e-7")
+    edge = abs(float(integrand(np.array([cutoff]))[0])) * cutoff
+    if not edge <= 1e-7:
+        raise QuadratureFailure(f"inner-product integrand at the cutoff {cutoff}, times "
+                                f"the cutoff, is {edge}: the dropped tail misses 1e-7")
     return value
 
 
@@ -311,6 +317,31 @@ def selfadjoint_residual(f: FunctionHandle, g: FunctionHandle, ctx: QContext) ->
     hf = lambda x: apply_ladder(f, "H", x, ctx)  # noqa: E731
     hg = lambda x: apply_ladder(g, "H", x, ctx)  # noqa: E731
     return abs(inner_product(hf, g, ctx) - inner_product(f, hg, ctx))
+
+
+def _memoized(f: FunctionHandle) -> FunctionHandle:
+    cache: dict[float, float] = {}
+
+    def g(x: float) -> float:
+        if x not in cache:
+            cache[x] = f(x)
+        return cache[x]
+
+    return g
+
+
+def _memoized_power(f: FunctionHandle, op: Callable[[FunctionHandle, float], float],
+                    k: int) -> FunctionHandle:
+    """k-fold composition of the operator g -> (x -> op(g, x)) applied to f.
+
+    Each level memoizes its values: iterated ladder operators revisit the
+    same q-lattice points, so caching turns the exponential evaluation tree
+    into O(k) points per level.
+    """
+    g = _memoized(f)
+    for _ in range(k):
+        g = _memoized(lambda x, p=g: op(p, x))
+    return g
 
 
 def raised_from_ground(n: int, x: float, ctx: QContext) -> float:

@@ -70,6 +70,19 @@ class TestWaveFunctions:
                 inner_product(f, f, CTX)
 
 
+    def test_truncated_inner_product_raises(self):
+        # the cutoff is fixed for degree 8; from degree 16 at q = 0.5 the
+        # integrand at the cutoff, times the cutoff, is past 1e-7 (7.5e-6),
+        # and at degree 20 the quadrature returned 0.383 for a norm of 1
+        c = QContext(q=0.5, alpha=-0.5)
+        f = wave_function(14, c)
+        assert inner_product(f, f, c) == pytest.approx(1.0, abs=1e-10)
+        for n in (16, 20):
+            f = wave_function(n, c)
+            with pytest.raises(QuadratureFailure, match="cutoff"):
+                inner_product(f, f, c)
+
+
 class TestLadder:
     def test_ground_state_annihilated(self):
         for ctx in GRID:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import (ConfigError, ParityParts, QContext, TruncatedValue,
+from qlab import (ConfigError, DomainError, ParityParts, QContext, TruncatedValue,
                   gen_qfact, gen_qint, gen_qpoch, jackson_integral,
                   parity_split, qderiv, qderiv_pow, qnumber, qpoch, qpoch_inf,
-                  sym_qnumber, theta)
+                  qexp_gen, qtrig, sym_qnumber, theta)
+from qlab.qcore import _gen_qpoch, _qpoch
+from qlab.qoscillator import _memoized_power
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -186,3 +188,84 @@ class TestParitySplit:
             assert parts.even(x) + parts.odd(x) == pytest.approx(f(x))
             assert parts.even(-x) == pytest.approx(parts.even(x))
             assert parts.odd(-x) == pytest.approx(-parts.odd(x))
+
+
+class TestLatticeTower:
+    """qderiv_pow evaluates f once per lattice point and runs the k levels
+    on lists; it must equal the memoized composition of qderiv bit for bit."""
+
+    @given(q=st.floats(0.05, 0.95), alpha=st.floats(-0.95, 3.0),
+           n=st.integers(0, 14), frac=st.floats(0.0, 1.0),
+           x=st.floats(0.1, 2.5), sign=st.sampled_from((1.0, -1.0)),
+           mixed=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_memoized_composition(self, q, alpha, n, frac, x, sign, mixed):
+        ctx = QContext(q=q, alpha=alpha)
+        k = round(frac * n)
+        if mixed:  # no parity, so both halves are nonzero
+            f = lambda t: t ** n + math.sin(t) + 0.5 * math.cos(2.0 * t)  # noqa: E731
+        else:
+            f = lambda t: t ** n  # noqa: E731
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            want = _memoized_power(f, lambda p, t: qderiv(p, t, variant, ctx), k)(sign * x)
+            got = qderiv_pow(f, k, variant, ctx)(sign * x)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_calls_f_once_per_lattice_point(self):
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            for k in range(1, 13):
+                points = []
+
+                def f(t):
+                    points.append(t)
+                    return math.exp(-t * t) + t ** 3
+
+                qderiv_pow(f, k, variant, CTX)(0.9)
+                assert len(points) == len(set(points)) == 2 * (k + 1)
+
+    def test_zero_raises_domain_error(self):
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            for k in (1, 5):
+                with pytest.raises(DomainError):
+                    qderiv_pow(lambda t: t ** 6, k, variant, CTX)(0.0)
+
+
+def _qexp_gen_per_term(z, ctx):
+    # the per-term formula qexp_gen used before it read the factorial table
+    q, alpha = ctx.q, ctx.alpha
+    total = 0.0
+    for k in range(ctx.max_terms):
+        t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
+        total += t
+        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and k > 2:
+            return total
+    raise AssertionError("reference series did not converge")
+
+
+def _qtrig_per_term(z, which, q):
+    # the per-term formula qtrig used before it read the factorial table
+    total = 0.0
+    for n in range(300):
+        if which == "cos":
+            t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / _qpoch(q, 2 * n, q)
+        else:
+            t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / _qpoch(q, 2 * n + 1, q)
+        total += t
+        if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
+            return total
+    raise AssertionError("reference series did not converge")
+
+
+class TestSeriesReadTheTable:
+    def test_qexp_gen_bit_equal(self):
+        for q in (0.1, 0.3, 0.5, 0.8, 0.9):
+            for alpha in (-0.9, -0.5, 0.25, 1.3, 2.4):
+                ctx = QContext(q=q, alpha=alpha)
+                for z in (-2.0, -0.7, 0.3, 0.5, 1.2, 3.0):
+                    assert qexp_gen(z, ctx) == _qexp_gen_per_term(z, ctx)
+
+    def test_qtrig_bit_equal(self):
+        for q in (0.1, 0.3, 0.5, 0.8, 0.9):
+            for z in (-2.5, -0.4, 0.4, 0.9, 2.0, 5.0):
+                for which in ("cos", "sin"):
+                    assert qtrig(z, which, q) == _qtrig_per_term(z, which, q)

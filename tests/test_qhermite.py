@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -89,6 +90,87 @@ class TestPolynomial:
             want = (qpoch(q ** (2 * a + 2), n, ctx2)
                     / qpoch(q * q, n, ctx2))
             assert qlaguerre(n, a, 0.0, ctx) == pytest.approx(want, rel=1e-12)
+
+
+RECURRENCE_CASES = ((0.3, -0.5), (0.5, 0.25), (0.8, 1.3), (0.9, -0.9), (0.9, 2.5),
+                    (0.2, 2.4))
+
+
+def _mp_scaled(n_max, x, q, alpha, mp):
+    """q^{n^2/2} h_n(x) for n = 0..n_max by the explicit sum, in mpf."""
+    q, a, x = mp.mpf(q), mp.mpf(alpha), mp.mpf(x)
+    qp, qq, gp = [mp.one], [mp.one], [mp.one]  # (q;q)_k, (q^2;q^2)_k, (q;q)_{k,alpha}
+    for j in range(1, n_max + 1):
+        qp.append(qp[-1] * (1 - q ** j))
+        qq.append(qq[-1] * (1 - q ** (2 * j)))
+        gp.append(gp[-1] * (1 - q ** (j + (2 * a + 1) * (j % 2))))
+    return [q ** (mp.mpf(n * n) / 2) * qp[n] * mp.fsum(
+        (-1) ** k * q ** (k * (2 * k + 1) - 2 * n * k) * x ** (n - 2 * k)
+        / (qq[k] * gp[n - 2 * k]) for k in range(n // 2 + 1)) for n in range(n_max + 1)]
+
+
+class TestThreeTermRecurrence:
+    def test_identity_against_explicit_sum(self):
+        # x h_n = A_n h_{n+1} + C_n h_{n-1} with A_n = 1 (n odd),
+        # (1 - q^{n+2a+2}) / (1 - q^{n+1}) (n even), C_n = q^{1-2n} (1 - q^n)
+        for q, a in RECURRENCE_CASES[:3]:
+            ctx = QContext(q=q, alpha=a)
+            for x in (0.3, -0.8, 1.2):
+                for n in range(1, 31):
+                    big_a = 1.0 if n % 2 else (1 - q ** (n + 2 * a + 2)) / (1 - q ** (n + 1))
+                    big_c = q ** (1 - 2 * n) * (1 - q ** n)
+                    lhs = x * hermite_h(n, x, ctx)
+                    up = big_a * hermite_h(n + 1, x, ctx)
+                    down = big_c * hermite_h(n - 1, x, ctx)
+                    scale = 1 + abs(lhs) + abs(up) + abs(down)
+                    assert abs(lhs - up - down) / scale <= 1e-12, (q, a, x, n)
+
+    def test_scaled_against_mpmath(self):
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        for q, a in RECURRENCE_CASES:
+            ctx = QContext(q=q, alpha=a)
+            for x in (0.3, 0.8, 1.2, 2.5):
+                for n, want in enumerate(_mp_scaled(40, x, q, a, mp)):
+                    got = hermite_h_scaled(n, x, ctx)
+                    assert abs(got - want) <= 1e-13 * abs(want), (q, a, x, n)
+
+    def test_kernel_residuals_make_no_polynomial_call(self, monkeypatch):
+        # the kernel sums walk the recurrence once per point: a call of the
+        # explicit sum or of hermite_h_scaled would make N terms cost O(N^2)
+        def refuse(*args):
+            raise AssertionError("kernel sum evaluated a polynomial afresh")
+
+        monkeypatch.setattr(qhermite, "hermite_h", refuse)
+        monkeypatch.setattr(qhermite, "hermite_h_scaled", refuse)
+        ctx = QContext(q=0.8, alpha=1.3)
+        assert poisson_kernel_residual(0.8, 0.3, "general", ctx) < 1e-10
+        assert poisson_kernel_residual(1.2, 0.5, "half_integer_corollary", ctx) < 1e-10
+        assert bessel_expansion_residual(1.2, ctx) < 1e-10
+        assert relation_residual("generating", 0, 1.5, ctx) < 1e-10
+
+    def test_poisson_near_one_converges(self):
+        # the bilinear sum needs 300+ terms here; the parent's coefficient
+        # (q;q)_{i,alpha} / (q;q)_i^2 read (1-q)^i i!_{q,alpha}, whose (1-q)^i
+        # underflows, and the sum turned to NaN (NonConvergence)
+        ctx = QContext(q=0.9021, alpha=0.468)
+        assert poisson_kernel_residual(1.2, 0.5, "general", ctx) < 1e-12
+        wide = QContext(q=0.93, alpha=0.25, max_terms=2000)
+        for x, y in ((0.8, 0.3), (1.2, 0.5)):
+            assert poisson_kernel_residual(x, y, "general", wide) < 1e-12
+
+    def test_poisson_coefficient_does_not_underflow(self):
+        # at q = 0.97 the coefficient's (1-q)^i underflows to 0 near i = 210,
+        # which would drop the remaining terms and leave a residual of 0.054;
+        # the running product keeps them.  The residual left is the q-Bessel
+        # side's (the kernel sum agrees with a 60-digit sum to 2e-13)
+        ctx = QContext(q=0.97, alpha=1.0, max_terms=2000)
+        assert poisson_kernel_residual(0.8, 0.3, "general", ctx) < 1e-7
+        coeff = list(islice(qhermite._poisson_coefficients(ctx), 1000))
+        fac = _Factorials(0.97, 1.0).upto(40)
+        for i in range(41):
+            assert coeff[i] == pytest.approx(fac.gp[i] / fac.qp[i] ** 2, rel=1e-13)
+        assert min(coeff) > 0.0
 
 
 class TestFactorialTable:
