@@ -150,9 +150,9 @@ class TestThreeTermRecurrence:
         assert relation_residual("generating", 0, 1.5, ctx) < 1e-10
 
     def test_poisson_near_one_converges(self):
-        # the bilinear sum needs 300+ terms here; the parent's coefficient
-        # (q;q)_{i,alpha} / (q;q)_i^2 read (1-q)^i i!_{q,alpha}, whose (1-q)^i
-        # underflows, and the sum turned to NaN (NonConvergence)
+        # the bilinear sum needs 300+ terms here; a coefficient
+        # (q;q)_{i,alpha} / (q;q)_i^2 read as (1-q)^i i!_{q,alpha} / (q;q)_i^2
+        # underflows with (1-q)^i, and the sum turned to NaN (NonConvergence)
         ctx = QContext(q=0.9021, alpha=0.468)
         assert poisson_kernel_residual(1.2, 0.5, "general", ctx) < 1e-12
         wide = QContext(q=0.93, alpha=0.25, max_terms=2000)
