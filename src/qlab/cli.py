@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from typing import Any, Callable
 
 from . import __version__
@@ -287,8 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every main() call of
+    # a process; that helps only callers that run main() many times (tests,
+    # notebooks, loops of in-process calls), not a single shell command
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         # parse_known_args lets key=value positionals follow options such
         # as --sweep, which plain parse_args rejects for subparsers

@@ -63,20 +63,31 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
 
 
 def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
+    # a scalar product is a pure function of four floats and recurs often
+    # (lattice points, envelopes, the constants of every check), so it is
+    # served from a bounded cache; an array is computed afresh
+    if isinstance(a, ndarray):
+        return _qpoch_inf_product(a, q, tol, max_terms)
+    return _qpoch_inf_cached(float(a), q, tol, max_terms)
+
+
+def _qpoch_inf_product(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
     # a may be a numpy array: every entry then takes the factor count that
     # the stopping rule gives its largest |a|, and the value is an array
     array = isinstance(a, ndarray)
-    top = float(np.max(np.abs(a))) if array else abs(a)
+    peak = top = float(np.max(np.abs(a))) if array else abs(a)
     if top == 0.0:
         return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
     out = 1.0
     aq = a.copy() if array else a  # an array is updated in place
+    one_minus_q = 1.0 - q
     for k in range(1, max_terms + 1):
         out *= 1.0 - aq
         aq *= q
         top *= q  # |aq|, or the largest |aq| of an array
-        s = top / (1.0 - q)
-        if s < 0.5:
+        s = top / one_minus_q
+        # expm1(y) >= y in floating point, so 2 s > tol cannot stop the loop
+        if s < 0.5 and 2.0 * s <= tol:
             rel_tail = math.expm1(2.0 * s)
             if rel_tail <= tol:
                 if array:
@@ -84,9 +95,19 @@ def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
                 else:
                     tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
                 return TruncatedValue(out, tail, k)
+    # the loop stops about where |a| q^k / (1 - q) <= tol / 2
+    try:
+        need = math.log(tol * one_minus_q / 2.0) - math.log(peak)
+        need = f"about {max(1, math.ceil(need / math.log(q)))}"
+    except (ValueError, OverflowError):  # |a| or tol is inf, NaN or 0
+        need = "an unknown number of"
     raise NonConvergence(
-        f"(a;q)_inf did not meet tol={tol} within {max_terms} factors (a={a}, q={q})"
+        f"(a;q)_inf did not meet tol={tol} within {max_terms} factors (a={a}, q={q}); "
+        f"it needs {need} factors"
     )
+
+
+_qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
 
 
 def qnumber(x: float, ctx: QContext) -> float:

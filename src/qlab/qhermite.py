@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice
 
 import numpy as np
@@ -534,18 +535,22 @@ def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
 _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 40))
 
 
+@lru_cache(maxsize=256)
 def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """k-node Gauss-Jacobi rule of the weight (1 + t)^beta on [-1, 1], beta > -1,
     by Golub-Welsch, with its weights divided by (1 + t)^beta at the nodes:
     sum(weights * f(nodes)) then integrates f = (1 + t)^beta times a smooth
-    factor as accurately as Gauss-Legendre integrates a smooth f."""
+    factor as accurately as Gauss-Legendre integrates a smooth f.  The rule
+    is cached, so both arrays are read-only."""
     j = np.arange(1.0, k)
     s = 2.0 * j + beta
     diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
     off = 2.0 * j * (j + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
-    return nodes, weights / (1.0 + nodes) ** beta
+    weights /= (1.0 + nodes) ** beta
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:

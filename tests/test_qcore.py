@@ -1,7 +1,9 @@
 """Unit tests for q-numbers, q-shifted factorials, derivatives, integrals."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from qlab import (ConfigError, DomainError, ParityParts, QContext, TruncatedValu
                   gen_qfact, gen_qint, gen_qpoch, jackson_integral,
                   parity_split, qderiv, qderiv_pow, qnumber, qpoch, qpoch_inf,
                   qexp_gen, qtrig, sym_qnumber, theta)
-from qlab.qcore import _gen_qpoch, _qpoch
+from qlab.context import NonConvergence
+from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached
+from qlab.qhermite import OrthoCheckParams, _gauss_jacobi, orthogonality
 from qlab.qoscillator import _memoized_power
 
 CTX = QContext(q=0.5, alpha=0.25)
@@ -57,6 +61,120 @@ class TestPochhammer:
             lhs = qpoch(q, 2 * n, c)
             rhs = qpoch(q, n, c2) * qpoch(q * q, n, c2)
             assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def _qpoch_inf_reference(a, q, tol, max_terms):
+    """The infinite product as it was computed before it was cached, kept
+    verbatim as the oracle of the cached and the array path."""
+    array = isinstance(a, np.ndarray)
+    top = float(np.max(np.abs(a))) if array else abs(a)
+    if top == 0.0:
+        return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
+    out = 1.0
+    aq = a.copy() if array else a
+    for k in range(1, max_terms + 1):
+        out *= 1.0 - aq
+        aq *= q
+        top *= q
+        s = top / (1.0 - q)
+        if s < 0.5:
+            rel_tail = math.expm1(2.0 * s)
+            if rel_tail <= tol:
+                if array:
+                    tail = np.where(np.isfinite(out), np.abs(out) * rel_tail, np.inf)
+                else:
+                    tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
+                return TruncatedValue(out, tail, k)
+    raise NonConvergence("did not converge")
+
+
+def _outcome(a, q, tol, max_terms, f):
+    """(value bytes, tail bytes, terms_used) of f, or the type it raises."""
+    try:
+        got = f(a, q, tol, max_terms)
+    except NonConvergence as exc:
+        return type(exc)
+    return (np.asarray(got.value, dtype=float).tobytes(),
+            np.asarray(got.tail_bound, dtype=float).tobytes(), got.terms_used)
+
+
+PRODUCT_ARGS = dict(a=st.floats(-1e6, 0.99), q=st.floats(0.01, 0.99),
+                    tol=st.sampled_from([1e-14, 1e-8, 0.1, 2.0]),
+                    max_terms=st.sampled_from([50, 400]))
+
+
+class TestProductCache:
+    @given(**PRODUCT_ARGS)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_bitwise_equal_to_reference(self, a, q, tol, max_terms):
+        want = _outcome(a, q, tol, max_terms, _qpoch_inf_reference)
+        # a miss and then a hit of the cache
+        assert _outcome(a, q, tol, max_terms, _qpoch_inf) == want
+        assert _outcome(a, q, tol, max_terms, _qpoch_inf) == want
+
+    @given(values=st.lists(PRODUCT_ARGS["a"], min_size=1, max_size=6),
+           **{k: v for k, v in PRODUCT_ARGS.items() if k != "a"})
+    @settings(max_examples=150, deadline=None)
+    def test_array_bitwise_equal_to_reference(self, values, q, tol, max_terms):
+        a = np.array(values)
+        with np.errstate(over="ignore"):
+            assert (_outcome(a, q, tol, max_terms, _qpoch_inf)
+                    == _outcome(a, q, tol, max_terms, _qpoch_inf_reference))
+
+    def test_int_float_and_numpy_keys_agree(self):
+        _qpoch_inf_cached.cache_clear()
+        got = [_qpoch_inf(a, 0.5, 1e-14, 400) for a in (-3, -3.0, np.float64(-3.0))]
+        assert got[0] == got[1] == got[2]
+        assert type(got[2].value) is float
+        assert _qpoch_inf_cached.cache_info().misses == 1
+
+    def test_cache_is_bounded(self):
+        _qpoch_inf_cached.cache_clear()
+        for k in range(300):
+            _qpoch_inf(-k / 300.0, 0.5, 1e-14, 400)
+        info = _qpoch_inf_cached.cache_info()
+        assert info.maxsize == 256
+        assert info.currsize == 256
+
+    def test_nonconvergence_is_not_cached(self):
+        _qpoch_inf(-1.0, 0.5, 1e-14, 400)
+        size = _qpoch_inf_cached.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(NonConvergence):
+                _qpoch_inf(-1.0, 0.99, 1e-14, 400)
+            assert _qpoch_inf_cached.cache_info().currsize == size
+
+    @pytest.mark.parametrize("a, q, tol", [(-1.0, 0.99, 1e-14), (0.5, 0.99, 1e-14),
+                                           (-1e6, 0.98, 1e-8), (-30.0, 0.995, 1e-12),
+                                           (0.9, 0.9, 1e-300)])
+    def test_nonconvergence_names_needed_factors(self, a, q, tol):
+        with pytest.raises(NonConvergence, match="needs about") as exc:
+            _qpoch_inf(a, q, tol, 400)
+        named = int(re.search(r"needs about (\d+) factors", str(exc.value)).group(1))
+        assert abs(named - _qpoch_inf(a, q, tol, 100_000).terms_used) <= 1
+
+    def test_discrete_orthogonality_reuses_lattice_products(self):
+        # the 45 entries n <= m <= 8 evaluate the weight at the same lattice
+        # points +-q^k and the same constants; about 2350 products, of which
+        # 46 are distinct
+        ctx = QContext(q=0.5, alpha=0.25)
+        _qpoch_inf_cached.cache_clear()
+        for n in range(9):
+            for m in range(n, 9):
+                orthogonality(OrthoCheckParams(n, m, "discrete_jackson"), ctx)
+        info = _qpoch_inf_cached.cache_info()
+        assert info.hits + info.misses > 2000
+        assert info.misses <= 60
+
+    @pytest.mark.parametrize("k, beta", [(20, -0.6), (40, 0.5), (40, 3.6)])
+    def test_gauss_jacobi_rules_are_read_only(self, k, beta):
+        nodes, weights = _gauss_jacobi(k, beta)
+        fresh = _gauss_jacobi.__wrapped__(k, beta)
+        assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+        assert _gauss_jacobi(k, beta)[0] is nodes
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestQNumbers:

@@ -9,7 +9,7 @@ import pytest
 
 from qlab import (CheckResult, ConfigError, SuiteConfig, VerificationReport,
                   run_suite)
-from qlab.cli import main
+from qlab.cli import _parser, main
 
 SMALL = ["--q", "0.5", "--alpha", "0.25", "--n-max", "3", "--dim", "6"]
 
@@ -185,3 +185,39 @@ class TestCliTable:
     def test_bad_sweep_exit_2(self, capsys):
         assert main(["table", "qnumber", "--sweep", "x=1:3", "q=0.5"]) == 2
         assert main(["table", "qnumber", "--sweep", "x=1:3:-2", "q=0.5"]) == 2
+
+
+class TestCliParserReuse:
+    CALLS = (
+        ["eval", "hermite_h", "n=3", "x=0.7", "q=0.5", "alpha=0.25"],
+        ["table", "hermite_h", "--sweep", "x=0:1:3", "n=2", "q=0.5", "alpha=0.25"],
+        ["verify", "--suite", "kernels", *SMALL, "--format", "csv"],
+    )
+
+    def _run(self, capsys, argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys):
+        for argv in self.CALLS:
+            _parser.cache_clear()
+            fresh = self._run(capsys, argv)
+            assert fresh[0] == 0
+            assert [self._run(capsys, argv) for _ in range(2)] == [fresh, fresh]
+        assert _parser.cache_info().currsize == 1
+
+    def test_appended_options_do_not_accumulate(self, capsys):
+        for q in ("0.5", "0.3", "0.5"):
+            assert main(["verify", "--suite", "kernels", "--q", q, "--alpha", "0.25",
+                         "--n-max", "2", "--dim", "4"]) == 0
+            d = json.loads(capsys.readouterr().out)
+            assert d["config"]["q_values"] == [float(q)]
+            assert d["config"]["alpha_values"] == [0.25]
+
+    def test_usage_errors_still_exit_2(self, capsys):
+        for argv in (["verify", "--bogus"], ["nosuch"], [], ["table", "qnumber", "q=0.5"],
+                     ["eval", "qnumber", "--stray", "q=0.5"]):
+            assert main(argv) == 2
+            capsys.readouterr()
+        assert self._run(capsys, self.CALLS[0])[0] == 0
