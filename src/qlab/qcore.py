@@ -65,9 +65,11 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
 def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
     # a scalar product is a pure function of four floats and recurs often
     # (lattice points, envelopes, the constants of every check), so it is
-    # served from a bounded cache; an array is computed afresh
+    # served from a bounded cache; an array is computed afresh, where a
+    # product that overflows holds inf
     if isinstance(a, ndarray):
-        return _qpoch_inf_product(a, q, tol, max_terms)
+        with np.errstate(over="ignore"):
+            return _qpoch_inf_product(a, q, tol, max_terms)
     return _qpoch_inf_cached(float(a), q, tol, max_terms)
 
 
@@ -317,8 +319,12 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
     The exponent n runs over [lattice_lo, lattice_hi]; summation proceeds
     outward from n = 0 in both directions and a direction stops once its
     terms have stayed below series_tol (relative to the largest term seen)
-    for a few consecutive lattice points.  Terms still large and
-    non-decreasing at a window edge raise NonConvergence.
+    for a few consecutive lattice points.  Where a window edge comes first,
+    the terms beyond it are summed as a geometric series t r / (1 - r), with
+    t the edge term and r = t / (the term before); tail_bound holds how far
+    that sum moves with the ratio one point in, plus rounding, or the whole
+    sum if there is no such ratio.  An edge ratio outside (-1, 1) raises
+    NonConvergence.
     """
     if domain == "halfline":
         g = f
@@ -336,7 +342,7 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
 
     for step, lo, hi in ((1, 0, ctx.lattice_hi), (-1, -1, ctx.lattice_lo)):
         below = 0
-        prev_mag = math.inf
+        prev = prev2 = math.nan  # the two terms before, in this direction
         n = lo
         while (n <= hi) if step == 1 else (n >= hi):
             xn = q ** n
@@ -351,18 +357,21 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
                 below += 1
                 if below >= 3:
                     # geometric extrapolation of the discarded tail
-                    r = q if step == 1 else min(0.9, mag / prev_mag if prev_mag > 0 else q)
+                    r = q if step == 1 else min(0.9, mag / abs(prev) if prev else q)
                     tail += mag * r / (1.0 - r)
                     break
             else:
                 below = 0
-            if (n == hi) and mag >= tol * peak and mag >= prev_mag:
-                raise NonConvergence(
-                    f"Jackson integral terms non-decreasing at lattice edge n={n}"
-                )
             if n == hi and mag >= tol * peak:
-                tail += mag  # edge term retained; flag remainder crudely
-            prev_mag = mag
+                r = t / prev if prev else math.nan
+                r0 = prev / prev2 if prev2 else math.nan
+                if not -1.0 < r < 1.0:
+                    raise NonConvergence(f"Jackson integral terms do not decay geometrically "
+                                         f"at lattice edge n={n} (ratio {r:.6g})")
+                terms.append(t * r / (1.0 - r))
+                tail += (abs(t) * (abs(r - r0) + 1e-15) / ((1.0 - r) * (1.0 - r0))
+                         if -1.0 < r0 < 1.0 else abs(terms[-1]))
+            prev, prev2 = t, prev
             n += step
 
     value = (1.0 - q) * math.fsum(terms)

@@ -117,16 +117,14 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
 def weight(x, ctx: QContext):
     """Orthogonality weight e_{q^2}(-q^{-2 alpha - 1} x^2); even, positive.
 
-    x may be a numpy array.  There the weight is 1 / (z; q^2)_inf with the
-    factor count of the largest |z|; as z <= 0 the product is >= 1, and it
-    overflows to inf exactly where the weight underflows to 0.
+    The weight is 1 / (z; q^2)_inf, bit for bit qexp_small(z, q^2) on floats;
+    x may be a numpy array, where the product takes the factor count of the
+    largest |z|.  As z <= 0 the product is >= 1, and it overflows to inf
+    exactly where the weight underflows to 0.
     """
     q = ctx.q
     z = -(q ** (-2.0 * ctx.alpha - 1.0)) * x * x
-    if isinstance(z, ndarray):
-        with np.errstate(over="ignore"):
-            return 1.0 / _qpoch_inf(z, q * q, 1e-14, 600).value
-    return qexp_small(z, q * q).value
+    return 1.0 / _qpoch_inf(z, q * q, 1e-14, 600).value
 
 
 def norm_constants(n: int, ctx: QContext) -> tuple[float, float, float]:
@@ -316,37 +314,39 @@ def _lattice_ratio(x: float, ctx: QContext) -> float:
     return x * x * ctx.q ** (-2.0 * ctx.alpha - 1.0)
 
 
-def _require_lattice_convergence(x: float, ctx: QContext) -> None:
-    """Guard of bessel_weight_transform: its lattice sum needs x^2 < q^{2a+1}.
+def _bessel_transform(x: float, shift: float, order: float, power: float,
+                      ctx: QContext) -> float:
+    """Half-line Jackson integral of e_{q^2}(-q y^2) j_order(shift x y; q^2) y^power.
 
-    On the geometric lattice y = q^{-k} the integrand terms behave like
-    (-x^2 q^{-2a-1})^k, so the half-line Jackson sum diverges outside that
-    disc even though the closed form continues analytically.
-    integral_representation_residual continues that sum instead
-    (see _continued_halfline).
+    Inside the disc r = x^2 q^{-2a-1} < 1 it is the plain lattice sum.  Outside
+    it the lattice terms at y = q^{-k} grow like (-r)^k: the part y < 1 is
+    still the Jackson sum, and the divergent part y >= 1 is summed to its
+    analytic continuation by _continued_halfline.
     """
-    r = _lattice_ratio(x, ctx)
-    if r >= 1.0:
-        raise NonConvergence(
-            f"Jackson lattice sum diverges: x^2 q^(-2 alpha - 1) = {r:.6g} >= 1 "
-            f"(need |x| < q^(alpha + 1/2) = {ctx.q ** (ctx.alpha + 0.5):.6g})"
-        )
-
-
-def bessel_weight_transform(x: float, ctx: QContext) -> float:
-    """Residual of the half-line Bessel transform of the weight envelope."""
-    q, alpha = ctx.q, ctx.alpha
+    q = ctx.q
     q2 = q * q
-    _require_lattice_convergence(x, ctx)
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, y, lambda t: qbessel(x * t, alpha, "modified", ctx)
-                       * t ** (2.0 * alpha + 1.0))
+        return _damped(env, y, lambda t: qbessel(shift * x * t, order, "modified", ctx)
+                       * t ** power)
 
-    integral = jackson_integral(f, "halfline", ctx).value
+    if _lattice_ratio(x, ctx) >= 1.0:
+        return _continued_halfline(f, x, shift, order, power, ctx)
+    try:
+        return jackson_integral(f, "halfline", ctx).value
+    except OverflowError as exc:
+        raise DomainError(f"integrand leaves double range on the lattice at "
+                          f"x = {x}, q = {q}, alpha = {ctx.alpha}") from exc
+
+
+def bessel_weight_transform(x: float, ctx: QContext) -> float:
+    """Residual of the half-line Bessel transform of the weight envelope, inside
+    the disc |x| < q^{alpha+1/2} and, by the continued sum, outside it."""
+    q, alpha = ctx.q, ctx.alpha
+    integral = _bessel_transform(x, 1.0, alpha, 2.0 * alpha + 1.0, ctx)
     c = moment_constant(ctx)
-    rhs = c * qexp_small(-(q ** (-2.0 * alpha - 1.0)) * x * x, q2).value
+    rhs = c * qexp_small(-(q ** (-2.0 * alpha - 1.0)) * x * x, q * q).value
     scale = max(abs(rhs), abs(c))
     return abs(integral - rhs) / scale
 
@@ -418,17 +418,12 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
     """Residual of the q-integral representation of hermite_h of degree n.
 
     Even degrees use the j_alpha kernel, odd degrees the j_{alpha+1} kernel;
-    normalized by |hermite_h| + 1.  Inside the disc |x| < q^{alpha+1/2} the
-    q-integral is the plain half-line Jackson sum.  Outside it the lattice
-    terms at y = q^{-k} grow like (-x^2 q^{-2a-1})^k: the part y < 1 is still
-    the Jackson sum, and the divergent part y >= 1 is summed to its analytic
-    continuation by _continued_halfline.  Raises NonConvergence where that
-    continued sum cannot be resolved: a lattice window too short for it to
-    settle, partial sums beyond its working precision, or a result with no
-    significant digit left (also when the weight underflows).
+    normalized by |hermite_h| + 1.  The q-integral is _bessel_transform, in
+    and outside the disc |x| < q^{alpha+1/2}.  Raises NonConvergence where the
+    continued sum outside the disc cannot be resolved (see
+    _continued_halfline), or where the weight underflows.
     """
     q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
     c = moment_constant(ctx)
     w = weight(x, ctx)
     if w == 0.0:
@@ -457,20 +452,7 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
                 * fac.qp[2 * m + 1] * x
                 / (c * (1.0 - q ** (2.0 * alpha + 2.0)) * fac.gp[2 * m + 1] * w))
 
-    def f(y: float) -> float:
-        env = qexp_small(-q * y * y, q2).value
-        return _damped(env, y, lambda t: qbessel(shift * x * t, order, "modified", ctx)
-                       * t ** power)
-
-    if _lattice_ratio(x, ctx) < 1.0:
-        try:
-            integral = jackson_integral(f, "halfline", ctx).value
-        except OverflowError as exc:
-            raise DomainError(f"integrand leaves double range on the lattice at "
-                              f"x = {x}, q = {q}, alpha = {alpha}") from exc
-    else:
-        integral = _continued_halfline(f, x, shift, order, power, ctx)
-    rep = pref * integral
+    rep = pref * _bessel_transform(x, shift, order, power, ctx)
     h = hermite_h(n, x, ctx)
     return abs(h - rep) / (abs(h) + 1.0)
 
@@ -530,6 +512,10 @@ def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
         x /= ctx.q
     return x
 
+
+#: tolerance of the continuous orthogonality entries; it also bounds their
+#: quadrature error
+QUAD_TOL = 1e-6
 
 #: (nodes, weights) of the 20- and 40-node Gauss-Legendre rules on [-1, 1]
 _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 40))
@@ -594,7 +580,7 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
                            tolerance 1e-8.
     continuous_quadrature: Gauss-Legendre quadrature (_piecewise_quad) of
                            d_n d_m h_n h_m w |x|^{2a+1}, expected delta_{nm};
-                           tolerance 1e-6, which also bounds the quadrature
+                           tolerance QUAD_TOL, which also bounds the quadrature
                            error (QuadratureFailure beyond it, or when the
                            value or its error is not finite).
     """
@@ -613,7 +599,6 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
         return CheckResult("discrete_orthogonality", base, residual, 1e-8)
 
     if params.mode == "continuous_quadrature":
-        tol = 1e-6
         d_n = norm_constants(n, ctx)[0]
         d_m = norm_constants(m, ctx)[0]
         f = _ortho_integrand(n, m, ctx)
@@ -625,12 +610,12 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
         value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
         value *= d_n * d_m
         err *= d_n * d_m  # error in the normalized entry, not the raw integral
-        if not (math.isfinite(value) and err <= tol):
+        if not (math.isfinite(value) and err <= QUAD_TOL):
             raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
-                                    f"tolerance {tol} for (n,m)=({n},{m})")
+                                    f"tolerance {QUAD_TOL} for (n,m)=({n},{m})")
         base["value"] = value
         residual = abs(value - (1.0 if n == m else 0.0))
-        return CheckResult("continuous_orthonormality", base, residual, tol)
+        return CheckResult("continuous_orthonormality", base, residual, QUAD_TOL)
 
     raise ArgumentError(f"unknown orthogonality mode: {params.mode!r}")
 

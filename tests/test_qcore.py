@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +291,17 @@ class TestIntegrals:
         f = lambda t: t ** 3 * math.exp(-t * t)  # noqa: E731
         got = jackson_integral(f, "line", CTX)
         assert abs(got.value) < 1e-12
+
+    def test_slow_decay_sums_the_tail_beyond_the_window(self):
+        # the terms (q^0.02)^n at y = q^n are still above series_tol at
+        # lattice_hi; the geometric tail beyond it is summed, not dropped
+        q = 0.3
+        f = lambda t: t ** -0.98 if t <= 1.0 else 0.0  # noqa: E731
+        got = jackson_integral(f, "halfline", QContext(q=q))
+        mp = mpmath.MPContext()
+        mp.dps = 30
+        exact = (1 - mp.mpf(q)) / (1 - mp.mpf(q) ** mp.mpf("0.02"))  # (1-q)/(1-q^0.02)
+        assert abs(got.value - exact) <= got.tail_bound < 1e-12 * exact
 
     def test_divergent_integrand_raises(self):
         from qlab import NonConvergence

@@ -18,8 +18,8 @@ from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
                   hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
                   moment_check, moment_constant, norm_constants, orthogonality,
-                  poisson_kernel_residual, qlaguerre, relation_residual,
-                  rogers_ramanujan_residual, weight)
+                  poisson_kernel_residual, qexp_small, qlaguerre,
+                  relation_residual, rogers_ramanujan_residual, weight)
 from qlab import qhermite
 from qlab.qcore import _gen_qpoch, _qpoch
 from qlab.qhermite import _Factorials, _factorials
@@ -259,6 +259,24 @@ class TestWeight:
                 assert v == pytest.approx(weight(float(x), ctx), rel=1e-14, abs=0.0)
         assert weight(1e30, CTX) == 0.0
 
+    def test_float_is_qexp_small_bit_for_bit(self):
+        # the weight is e_{q^2}(z), z = -q^{-2a-1} x^2, read as 1 / (z; q^2)_inf;
+        # where the product needs more factors than its cap both raise
+        def outcome(fn):
+            try:
+                return fn()
+            except QError as exc:
+                return type(exc)
+
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            ctx = QContext(q=rng.uniform(0.05, 0.95), alpha=rng.uniform(-0.95, 3.0))
+            x = float(rng.choice([0.0, 1e200, rng.uniform(-3.0, 3.0),
+                                  10.0 ** rng.uniform(-8.0, 30.0)]))
+            z = -(ctx.q ** (-2.0 * ctx.alpha - 1.0)) * x * x
+            assert (outcome(lambda: weight(x, ctx))
+                    == outcome(lambda: qexp_small(z, ctx.q * ctx.q).value))
+
     def test_rapid_decay(self):
         # 1/(z; q^2)_inf decay accelerates with |x|: log-convex falloff
         w = [weight(x, CTX) for x in (0.5, 4.0, 8.0, 16.0)]
@@ -384,9 +402,25 @@ class TestTransformsAndKernels:
             lim = ctx.q ** (ctx.alpha + 0.5)
             assert bessel_weight_transform(0.4 * lim, ctx) < 1e-9
 
-    def test_bessel_weight_transform_outside_disc_raises(self):
-        with pytest.raises(NonConvergence):
-            bessel_weight_transform(1.5, QContext(q=0.6, alpha=1.0))
+    def test_bessel_weight_transform_outside_disc(self):
+        # outside the disc the transform shares the continued lattice sum of
+        # the integral representation
+        for ctx in GRID:
+            lim = ctx.q ** (ctx.alpha + 0.5)
+            for frac in (1.5, 3.0):
+                assert bessel_weight_transform(frac * lim, ctx) < 1e-12
+
+    def test_transforms_near_the_disc_edge(self):
+        # at 0.9 of the radius the lattice terms at y = q^{-k} alternate with
+        # ratio near -0.81 and are still large at lattice_lo (at q = 0.8 the
+        # envelope has not underflowed there): their tail beyond the window
+        # counts
+        for alpha in (-0.5, 0.25, 1.3):
+            ctx = QContext(q=0.8, alpha=alpha)
+            x = 0.9 * ctx.q ** (alpha + 0.5)
+            assert bessel_weight_transform(x, ctx) < 1e-13
+            for n in range(5):
+                assert integral_representation_residual(n, x, ctx) < 1e-12
 
     def test_integral_representation_inside_disc(self):
         for ctx in GRID:
