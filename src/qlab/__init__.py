@@ -14,9 +14,9 @@ from .context import (ArgumentError, ConfigError, DimensionError, DomainError,
                       NegativeRadicand, NonConvergence, NotDiagonal, PoleError,
                       QContext, QError, QuadratureFailure, TruncatedValue,
                       UnknownFunction)
-from .qcore import (FunctionHandle, ParityParts, gen_qfact, gen_qint,
-                    gen_qpoch, jackson_integral, parity_split, qderiv,
-                    qderiv_pow, qnumber, qpoch, qpoch_inf, sym_qnumber, theta)
+from .qcore import (FunctionHandle, gen_qfact, gen_qint, gen_qpoch,
+                    jackson_integral, qderiv, qderiv_pow, qnumber, qpoch,
+                    qpoch_inf, sym_qnumber, theta)
 from .qfunctions import (BESSEL_KINDS, bessel_delta_residual,
                          first_qderiv_bessel_residual, qbessel, qexp_big,
                          qexp_gen, qexp_small, qtrig)

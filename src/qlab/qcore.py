@@ -1,14 +1,13 @@
 """Foundational q-arithmetic.
 
 q-shifted factorials, generalized q-integers and factorials, q-difference
-operators (plain, generalized and even/odd-split variants) and Jackson
-q-integrals over the geometric lattice.
+operators (plain, generalized and even/odd-split variants) on one lattice
+engine, and Jackson q-integrals over the geometric lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -201,24 +200,59 @@ def theta(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parity split and q-difference operators
+# q-difference operators and the lattice engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityParts:
-    """Even and odd parts of a function of one real variable."""
+def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q):
+    """The k-th power of a lattice operator applied to f, at x.
 
-    even: FunctionHandle
-    odd: FunctionHandle
+    The operator's value at t reads the even and odd halves of its argument
+    g at t q^j, lo <= j <= hi (reach = (lo, hi)).  f is evaluated once at
+    each lattice point +-x q^i, k lo <= i <= k hi.  Each level splits the
+    values into the halves e = (g(p) + g(-p)) / 2 and o = (g(p) - g(-p)) / 2,
+    listed by increasing i, and stencil(ts, even, odd) returns the new
+    values at +t and at -t for the level's points ts; even[i - lo + j] is
+    e(ts[i] q^j).  x may be a float, an mpmath number or a numpy array.
+    """
+    lo, hi = reach
+    pts = [x]
+    for _ in range(-lo * k):
+        pts.insert(0, pts[0] / q)
+    for _ in range(hi * k):
+        pts.append(pts[-1] * q)
+    inner = pts[-lo:len(pts) - hi]  # where the first level evaluates
+    if k and (np.any(np.array(inner) == 0.0) if isinstance(x, ndarray) else 0.0 in inner):
+        raise DomainError("lattice operators are not evaluated at x = 0")
+    plus = [f(p) for p in pts]
+    minus = [f(-p) for p in pts]
+    for _ in range(k):
+        pts = pts[-lo:len(pts) - hi]
+        even = [0.5 * (a + b) for a, b in zip(plus, minus)]
+        odd = [0.5 * (a - b) for a, b in zip(plus, minus)]
+        plus, minus = stencil(pts, even, odd)
+    return plus[0]
 
 
-def parity_split(f: FunctionHandle) -> ParityParts:
-    """Split f into even part (f(x)+f(-x))/2 and odd part (f(x)-f(-x))/2; the
-    parts take a numpy array of points wherever f does."""
-    return ParityParts(
-        even=lambda x: 0.5 * (f(x) + f(-x)),
-        odd=lambda x: 0.5 * (f(x) - f(-x)),
-    )
+#: Delta_alpha reads t and q t, Delta_alpha^+ reads t / q and t
+_DELTA_REACH = {"delta_alpha": (0, 1), "delta_alpha_plus": (-1, 0)}
+
+
+def _delta_stencil(q, alpha):
+    # with the halves listed by increasing powers of q, both variants take
+    # A = (e_i - e_{i+1}) / ((1-q) t) and B = (o_i - q^{2a+1} o_{i+1}) / ((1-q) t);
+    # at -t, A and the denominator change sign
+    shift = q ** (2.0 * alpha + 1.0)
+
+    def stencil(ts, even, odd):
+        plus, minus = [], []
+        for e0, e1, o0, o1, t in zip(even, even[1:], odd, odd[1:], ts):
+            d = (1.0 - q) * t
+            a, b = (e0 - e1) / d, (o0 - shift * o1) / d
+            plus.append(a + b)
+            minus.append(b - a)
+        return plus, minus
+
+    return stencil
 
 
 def qderiv(f: FunctionHandle, x: float, variant: str, ctx: QContext) -> float:
@@ -244,66 +278,26 @@ def qderiv(f: FunctionHandle, x: float, variant: str, ctx: QContext) -> float:
         return (f(x) - shift * f(q * x)) / denom
     if variant == "forward_alpha":
         return (f(x / q) - shift * f(x)) / denom
-    parts = parity_split(f)
-    if variant == "delta_alpha":
-        return (
-            qderiv(parts.even, x, "backward", ctx)
-            + qderiv(parts.odd, x, "backward_alpha", ctx)
-        )
-    if variant == "delta_alpha_plus":
-        return (
-            qderiv(parts.even, x, "forward", ctx)
-            + qderiv(parts.odd, x, "forward_alpha", ctx)
-        )
+    if variant in _DELTA_REACH:
+        return _lattice_power(f, x, 1, _delta_stencil(q, ctx.alpha), _DELTA_REACH[variant], q)
     raise ArgumentError(f"unknown q-derivative variant: {variant!r}")
 
 
 def qderiv_pow(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> FunctionHandle:
     """k-fold composition of a delta-type q-difference operator.
 
-    The handle evaluates f once at each of the 2(k + 1) lattice points +-p_i,
-    p_0 = x and p_{i+1} = q p_i (p_i / q for delta_alpha_plus), then applies
-    the operator k times to the lists of values.  A level maps the values
-    g(+-p_i) to its even and odd halves e_i, o_i and sets g'(p_i) = A + B,
-    g'(-p_i) = B - A, with A the difference of the even half and B that of
-    the odd half at p_i: the even half is the same at -p_i and the odd half
-    is negated, exactly, and so are A and the denominator.  Every operation
-    is qderiv's, in qderiv's order, so the value is bit for bit that of k
-    nested qderiv calls.
+    The handle evaluates f once at each of the 2(k + 1) lattice points, and
+    its value is bit for bit that of k nested qderiv calls.  With mpmath
+    numbers for q and alpha, and an f returning them, it runs in mpmath.
     """
-    if variant not in ("delta_alpha", "delta_alpha_plus"):
+    if variant not in _DELTA_REACH:
         raise ArgumentError("qderiv_pow supports the delta variants only")
     if k < 0:
         raise DomainError("qderiv_pow requires k >= 0")
     if k == 0:
         return f
-    q = ctx.q
-    shift = q ** (2.0 * ctx.alpha + 1.0)
-    backward = variant == "delta_alpha"
-
-    def g(x: float) -> float:
-        points = [x]
-        for _ in range(k):
-            points.append(points[-1] * q if backward else points[-1] / q)
-        if 0.0 in points[:k]:
-            raise DomainError("q-difference operators are not evaluated at x = 0")
-        denoms = [(1.0 - q) * p for p in points[:k]]
-        plus = [f(p) for p in points]
-        minus = [f(-p) for p in points]
-        for _ in range(k):
-            even = [0.5 * (a + b) for a, b in zip(plus, minus)]
-            odd = [0.5 * (a - b) for a, b in zip(plus, minus)]
-            if backward:
-                ev = [(e0 - e1) / d for e0, e1, d in zip(even, even[1:], denoms)]
-                od = [(o0 - shift * o1) / d for o0, o1, d in zip(odd, odd[1:], denoms)]
-            else:
-                ev = [(e1 - e0) / d for e0, e1, d in zip(even, even[1:], denoms)]
-                od = [(o1 - shift * o0) / d for o0, o1, d in zip(odd, odd[1:], denoms)]
-            plus = [a + b for a, b in zip(ev, od)]
-            minus = [b - a for a, b in zip(ev, od)]
-        return plus[0]
-
-    return g
+    stencil, reach = _delta_stencil(ctx.q, ctx.alpha), _DELTA_REACH[variant]
+    return lambda x: _lattice_power(f, x, k, stencil, reach, ctx.q)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on eve
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (_Factorials, _factorials, _gen_qpoch, _qpoch, _qpoch_inf,  # noqa: F401
-                    jackson_integral, qderiv_pow, theta)
+from .qcore import (_factorials, _gen_qpoch, _qpoch, _qpoch_inf, jackson_integral,
+                    qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small
 from .report import CheckResult
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 from numpy import ndarray  # isinstance(v, np.ndarray) looks the class up on every call
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
-from .qcore import FunctionHandle, _gen_qint, gen_qfact, parity_split, sym_qnumber
+from .qcore import FunctionHandle, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
 from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, hermite_h,
                        norm_constants, weight)
 
@@ -94,42 +94,69 @@ def wave_function(n: int, ctx: QContext) -> FunctionHandle:
     return lambda x: phi(n, x, ctx)
 
 
-def apply_ladder(f: FunctionHandle, which: str, x, ctx: QContext):
-    """Apply the lowering (a), raising (a_plus) or H operator to f at x != 0.
+#: the powers j of q at whose points t q^j each ladder operator reads f
+_LADDER_REACH = {"a": (-1, 0), "a_plus": (0, 1), "H": (-1, 1)}
+
+
+def _ladder_terms(which: str, x, q: float, alpha: float):
+    """(pref, groups) of the lowering (a), raising (a_plus) or H operator at x:
+    it maps f to pref times the sum over groups of the sum of c f_h(x q^j)
+    over a group's terms (c, j, h), each summed left to right, where f_0 is
+    the even part of f and f_1 the odd part.
 
     All three act block-diagonally on the even/odd parts.  The dilation and
     multiplication factors compose so that the square-root factor is always
     evaluated at the shifted point for the q^{-1}-dilation and at the base
-    point for the q-dilation.  x may be a numpy array if f accepts one.
+    point for the q-dilation.
     """
-    if np.any(x == 0.0):
-        raise DomainError("ladder operators are not evaluated at x = 0")
-    q, alpha = ctx.q, ctx.alpha
-    parts = parity_split(f)
-    fe, fo = parts.even, parts.odd
     root_up = _sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)    # with f(x/q)
     root_dn = _sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)    # with f(qx)
-
     if which == "a":
-        pref = math.sqrt(q) / (math.sqrt(1.0 - q) * x)
-        return pref * (root_up * fe(x / q) - fe(x)
-                       + root_up * fo(x / q) - q ** (2.0 * alpha + 1.0) * fo(x))
+        return (math.sqrt(q) / (math.sqrt(1.0 - q) * x),
+                (((root_up, -1, 0), (-1.0, 0, 0),
+                  (root_up, -1, 1), (-(q ** (2.0 * alpha + 1.0)), 0, 1)),))
     if which == "a_plus":
-        pref = q ** (2.0 * alpha + 1.5) / (math.sqrt(1.0 - q) * x)
-        return pref * (root_dn * fe(q * x) - fe(x)
-                       + root_dn * fo(q * x) - q ** (-2.0 * alpha - 1.0) * fo(x))
-    if which == "H":
-        pref = -(q ** (2.0 * alpha + 1.0)) / ((1.0 - q) * x * x)
-        even = (q ** (-2.0 * alpha) * root_up * fe(x / q)
-                + root_dn * fe(q * x)
-                - (1.0 + q ** (-2.0 * alpha)
-                   + q ** (-2.0 * alpha - 1.0) * x * x) * fe(x))
-        odd = (q * root_up * fo(x / q)
-               + q ** (2.0 * alpha + 1.0) * root_dn * fo(q * x)
-               - (1.0 + q ** (2.0 * alpha + 2.0)
-                  + q ** (-2.0 * alpha - 1.0) * x * x) * fo(x))
-        return pref * (even + odd)
-    raise ArgumentError(f"unknown ladder operator: {which!r}")
+        return (q ** (2.0 * alpha + 1.5) / (math.sqrt(1.0 - q) * x),
+                (((root_dn, 1, 0), (-1.0, 0, 0),
+                  (root_dn, 1, 1), (-(q ** (-2.0 * alpha - 1.0)), 0, 1)),))
+    xx = q ** (-2.0 * alpha - 1.0) * x * x
+    return (-(q ** (2.0 * alpha + 1.0)) / ((1.0 - q) * x * x),
+            (((q ** (-2.0 * alpha) * root_up, -1, 0), (root_dn, 1, 0),
+              (-(1.0 + q ** (-2.0 * alpha) + xx), 0, 0)),
+             ((q * root_up, -1, 1), (q ** (2.0 * alpha + 1.0) * root_dn, 1, 1),
+              (-(1.0 + q ** (2.0 * alpha + 2.0) + xx), 0, 1))))
+
+
+def _ladder_stencil(which: str, ctx: QContext):
+    # the lattice engine's stencil: the operator's formula at +t, and at -t
+    # with the odd halves negated
+    q, alpha = ctx.q, ctx.alpha
+    lo = _LADDER_REACH[which][0]
+
+    def stencil(ts, even, odd):
+        out = ([], [])
+        for sign, halves, vals in ((1.0, (even, odd), out[0]),
+                                   (-1.0, (even, [-v for v in odd]), out[1])):
+            for i, t in enumerate(ts):
+                pref, groups = _ladder_terms(which, sign * t, q, alpha)
+                vals.append(pref * reduce(add, (
+                    reduce(add, (c * halves[h][i - lo + j] for c, j, h in group))
+                    for group in groups)))
+        return out
+
+    return stencil
+
+
+def apply_ladder(f: FunctionHandle, which: str, x, ctx: QContext):
+    """Apply the lowering (a), raising (a_plus) or H operator to f at x != 0.
+
+    The lattice engine evaluates f once at each point the operator reads:
+    6 times for H, 4 for a or a_plus.  x may be a numpy array if f accepts
+    one.
+    """
+    if which not in _LADDER_REACH:
+        raise ArgumentError(f"unknown ladder operator: {which!r}")
+    return _lattice_power(f, x, 1, _ladder_stencil(which, ctx), _LADDER_REACH[which], ctx.q)
 
 
 def _sym(n: float, q: float) -> float:
@@ -269,20 +296,14 @@ def eigen_residual(n: int, x: float, ctx: QContext) -> float:
         raise DomainError("eigenrelation is evaluated away from x = 0")
     q, alpha = ctx.q, ctx.alpha
     f = wave_function(n, ctx)
-    root_up = math.sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)
-    root_dn = math.sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)
-    pref = -(q ** (2.0 * alpha + 1.0)) / ((1.0 - q) * x * x)
-    if n % 2 == 0:
-        t1 = q ** (-2.0 * alpha) * root_up * f(x / q)
-        t2 = root_dn * f(q * x)
-        t3 = (1.0 + q ** (-2.0 * alpha) + q ** (-2.0 * alpha - 1.0) * x * x) * f(x)
-    else:
-        t1 = q * root_up * f(x / q)
-        t2 = q ** (2.0 * alpha + 1.0) * root_dn * f(q * x)
-        t3 = (1.0 + q ** (2.0 * alpha + 2.0) + q ** (-2.0 * alpha - 1.0) * x * x) * f(x)
-    lhs = pref * (t1 + t2 - t3)
-    rhs = _gen_qint(n, q, alpha) * f(x)
-    scale = abs(pref) * (abs(t1) + abs(t2) + abs(t3))
+    # phi_n has the parity of n, so H reads only the group of that parity,
+    # at x / q, x and q x, where it equals phi_n itself
+    pref, groups = _ladder_terms("H", x, q, alpha)
+    values = {-1: f(x / q), 0: f(x), 1: f(q * x)}
+    terms = [c * values[j] for c, j, _ in groups[n % 2]]
+    lhs = pref * reduce(add, terms)
+    rhs = _gen_qint(n, q, alpha) * values[0]
+    scale = abs(pref) * reduce(add, map(abs, terms))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale)
 
 
@@ -319,33 +340,14 @@ def selfadjoint_residual(f: FunctionHandle, g: FunctionHandle, ctx: QContext) ->
     return abs(inner_product(hf, g, ctx) - inner_product(f, hg, ctx))
 
 
-def _memoized(f: FunctionHandle) -> FunctionHandle:
-    cache: dict[float, float] = {}
-
-    def g(x: float) -> float:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
-    return g
-
-
-def _memoized_power(f: FunctionHandle, op: Callable[[FunctionHandle, float], float],
-                    k: int) -> FunctionHandle:
-    """k-fold composition of the operator g -> (x -> op(g, x)) applied to f.
-
-    Each level memoizes its values: iterated ladder operators revisit the
-    same q-lattice points, so caching turns the exponential evaluation tree
-    into O(k) points per level.
-    """
-    g = _memoized(f)
-    for _ in range(k):
-        g = _memoized(lambda x, p=g: op(p, x))
-    return g
-
-
 def raised_from_ground(n: int, x: float, ctx: QContext) -> float:
-    """(n!_{q,a})^{-1/2} (a+)^n phi_0 evaluated at x."""
-    raised = _memoized_power(wave_function(0, ctx),
-                             lambda p, t: apply_ladder(p, "a_plus", t, ctx), n)
-    return raised(x) / math.sqrt(gen_qfact(n, ctx))
+    """(n!_{q,a})^{-1/2} (a+)^n phi_0 evaluated at x.
+
+    phi_0 is evaluated once at each of the 2(n + 1) points +-x q^i.  The
+    levels cancel in floating point: at q = 0.5, alpha = 0.25, x = 0.7 the
+    value is 1.4e-10 off phi_n at n = 8 and 0.056 at n = 12, where the same
+    recursion in 60 digits stays within phi_n's own rounding.
+    """
+    return (_lattice_power(wave_function(0, ctx), x, n, _ladder_stencil("a_plus", ctx),
+                           _LADDER_REACH["a_plus"], ctx.q)
+            / math.sqrt(gen_qfact(n, ctx)))

@@ -3,19 +3,110 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlab import (AlgebraRelation, ArgumentError, DimensionError, DomainError,
-                  QContext, QuadratureFailure, algebra_residual, apply_ladder,
+                  QContext, QError, QuadratureFailure, algebra_residual, apply_ladder,
                   build_matrix, eigen_residual, gen_qfact, gen_qint, inner_product,
                   phi, raised_from_ground, selfadjoint_residual, sym_qbracket_diag,
                   sym_qnumber, wave_function)
 from qlab import qoscillator
+from qlab.qcore import _gen_qint
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
         for a in (-0.5, 0.25, 1.3)]
+
+
+def _sqrt(v):
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _ladder_by_parity_split(f, which, x, ctx):
+    # apply_ladder as it was before the lattice engine, verbatim: f's even
+    # and odd parts as closures, each calling f twice
+    fe = lambda x: 0.5 * (f(x) + f(-x))  # noqa: E731
+    fo = lambda x: 0.5 * (f(x) - f(-x))  # noqa: E731
+    q, alpha = ctx.q, ctx.alpha
+    root_up = _sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)    # with f(x/q)
+    root_dn = _sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)    # with f(qx)
+
+    if which == "a":
+        pref = math.sqrt(q) / (math.sqrt(1.0 - q) * x)
+        return pref * (root_up * fe(x / q) - fe(x)
+                       + root_up * fo(x / q) - q ** (2.0 * alpha + 1.0) * fo(x))
+    if which == "a_plus":
+        pref = q ** (2.0 * alpha + 1.5) / (math.sqrt(1.0 - q) * x)
+        return pref * (root_dn * fe(q * x) - fe(x)
+                       + root_dn * fo(q * x) - q ** (-2.0 * alpha - 1.0) * fo(x))
+    pref = -(q ** (2.0 * alpha + 1.0)) / ((1.0 - q) * x * x)
+    even = (q ** (-2.0 * alpha) * root_up * fe(x / q)
+            + root_dn * fe(q * x)
+            - (1.0 + q ** (-2.0 * alpha)
+               + q ** (-2.0 * alpha - 1.0) * x * x) * fe(x))
+    odd = (q * root_up * fo(x / q)
+           + q ** (2.0 * alpha + 1.0) * root_dn * fo(q * x)
+           - (1.0 + q ** (2.0 * alpha + 2.0)
+              + q ** (-2.0 * alpha - 1.0) * x * x) * fo(x))
+    return pref * (even + odd)
+
+
+def _eigen_residual_by_hand(n, x, ctx):
+    # eigen_residual as it was before it read H's terms from the ladder table
+    q, alpha = ctx.q, ctx.alpha
+    f = wave_function(n, ctx)
+    root_up = math.sqrt(1.0 + q ** (-2.0 * alpha - 3.0) * x * x)
+    root_dn = math.sqrt(1.0 + q ** (-2.0 * alpha - 1.0) * x * x)
+    pref = -(q ** (2.0 * alpha + 1.0)) / ((1.0 - q) * x * x)
+    if n % 2 == 0:
+        t1 = q ** (-2.0 * alpha) * root_up * f(x / q)
+        t2 = root_dn * f(q * x)
+        t3 = (1.0 + q ** (-2.0 * alpha) + q ** (-2.0 * alpha - 1.0) * x * x) * f(x)
+    else:
+        t1 = q * root_up * f(x / q)
+        t2 = q ** (2.0 * alpha + 1.0) * root_dn * f(q * x)
+        t3 = (1.0 + q ** (2.0 * alpha + 2.0) + q ** (-2.0 * alpha - 1.0) * x * x) * f(x)
+    lhs = pref * (t1 + t2 - t3)
+    rhs = _gen_qint(n, q, alpha) * f(x)
+    scale = abs(pref) * (abs(t1) + abs(t2) + abs(t3))
+    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale)
+
+
+def _raised_reference(n, x, q, alpha, digits=60):
+    """(n!_{q,a})^{-1/2} (a+)^k phi_0 at x for k = 0..n, in mpmath: phi_0 from
+    mp.qp, and a+ written out from its definition, memoized per level."""
+    mp = mpmath.MPContext()
+    mp.dps = digits
+    q, alpha, x = mp.mpf(q), mp.mpf(alpha), mp.mpf(x)
+    q2, s = q * q, q ** (-2 * alpha - 1)
+    c = mp.sqrt(q ** (-(alpha + 1) * (alpha + mp.mpf(0.5))) * mp.qp(q2, q2)
+                * mp.sin(mp.pi * alpha) / (-mp.pi * mp.qp(q ** (-2 * alpha), q2)))
+    levels = {}
+
+    def level(k, t):
+        memo = levels.setdefault(k, {})
+        if t not in memo:
+            if k == 0:
+                memo[t] = c / mp.sqrt(mp.qp(-s * t * t, q2))
+            else:
+                fe = lambda u: (level(k - 1, u) + level(k - 1, -u)) / 2  # noqa: E731
+                fo = lambda u: (level(k - 1, u) - level(k - 1, -u)) / 2  # noqa: E731
+                root = mp.sqrt(1 + s * t * t)
+                memo[t] = (q ** (2 * alpha + mp.mpf(1.5)) / (mp.sqrt(1 - q) * t)
+                           * (root * fe(q * t) - fe(t) + root * fo(q * t) - s * fo(t)))
+        return memo[t]
+
+    level(n, x)
+    out, fact = [], mp.mpf(1)
+    for k in range(n + 1):
+        if k:
+            fact *= (1 - q ** (k if k % 2 == 0 else k + 2 * alpha + 1)) / (1 - q)
+        out.append(levels[k][x] / mp.sqrt(fact))
+    return out
 
 
 class TestWaveFunctions:
@@ -121,14 +212,75 @@ class TestLadder:
             assert raised_from_ground(n, 0.7, CTX) == want
 
     def test_repeated_raising_cost_is_polynomial(self, monkeypatch):
-        # each level is evaluated once per lattice point, not 8 times per
-        # call of the level above (8^n ladder calls)
-        calls = []
-        ladder = qoscillator.apply_ladder
-        monkeypatch.setattr(qoscillator, "apply_ladder",
-                            lambda *args: calls.append(1) or ladder(*args))
-        raised_from_ground(6, 0.7, CTX)
-        assert len(calls) <= 6 * 6 + 6
+        # phi_0 is evaluated once at each lattice point +-0.7 q^i, i <= n,
+        # not 8^n times
+        for n in (0, 1, 6, 12):
+            points = []
+            ground = qoscillator.phi
+            monkeypatch.setattr(qoscillator, "phi",
+                                lambda k, t, ctx: points.append(t) or ground(k, t, ctx))
+            raised_from_ground(n, 0.7, CTX)
+            monkeypatch.undo()
+            assert len(points) == len(set(points)) == 2 * (n + 1)
+
+    def test_repeated_raising_against_60_digits(self):
+        # the 60-digit recursion stays within phi_n's own rounding (about
+        # 2e-15 relative) up to n = 12, so the float drift is cancellation in
+        # the levels: 8.6e-15 at n = 6, 1.4e-10 at n = 8, 0.056 at n = 12
+        ref = _raised_reference(12, 0.7, 0.5, 0.25)
+        for n, want in enumerate(ref):
+            assert abs(want - phi(n, 0.7, CTX)) <= 2e-15
+            if n <= 6:
+                assert abs(want - raised_from_ground(n, 0.7, CTX)) <= 1e-13
+        assert abs(ref[12] - raised_from_ground(12, 0.7, CTX)) > 1e-2
+
+    @given(q=st.floats(0.05, 0.95), alpha=st.floats(-0.95, 3.0), n=st.integers(0, 9),
+           x=st.floats(0.05, 3.0), sign=st.sampled_from((1.0, -1.0)),
+           which=st.sampled_from(("a", "a_plus", "H")), mixed=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_parity_split_version(self, q, alpha, n, x, sign, which, mixed):
+        # bit for bit, on a float and on an array, at +x and -x; mixed has
+        # no parity, so both halves are nonzero
+        ctx = QContext(q=q, alpha=alpha)
+        if mixed:
+            f = lambda t: np.exp(-t * t) * t ** n + 0.5 * np.sin(t)  # noqa: E731
+        else:
+            f = lambda t: np.exp(-t * t) * t ** n  # noqa: E731
+        got = apply_ladder(f, which, sign * x, ctx)
+        want = _ladder_by_parity_split(f, which, sign * x, ctx)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        xs = sign * np.array([x, 0.5 * x, 2.0 * x])
+        got = apply_ladder(f, which, xs, ctx)
+        want = _ladder_by_parity_split(f, which, xs, ctx)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(q=st.floats(0.05, 0.9), alpha=st.floats(-0.95, 3.0), n=st.integers(0, 9),
+           k=st.integers(-3, 3), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_eigen_residual_equals_hand_written_h(self, q, alpha, n, k, sign):
+        # the same value bit for bit, or the same error
+        ctx = QContext(q=q, alpha=alpha)
+        x = sign * 0.9 * q ** k
+        outcomes = []
+        for residual in (eigen_residual, _eigen_residual_by_hand):
+            try:
+                outcomes.append(repr(residual(n, x, ctx)))
+            except QError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_calls_f_once_per_lattice_point(self):
+        # H reads +-x/q, +-x and +-qx; a reads +-x/q and +-x; a_plus +-x and +-qx
+        for which, count in (("H", 6), ("a", 4), ("a_plus", 4)):
+            for x in (0.7, np.array([0.7, -1.2])):
+                points = []
+
+                def f(t):
+                    points.append(float(np.ravel(t)[0]))
+                    return phi(2, t, CTX)
+
+                apply_ladder(f, which, x, CTX)
+                assert len(points) == len(set(points)) == count
 
     def test_array_matches_float(self):
         xs = np.array([-1.3, 0.4, 0.7, 2.2])

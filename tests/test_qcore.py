@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import (ConfigError, DomainError, ParityParts, QContext, TruncatedValue,
-                  gen_qfact, gen_qint, gen_qpoch, jackson_integral,
-                  parity_split, qderiv, qderiv_pow, qnumber, qpoch, qpoch_inf,
-                  qexp_gen, qtrig, sym_qnumber, theta)
+from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
+                  gen_qint, gen_qpoch, jackson_integral, qbessel, qderiv, qderiv_pow,
+                  qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
 from qlab.context import NonConvergence
 from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached
 from qlab.qhermite import OrthoCheckParams, _gauss_jacobi, orthogonality
-from qlab.qoscillator import _memoized_power
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -309,15 +307,24 @@ class TestIntegrals:
             jackson_integral(lambda t: t, "halfline", CTX)
 
 
-class TestParitySplit:
-    def test_split_recombines(self):
-        f = lambda t: t ** 3 + 2.0 * t * t - 1.0  # noqa: E731
-        parts = parity_split(f)
-        assert isinstance(parts, ParityParts)
-        for x in (0.4, -1.1):
-            assert parts.even(x) + parts.odd(x) == pytest.approx(f(x))
-            assert parts.even(-x) == pytest.approx(parts.even(x))
-            assert parts.odd(-x) == pytest.approx(-parts.odd(x))
+def _memoized(f):
+    cache = {}
+
+    def g(x):
+        if x not in cache:
+            cache[x] = f(x)
+        return cache[x]
+
+    return g
+
+
+def _memoized_power(f, op, k):
+    # the k-fold composition g -> (x -> op(g, x)) applied to f, each level
+    # memoized: the reference the lattice engine replaced
+    g = _memoized(f)
+    for _ in range(k):
+        g = _memoized(lambda x, p=g: op(p, x))
+    return g
 
 
 class TestLatticeTower:
@@ -358,6 +365,32 @@ class TestLatticeTower:
             for k in (1, 5):
                 with pytest.raises(DomainError):
                     qderiv_pow(lambda t: t ** 6, k, variant, CTX)(0.0)
+
+    def test_mpmath_context_meets_the_odd_bessel_identity(self):
+        # Delta^{2n+1} j_a(l x) = (-1)^{n+1} q^{(n+1)(n+2)} l^{2n+2} x
+        #   j_{a+1}(q^{n+1} l x) / ((1-q)^{2n+1} (1-q^{2a+2})), with
+        # j_a(u; q^2) = 1phi1(0; q^{2a+2}; q^2, q^2 u^2): in 50 digits the
+        # engine meets it to 1e-34, so the float check's loss at q = 0.2208,
+        # alpha = -0.836 (+-e-9 against -1.2669e-8) is cancellation
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        lam, x = mp.mpf(0.7), mp.mpf(0.9)
+        for qf, af in ((0.2208, -0.836), (0.5, 0.25), (0.8, 1.3)):
+            q, a = mp.mpf(qf), mp.mpf(af)
+            ctx = QContext(q=q, alpha=a)
+
+            def j(u, order):
+                return mp.qhyper([0], [q ** (2 * order + 2)], q * q, q * q * u * u)
+
+            for n in (1, 2):
+                lhs = qderiv_pow(lambda t: j(lam * t, a), 2 * n + 1, "delta_alpha", ctx)(x)
+                rhs = ((-1) ** (n + 1) * q ** ((n + 1) * (n + 2)) * lam ** (2 * n + 2) * x
+                       * j(q ** (n + 1) * lam * x, a + 1)
+                       / ((1 - q) ** (2 * n + 1) * (1 - q ** (2 * a + 2))))
+                assert isinstance(lhs, mp.mpf)
+                assert abs(lhs - rhs) <= 1e-34 * abs(rhs)
+            assert float(j(lam * x, a)) == pytest.approx(
+                qbessel(0.63, af, "modified", QContext(q=qf, alpha=af)), rel=1e-14)
 
 
 def _qexp_gen_per_term(z, ctx):

@@ -21,8 +21,7 @@ from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
                   poisson_kernel_residual, qexp_small, qlaguerre,
                   relation_residual, rogers_ramanujan_residual, weight)
 from qlab import qhermite
-from qlab.qcore import _gen_qpoch, _qpoch
-from qlab.qhermite import _Factorials, _factorials
+from qlab.qcore import _Factorials, _factorials, _gen_qpoch, _qpoch
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
