@@ -487,14 +487,21 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     return num / den
 
 
+def _sqrt(v):
+    # np.sqrt on an array; math.sqrt keeps a float a float (the same value)
+    return np.sqrt(v) if isinstance(v, ndarray) else math.sqrt(v)
+
+
 def _ortho_integrand(n: int, m: int, ctx: QContext):
-    # w h_n h_m |x|^{2a+1}, at a point or on a numpy array of points
+    # (sqrt(w) h_n) (sqrt(w) h_m) |x|^{2a+1}, at a point or on a numpy array of
+    # points: each factor stays in range where h_n h_m alone would overflow
     alpha = ctx.alpha
 
     def f(x):
-        return _damped(weight(x, ctx), x,
-                       lambda t: hermite_h(n, t, ctx) * hermite_h(m, t, ctx)
-                       * abs(t) ** (2.0 * alpha + 1.0))
+        root = _sqrt(weight(x, ctx))
+        hn = _damped(root, x, lambda t: hermite_h(n, t, ctx))
+        hm = hn if m == n else _damped(root, x, lambda t: hermite_h(m, t, ctx))
+        return hn * hm * abs(x) ** (2.0 * alpha + 1.0)
 
     return f
 

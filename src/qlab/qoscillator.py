@@ -15,12 +15,11 @@ from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
-from numpy import ndarray  # isinstance(v, np.ndarray) looks the class up on every call
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
 from .qcore import FunctionHandle, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
-from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, hermite_h,
+from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, _sqrt, hermite_h,
                        norm_constants, weight)
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
@@ -70,11 +69,6 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise ArgumentError(f"non-finite entries in operator {self.label!r}")
-
-
-def _sqrt(v):
-    # np.sqrt on an array; math.sqrt keeps a float a float (the same value)
-    return np.sqrt(v) if isinstance(v, ndarray) else math.sqrt(v)
 
 
 @lru_cache(maxsize=256)

@@ -341,6 +341,19 @@ class TestOrthogonality:
         low = orthogonality(OrthoCheckParams(0, 0, "continuous_quadrature"), ctx)
         assert high.params["value"] == pytest.approx(low.params["value"], rel=1e-12)
 
+    @pytest.mark.parametrize("n, q, alpha", [(14, 0.3, 0.25), (14, 0.3, -0.5),
+                                             (14, 0.3, 1.3), (20, 0.5, 1.3)])
+    def test_continuous_high_degree_diagonal_in_range(self, n, q, alpha):
+        # h_n h_m alone overflows at the largest nodes (the quadrature read
+        # inf); sqrt(w) h_n and sqrt(w) h_m stay in range, and the diagonal
+        # equals n = 0's
+        ctx = QContext(q=q, alpha=alpha)
+        high = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"), ctx)
+        low = orthogonality(OrthoCheckParams(0, 0, "continuous_quadrature"), ctx)
+        assert high.params["value"] == pytest.approx(low.params["value"], rel=1e-12)
+        if alpha == -0.5:
+            assert high.passed
+
     @pytest.mark.parametrize("value, err", [(math.nan, math.nan), (1.0, math.nan),
                                             (math.inf, 0.0)])
     def test_continuous_non_finite_quadrature_raises(self, monkeypatch, value, err):
