@@ -290,8 +290,8 @@ def eigen_residual(n: int, x: float, ctx: QContext) -> float:
         raise DomainError("eigenrelation is evaluated away from x = 0")
     q, alpha = ctx.q, ctx.alpha
     f = wave_function(n, ctx)
-    # phi_n has the parity of n, so H reads only the group of that parity,
-    # at x / q, x and q x, where it equals phi_n itself
+    # phi_n has the parity of n: its part of that parity is phi_n and the
+    # other is 0, so H needs only that group's terms, at x / q, x and q x
     pref, groups = _ladder_terms("H", x, q, alpha)
     values = {-1: f(x / q), 0: f(x), 1: f(q * x)}
     terms = [c * values[j] for c, j, _ in groups[n % 2]]

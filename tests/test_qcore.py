@@ -371,7 +371,8 @@ class TestLatticeTower:
         #   j_{a+1}(q^{n+1} l x) / ((1-q)^{2n+1} (1-q^{2a+2})), with
         # j_a(u; q^2) = 1phi1(0; q^{2a+2}; q^2, q^2 u^2): in 50 digits the
         # engine meets it to 1e-34, so the float check's loss at q = 0.2208,
-        # alpha = -0.836 (+-e-9 against -1.2669e-8) is cancellation
+        # alpha = -0.836, n = 2 is cancellation: in floats the left side
+        # reads -2.65e-9, in 50 digits -1.2669e-8
         mp = mpmath.MPContext()
         mp.dps = 50
         lam, x = mp.mpf(0.7), mp.mpf(0.9)
