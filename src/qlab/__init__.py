@@ -20,11 +20,11 @@ from .qcore import (FunctionHandle, gen_qfact, gen_qint, gen_qpoch,
 from .qfunctions import (BESSEL_KINDS, bessel_delta_residual,
                          first_qderiv_bessel_residual, qbessel, qexp_big,
                          qexp_gen, qexp_small, qtrig)
-from .qhermite import (OrthoCheckParams, bessel_expansion_residual,
-                       bessel_weight_transform, discrete_orthogonality_rhs,
-                       hermite_h, hermite_h_scaled, hermite_via_laguerre,
-                       integral_representation_residual, moment_check,
-                       moment_constant, norm_constants, orthogonality,
+from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
+                       continuous_orthogonality, discrete_orthogonality_residual,
+                       discrete_orthogonality_rhs, hermite_h, hermite_h_scaled,
+                       hermite_via_laguerre, integral_representation_residual,
+                       moment_check, moment_constant, norm_constant,
                        poisson_kernel_residual, qlaguerre, relation_residual,
                        rogers_ramanujan_residual, weight)
 from .qoscillator import (AlgebraRelation, OperatorMatrix, algebra_residual,

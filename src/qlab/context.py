@@ -2,7 +2,8 @@
 
 All numerical routines are pure functions of their inputs and a QContext,
 which carries the deformation parameter q, the order parameter alpha and
-the truncation policy for infinite series, products and Jackson integrals.
+the term cap of infinite series and products.  The series tolerance and the
+Jackson-integral window are module constants.
 """
 
 from __future__ import annotations
@@ -54,37 +55,36 @@ class ArgumentError(QError):
     """A CLI argument is missing or cannot be parsed."""
 
 
+#: truncation target of the infinite sums and products
+SERIES_TOL = 1e-14
+
+#: Jackson-integral exponent window: the lattice points are q**n for
+#: LATTICE_LO <= n <= LATTICE_HI, so LATTICE_LO < 0 covers the large-x end of
+#: the geometric lattice.  Callers read the window at call time.
+LATTICE_LO = -40
+LATTICE_HI = 120
+
+
 @dataclass(frozen=True)
 class QContext:
     """Global evaluation parameters threaded through every operation.
 
-    q          : deformation parameter, strictly inside (0, 1)
-    alpha      : order parameter, > -1
-    series_tol : truncation target for infinite sums/products
-    max_terms  : hard cap on series/product terms
-    lattice_lo, lattice_hi : Jackson-integral exponent window; the lattice
-        points are q**n for lattice_lo <= n <= lattice_hi, so lattice_lo < 0
-        covers the large-x end of the geometric lattice.
+    q         : deformation parameter, strictly inside (0, 1)
+    alpha     : order parameter, > -1
+    max_terms : hard cap on series/product terms
     """
 
     q: float
     alpha: float = -0.5
-    series_tol: float = 1e-14
     max_terms: int = 400
-    lattice_lo: int = -40
-    lattice_hi: int = 120
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ConfigError(f"q must lie in (0, 1), got {self.q}")
         if not self.alpha > -1.0:
             raise ConfigError(f"alpha must be > -1, got {self.alpha}")
-        if not self.series_tol > 0.0:
-            raise ConfigError("series_tol must be positive")
         if self.max_terms < 1:
             raise ConfigError("max_terms must be >= 1")
-        if not self.lattice_lo < 0 < self.lattice_hi:
-            raise ConfigError("lattice window must satisfy lattice_lo < 0 < lattice_hi")
 
     def with_alpha(self, alpha: float) -> "QContext":
         """Same context with a different order parameter."""

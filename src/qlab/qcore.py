@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy import ndarray  # isinstance(a, np.ndarray) looks the class up on every call
 
+from . import context
 from .context import (ArgumentError, DomainError, NonConvergence, QContext,
                       TruncatedValue)
 
@@ -58,7 +59,7 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
     usable when the partial product itself over/underflows (the weight
     function feeds arguments of magnitude ~ x^2 here).
     """
-    return _qpoch_inf(a, ctx.q, ctx.series_tol, ctx.max_terms)
+    return _qpoch_inf(a, ctx.q, context.SERIES_TOL, ctx.max_terms)
 
 
 def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
@@ -140,7 +141,14 @@ def _gen_qint(n: int, q: float, alpha: float) -> float:
 
 def gen_qfact(n: int, ctx: QContext) -> float:
     """Generalized q-factorial n!_{q,alpha} = prod_{k=1}^{n} gen_qint(k)."""
-    return _gen_qfact(n, ctx.q, ctx.alpha)
+    return _in_range(_gen_qfact(n, ctx.q, ctx.alpha), f"{n}!_(q,alpha)", ctx)
+
+
+def _in_range(value: float, what: str, ctx: QContext) -> float:
+    # as q -> 1 the factorial overflows at large n, and (1-q)^n underflows
+    if not math.isfinite(value):
+        raise DomainError(f"{what} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
+    return value
 
 
 def _gen_qfact(n: int, q: float, alpha: float) -> float:
@@ -152,7 +160,7 @@ def _gen_qfact(n: int, q: float, alpha: float) -> float:
 
 def gen_qpoch(n: int, ctx: QContext) -> float:
     """Generalized q-shifted factorial (q; q)_{n, alpha} = (1-q)^n n!_{q,alpha}."""
-    return _gen_qpoch(n, ctx.q, ctx.alpha)
+    return _in_range(_gen_qpoch(n, ctx.q, ctx.alpha), f"(q;q)_({n},alpha)", ctx)
 
 
 def _gen_qpoch(n: int, q: float, alpha: float) -> float:
@@ -310,9 +318,9 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
     halfline: (1-q) sum_n q^n f(q^n)
     line    : (1-q) sum_n q^n [f(q^n) + f(-q^n)]
 
-    The exponent n runs over [lattice_lo, lattice_hi]; summation proceeds
+    The exponent n runs over [LATTICE_LO, LATTICE_HI]; summation proceeds
     outward from n = 0 in both directions and a direction stops once its
-    terms have stayed below series_tol (relative to the largest term seen)
+    terms have stayed below SERIES_TOL (relative to the largest term seen)
     for a few consecutive lattice points.  Where a window edge comes first,
     the terms beyond it are summed as a geometric series t r / (1 - r), with
     t the edge term and r = t / (the term before); tail_bound holds how far
@@ -328,13 +336,13 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
         raise ArgumentError(f"unknown Jackson integral domain: {domain!r}")
 
     q = ctx.q
-    tol = ctx.series_tol
+    tol = context.SERIES_TOL
     terms: list[float] = []
     peak = 1.0
     tail = 0.0
     count = 0
 
-    for step, lo, hi in ((1, 0, ctx.lattice_hi), (-1, -1, ctx.lattice_lo)):
+    for step, lo, hi in ((1, 0, context.LATTICE_HI), (-1, -1, context.LATTICE_LO)):
         below = 0
         prev = prev2 = math.nan  # the two terms before, in this direction
         n = lo

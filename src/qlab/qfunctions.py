@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from . import context
 from .context import (ArgumentError, DomainError, NonConvergence, PoleError,
                       QContext, TruncatedValue)
 from .qcore import _factorials, _qpoch_inf, qderiv, qderiv_pow
@@ -87,7 +88,7 @@ def qexp_gen(z: float, ctx: QContext) -> float:
     for k in range(ctx.max_terms):
         t = q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k]
         total += t
-        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and k > 2:
+        if abs(t) < context.SERIES_TOL * max(1.0, abs(total)) and k > 2:
             return total
     raise NonConvergence(f"E_(q,alpha) series did not converge at z={z}")
 
@@ -106,34 +107,32 @@ def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
     q = ctx.q
     q2 = q * q
     if kind == "modified":
-        return _bessel_series(x, order, 1.0, ctx)
+        return _bessel_series(x, order, False, ctx)
     if x <= 0.0 and order != int(order):
         raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
-    pref = (
-        _qpoch_inf(q ** (2.0 * order + 2.0), q2, ctx.series_tol, ctx.max_terms).value
-        / _qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
-    )
+    tol, mt = context.SERIES_TOL, ctx.max_terms
+    pref = (_qpoch_inf(q ** (2.0 * order + 2.0), q2, tol, mt).value
+            / _qpoch_inf(q2, q2, tol, mt).value)
     if kind == "second_jackson":
         half = x / 2.0
-        return pref * half ** order * _bessel_series(half, order, None, ctx)
-    return pref * x ** order * _bessel_series(x, order, 1.0, ctx)
+        return pref * half ** order * _bessel_series(half, order, True, ctx)
+    return pref * x ** order * _bessel_series(x, order, False, ctx)
 
 
-def _bessel_series(u: float, order: float, exponent_base: float | None, ctx: QContext) -> float:
-    """Common series sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}.
-
-    exponent_base None selects the second-Jackson weight q^{2n(n+order)};
-    otherwise the Hahn-Exton/modified weight q^{n(n+1)}.
+def _bessel_series(u: float, order: float, second_jackson: bool, ctx: QContext) -> float:
+    """Common series sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}, with the
+    second-Jackson weight w_n = q^{2n(n+order)} or the Hahn-Exton/modified
+    weight q^{n(n+1)}.
     """
-    q = ctx.q
+    q, tol = ctx.q, context.SERIES_TOL
     total = 0.0
     t = 1.0  # n = 0 term; later terms by ratio to avoid u**(2n) overflow
     u2 = u * u
     for n in range(ctx.max_terms):
         total += t
-        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and n > 2:
+        if abs(t) < tol * max(1.0, abs(total)) and n > 2:
             return total
-        if exponent_base is None:
+        if second_jackson:
             w = q ** (2.0 * (2 * n + 1 + order))
         else:
             w = q ** (2 * (n + 1))

@@ -10,20 +10,19 @@ one, Bessel expansion and the Rogers-Ramanujan type summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
 import numpy as np
 from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on every call
 
+from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
 from .qcore import (_factorials, _gen_qpoch, _qpoch, _qpoch_inf, jackson_integral,
                     qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small
-from .report import CheckResult
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +39,17 @@ def hermite_h(n: int, x, ctx: QContext):
         for k in range(n // 2 + 1):
             total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
                       * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
-        if isinstance(total, ndarray) and not np.isfinite(total).all():
-            raise OverflowError("an array holds the overflow as inf or nan")
+        value = fac.qp[n] * total
+        # an array holding inf or nan raises; a float keeps +-inf where its
+        # terms overflow (README, known limitations), but nan carries no value
+        if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
+            raise OverflowError("the sum holds an overflow as nan")
     except (OverflowError, ZeroDivisionError) as exc:
         # a power of q or x overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
         # underflows to 0 with (1-q)^n
         raise DomainError(f"degree-{n} polynomial term leaves double range at "
                           f"x = {x}, q = {q}") from exc
-    return fac.qp[n] * total
+    return value
 
 
 def hermite_h_scaled(n: int, x, ctx: QContext):
@@ -109,7 +111,8 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
         m = (n - 1) // 2
         return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1]
                 / fac.ab[m + 1] * x * qlaguerre(m, alpha + 1.0, arg, ctx))
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
+        # as in hermite_h, (q;q)_{2k,alpha} underflows to 0 with (1-q)^{2k}
         raise DomainError(f"degree-{n} Laguerre route leaves double range at "
                           f"x = {x}, q = {q}") from exc
 
@@ -127,10 +130,13 @@ def weight(x, ctx: QContext):
     return 1.0 / _qpoch_inf(z, q * q, 1e-14, 600).value
 
 
-def norm_constants(n: int, ctx: QContext) -> tuple[float, float, float]:
-    """Normalization constants (d_n, C, c) of the continuous orthogonality.
+@lru_cache(maxsize=256)
+def norm_constant(n: int, ctx: QContext) -> float:
+    """Normalization constant d_n of the continuous orthogonality, and of the
+    wave function phi_n = d_n sqrt(w) h_n.
 
-    The Gamma combination Gamma(-a) Gamma(a+1) is the exact reflection value
+    d_n = C q^{n^2/2} sqrt((q;q)_{n,alpha}) / (q;q)_n, where C^2 holds the Gamma
+    combination Gamma(-a) Gamma(a+1), the exact reflection value
     -pi / sin(pi a); nonnegative integer a is a pole.
     """
     q, alpha = ctx.q, ctx.alpha
@@ -140,7 +146,7 @@ def norm_constants(n: int, ctx: QContext) -> tuple[float, float, float]:
         raise PoleError(f"Gamma reflection pole at alpha={alpha}")
     gamma_prod = -math.pi / s
 
-    tol, mt = ctx.series_tol, ctx.max_terms
+    tol, mt = context.SERIES_TOL, ctx.max_terms
     radicand = (q ** (-(alpha + 1.0) * (alpha + 0.5))
                 * _qpoch_inf(q2, q2, tol, mt).value
                 / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2, tol, mt).value))
@@ -148,21 +154,27 @@ def norm_constants(n: int, ctx: QContext) -> tuple[float, float, float]:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
     big_c = math.sqrt(radicand)
     fac = _factorials(q, alpha).upto(n)
-    d = big_c * q ** (n * n / 2.0) * math.sqrt(fac.gp[n]) / fac.qp[n]
-    return d, big_c, moment_constant(ctx)
+    return big_c * q ** (n * n / 2.0) * math.sqrt(fac.gp[n]) / fac.qp[n]
 
 
 def moment_constant(ctx: QContext) -> float:
-    """The half-line moment constant c; defined for every alpha > -1."""
+    """The half-line moment constant c; defined for every alpha > -1.
+
+    Raises DomainError where c leaves double range (q = 0.05, alpha = 20:
+    c is about 5.4e573).
+    """
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
-    tol, mt = ctx.series_tol, ctx.max_terms
-    return ((1.0 - q)
-            * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
-            * _qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
-            * _qpoch_inf(q2, q2, tol, mt).value
-            / (_qpoch_inf(-q, q2, tol, mt).value ** 2
-               * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value))
+    tol, mt = context.SERIES_TOL, ctx.max_terms
+    c = ((1.0 - q)
+         * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
+         * _qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
+         * _qpoch_inf(q2, q2, tol, mt).value
+         / (_qpoch_inf(-q, q2, tol, mt).value ** 2
+            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value))
+    if not math.isfinite(c):
+        raise DomainError(f"moment constant leaves double range at q = {q}, alpha = {alpha}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +369,15 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
     y^power where its lattice sum diverges, r = x^2 q^{-2a-1} >= 1.
 
     The points y = q^k, k >= 1, still converge and are summed by
-    jackson_integral.  The terms at y = q^{-k}, 0 <= k <= K = -lattice_lo,
+    jackson_integral.  The terms at y = q^{-k}, 0 <= k <= K = -LATTICE_LO,
     grow like (-r)^k; Wynn's epsilon algorithm (the iterated Shanks
     transform) sums their partial sums to the value of the series' analytic
     continuation.  Those terms are evaluated from f's definition in mpmath.
     Roundoff in the partial sums is about 10^-digits times the largest one,
-    so the working precision is -log10(series_tol) + 6 + K log10(r) digits
+    so the working precision is -log10(SERIES_TOL) + 6 + K log10(r) digits
     (20 + K log10(r) at the default tolerance).
 
-    The sum stops once two successive estimates agree to series_tol relative
+    The sum stops once two successive estimates agree to SERIES_TOL relative
     to the scale |small half| + |estimate|.  Raises NonConvergence if the
     window runs out first, if the roundoff of the partial sums comes within
     three digits of that tolerance, or if the two halves cancel below their
@@ -375,8 +387,8 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
     import mpmath
 
     small = jackson_integral(lambda y: f(y) if y < 1.0 else 0.0, "halfline", ctx)
-    window = -ctx.lattice_lo
-    base_digits = 6 + math.ceil(-math.log10(ctx.series_tol))
+    window, tol = -context.LATTICE_LO, context.SERIES_TOL
+    base_digits = 6 + math.ceil(-math.log10(tol))
     mp = mpmath.MPContext()
     mp.dps = base_digits + math.ceil(window * math.log10(_lattice_ratio(x, ctx)))
     q, shift_x, power = mp.mpf(ctx.q), mp.mpf(shift) * x, mp.mpf(power)
@@ -397,20 +409,20 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
         table = mp.shanks(partials, table)
         previous, estimate = estimate, float(table[-1][-1])
         scale = abs(small.value) + abs(estimate)
-        if previous is None or abs(estimate - previous) > ctx.series_tol * scale:
+        if previous is None or abs(estimate - previous) > tol * scale:
             continue
-        if max(abs(p) for p in partials) * 10.0 ** -mp.dps > 1e-3 * ctx.series_tol * scale:
+        if max(abs(p) for p in partials) * 10.0 ** -mp.dps > 1e-3 * tol * scale:
             raise NonConvergence(
                 f"continued Jackson lattice sum: partial sums outgrew {mp.dps} digits (x = {x})")
         total = small.value + estimate
-        accuracy = ctx.series_tol * scale + small.tail_bound
+        accuracy = tol * scale + small.tail_bound
         if abs(total) <= accuracy:
             raise NonConvergence(
                 f"continued Jackson lattice sum cancels to {total:.3g}, below "
                 f"its accuracy {accuracy:.3g} (x = {x})")
         return total
     raise NonConvergence(
-        f"continued Jackson lattice sum did not settle to tol={ctx.series_tol} within "
+        f"continued Jackson lattice sum did not settle to tol={tol} within "
         f"{window + 1} lattice points (x^2 q^(-2 alpha - 1) = {_lattice_ratio(x, ctx):.6g})")
 
 
@@ -457,20 +469,11 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
     return abs(h - rep) / (abs(h) + 1.0)
 
 
-@dataclass(frozen=True)
-class OrthoCheckParams:
-    """Parameters of one orthogonality check."""
-
-    n: int
-    m: int
-    mode: str  # "discrete_jackson" or "continuous_quadrature"
-
-
 def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     """Closed-form diagonal of the discrete (Jackson) orthogonality."""
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
-    tol, mt = ctx.series_tol, ctx.max_terms
+    tol, mt = context.SERIES_TOL, ctx.max_terms
     fac = _factorials(q, alpha).upto(n)
     try:
         num = (2.0 * (1.0 - q)
@@ -579,52 +582,38 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
         return float(fine), float(abs(fine - coarse))
 
 
-def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
-    """Check one orthogonality entry (n, m) in the requested mode.
+def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
+    """Residual of the discrete (Jackson) orthogonality entry (n, m): the
+    Jackson line integral of h_n h_m w |x|^{2a+1} against the closed-form
+    diagonal, and off the diagonal against the diagonal scale."""
+    integral = jackson_integral(_ortho_integrand(n, m, ctx), "line", ctx).value
+    scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
+    return abs(integral - scale) / scale if n == m else abs(integral) / scale
 
-    discrete_jackson     : Jackson line integral against the closed-form
-                           diagonal; off-diagonal against the diagonal scale;
-                           tolerance 1e-8.
-    continuous_quadrature: Gauss-Legendre quadrature (_piecewise_quad) of
-                           d_n d_m h_n h_m w |x|^{2a+1}, expected delta_{nm};
-                           tolerance QUAD_TOL, which also bounds the quadrature
-                           error (QuadratureFailure beyond it, or when the
-                           value or its error is not finite).
+
+def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
+    """The continuous orthogonality entry int d_n d_m h_n h_m w |x|^{2a+1} dx
+    over the line, by Gauss-Legendre quadrature (_piecewise_quad); expected
+    delta_{nm} up to an n-independent diagonal factor.
+
+    Raises QuadratureFailure when the value or its quadrature error is not
+    finite, or when the error in the normalized entry exceeds QUAD_TOL.
     """
-    n, m = params.n, params.m
-    base = {"n": n, "m": m, "q": ctx.q, "alpha": ctx.alpha, "mode": params.mode}
-
-    if params.mode == "discrete_jackson":
-        f = _ortho_integrand(n, m, ctx)
-        integral = jackson_integral(f, "line", ctx).value
-        scale = math.sqrt(discrete_orthogonality_rhs(n, ctx)
-                          * discrete_orthogonality_rhs(m, ctx))
-        if n == m:
-            residual = abs(integral - scale) / scale
-        else:
-            residual = abs(integral) / scale
-        return CheckResult("discrete_orthogonality", base, residual, 1e-8)
-
-    if params.mode == "continuous_quadrature":
-        d_n = norm_constants(n, ctx)[0]
-        d_m = norm_constants(m, ctx)[0]
-        f = _ortho_integrand(n, m, ctx)
-        # the line integrand f(x) + f(-x) is 2 f(x) or 0, since h_k has the
-        # parity of k and w, |x| are even; one evaluation of f serves, and odd
-        # entries vanish exactly (numpy's power is not sign-symmetric to the
-        # last bit)
-        g = lambda x: (1.0 + (-1.0) ** (n + m)) * f(x)  # noqa: E731
-        value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
-        value *= d_n * d_m
-        err *= d_n * d_m  # error in the normalized entry, not the raw integral
-        if not (math.isfinite(value) and err <= QUAD_TOL):
-            raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
-                                    f"tolerance {QUAD_TOL} for (n,m)=({n},{m})")
-        base["value"] = value
-        residual = abs(value - (1.0 if n == m else 0.0))
-        return CheckResult("continuous_orthonormality", base, residual, QUAD_TOL)
-
-    raise ArgumentError(f"unknown orthogonality mode: {params.mode!r}")
+    d_n = norm_constant(n, ctx)
+    d_m = norm_constant(m, ctx)
+    f = _ortho_integrand(n, m, ctx)
+    # the line integrand f(x) + f(-x) is 2 f(x) or 0, since h_k has the
+    # parity of k and w, |x| are even; one evaluation of f serves, and odd
+    # entries vanish exactly (numpy's power is not sign-symmetric to the
+    # last bit)
+    g = lambda x: (1.0 + (-1.0) ** (n + m)) * f(x)  # noqa: E731
+    value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
+    value *= d_n * d_m
+    err *= d_n * d_m  # error in the normalized entry, not the raw integral
+    if not (math.isfinite(value) and err <= QUAD_TOL):
+        raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
+                                f"tolerance {QUAD_TOL} for (n,m)=({n},{m})")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -633,19 +622,20 @@ def orthogonality(params: OrthoCheckParams, ctx: QContext) -> CheckResult:
 
 def _kernel_sum(terms, ctx: QContext) -> float:
     """The sum of the iterable terms, stopped once three successive terms fall
-    below series_tol relative to the sum; NonConvergence after ctx.max_terms
+    below SERIES_TOL relative to the sum; NonConvergence after ctx.max_terms
     terms."""
     total = 0.0
     below = 0
+    tol = context.SERIES_TOL
     for i, t in zip(range(ctx.max_terms), terms):
         total += t
-        if abs(t) < ctx.series_tol * max(1.0, abs(total)):
+        if abs(t) < tol * max(1.0, abs(total)):
             below += 1
             if below >= 3 and i > 4:
                 return total
         else:
             below = 0
-    raise NonConvergence(f"kernel series did not meet tol={ctx.series_tol} "
+    raise NonConvergence(f"kernel series did not meet tol={tol} "
                          f"within {ctx.max_terms} terms (sum so far {total!r})")
 
 
@@ -685,8 +675,8 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
                            in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))),
                           cctx)
         from .qfunctions import qtrig
-        pref = (_qpoch_inf(q, q2, ctx.series_tol, ctx.max_terms).value
-                / (_qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
+        pref = (_qpoch_inf(q, q2, context.SERIES_TOL, ctx.max_terms).value
+                / (_qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value
                    * (x - y)))
         rhs = pref * (qtrig(x, "sin", q) * qtrig(y, "cos", q)
                       - qtrig(x, "cos", q) * qtrig(y, "sin", q))
@@ -701,10 +691,10 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
     lhs = _kernel_sum((c * sx * sy for c, sx, sy in zip(
         _poisson_coefficients(ctx), _scaled_walk(scale * x, ctx),
         _scaled_walk(scale * y, ctx))), ctx)
-    pref = (_qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value
+    pref = (_qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value
             * (x * y) ** (-alpha)
             / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2,
-                          ctx.series_tol, ctx.max_terms).value
+                          context.SERIES_TOL, ctx.max_terms).value
                * (x - y)))
     rhs = pref * (qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
                   * qbessel(2.0 * y, alpha, "second_jackson", ctx)
@@ -737,6 +727,6 @@ def rogers_ramanujan_residual(ctx: QContext) -> float:
     # leaving a plain q-binomial sum
     fac = _factorials(q, alpha)
     lhs = _kernel_sum((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()), ctx)
-    rhs = (_qpoch_inf(q ** (2.0 * alpha + 4.0), q2, ctx.series_tol, ctx.max_terms).value
-           / _qpoch_inf(q2, q2, ctx.series_tol, ctx.max_terms).value)
+    rhs = (_qpoch_inf(q ** (2.0 * alpha + 4.0), q2, context.SERIES_TOL, ctx.max_terms).value
+           / _qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value)
     return abs(lhs - rhs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 
 import numpy as np
@@ -20,7 +20,7 @@ from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, Q
                       QuadratureFailure)
 from .qcore import FunctionHandle, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
 from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, _sqrt, hermite_h,
-                       norm_constants, weight)
+                       norm_constant, weight)
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -71,15 +71,10 @@ class OperatorMatrix:
             raise ArgumentError(f"non-finite entries in operator {self.label!r}")
 
 
-@lru_cache(maxsize=256)
-def _d_const(n: int, q: float, alpha: float) -> float:
-    return norm_constants(n, QContext(q=q, alpha=alpha))[0]
-
-
 def phi(n: int, x, ctx: QContext):
     """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
     numpy array."""
-    d = _d_const(n, ctx.q, ctx.alpha)
+    d = norm_constant(n, ctx)
     return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 

@@ -20,11 +20,12 @@ from .context import ConfigError, QContext, QError
 from .qcore import gen_qint, gen_qpoch, qderiv_pow, qnumber, qpoch_inf, sym_qnumber
 from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
                          qbessel, qexp_big, qexp_gen, qtrig)
-from .qhermite import (QUAD_TOL, RELATION_KINDS, OrthoCheckParams, _rel,
-                       bessel_expansion_residual, bessel_weight_transform, hermite_h,
-                       hermite_via_laguerre, integral_representation_residual,
-                       moment_check, orthogonality, poisson_kernel_residual,
-                       relation_residual, rogers_ramanujan_residual)
+from .qhermite import (QUAD_TOL, RELATION_KINDS, _rel, bessel_expansion_residual,
+                       bessel_weight_transform, continuous_orthogonality,
+                       discrete_orthogonality_residual, hermite_h, hermite_via_laguerre,
+                       integral_representation_residual, moment_check,
+                       poisson_kernel_residual, relation_residual,
+                       rogers_ramanujan_residual)
 from .report import CheckResult, VerificationReport
 
 DEFAULT_Q_GRID = (0.3, 0.5, 0.8)
@@ -245,15 +246,10 @@ def _parity_residual(n: int, x: float, ctx: QContext) -> float:
             / (1.0 + abs(hermite_h(n, x, ctx))))
 
 
-def _ortho_residual(n: int, m: int, mode: str, ctx: QContext) -> float:
-    return orthogonality(OrthoCheckParams(n, m, mode), ctx).residual
-
-
 def _diagonal_residual(n: int, ctx: QContext, diag: list[float], params: dict) -> float:
     # the continuous diagonal must not depend on n: compare with the first
     # one, and record the value in the entry's parameters
-    value = orthogonality(
-        OrthoCheckParams(n, n, "continuous_quadrature"), ctx).params["value"]
+    value = continuous_orthogonality(n, n, ctx)
     diag.append(value)
     params["value"] = value
     return abs(value - diag[0])
@@ -267,7 +263,7 @@ def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
         for n in range(n_hi + 1):
             for m in range(n, n_hi + 1):
                 out.append(_checked("discrete_orthogonality", {**base, "n": n, "m": m},
-                                    cfg.tol, _ortho_residual, n, m, "discrete_jackson", ctx))
+                                    cfg.tol, discrete_orthogonality_residual, n, m, ctx))
         # continuous quadrature: off-diagonal entries must vanish; the
         # diagonal is checked for independence of n, and its common value
         # (the normalization constant of the continuous measure) is reported
@@ -289,8 +285,7 @@ def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
         for n in range(n_cont + 1):
             for m in range(n + 1, n_cont + 1):
                 out.append(_checked("continuous_offdiagonal", {**base, "n": n, "m": m},
-                                    QUAD_TOL, _ortho_residual, n, m,
-                                    "continuous_quadrature", ctx))
+                                    QUAD_TOL, lambda: abs(continuous_orthogonality(n, m, ctx))))
     return out
 
 

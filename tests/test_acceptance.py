@@ -13,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from qlab import (AlgebraRelation, OrthoCheckParams, QContext,
+from qlab import (AlgebraRelation, QContext,
                   algebra_residual, apply_ladder, bessel_expansion_residual,
+                  continuous_orthogonality, discrete_orthogonality_residual,
                   eigen_residual, gen_qint, gen_qpoch, hermite_h,
                   hermite_via_laguerre, integral_representation_residual,
-                  orthogonality, poisson_kernel_residual, qderiv, qderiv_pow,
+                  poisson_kernel_residual, qderiv, qderiv_pow,
                   qexp_big, qexp_gen, qnumber, qpoch, rogers_ramanujan_residual,
                   wave_function)
 
@@ -49,9 +50,8 @@ class TestCriterion2DiscreteOrthogonality:
         for ctx in GRID:
             for n in range(9):
                 for m in range(n, 9):
-                    r = orthogonality(
-                        OrthoCheckParams(n, m, "discrete_jackson"), ctx)
-                    assert r.residual < 1e-8, (ctx.q, ctx.alpha, n, m)
+                    r = discrete_orthogonality_residual(n, m, ctx)
+                    assert r < 1e-8, (ctx.q, ctx.alpha, n, m)
 
 
 class TestCriterion3ContinuousOrthonormality:
@@ -66,16 +66,13 @@ class TestCriterion3ContinuousOrthonormality:
         ctx = QContext(q=0.5, alpha=alpha)
         for n in range(7):
             for m in range(n + 1, 7):
-                r = orthogonality(
-                    OrthoCheckParams(n, m, "continuous_quadrature"), ctx)
-                assert r.residual < 1e-6, (alpha, n, m)
+                r = abs(continuous_orthogonality(n, m, ctx))
+                assert r < 1e-6, (alpha, n, m)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.25])
     def test_diagonal_independent_of_n(self, alpha):
         ctx = QContext(q=0.5, alpha=alpha)
-        values = [orthogonality(
-            OrthoCheckParams(n, n, "continuous_quadrature"), ctx).params["value"]
-            for n in range(7)]
+        values = [continuous_orthogonality(n, n, ctx) for n in range(7)]
         offset = values[0] - 1.0
         for n, v in enumerate(values):
             assert abs(v - values[0]) < 1e-6, (alpha, n, offset)
@@ -83,8 +80,7 @@ class TestCriterion3ContinuousOrthonormality:
     def test_diagonal_is_unity_at_classical_alpha(self):
         ctx = QContext(q=0.5, alpha=-0.5)
         for n in range(7):
-            v = orthogonality(
-                OrthoCheckParams(n, n, "continuous_quadrature"), ctx).params["value"]
+            v = continuous_orthogonality(n, n, ctx)
             assert abs(v - 1.0) < 1e-6, n
 
 

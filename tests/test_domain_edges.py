@@ -1,0 +1,70 @@
+"""The documented domain near its edges: a finite value or a QError.
+
+Across 0 < q < 1 and alpha > -1 every public function of the polynomial
+family returns a finite value or raises a QError: never NaN, +-inf or a raw
+Python exception.  The sweep reaches q = 0.995, alpha = -0.99 and 20,
+degree 170 and x = 50.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from qlab import (DomainError, QContext, QError, discrete_orthogonality_rhs, gen_qfact,
+                  gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
+                  moment_constant, norm_constant, phi, weight)
+
+QS = (0.05, 0.5, 0.9, 0.97, 0.99, 0.995)
+ALPHAS = (-0.99, -0.5, 0.25, 5.0, 20.0)
+NS = (0, 5, 20, 60, 170)
+XS = (0.0, 0.3, 2.0, 50.0)
+
+#: function -> the arguments it takes before the context: degree n, point x
+SWEEP = {
+    hermite_h: "nx",
+    hermite_h_scaled: "nx",
+    hermite_via_laguerre: "nx",
+    weight: "x",
+    phi: "nx",
+    norm_constant: "n",
+    moment_constant: "",
+    gen_qpoch: "n",
+    gen_qfact: "n",
+    discrete_orthogonality_rhs: "n",
+}
+
+
+@pytest.mark.parametrize("fn", SWEEP, ids=lambda fn: fn.__name__)
+def test_finite_value_or_qerror(fn):
+    axes = [{"n": NS, "x": XS}[a] for a in SWEEP[fn]]
+    broken = []
+    for q, alpha in itertools.product(QS, ALPHAS):
+        ctx = QContext(q=q, alpha=alpha)
+        for args in itertools.product(*axes):
+            try:
+                value = fn(*args, ctx)
+            except QError:
+                continue
+            except Exception as exc:  # a raw exception breaks the contract
+                value = type(exc).__name__
+            if not (isinstance(value, float) and math.isfinite(value)):
+                broken.append((q, alpha, *args, value))
+    assert not broken
+
+
+@pytest.mark.parametrize("fn, q, alpha, args", [
+    # the true value is about 5.4e573 (40-digit mpmath)
+    (moment_constant, 0.05, 20.0, ()),
+    # (q;q)_{2k,alpha} underflows to 0 with (1-q)^{2k}: it raised ZeroDivisionError
+    (hermite_via_laguerre, 0.99, -0.99, (170, 0.0)),
+    # (1-q)^170 underflows where 170!_{q,alpha} overflows: it returned NaN
+    (gen_qpoch, 0.995, 20.0, (170,)),
+    # 170!_{q,alpha} overflows: it returned inf
+    (gen_qfact, 0.995, 20.0, (170,)),
+    # the explicit sum's terms overflow with both signs: it returned NaN
+    (hermite_h, 0.97, -0.99, (170, 50.0)),
+])
+def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
+    with pytest.raises(DomainError):
+        fn(*args, QContext(q=q, alpha=alpha))

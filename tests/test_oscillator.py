@@ -14,7 +14,7 @@ from qlab import (AlgebraRelation, ArgumentError, DimensionError, DomainError,
                   build_matrix, eigen_residual, gen_qfact, gen_qint, inner_product,
                   phi, raised_from_ground, selfadjoint_residual, sym_qbracket_diag,
                   sym_qnumber, wave_function)
-from qlab import qoscillator
+from qlab import qhermite, qoscillator
 from qlab.qcore import _gen_qint
 
 CTX = QContext(q=0.5, alpha=0.25)
@@ -121,7 +121,23 @@ class TestWaveFunctions:
         assert f(0.7) == pytest.approx(phi(3, 0.7, CTX))
 
     def test_norm_constant_cache_is_bounded(self):
-        assert qoscillator._d_const.cache_info().maxsize is not None
+        assert qhermite.norm_constant.cache_info().maxsize is not None
+
+    def test_phi_honours_max_terms(self):
+        # d_0 at q = 0.97 needs about 586 product factors, beyond the default
+        # cap of 400; phi reads d_n in its own context, cap included
+        ctx = QContext(q=0.97, alpha=0.25, max_terms=2000)
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        q, a = mp.mpf(ctx.q), mp.mpf(ctx.alpha)
+        want = mp.sqrt(q ** (-(a + 1) * (a + 0.5)) * mp.qp(q * q, q * q)
+                       / (mp.gamma(-a) * mp.gamma(a + 1) * mp.qp(q ** (-2 * a), q * q)))
+        d = qhermite.norm_constant(0, ctx)
+        assert abs(d - want) <= 1e-13 * want
+        assert phi(0, 0.5, ctx) == d * math.sqrt(qhermite.weight(0.5, ctx))
+        assert wave_function(0, ctx)(0.5) == phi(0, 0.5, ctx)
+        with pytest.raises(QError, match="needs about 586 factors"):
+            phi(0, 0.5, QContext(q=0.97, alpha=0.25))
 
     def test_normalization_constant_in_n(self):
         # the continuous norm carries a constant, n-independent factor for

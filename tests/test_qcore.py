@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
                   gen_qint, gen_qpoch, jackson_integral, qbessel, qderiv, qderiv_pow,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
-from qlab.context import NonConvergence
+from qlab.context import SERIES_TOL, NonConvergence
 from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached
-from qlab.qhermite import OrthoCheckParams, _gauss_jacobi, orthogonality
+from qlab.qhermite import _gauss_jacobi, discrete_orthogonality_residual
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -160,7 +160,7 @@ class TestProductCache:
         _qpoch_inf_cached.cache_clear()
         for n in range(9):
             for m in range(n, 9):
-                orthogonality(OrthoCheckParams(n, m, "discrete_jackson"), ctx)
+                discrete_orthogonality_residual(n, m, ctx)
         info = _qpoch_inf_cached.cache_info()
         assert info.hits + info.misses > 2000
         assert info.misses <= 60
@@ -401,7 +401,7 @@ def _qexp_gen_per_term(z, ctx):
     for k in range(ctx.max_terms):
         t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
         total += t
-        if abs(t) < ctx.series_tol * max(1.0, abs(total)) and k > 2:
+        if abs(t) < SERIES_TOL * max(1.0, abs(total)) and k > 2:
             return total
     raise AssertionError("reference series did not converge")
 

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import qlab
-from qlab import (DomainError, NonConvergence, OrthoCheckParams, PoleError,
+from qlab import (DomainError, NonConvergence, PoleError,
                   QContext, QError, QuadratureFailure, bessel_expansion_residual,
-                  bessel_weight_transform, discrete_orthogonality_rhs, hermite_h,
+                  bessel_weight_transform, continuous_orthogonality,
+                  discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
                   hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
-                  moment_check, moment_constant, norm_constants, orthogonality,
+                  moment_check, moment_constant, norm_constant,
                   poisson_kernel_residual, qexp_small, qlaguerre,
                   relation_residual, rogers_ramanujan_residual, weight)
 from qlab import qhermite
@@ -287,7 +288,7 @@ class TestWeight:
 
     def test_big_c_pole_at_integer_alpha(self):
         with pytest.raises(PoleError):
-            norm_constants(2, QContext(q=0.5, alpha=1.0))
+            norm_constant(2, QContext(q=0.5, alpha=1.0))
 
     def test_moments(self):
         for ctx in GRID:
@@ -311,25 +312,24 @@ class TestOrthogonality:
     def test_discrete_offdiagonal(self):
         for n in range(7):
             for m in range(n + 1, 7):
-                r = orthogonality(OrthoCheckParams(n, m, "discrete_jackson"), CTX)
-                assert r.residual < 1e-12
+                r = discrete_orthogonality_residual(n, m, CTX)
+                assert r < 1e-12
 
     def test_discrete_diagonal_closed_form(self):
         for n in range(7):
-            r = orthogonality(OrthoCheckParams(n, n, "discrete_jackson"), CTX)
-            assert r.residual < 1e-10
+            r = discrete_orthogonality_residual(n, n, CTX)
+            assert r < 1e-10
             assert discrete_orthogonality_rhs(n, CTX) > 0.0
 
     def test_continuous_offdiagonal(self):
         for (n, m) in ((0, 2), (1, 3), (2, 4)):
-            r = orthogonality(OrthoCheckParams(n, m, "continuous_quadrature"), CTX)
-            assert r.residual < 1e-6
+            r = abs(continuous_orthogonality(n, m, CTX))
+            assert r < 1e-6
 
     def test_continuous_diagonal_constant_in_n(self):
         values = []
         for n in range(4):
-            r = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"), CTX)
-            values.append(r.params["value"])
+            values.append(continuous_orthogonality(n, n, CTX))
         for v in values[1:]:
             assert v == pytest.approx(values[0], abs=1e-6)
 
@@ -337,9 +337,9 @@ class TestOrthogonality:
         # the cutoff scan for n = m = 12 passes x = 0.3^-21, where the float
         # power x^{n+m+2a+1} overflows; the diagonal still equals n = 0's
         ctx = QContext(q=0.3, alpha=0.25)
-        high = orthogonality(OrthoCheckParams(12, 12, "continuous_quadrature"), ctx)
-        low = orthogonality(OrthoCheckParams(0, 0, "continuous_quadrature"), ctx)
-        assert high.params["value"] == pytest.approx(low.params["value"], rel=1e-12)
+        high = continuous_orthogonality(12, 12, ctx)
+        low = continuous_orthogonality(0, 0, ctx)
+        assert high == pytest.approx(low, rel=1e-12)
 
     @pytest.mark.parametrize("n, q, alpha", [(14, 0.3, 0.25), (14, 0.3, -0.5),
                                              (14, 0.3, 1.3), (20, 0.5, 1.3)])
@@ -348,11 +348,11 @@ class TestOrthogonality:
         # inf); sqrt(w) h_n and sqrt(w) h_m stay in range, and the diagonal
         # equals n = 0's
         ctx = QContext(q=q, alpha=alpha)
-        high = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"), ctx)
-        low = orthogonality(OrthoCheckParams(0, 0, "continuous_quadrature"), ctx)
-        assert high.params["value"] == pytest.approx(low.params["value"], rel=1e-12)
+        high = continuous_orthogonality(n, n, ctx)
+        low = continuous_orthogonality(0, 0, ctx)
+        assert high == pytest.approx(low, rel=1e-12)
         if alpha == -0.5:
-            assert high.passed
+            assert abs(high - 1.0) <= qhermite.QUAD_TOL
 
     @pytest.mark.parametrize("value, err", [(math.nan, math.nan), (1.0, math.nan),
                                             (math.inf, 0.0)])
@@ -360,7 +360,7 @@ class TestOrthogonality:
         # a NaN error compares false against the tolerance: it must fail too
         monkeypatch.setattr(qhermite, "_piecewise_quad", lambda f, c, ctx: (value, err))
         with pytest.raises(QuadratureFailure):
-            orthogonality(OrthoCheckParams(0, 2, "continuous_quadrature"), CTX)
+            continuous_orthogonality(0, 2, CTX)
 
     @pytest.mark.parametrize("n, q, alpha", [(0, 0.5, -0.5), (3, 0.3, 1.3),
                                              (2, 0.5, 0.25), (2, 0.3, -0.75)])
@@ -368,17 +368,15 @@ class TestOrthogonality:
         # the raw integral against an independent 30-digit evaluation, to 1e-12
         # relative; at alpha = -0.75 the integrand is singular at 0 like |x|^-0.5
         ctx = QContext(q=q, alpha=alpha)
-        d = norm_constants(n, ctx)[0]
-        value = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"),
-                              ctx).params["value"]
+        d = norm_constant(n, ctx)
+        value = continuous_orthogonality(n, n, ctx)
         want = _mp_raw_diagonal(n, q, alpha)
         assert abs(value / (d * d) - want) <= 1e-12 * abs(want)
 
     def test_continuous_diagonal_unity_at_classical_alpha(self):
         ctx = QContext(q=0.5, alpha=-0.5)
         for n in range(4):
-            r = orthogonality(OrthoCheckParams(n, n, "continuous_quadrature"), ctx)
-            assert r.params["value"] == pytest.approx(1.0, abs=1e-6)
+            assert continuous_orthogonality(n, n, ctx) == pytest.approx(1.0, abs=1e-6)
 
 
 def _mp_raw_diagonal(n: int, q: float, alpha: float):
@@ -448,12 +446,12 @@ class TestTransformsAndKernels:
             for n in (0, 3):
                 assert integral_representation_residual(n, x, ctx) < 1e-8
 
-    def test_integral_representation_outside_disc_raises(self):
+    def test_integral_representation_outside_disc_raises(self, monkeypatch):
         # no silently wrong value outside the disc: a lattice window too short
         # for the continued sum to settle raises
-        short = QContext(q=0.5, alpha=0.25, lattice_lo=-3)
+        monkeypatch.setattr(qlab.context, "LATTICE_LO", -3)
         with pytest.raises(NonConvergence):
-            integral_representation_residual(2, 1.5, short)
+            integral_representation_residual(2, 1.5, CTX)
 
     def test_integral_representation_unresolvable_raises(self):
         # what the continued sum cannot resolve raises instead of returning a
