@@ -8,7 +8,6 @@ Subcommands:
 
 Exit codes: 0 all checks pass (or evaluation succeeded), 1 any check
 failed (or a domain/convergence error), 2 configuration or usage error.
-The environment variable QLAB_MAX_TERMS overrides the series-term cap.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -45,12 +43,6 @@ def _ctx(args: dict[str, Any]) -> QContext:
     kwargs = {"q": args["q"]}
     if "alpha" in args:
         kwargs["alpha"] = args["alpha"]
-    max_terms = os.environ.get("QLAB_MAX_TERMS")
-    if max_terms is not None:
-        try:
-            kwargs["max_terms"] = int(max_terms)
-        except ValueError as exc:
-            raise ConfigError(f"QLAB_MAX_TERMS must be an integer: {max_terms!r}") from exc
     return QContext(**kwargs)
 
 

@@ -1,9 +1,9 @@
 """Evaluation context and error types shared by every module.
 
 All numerical routines are pure functions of their inputs and a QContext,
-which carries the deformation parameter q, the order parameter alpha and
-the term cap of infinite series and products.  The series tolerance and the
-Jackson-integral window are module constants.
+which carries the deformation parameter q and the order parameter alpha.
+The series tolerance, the ceiling on series terms and product factors, and
+the Jackson-integral window are module constants.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ class ArgumentError(QError):
 #: truncation target of the infinite sums and products
 SERIES_TOL = 1e-14
 
+#: hard ceiling on the terms of a series and the factors of a product.  Each
+#: loop stops by its own rule, at a count its inputs determine; the ceiling
+#: only bounds the cost of one call.  A product whose stopping rule needs
+#: more factors raises NonConvergence before it multiplies any.
+MAX_TERMS = 40_000
+
 #: Jackson-integral exponent window: the lattice points are q**n for
 #: LATTICE_LO <= n <= LATTICE_HI, so LATTICE_LO < 0 covers the large-x end of
 #: the geometric lattice.  Callers read the window at call time.
@@ -69,22 +75,18 @@ LATTICE_HI = 120
 class QContext:
     """Global evaluation parameters threaded through every operation.
 
-    q         : deformation parameter, strictly inside (0, 1)
-    alpha     : order parameter, > -1
-    max_terms : hard cap on series/product terms
+    q     : deformation parameter, strictly inside (0, 1)
+    alpha : order parameter, > -1
     """
 
     q: float
     alpha: float = -0.5
-    max_terms: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ConfigError(f"q must lie in (0, 1), got {self.q}")
         if not self.alpha > -1.0:
             raise ConfigError(f"alpha must be > -1, got {self.alpha}")
-        if self.max_terms < 1:
-            raise ConfigError("max_terms must be >= 1")
 
     def with_alpha(self, alpha: float) -> "QContext":
         """Same context with a different order parameter."""

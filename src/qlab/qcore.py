@@ -57,56 +57,56 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
     discarded factors multiply the partial product by at most
     exp(2 |a| q^N / (1 - q)).  A relative criterion keeps the routine
     usable when the partial product itself over/underflows (the weight
-    function feeds arguments of magnitude ~ x^2 here).
+    function feeds arguments of magnitude ~ x^2 here).  A product that
+    leaves double range raises DomainError.
     """
-    return _qpoch_inf(a, ctx.q, context.SERIES_TOL, ctx.max_terms)
+    p = _qpoch_inf(a, ctx.q)
+    _in_range(p.value, "(a;q)_inf", ctx)
+    return p
 
 
-def _qpoch_inf(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
-    # a scalar product is a pure function of four floats and recurs often
+def _qpoch_inf(a, q: float) -> TruncatedValue:
+    # a scalar product is a pure function of two floats and recurs often
     # (lattice points, envelopes, the constants of every check), so it is
     # served from a bounded cache; an array is computed afresh, where a
     # product that overflows holds inf
     if isinstance(a, ndarray):
         with np.errstate(over="ignore"):
-            return _qpoch_inf_product(a, q, tol, max_terms)
-    return _qpoch_inf_cached(float(a), q, tol, max_terms)
+            return _qpoch_inf_product(a, q)
+    return _qpoch_inf_cached(float(a), q)
 
 
-def _qpoch_inf_product(a, q: float, tol: float, max_terms: int) -> TruncatedValue:
+def _qpoch_inf_product(a, q: float) -> TruncatedValue:
     # a may be a numpy array: every entry then takes the factor count that
     # the stopping rule gives its largest |a|, and the value is an array
     array = isinstance(a, ndarray)
-    peak = top = float(np.max(np.abs(a))) if array else abs(a)
+    top = float(np.max(np.abs(a))) if array else abs(a)
     if top == 0.0:
         return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
-    out = 1.0
-    aq = a.copy() if array else a  # an array is updated in place
+    tol = context.SERIES_TOL
     one_minus_q = 1.0 - q
-    for k in range(1, max_terms + 1):
-        out *= 1.0 - aq
-        aq *= q
-        top *= q  # |aq|, or the largest |aq| of an array
-        s = top / one_minus_q
-        # expm1(y) >= y in floating point, so 2 s > tol cannot stop the loop
-        if s < 0.5 and 2.0 * s <= tol:
-            rel_tail = math.expm1(2.0 * s)
-            if rel_tail <= tol:
-                if array:
-                    tail = np.where(np.isfinite(out), np.abs(out) * rel_tail, np.inf)
-                else:
-                    tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
-                return TruncatedValue(out, tail, k)
     # the loop stops about where |a| q^k / (1 - q) <= tol / 2
-    try:
-        need = math.log(tol * one_minus_q / 2.0) - math.log(peak)
-        need = f"about {max(1, math.ceil(need / math.log(q)))}"
-    except (ValueError, OverflowError):  # |a| or tol is inf, NaN or 0
-        need = "an unknown number of"
-    raise NonConvergence(
-        f"(a;q)_inf did not meet tol={tol} within {max_terms} factors (a={a}, q={q}); "
-        f"it needs {need} factors"
-    )
+    need = (math.ceil((math.log(tol * one_minus_q / 2.0) - math.log(top)) / math.log(q))
+            if top < math.inf else math.inf)  # an inf or NaN |a| never stops
+    if need <= context.MAX_TERMS:
+        out = 1.0
+        aq = a.copy() if array else a  # an array is updated in place
+        for k in range(1, context.MAX_TERMS + 1):
+            out *= 1.0 - aq
+            aq *= q
+            top *= q  # |aq|, or the largest |aq| of an array
+            s = top / one_minus_q
+            # expm1(y) >= y in floating point, so 2 s > tol cannot stop the loop
+            if s < 0.5 and 2.0 * s <= tol:
+                rel_tail = math.expm1(2.0 * s)
+                if rel_tail <= tol:
+                    if array:
+                        tail = np.where(np.isfinite(out), np.abs(out) * rel_tail, np.inf)
+                    else:
+                        tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
+                    return TruncatedValue(out, tail, k)
+    raise NonConvergence(f"(a;q)_inf needs about {max(1, need)} factors to meet tol={tol}, "
+                         f"beyond the ceiling of {context.MAX_TERMS} (a={a}, q={q})")
 
 
 _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
@@ -145,7 +145,8 @@ def gen_qfact(n: int, ctx: QContext) -> float:
 
 
 def _in_range(value: float, what: str, ctx: QContext) -> float:
-    # as q -> 1 the factorial overflows at large n, and (1-q)^n underflows
+    # as q -> 1 factorials, sums and products overflow at large n or |x|,
+    # and (1-q)^n underflows
     if not math.isfinite(value):
         raise DomainError(f"{what} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
     return value

@@ -14,7 +14,7 @@ import math
 from . import context
 from .context import (ArgumentError, DomainError, NonConvergence, PoleError,
                       QContext, TruncatedValue)
-from .qcore import _factorials, _qpoch_inf, qderiv, qderiv_pow
+from .qcore import _factorials, _in_range, _qpoch_inf, qderiv, qderiv_pow
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -22,7 +22,10 @@ BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 def qexp_big(z: float, base: float) -> TruncatedValue:
     """E_base(z) = (-z; base)_inf, entire in z."""
     _check_base(base)
-    return _qpoch_inf(-z, base, 1e-14, 600)
+    p = _qpoch_inf(-z, base)
+    if not math.isfinite(p.value):
+        raise DomainError(f"E_q({z}) leaves double range at base {base}")
+    return p
 
 
 def qexp_small(z: float, base: float) -> TruncatedValue:
@@ -34,13 +37,13 @@ def qexp_small(z: float, base: float) -> TruncatedValue:
     _check_base(base)
     if z > 0.0:
         zq = z
-        for _ in range(600):
+        for _ in range(context.MAX_TERMS):
             if abs(1.0 - zq) < 1e-12:
                 raise PoleError(f"e_q pole at z={z} (base={base})")
             if zq < 1e-12:
                 break
             zq *= base
-    p = _qpoch_inf(z, base, 1e-14, 600)
+    p = _qpoch_inf(z, base)
     if not math.isfinite(p.value):
         # product overflow: e_q underflows to zero (large negative argument)
         return TruncatedValue(0.0, 0.0, p.terms_used)
@@ -68,15 +71,21 @@ def qtrig(z: float, which: str, base: float) -> float:
         raise ArgumentError(f"qtrig expects 'cos' or 'sin', got {which!r}")
     fac = _factorials(q, -0.5)  # for (q;q)_n, where alpha does not enter
     total = 0.0
-    for n in range(300):
-        qp = fac.upto(2 * n + 1).qp
-        if which == "cos":
-            t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / qp[2 * n]
-        else:
-            t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / qp[2 * n + 1]
-        total += t
-        if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
-            return total
+    try:
+        for n in range(context.MAX_TERMS):
+            qp = fac.upto(2 * n + 1).qp
+            if which == "cos":
+                t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / qp[2 * n]
+            else:
+                t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / qp[2 * n + 1]
+            total += t
+            if total - total != 0.0:
+                raise OverflowError("partial sum is inf or nan")
+            if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
+                return total
+    except (OverflowError, ZeroDivisionError) as exc:  # or (q;q)_n underflows to 0
+        raise DomainError(f"q-trigonometric series leaves double range at z={z}, "
+                          f"base {base}") from exc
     raise NonConvergence(f"q-trigonometric series did not converge at z={z}")
 
 
@@ -85,11 +94,17 @@ def qexp_gen(z: float, ctx: QContext) -> float:
     q = ctx.q
     fac = _factorials(q, ctx.alpha)
     total = 0.0
-    for k in range(ctx.max_terms):
-        t = q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k]
-        total += t
-        if abs(t) < context.SERIES_TOL * max(1.0, abs(total)) and k > 2:
-            return total
+    try:
+        for k in range(context.MAX_TERMS):
+            t = q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k]
+            total += t
+            if total - total != 0.0:
+                raise OverflowError("partial sum is inf or nan")
+            if abs(t) < context.SERIES_TOL * max(1.0, abs(total)) and k > 2:
+                return total
+    except (OverflowError, ZeroDivisionError) as exc:  # or (q;q)_{k,alpha} underflows to 0
+        raise DomainError(f"E_(q,alpha) series leaves double range at z={z}, "
+                          f"q = {q}, alpha = {ctx.alpha}") from exc
     raise NonConvergence(f"E_(q,alpha) series did not converge at z={z}")
 
 
@@ -110,13 +125,13 @@ def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
         return _bessel_series(x, order, False, ctx)
     if x <= 0.0 and order != int(order):
         raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
-    tol, mt = context.SERIES_TOL, ctx.max_terms
-    pref = (_qpoch_inf(q ** (2.0 * order + 2.0), q2, tol, mt).value
-            / _qpoch_inf(q2, q2, tol, mt).value)
-    if kind == "second_jackson":
-        half = x / 2.0
-        return pref * half ** order * _bessel_series(half, order, True, ctx)
-    return pref * x ** order * _bessel_series(x, order, False, ctx)
+    pref = _qpoch_inf(q ** (2.0 * order + 2.0), q2).value / _qpoch_inf(q2, q2).value
+    u = x / 2.0 if kind == "second_jackson" else x
+    try:
+        value = pref * u ** order * _bessel_series(u, order, kind == "second_jackson", ctx)
+    except OverflowError as exc:  # from u^order
+        raise DomainError(f"q-Bessel prefactor leaves double range at x = {x}") from exc
+    return _in_range(value, "q-Bessel function", ctx)
 
 
 def _bessel_series(u: float, order: float, second_jackson: bool, ctx: QContext) -> float:
@@ -128,8 +143,10 @@ def _bessel_series(u: float, order: float, second_jackson: bool, ctx: QContext) 
     total = 0.0
     t = 1.0  # n = 0 term; later terms by ratio to avoid u**(2n) overflow
     u2 = u * u
-    for n in range(ctx.max_terms):
+    for n in range(context.MAX_TERMS):
         total += t
+        if total - total != 0.0:
+            raise DomainError(f"q-Bessel series leaves double range at argument {u}")
         if abs(t) < tol * max(1.0, abs(total)) and n > 2:
             return total
         if second_jackson:

@@ -20,8 +20,8 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (_factorials, _gen_qpoch, _qpoch, _qpoch_inf, jackson_integral,
-                    qderiv_pow, theta)
+from .qcore import (_factorials, _gen_qpoch, _in_range, _qpoch, _qpoch_inf,
+                    jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small
 
 
@@ -92,10 +92,15 @@ def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     q = ctx.q
     fac = _factorials(q, order).upto(2 * n)
     total = 0.0
-    for k in range(n + 1):
-        total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
-                  / (fac.gp[2 * k] * fac.qq[n - k]))
-    return fac.ab[n] * total
+    try:
+        for k in range(n + 1):
+            total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
+                      / (fac.gp[2 * k] * fac.qq[n - k]))
+    except (OverflowError, ZeroDivisionError) as exc:
+        # x^k overflows, or (q;q)_{2k,alpha} underflows to 0 with (1-q)^{2k}
+        raise DomainError(f"degree-{n} q-Laguerre term leaves double range at "
+                          f"x = {x}, q = {q}") from exc
+    return _in_range(fac.ab[n] * total, f"degree-{n} q-Laguerre polynomial", ctx)
 
 
 def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
@@ -112,7 +117,7 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
         return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1]
                 / fac.ab[m + 1] * x * qlaguerre(m, alpha + 1.0, arg, ctx))
     except (OverflowError, ZeroDivisionError) as exc:
-        # as in hermite_h, (q;q)_{2k,alpha} underflows to 0 with (1-q)^{2k}
+        # q^{-m(2m-1)} overflows, or a finite q-shifted factorial underflows to 0
         raise DomainError(f"degree-{n} Laguerre route leaves double range at "
                           f"x = {x}, q = {q}") from exc
 
@@ -127,7 +132,7 @@ def weight(x, ctx: QContext):
     """
     q = ctx.q
     z = -(q ** (-2.0 * ctx.alpha - 1.0)) * x * x
-    return 1.0 / _qpoch_inf(z, q * q, 1e-14, 600).value
+    return 1.0 / _qpoch_inf(z, q * q).value
 
 
 @lru_cache(maxsize=256)
@@ -146,10 +151,8 @@ def norm_constant(n: int, ctx: QContext) -> float:
         raise PoleError(f"Gamma reflection pole at alpha={alpha}")
     gamma_prod = -math.pi / s
 
-    tol, mt = context.SERIES_TOL, ctx.max_terms
-    radicand = (q ** (-(alpha + 1.0) * (alpha + 0.5))
-                * _qpoch_inf(q2, q2, tol, mt).value
-                / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2, tol, mt).value))
+    radicand = (q ** (-(alpha + 1.0) * (alpha + 0.5)) * _qpoch_inf(q2, q2).value
+                / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2).value))
     if radicand <= 0.0:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
     big_c = math.sqrt(radicand)
@@ -165,13 +168,12 @@ def moment_constant(ctx: QContext) -> float:
     """
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
-    tol, mt = context.SERIES_TOL, ctx.max_terms
     c = ((1.0 - q)
-         * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
-         * _qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
-         * _qpoch_inf(q2, q2, tol, mt).value
-         / (_qpoch_inf(-q, q2, tol, mt).value ** 2
-            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value))
+         * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
+         * _qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
+         * _qpoch_inf(q2, q2).value
+         / (_qpoch_inf(-q, q2).value ** 2
+            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value))
     if not math.isfinite(c):
         raise DomainError(f"moment constant leaves double range at q = {q}, alpha = {alpha}")
     return c
@@ -207,7 +209,7 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
         fac = _factorials(q, alpha)
         rhs = _kernel_sum((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
-                           for m, s in enumerate(_scaled_walk(x, ctx))), ctx)
+                           for m, s in enumerate(_scaled_walk(x, ctx))))
         return _rel(lhs, rhs)
 
     if kind == "inversion":
@@ -473,21 +475,19 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     """Closed-form diagonal of the discrete (Jackson) orthogonality."""
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
-    tol, mt = context.SERIES_TOL, ctx.max_terms
     fac = _factorials(q, alpha).upto(n)
     try:
-        num = (2.0 * (1.0 - q)
-               * _qpoch_inf(-q, q2, tol, mt).value ** 2
-               * _qpoch_inf(q2, q2, tol, mt).value
+        num = (2.0 * (1.0 - q) * _qpoch_inf(-q, q2).value ** 2 * _qpoch_inf(q2, q2).value
                * q ** (-float(n * n)) * fac.qp[n] ** 2)
-    except OverflowError as exc:
+        den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
+               * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
+               * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value
+               * fac.gp[n])
+        return _in_range(num / den, f"degree-{n} discrete norm", ctx)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # q^{-n^2} overflows, or (q;q)_{n,alpha} underflows to 0 with (1-q)^n
         raise DomainError(f"degree-{n} discrete norm leaves double range at "
                           f"q = {q}") from exc
-    den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2, tol, mt).value
-           * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2, tol, mt).value
-           * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2, tol, mt).value
-           * fac.gp[n])
-    return num / den
 
 
 def _sqrt(v):
@@ -620,15 +620,17 @@ def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
-def _kernel_sum(terms, ctx: QContext) -> float:
+def _kernel_sum(terms) -> float:
     """The sum of the iterable terms, stopped once three successive terms fall
-    below SERIES_TOL relative to the sum; NonConvergence after ctx.max_terms
-    terms."""
+    below SERIES_TOL relative to the sum; DomainError once the partial sum is
+    not finite, NonConvergence after MAX_TERMS terms."""
     total = 0.0
     below = 0
     tol = context.SERIES_TOL
-    for i, t in zip(range(ctx.max_terms), terms):
+    for i, t in zip(range(context.MAX_TERMS), terms):
         total += t
+        if total - total != 0.0:
+            raise DomainError(f"kernel series leaves double range at term {i}")
         if abs(t) < tol * max(1.0, abs(total)):
             below += 1
             if below >= 3 and i > 4:
@@ -636,7 +638,7 @@ def _kernel_sum(terms, ctx: QContext) -> float:
         else:
             below = 0
     raise NonConvergence(f"kernel series did not meet tol={tol} "
-                         f"within {ctx.max_terms} terms (sum so far {total!r})")
+                         f"within {context.MAX_TERMS} terms (sum so far {total!r})")
 
 
 def _poisson_coefficients(ctx: QContext):
@@ -672,12 +674,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
         cctx = ctx.with_alpha(-0.5)
         fac = _factorials(q, cctx.alpha)
         lhs = _kernel_sum((sx * sy / fac.upto(i).qp[i] for i, (sx, sy)
-                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))),
-                          cctx)
+                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))))
         from .qfunctions import qtrig
-        pref = (_qpoch_inf(q, q2, context.SERIES_TOL, ctx.max_terms).value
-                / (_qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value
-                   * (x - y)))
+        pref = _qpoch_inf(q, q2).value / (_qpoch_inf(q2, q2).value * (x - y))
         rhs = pref * (qtrig(x, "sin", q) * qtrig(y, "cos", q)
                       - qtrig(x, "cos", q) * qtrig(y, "sin", q))
         return abs(lhs - rhs)
@@ -690,12 +689,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
     scale = q ** (alpha + 0.5)
     lhs = _kernel_sum((c * sx * sy for c, sx, sy in zip(
         _poisson_coefficients(ctx), _scaled_walk(scale * x, ctx),
-        _scaled_walk(scale * y, ctx))), ctx)
-    pref = (_qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value
-            * (x * y) ** (-alpha)
-            / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2,
-                          context.SERIES_TOL, ctx.max_terms).value
-               * (x - y)))
+        _scaled_walk(scale * y, ctx))))
+    pref = (_qpoch_inf(q2, q2).value * (x * y) ** (-alpha)
+            / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value * (x - y)))
     rhs = pref * (qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
                   * qbessel(2.0 * y, alpha, "second_jackson", ctx)
                   - qbessel(2.0 * x, alpha, "second_jackson", ctx)
@@ -713,7 +709,7 @@ def bessel_expansion_residual(x: float, ctx: QContext) -> float:
     fac = _factorials(q, alpha)
     lhs = _kernel_sum(((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i] * s
                        for i, s in enumerate(islice(_scaled_walk(scale * x, ctx),
-                                                    0, None, 2))), ctx)
+                                                    0, None, 2))))
     rhs = x ** (-alpha - 1.0) * qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
     return abs(lhs - rhs)
 
@@ -726,7 +722,6 @@ def rogers_ramanujan_residual(ctx: QContext) -> float:
     # since (q;q)_{2n} = (q;q^2)_n (q^2;q^2)_n the odd-index factor cancels,
     # leaving a plain q-binomial sum
     fac = _factorials(q, alpha)
-    lhs = _kernel_sum((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()), ctx)
-    rhs = (_qpoch_inf(q ** (2.0 * alpha + 4.0), q2, context.SERIES_TOL, ctx.max_terms).value
-           / _qpoch_inf(q2, q2, context.SERIES_TOL, ctx.max_terms).value)
+    lhs = _kernel_sum((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()))
+    rhs = _qpoch_inf(q ** (2.0 * alpha + 4.0), q2).value / _qpoch_inf(q2, q2).value
     return abs(lhs - rhs)

@@ -1,9 +1,10 @@
 """The documented domain near its edges: a finite value or a QError.
 
 Across 0 < q < 1 and alpha > -1 every public function of the polynomial
-family returns a finite value or raises a QError: never NaN, +-inf or a raw
-Python exception.  The sweep reaches q = 0.995, alpha = -0.99 and 20,
-degree 170 and x = 50.
+family and every series it rests on returns a finite value or raises a
+QError: never NaN, +-inf or a raw Python exception.  The sweep reaches
+q = 0.995, alpha = -0.99 and 20, degree 170, x = 50 and, for the series,
+arguments up to 1e200.
 """
 
 import itertools
@@ -13,31 +14,43 @@ import pytest
 
 from qlab import (DomainError, QContext, QError, discrete_orthogonality_rhs, gen_qfact,
                   gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
-                  moment_constant, norm_constant, phi, weight)
+                  moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
+                  qlaguerre, qpoch_inf, qtrig, weight)
 
 QS = (0.05, 0.5, 0.9, 0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.0, 20.0)
 NS = (0, 5, 20, 60, 170)
 XS = (0.0, 0.3, 2.0, 50.0)
+ZS = (0.0, 0.3, 2.0, 50.0, 1e6, 1e200)
 
-#: function -> the arguments it takes before the context: degree n, point x
+#: name -> (function of the swept arguments and the context, the swept
+#: arguments in order: degree n, point x, series argument z)
 SWEEP = {
-    hermite_h: "nx",
-    hermite_h_scaled: "nx",
-    hermite_via_laguerre: "nx",
-    weight: "x",
-    phi: "nx",
-    norm_constant: "n",
-    moment_constant: "",
-    gen_qpoch: "n",
-    gen_qfact: "n",
-    discrete_orthogonality_rhs: "n",
+    "hermite_h": (hermite_h, "nx"),
+    "hermite_h_scaled": (hermite_h_scaled, "nx"),
+    "hermite_via_laguerre": (hermite_via_laguerre, "nx"),
+    "weight": (weight, "x"),
+    "phi": (phi, "nx"),
+    "norm_constant": (norm_constant, "n"),
+    "moment_constant": (moment_constant, ""),
+    "gen_qpoch": (gen_qpoch, "n"),
+    "gen_qfact": (gen_qfact, "n"),
+    "discrete_orthogonality_rhs": (discrete_orthogonality_rhs, "n"),
+    "qexp_gen": (qexp_gen, "z"),
+    "qtrig_cos": (lambda z, ctx: qtrig(z, "cos", ctx.q), "z"),
+    "qtrig_sin": (lambda z, ctx: qtrig(z, "sin", ctx.q), "z"),
+    "qlaguerre": (lambda n, z, ctx: qlaguerre(n, ctx.alpha, z, ctx), "nz"),
+    **{f"qbessel_{kind}": (lambda z, ctx, kind=kind: qbessel(z, ctx.alpha, kind, ctx), "z")
+       for kind in ("second_jackson", "hahn_exton", "modified")},
+    "qexp_big": (lambda z, ctx: qexp_big(z, ctx.q).value, "z"),
+    "qpoch_inf": (lambda z, ctx: qpoch_inf(z, ctx).value, "z"),
 }
 
 
-@pytest.mark.parametrize("fn", SWEEP, ids=lambda fn: fn.__name__)
-def test_finite_value_or_qerror(fn):
-    axes = [{"n": NS, "x": XS}[a] for a in SWEEP[fn]]
+@pytest.mark.parametrize("name", SWEEP)
+def test_finite_value_or_qerror(name):
+    fn, arg_names = SWEEP[name]
+    axes = [{"n": NS, "x": XS, "z": ZS}[a] for a in arg_names]
     broken = []
     for q, alpha in itertools.product(QS, ALPHAS):
         ctx = QContext(q=q, alpha=alpha)

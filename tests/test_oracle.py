@@ -1,0 +1,102 @@
+"""Products at the q -> 1 end against 40-digit mpmath.
+
+Each product takes the factor count its own stopping rule needs, so the
+weight, d_n, the moment constant and (a; q)_inf have values up to
+q = 0.995.  mp.qp stops at 50 * prec factors and raises NoConvergence at
+q >= 0.99, so the reference writes the product out in 40-digit mpf: the
+factors 1 - a q^k while |a q^k| >= 1e-3, and the rest b = a q^K from
+log prod_{j >= 0} (1 - b q^j) = -sum_{m >= 1} b^m / (m (1 - q^m)).
+"""
+
+import math
+from functools import lru_cache
+
+import mpmath
+import pytest
+
+from qlab import PoleError, QContext, moment_constant, norm_constant, phi, qpoch_inf, weight
+
+QS = (0.97, 0.99, 0.995)
+ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
+CONTEXTS = [QContext(q=q, alpha=alpha) for q in QS for alpha in ALPHAS]
+IDS = [f"q={c.q}-alpha={c.alpha}" for c in CONTEXTS]
+
+mp = mpmath.MPContext()
+mp.dps = 40
+
+
+@lru_cache(maxsize=None)
+def _qp(a, q):
+    """(a; q)_inf in 40-digit mpf; a and q are mpf or exact floats."""
+    a, q = mp.mpf(a), mp.mpf(q)
+    out = mp.mpf(1)
+    while abs(a) >= 1e-3:
+        out *= 1 - a
+        a *= q
+    log_tail, m, bm = mp.mpf(0), 1, a
+    while abs(bm) > mp.mpf(10) ** -45:
+        log_tail -= bm / (m * (1 - q ** m))
+        m, bm = m + 1, bm * a
+    return out * mp.exp(log_tail)
+
+
+def _mp(ctx):
+    return mp.mpf(ctx.q), mp.mpf(ctx.alpha)
+
+
+def _d0(ctx):
+    q, a = _mp(ctx)
+    return mp.sqrt(q ** (-(a + 1) * (a + 0.5)) * _qp(q * q, q * q)
+                   / (mp.gamma(-a) * mp.gamma(a + 1) * _qp(q ** (-2 * a), q * q)))
+
+
+def _rel_err(got, want):
+    return abs(mp.mpf(got) - want) / abs(want)
+
+
+def test_reference_product_matches_mp_qp_where_it_converges():
+    for a, q in ((-3.0, 0.9), (0.5, 0.95), (-0.3, 0.97)):
+        assert _rel_err(_qp(a, q), mp.qp(mp.mpf(a), mp.mpf(q))) < mp.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_weight(ctx):
+    q, a = _mp(ctx)
+    for x in (0.3, 2.0, 50.0):
+        got = weight(x, ctx)
+        if got < 1e-300:  # underflows to 0
+            continue
+        want = 1 / _qp(-q ** (-2 * a - 1) * mp.mpf(x) ** 2, q * q)
+        assert _rel_err(got, want) <= 5e-12
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_norm_constant(ctx):
+    if ctx.alpha == int(ctx.alpha):
+        with pytest.raises(PoleError):  # Gamma(-alpha) has a pole
+            norm_constant(0, ctx)
+        return
+    assert _rel_err(norm_constant(0, ctx), _d0(ctx)) <= 1e-13
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_moment_constant(ctx):
+    q, a = _mp(ctx)
+    q2 = q * q
+    want = ((1 - q) * _qp(-q ** (2 * a + 3), q2) * _qp(-q ** (-2 * a - 1), q2) * _qp(q2, q2)
+            / (_qp(-q, q2) ** 2 * _qp(q ** (2 * a + 2), q2)))
+    assert _rel_err(moment_constant(ctx), want) <= 1e-12
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_qpoch_inf(ctx):
+    for a in (-2.0, -1.0, 0.5, ctx.q ** (2.0 * ctx.alpha + 2.0)):
+        assert _rel_err(qpoch_inf(a, ctx).value, _qp(a, ctx.q)) <= 5e-13
+
+
+def test_phi_at_q_099():
+    # the weight's product needs about 1765 factors here, and d_0's more
+    ctx = QContext(q=0.99, alpha=0.25)
+    d0 = norm_constant(0, ctx)
+    assert _rel_err(d0, _d0(ctx)) <= 1e-13
+    assert phi(0, 0.5, ctx) == d0 * math.sqrt(weight(0.5, ctx))

@@ -124,9 +124,9 @@ class TestWaveFunctions:
         assert qhermite.norm_constant.cache_info().maxsize is not None
 
     def test_phi_honours_max_terms(self):
-        # d_0 at q = 0.97 needs about 586 product factors, beyond the default
-        # cap of 400; phi reads d_n in its own context, cap included
-        ctx = QContext(q=0.97, alpha=0.25, max_terms=2000)
+        # d_0 at q = 0.97 needs about 586 product factors; each product
+        # takes the count its own stopping rule needs, in a default context
+        ctx = QContext(q=0.97, alpha=0.25)
         mp = mpmath.MPContext()
         mp.dps = 40
         q, a = mp.mpf(ctx.q), mp.mpf(ctx.alpha)
@@ -135,9 +135,7 @@ class TestWaveFunctions:
         d = qhermite.norm_constant(0, ctx)
         assert abs(d - want) <= 1e-13 * want
         assert phi(0, 0.5, ctx) == d * math.sqrt(qhermite.weight(0.5, ctx))
-        assert wave_function(0, ctx)(0.5) == phi(0, 0.5, ctx)
-        with pytest.raises(QError, match="needs about 586 factors"):
-            phi(0, 0.5, QContext(q=0.97, alpha=0.25))
+        assert wave_function(0, ctx)(0.5) == phi(0, 0.5, ctx) == 0.7631235682174511
 
     def test_normalization_constant_in_n(self):
         # the continuous norm carries a constant, n-independent factor for

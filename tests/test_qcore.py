@@ -1,5 +1,6 @@
 """Unit tests for q-numbers, q-shifted factorials, derivatives, integrals."""
 
+import dataclasses
 import math
 import re
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
                   gen_qint, gen_qpoch, jackson_integral, qbessel, qderiv, qderiv_pow,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
-from qlab.context import SERIES_TOL, NonConvergence
+from qlab import context
+from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached
 from qlab.qhermite import _gauss_jacobi, discrete_orthogonality_residual
 
@@ -33,6 +35,10 @@ class TestContext:
     def test_with_alpha(self):
         assert CTX.with_alpha(-0.5).alpha == -0.5
         assert CTX.with_alpha(-0.5).q == CTX.q
+
+    def test_fields_are_q_and_alpha(self):
+        # truncation caps are derived from the inputs, never set per context
+        assert [f.name for f in dataclasses.fields(QContext)] == ["q", "alpha"]
 
 
 class TestPochhammer:
@@ -87,42 +93,42 @@ def _qpoch_inf_reference(a, q, tol, max_terms):
     raise NonConvergence("did not converge")
 
 
-def _outcome(a, q, tol, max_terms, f):
+def _outcome(a, q, f):
     """(value bytes, tail bytes, terms_used) of f, or the type it raises."""
     try:
-        got = f(a, q, tol, max_terms)
+        got = f(a, q)
     except NonConvergence as exc:
         return type(exc)
     return (np.asarray(got.value, dtype=float).tobytes(),
             np.asarray(got.tail_bound, dtype=float).tobytes(), got.terms_used)
 
 
-PRODUCT_ARGS = dict(a=st.floats(-1e6, 0.99), q=st.floats(0.01, 0.99),
-                    tol=st.sampled_from([1e-14, 1e-8, 0.1, 2.0]),
-                    max_terms=st.sampled_from([50, 400]))
+def _reference(a, q):
+    return _qpoch_inf_reference(a, q, SERIES_TOL, MAX_TERMS)
+
+
+PRODUCT_ARGS = dict(a=st.floats(-1e6, 0.99), q=st.floats(0.01, 0.99))
 
 
 class TestProductCache:
     @given(**PRODUCT_ARGS)
     @settings(max_examples=300, deadline=None)
-    def test_scalar_bitwise_equal_to_reference(self, a, q, tol, max_terms):
-        want = _outcome(a, q, tol, max_terms, _qpoch_inf_reference)
+    def test_scalar_bitwise_equal_to_reference(self, a, q):
+        want = _outcome(a, q, _reference)
         # a miss and then a hit of the cache
-        assert _outcome(a, q, tol, max_terms, _qpoch_inf) == want
-        assert _outcome(a, q, tol, max_terms, _qpoch_inf) == want
+        assert _outcome(a, q, _qpoch_inf) == want
+        assert _outcome(a, q, _qpoch_inf) == want
 
-    @given(values=st.lists(PRODUCT_ARGS["a"], min_size=1, max_size=6),
-           **{k: v for k, v in PRODUCT_ARGS.items() if k != "a"})
+    @given(values=st.lists(PRODUCT_ARGS["a"], min_size=1, max_size=6), q=PRODUCT_ARGS["q"])
     @settings(max_examples=150, deadline=None)
-    def test_array_bitwise_equal_to_reference(self, values, q, tol, max_terms):
+    def test_array_bitwise_equal_to_reference(self, values, q):
         a = np.array(values)
         with np.errstate(over="ignore"):
-            assert (_outcome(a, q, tol, max_terms, _qpoch_inf)
-                    == _outcome(a, q, tol, max_terms, _qpoch_inf_reference))
+            assert _outcome(a, q, _qpoch_inf) == _outcome(a, q, _reference)
 
     def test_int_float_and_numpy_keys_agree(self):
         _qpoch_inf_cached.cache_clear()
-        got = [_qpoch_inf(a, 0.5, 1e-14, 400) for a in (-3, -3.0, np.float64(-3.0))]
+        got = [_qpoch_inf(a, 0.5) for a in (-3, -3.0, np.float64(-3.0))]
         assert got[0] == got[1] == got[2]
         assert type(got[2].value) is float
         assert _qpoch_inf_cached.cache_info().misses == 1
@@ -130,27 +136,45 @@ class TestProductCache:
     def test_cache_is_bounded(self):
         _qpoch_inf_cached.cache_clear()
         for k in range(300):
-            _qpoch_inf(-k / 300.0, 0.5, 1e-14, 400)
+            _qpoch_inf(-k / 300.0, 0.5)
         info = _qpoch_inf_cached.cache_info()
         assert info.maxsize == 256
         assert info.currsize == 256
 
     def test_nonconvergence_is_not_cached(self):
-        _qpoch_inf(-1.0, 0.5, 1e-14, 400)
+        _qpoch_inf(-1.0, 0.5)
         size = _qpoch_inf_cached.cache_info().currsize
         for _ in range(3):
             with pytest.raises(NonConvergence):
-                _qpoch_inf(-1.0, 0.99, 1e-14, 400)
+                _qpoch_inf(-1.0, 0.9999999)
             assert _qpoch_inf_cached.cache_info().currsize == size
 
     @pytest.mark.parametrize("a, q, tol", [(-1.0, 0.99, 1e-14), (0.5, 0.99, 1e-14),
                                            (-1e6, 0.98, 1e-8), (-30.0, 0.995, 1e-12),
                                            (0.9, 0.9, 1e-300)])
-    def test_nonconvergence_names_needed_factors(self, a, q, tol):
-        with pytest.raises(NonConvergence, match="needs about") as exc:
-            _qpoch_inf(a, q, tol, 400)
-        named = int(re.search(r"needs about (\d+) factors", str(exc.value)).group(1))
-        assert abs(named - _qpoch_inf(a, q, tol, 100_000).terms_used) <= 1
+    def test_nonconvergence_names_needed_factors(self, a, q, tol, monkeypatch):
+        # the count named beyond a (lowered) ceiling is the count the loop
+        # reaches under a ceiling that lets it finish
+        monkeypatch.setattr(context, "SERIES_TOL", tol)
+        _qpoch_inf_cached.cache_clear()  # its entries hold the default tolerance
+        try:
+            monkeypatch.setattr(context, "MAX_TERMS", 400)
+            with pytest.raises(NonConvergence, match="needs about") as exc:
+                _qpoch_inf(a, q)
+            named = int(re.search(r"needs about (\d+) factors", str(exc.value)).group(1))
+            monkeypatch.setattr(context, "MAX_TERMS", 100_000)
+            assert abs(named - _qpoch_inf(a, q).terms_used) <= 1
+        finally:
+            _qpoch_inf_cached.cache_clear()
+
+    def test_beyond_the_ceiling_raises(self):
+        # (-1e300; 0.9999999)_inf needs 7 398 229 255 factors, and an inf or
+        # NaN argument never meets the stopping rule
+        with pytest.raises(NonConvergence, match="needs about 7398229255 factors"):
+            _qpoch_inf(-1e300, 0.9999999)
+        for a in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonConvergence):
+                _qpoch_inf(a, 0.5)
 
     def test_discrete_orthogonality_reuses_lattice_products(self):
         # the 45 entries n <= m <= 8 evaluate the weight at the same lattice
@@ -398,7 +422,7 @@ def _qexp_gen_per_term(z, ctx):
     # the per-term formula qexp_gen used before it read the factorial table
     q, alpha = ctx.q, ctx.alpha
     total = 0.0
-    for k in range(ctx.max_terms):
+    for k in range(MAX_TERMS):
         t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
         total += t
         if abs(t) < SERIES_TOL * max(1.0, abs(total)) and k > 2:

@@ -155,7 +155,7 @@ class TestThreeTermRecurrence:
         # underflows with (1-q)^i, and the sum turned to NaN (NonConvergence)
         ctx = QContext(q=0.9021, alpha=0.468)
         assert poisson_kernel_residual(1.2, 0.5, "general", ctx) < 1e-12
-        wide = QContext(q=0.93, alpha=0.25, max_terms=2000)
+        wide = QContext(q=0.93, alpha=0.25)
         for x, y in ((0.8, 0.3), (1.2, 0.5)):
             assert poisson_kernel_residual(x, y, "general", wide) < 1e-12
 
@@ -164,7 +164,7 @@ class TestThreeTermRecurrence:
         # which would drop the remaining terms and leave a residual of 0.054;
         # the running product keeps them.  The residual left is the q-Bessel
         # side's (the kernel sum agrees with a 60-digit sum to 2e-13)
-        ctx = QContext(q=0.97, alpha=1.0, max_terms=2000)
+        ctx = QContext(q=0.97, alpha=1.0)
         assert poisson_kernel_residual(0.8, 0.3, "general", ctx) < 1e-7
         coeff = list(islice(qhermite._poisson_coefficients(ctx), 1000))
         fac = _Factorials(0.97, 1.0).upto(40)
@@ -236,8 +236,6 @@ class TestOutOfRangeRaisesDomainError:
         ctx = QContext(q=0.99)
         with pytest.raises(DomainError):
             hermite_h(170, 0.5, ctx)
-        with pytest.raises(QError):
-            poisson_kernel_residual(0.8, 0.3, "general", ctx.with_alpha(0.25))
 
 
 class TestWeight:
@@ -498,15 +496,16 @@ class TestTransformsAndKernels:
         for ctx in GRID:
             assert rogers_ramanujan_residual(ctx) < 1e-12
 
-    def test_kernel_sum_raises_at_max_terms(self):
-        # the sum needs more than max_terms terms: no partial sum comes back
-        with pytest.raises(NonConvergence):
-            rogers_ramanujan_residual(QContext(q=0.5, alpha=0.25, max_terms=5))
-        # here the closed form converges within max_terms; the sum does not
+    def test_kernel_sum_raises_at_max_terms(self, monkeypatch):
+        # a partial sum that leaves double range raises at once
+        with pytest.raises(DomainError, match="kernel series"):
+            bessel_expansion_residual(1e200, QContext(q=0.5, alpha=0.25))
+        # the sum needs more than MAX_TERMS terms: no partial sum comes back
+        monkeypatch.setattr(qlab.context, "MAX_TERMS", 8)
         with pytest.raises(NonConvergence, match="kernel series"):
-            rogers_ramanujan_residual(QContext(q=0.05, alpha=0.25, max_terms=8))
+            rogers_ramanujan_residual(QContext(q=0.05, alpha=0.25))
 
     def test_kernel_sum_runs_to_max_terms(self):
         # about 600 terms at q = 0.97; a sum capped below that reads 4e-7
-        ctx = QContext(q=0.97, alpha=0.25, max_terms=2000)
+        ctx = QContext(q=0.97, alpha=0.25)
         assert rogers_ramanujan_residual(ctx) < 1e-10

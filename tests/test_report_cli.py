@@ -114,19 +114,6 @@ class TestCliEval:
         assert main(["eval", "hermite_h", "n=40", "x=0.7", "q=0.05"]) == 1
         assert "DomainError" in capsys.readouterr().err
 
-    def test_max_terms_env_reaches_kernel_sums(self, capsys, monkeypatch):
-        args = ["eval", "rogers_ramanujan_residual", "q=0.05", "alpha=0.25"]
-        assert main(args) == 0
-        monkeypatch.setenv("QLAB_MAX_TERMS", "8")
-        assert main(args) == 1
-        assert "NonConvergence" in capsys.readouterr().err
-
-    def test_max_terms_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QLAB_MAX_TERMS", "not_a_number")
-        assert main(["eval", "qnumber", "x=2", "q=0.5"]) == 2
-        monkeypatch.setenv("QLAB_MAX_TERMS", "250")
-        assert main(["eval", "qnumber", "x=2", "q=0.5"]) == 0
-
 
 class TestCliVerify:
     def test_all_pass_exit_0(self, capsys):
