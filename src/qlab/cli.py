@@ -17,15 +17,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from typing import Any, Callable
 
 from . import __version__
 from .context import (ArgumentError, ConfigError, QContext, QError,
                       TruncatedValue, UnknownFunction)
-from .qcore import (gen_qfact, gen_qint, gen_qpoch, jackson_integral, qderiv,
-                    qnumber, qpoch, qpoch_inf, sym_qnumber, theta)
+from .qcore import (gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
+                    sym_qnumber, theta)
 from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
                          qbessel, qexp_big, qexp_gen, qexp_small, qtrig)
 from .qhermite import (bessel_expansion_residual, bessel_weight_transform,

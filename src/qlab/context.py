@@ -58,10 +58,10 @@ class ArgumentError(QError):
 #: truncation target of the infinite sums and products
 SERIES_TOL = 1e-14
 
-#: hard ceiling on the terms of a series and the factors of a product.  Each
-#: loop stops by its own rule, at a count its inputs determine; the ceiling
-#: only bounds the cost of one call.  A product whose stopping rule needs
-#: more factors raises NonConvergence before it multiplies any.
+#: hard ceiling on the terms of a series and the factors of a product; it only
+#: bounds the cost of one call.  qcore._sum_series raises NonConvergence after
+#: this many terms, and a product whose stopping rule needs more factors
+#: raises NonConvergence before it multiplies any.
 MAX_TERMS = 40_000
 
 #: Jackson-integral exponent window: the lattice points are q**n for

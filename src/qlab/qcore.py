@@ -1,14 +1,16 @@
 """Foundational q-arithmetic.
 
-q-shifted factorials, generalized q-integers and factorials, q-difference
-operators (plain, generalized and even/odd-split variants) on one lattice
-engine, and Jackson q-integrals over the geometric lattice.
+q-shifted factorials, the one summation routine of the infinite series,
+generalized q-integers and factorials, q-difference operators (plain,
+generalized and even/odd-split variants) on one lattice engine, and Jackson
+q-integrals over the geometric lattice.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -110,6 +112,36 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
 
 
 _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
+
+
+def _sum_series(terms, what: str) -> float:
+    """The sum of the iterable terms: every infinite series is summed here.
+
+    Stops once three successive terms fall below SERIES_TOL relative to
+    max(1, |sum|), from the sixth term on, so a lone small term (a polynomial
+    value near a zero) does not end the sum.  Raises DomainError naming what
+    when forming a term overflows or divides by zero, or when the partial sum
+    is inf or NaN; NonConvergence after MAX_TERMS terms.
+    """
+    tol = context.SERIES_TOL
+    total = 0.0
+    below = 0
+    try:
+        for i, t in enumerate(islice(terms, context.MAX_TERMS)):
+            total += t
+            if total - total != 0.0:
+                raise DomainError(f"{what}: partial sum leaves double range at term {i}")
+            scale = abs(total)  # max(1, |total|), without the slower builtin call
+            if abs(t) < (tol * scale if scale > 1.0 else tol):
+                below += 1
+                if below >= 3 and i > 4:
+                    return total
+            else:
+                below = 0
+    except (OverflowError, ZeroDivisionError) as exc:  # a factorial may round to 0
+        raise DomainError(f"{what}: a term leaves double range") from exc
+    raise NonConvergence(f"{what}: did not meet tol={tol} within {context.MAX_TERMS} "
+                         f"terms (sum so far {total!r})")
 
 
 def qnumber(x: float, ctx: QContext) -> float:

@@ -10,11 +10,10 @@ iterated-difference identities on the modified q-Bessel function.
 from __future__ import annotations
 
 import math
+from itertools import count
 
-from . import context
-from .context import (ArgumentError, DomainError, NonConvergence, PoleError,
-                      QContext, TruncatedValue)
-from .qcore import _factorials, _in_range, _qpoch_inf, qderiv, qderiv_pow
+from .context import ArgumentError, DomainError, PoleError, QContext, TruncatedValue
+from .qcore import _factorials, _in_range, _qpoch_inf, _sum_series, qderiv, qderiv_pow
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -35,14 +34,12 @@ def qexp_small(z: float, base: float) -> TruncatedValue:
     the poles z = base^{-k}.
     """
     _check_base(base)
-    if z > 0.0:
-        zq = z
-        for _ in range(context.MAX_TERMS):
-            if abs(1.0 - zq) < 1e-12:
-                raise PoleError(f"e_q pole at z={z} (base={base})")
-            if zq < 1e-12:
-                break
-            zq *= base
+    if 0.0 < z < math.inf:
+        # the only pole near z is base^-k with k the nearest integer to
+        # ln z / -ln base
+        k = max(0, round(math.log(z) / -math.log(base)))
+        if abs(1.0 - z * base ** k) < 1e-12:
+            raise PoleError(f"e_q pole at z={z} (base={base})")
     p = _qpoch_inf(z, base)
     if not math.isfinite(p.value):
         # product overflow: e_q underflows to zero (large negative argument)
@@ -69,43 +66,19 @@ def qtrig(z: float, which: str, base: float) -> float:
     q = base
     if which not in ("cos", "sin"):
         raise ArgumentError(f"qtrig expects 'cos' or 'sin', got {which!r}")
+    s = 0 if which == "cos" else 1  # the term of index n has degree 2n + s
     fac = _factorials(q, -0.5)  # for (q;q)_n, where alpha does not enter
-    total = 0.0
-    try:
-        for n in range(context.MAX_TERMS):
-            qp = fac.upto(2 * n + 1).qp
-            if which == "cos":
-                t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / qp[2 * n]
-            else:
-                t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / qp[2 * n + 1]
-            total += t
-            if total - total != 0.0:
-                raise OverflowError("partial sum is inf or nan")
-            if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
-                return total
-    except (OverflowError, ZeroDivisionError) as exc:  # or (q;q)_n underflows to 0
-        raise DomainError(f"q-trigonometric series leaves double range at z={z}, "
-                          f"base {base}") from exc
-    raise NonConvergence(f"q-trigonometric series did not converge at z={z}")
+    return _sum_series(((-1.0) ** n * q ** (n * (2 * n - 1 + 2 * s)) * z ** (2 * n + s)
+                        / fac.upto(2 * n + s).qp[2 * n + s] for n in count()),
+                       "q-trigonometric series")
 
 
 def qexp_gen(z: float, ctx: QContext) -> float:
     """Generalized q-exponential E_{q,alpha}(z) with generalized factorials."""
     q = ctx.q
     fac = _factorials(q, ctx.alpha)
-    total = 0.0
-    try:
-        for k in range(context.MAX_TERMS):
-            t = q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k]
-            total += t
-            if total - total != 0.0:
-                raise OverflowError("partial sum is inf or nan")
-            if abs(t) < context.SERIES_TOL * max(1.0, abs(total)) and k > 2:
-                return total
-    except (OverflowError, ZeroDivisionError) as exc:  # or (q;q)_{k,alpha} underflows to 0
-        raise DomainError(f"E_(q,alpha) series leaves double range at z={z}, "
-                          f"q = {q}, alpha = {ctx.alpha}") from exc
-    raise NonConvergence(f"E_(q,alpha) series did not converge at z={z}")
+    return _sum_series((q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k] for k in count()),
+                       "E_(q,alpha) series")
 
 
 def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
@@ -122,40 +95,33 @@ def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
     q = ctx.q
     q2 = q * q
     if kind == "modified":
-        return _bessel_series(x, order, False, ctx)
+        return _sum_series(_bessel_terms(x, order, False, q), "q-Bessel series")
     if x <= 0.0 and order != int(order):
         raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
     pref = _qpoch_inf(q ** (2.0 * order + 2.0), q2).value / _qpoch_inf(q2, q2).value
     u = x / 2.0 if kind == "second_jackson" else x
     try:
-        value = pref * u ** order * _bessel_series(u, order, kind == "second_jackson", ctx)
+        value = pref * u ** order * _sum_series(
+            _bessel_terms(u, order, kind == "second_jackson", q), "q-Bessel series")
     except OverflowError as exc:  # from u^order
         raise DomainError(f"q-Bessel prefactor leaves double range at x = {x}") from exc
     return _in_range(value, "q-Bessel function", ctx)
 
 
-def _bessel_series(u: float, order: float, second_jackson: bool, ctx: QContext) -> float:
-    """Common series sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}, with the
-    second-Jackson weight w_n = q^{2n(n+order)} or the Hahn-Exton/modified
-    weight q^{n(n+1)}.
-    """
-    q, tol = ctx.q, context.SERIES_TOL
-    total = 0.0
-    t = 1.0  # n = 0 term; later terms by ratio to avoid u**(2n) overflow
+def _bessel_terms(u: float, order: float, second_jackson: bool, q: float):
+    """Terms of sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}, w_n = q^{2n(n+order)}
+    (second Jackson) or q^{n(n+1)} (Hahn-Exton, modified), each formed from
+    the one before so that u**(2n) never overflows on its own."""
+    t = 1.0
     u2 = u * u
-    for n in range(context.MAX_TERMS):
-        total += t
-        if total - total != 0.0:
-            raise DomainError(f"q-Bessel series leaves double range at argument {u}")
-        if abs(t) < tol * max(1.0, abs(total)) and n > 2:
-            return total
+    for n in count():
+        yield t
         if second_jackson:
             w = q ** (2.0 * (2 * n + 1 + order))
         else:
             w = q ** (2 * (n + 1))
         t *= -w * u2 / ((1.0 - q ** (2 * n + 2))
                         * (1.0 - q ** (2.0 * order + 2.0 + 2 * n)))
-    raise NonConvergence(f"q-Bessel series did not converge at argument {u}")
 
 
 def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QContext) -> float:

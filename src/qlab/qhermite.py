@@ -21,8 +21,8 @@ from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
 from .qcore import (_factorials, _gen_qpoch, _in_range, _qpoch, _qpoch_inf,
-                    jackson_integral, qderiv_pow, theta)
-from .qfunctions import qbessel, qexp_gen, qexp_small
+                    _sum_series, jackson_integral, qderiv_pow, theta)
+from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +208,9 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         z = 0.3
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
         fac = _factorials(q, alpha)
-        rhs = _kernel_sum((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
-                           for m, s in enumerate(_scaled_walk(x, ctx))))
+        rhs = _sum_series((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
+                           for m, s in enumerate(_scaled_walk(x, ctx))),
+                          "generating-function kernel series")
         return _rel(lhs, rhs)
 
     if kind == "inversion":
@@ -620,27 +621,6 @@ def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
-def _kernel_sum(terms) -> float:
-    """The sum of the iterable terms, stopped once three successive terms fall
-    below SERIES_TOL relative to the sum; DomainError once the partial sum is
-    not finite, NonConvergence after MAX_TERMS terms."""
-    total = 0.0
-    below = 0
-    tol = context.SERIES_TOL
-    for i, t in zip(range(context.MAX_TERMS), terms):
-        total += t
-        if total - total != 0.0:
-            raise DomainError(f"kernel series leaves double range at term {i}")
-        if abs(t) < tol * max(1.0, abs(total)):
-            below += 1
-            if below >= 3 and i > 4:
-                return total
-        else:
-            below = 0
-    raise NonConvergence(f"kernel series did not meet tol={tol} "
-                         f"within {context.MAX_TERMS} terms (sum so far {total!r})")
-
-
 def _poisson_coefficients(ctx: QContext):
     """Yield c_i = (q;q)_{i,alpha} / (q;q)_i^2 for i = 0, 1, 2, ... as the
     running product c_i = c_{i-1} g_i / (1 - q^i)^2, g_i = 1 - q^i for even i
@@ -673,9 +653,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
     if which == "half_integer_corollary":
         cctx = ctx.with_alpha(-0.5)
         fac = _factorials(q, cctx.alpha)
-        lhs = _kernel_sum((sx * sy / fac.upto(i).qp[i] for i, (sx, sy)
-                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))))
-        from .qfunctions import qtrig
+        lhs = _sum_series((sx * sy / fac.upto(i).qp[i] for i, (sx, sy)
+                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))),
+                          "Poisson kernel series")
         pref = _qpoch_inf(q, q2).value / (_qpoch_inf(q2, q2).value * (x - y))
         rhs = pref * (qtrig(x, "sin", q) * qtrig(y, "cos", q)
                       - qtrig(x, "cos", q) * qtrig(y, "sin", q))
@@ -687,9 +667,9 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
         raise DomainError("general Poisson kernel form needs x, y > 0")
     alpha = ctx.alpha
     scale = q ** (alpha + 0.5)
-    lhs = _kernel_sum((c * sx * sy for c, sx, sy in zip(
+    lhs = _sum_series((c * sx * sy for c, sx, sy in zip(
         _poisson_coefficients(ctx), _scaled_walk(scale * x, ctx),
-        _scaled_walk(scale * y, ctx))))
+        _scaled_walk(scale * y, ctx))), "Poisson kernel series")
     pref = (_qpoch_inf(q2, q2).value * (x * y) ** (-alpha)
             / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value * (x - y)))
     rhs = pref * (qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
@@ -707,9 +687,10 @@ def bessel_expansion_residual(x: float, ctx: QContext) -> float:
     q, alpha = ctx.q, ctx.alpha
     scale = q ** (alpha + 0.5)
     fac = _factorials(q, alpha)
-    lhs = _kernel_sum(((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i] * s
+    lhs = _sum_series(((-1.0) ** i * q ** i * fac.upto(2 * i).ab[i] / fac.qp[2 * i] * s
                        for i, s in enumerate(islice(_scaled_walk(scale * x, ctx),
-                                                    0, None, 2))))
+                                                    0, None, 2))),
+                      "Bessel expansion kernel series")
     rhs = x ** (-alpha - 1.0) * qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)
     return abs(lhs - rhs)
 
@@ -722,6 +703,7 @@ def rogers_ramanujan_residual(ctx: QContext) -> float:
     # since (q;q)_{2n} = (q;q^2)_n (q^2;q^2)_n the odd-index factor cancels,
     # leaving a plain q-binomial sum
     fac = _factorials(q, alpha)
-    lhs = _kernel_sum((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()))
+    lhs = _sum_series((q ** (2 * i) * fac.upto(i).ab[i] / fac.qq[i] for i in count()),
+                      "Rogers-Ramanujan kernel series")
     rhs = _qpoch_inf(q ** (2.0 * alpha + 4.0), q2).value / _qpoch_inf(q2, q2).value
     return abs(lhs - rhs)

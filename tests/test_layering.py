@@ -40,3 +40,45 @@ def test_numeric_module_imports_no_upper_layer(module):
 def test_scanner_sees_relative_imports():
     assert {"report", "qhermite", "context"} <= _qlab_imports("suites")
     assert "context" in _qlab_imports("qcore")
+
+
+def _modules():
+    return sorted(Path(qlab.__file__).parent.glob("*.py"))
+
+
+def test_only_the_product_and_the_series_sum_read_max_terms():
+    # one ceiling, read where a product and a series are formed, nowhere else
+    readers = set()
+    for path in _modules():
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == "MAX_TERMS"
+                     and isinstance(node.ctx, ast.Load))
+                        or (isinstance(node, ast.Attribute) and node.attr == "MAX_TERMS")
+                        or (isinstance(node, ast.alias) and node.name == "MAX_TERMS")):
+                    readers.add((path.stem, owner))
+    assert readers == {("qcore", "_qpoch_inf_product"), ("qcore", "_sum_series")}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names source's import statements bind that nothing else in it reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_scanner_sees_unused_imports():
+    assert _unused_imports("import math\nfrom a import b, c as d\nd(math.pi)\n") == ["b"]
+
+
+@pytest.mark.parametrize("path", [p for p in _modules() if p.stem != "__init__"],
+                         ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []

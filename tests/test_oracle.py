@@ -1,4 +1,5 @@
-"""Products at the q -> 1 end against 40-digit mpmath.
+"""Products at the q -> 1 end against 40-digit mpmath, and the series
+against 50-digit mpmath.
 
 Each product takes the factor count its own stopping rule needs, so the
 weight, d_n, the moment constant and (a; q)_inf have values up to
@@ -6,6 +7,10 @@ q = 0.995.  mp.qp stops at 50 * prec factors and raises NoConvergence at
 q >= 0.99, so the reference writes the product out in 40-digit mpf: the
 factors 1 - a q^k while |a q^k| >= 1e-3, and the rest b = a q^K from
 log prod_{j >= 0} (1 - b q^j) = -sum_{m >= 1} b^m / (m (1 - q^m)).
+
+The series references are the same sums written out in 50-digit mpf, and
+mp.qhyper for the modified q-Bessel function; errors are relative to
+max(1, |reference|).
 """
 
 import math
@@ -14,7 +19,8 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from qlab import PoleError, QContext, moment_constant, norm_constant, phi, qpoch_inf, weight
+from qlab import (PoleError, QContext, moment_constant, norm_constant, phi, qbessel, qexp_gen,
+                  qpoch_inf, qtrig, weight)
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -100,3 +106,68 @@ def test_phi_at_q_099():
     d0 = norm_constant(0, ctx)
     assert _rel_err(d0, _d0(ctx)) <= 1e-13
     assert phi(0, 0.5, ctx) == d0 * math.sqrt(weight(0.5, ctx))
+
+
+# ---------------------------------------------------------------------------
+# Series at 50 digits
+# ---------------------------------------------------------------------------
+
+mp50 = mpmath.MPContext()
+mp50.dps = 50
+SERIES_QS = (0.3, 0.5, 0.8)
+SERIES_ALPHAS = (-0.5, 0.25, 1.3)
+SERIES_ZS = (-2.0, -0.7, 0.3, 1.2, 3.0)
+
+
+def _series_err(got, want):
+    return abs(mp50.mpf(got) - want) / max(1, abs(want))
+
+
+def _mp_sum(term):
+    """sum_{n >= 0} term(n) in 50-digit mpf, until a term falls below 1e-60."""
+    total, n = mp50.mpf(0), 0
+    while True:
+        t = term(n)
+        total += t
+        if n > 4 and abs(t) < mp50.mpf(10) ** -60:
+            return total
+        n += 1
+
+
+@pytest.mark.parametrize("which, shift, bound", [("cos", 0, 5e-14), ("sin", 1, 5e-14)])
+@pytest.mark.parametrize("qf", SERIES_QS)
+def test_qtrig(qf, which, shift, bound):
+    q = mp50.mpf(qf)
+    for zf in SERIES_ZS:
+        z = mp50.mpf(zf)
+        want = _mp_sum(lambda n: ((-1) ** n * q ** (n * (2 * n - 1 + 2 * shift))
+                                  * z ** (2 * n + shift) / mp50.qp(q, q, 2 * n + shift)))
+        assert _series_err(qtrig(zf, which, qf), want) <= bound
+
+
+def _mp_gen_qpoch(k, q, a):
+    # (q;q)_{k,alpha} = prod_{j=1}^{k} (1 - q^j) for even j, (1 - q^{j+2a+1}) for odd j
+    return mp50.fprod(1 - q ** (j if j % 2 == 0 else j + 2 * a + 1) for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("qf", SERIES_QS)
+@pytest.mark.parametrize("af", SERIES_ALPHAS)
+def test_qexp_gen(qf, af):
+    q, a = mp50.mpf(qf), mp50.mpf(af)
+    ctx = QContext(q=qf, alpha=af)
+    for zf in SERIES_ZS:
+        z = mp50.mpf(zf)
+        want = _mp_sum(lambda k: q ** (k * (k - 1) / 2) * z ** k / _mp_gen_qpoch(k, q, a))
+        assert _series_err(qexp_gen(zf, ctx), want) <= 2e-13
+
+
+@pytest.mark.parametrize("qf", SERIES_QS)
+@pytest.mark.parametrize("af", SERIES_ALPHAS)
+def test_modified_qbessel(qf, af):
+    # j_alpha(x; q^2) = 1phi1(0; q^{2 alpha + 2}; q^2, q^2 x^2)
+    q, a = mp50.mpf(qf), mp50.mpf(af)
+    ctx = QContext(q=qf, alpha=af)
+    for xf in SERIES_ZS:
+        x = mp50.mpf(xf)
+        want = mp50.qhyper([0], [q ** (2 * a + 2)], q * q, q * q * x * x)
+        assert _series_err(qbessel(xf, af, "modified", ctx), want) <= 5e-12

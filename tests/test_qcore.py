@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from itertools import count
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
 from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
-from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached
+from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached, _sum_series
 from qlab.qhermite import _gauss_jacobi, discrete_orthogonality_residual
 
 CTX = QContext(q=0.5, alpha=0.25)
@@ -419,29 +420,83 @@ class TestLatticeTower:
 
 
 def _qexp_gen_per_term(z, ctx):
-    # the per-term formula qexp_gen used before it read the factorial table
+    # the per-term formula qexp_gen used before it read the factorial table,
+    # stopped by the shared rule: three successive terms below SERIES_TOL
+    # relative to max(1, |sum|), from the sixth term on
     q, alpha = ctx.q, ctx.alpha
     total = 0.0
+    below = 0
     for k in range(MAX_TERMS):
         t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
         total += t
-        if abs(t) < SERIES_TOL * max(1.0, abs(total)) and k > 2:
-            return total
+        if abs(t) < SERIES_TOL * max(1.0, abs(total)):
+            below += 1
+            if below >= 3 and k > 4:
+                return total
+        else:
+            below = 0
     raise AssertionError("reference series did not converge")
 
 
 def _qtrig_per_term(z, which, q):
-    # the per-term formula qtrig used before it read the factorial table
+    # the per-term formula qtrig used before it read the factorial table,
+    # stopped by the shared rule
     total = 0.0
+    below = 0
     for n in range(300):
         if which == "cos":
             t = (-1.0) ** n * q ** (n * (2 * n - 1)) * z ** (2 * n) / _qpoch(q, 2 * n, q)
         else:
             t = (-1.0) ** n * q ** (n * (2 * n + 1)) * z ** (2 * n + 1) / _qpoch(q, 2 * n + 1, q)
         total += t
-        if abs(t) < 1e-16 * max(1.0, abs(total)) and n > 2:
-            return total
+        if abs(t) < SERIES_TOL * max(1.0, abs(total)):
+            below += 1
+            if below >= 3 and n > 4:
+                return total
+        else:
+            below = 0
     raise AssertionError("reference series did not converge")
+
+
+class TestSumSeries:
+    def test_a_lone_zero_term_does_not_stop_the_sum(self):
+        # 1, 1/2, 1/4, 0, 1/16, ...: a one-term rule stops at 1.75
+        terms = (0.0 if k == 3 else 0.5 ** k for k in count())
+        assert _sum_series(terms, "test series") == pytest.approx(1.875, rel=1e-14)
+
+    def test_stops_after_three_small_terms_from_the_sixth_on(self):
+        drawn = []
+
+        def terms():
+            for k in count():
+                drawn.append(k)
+                yield 1.0 if k == 0 else 0.0
+
+        assert _sum_series(terms(), "test series") == 1.0
+        assert drawn == list(range(6))
+
+    @pytest.mark.parametrize("terms", [
+        (math.exp(100.0 * k) for k in count()),  # OverflowError forming a term
+        (1.0 / (3 - k) for k in count()),  # ZeroDivisionError forming a term
+        (1e308 for _ in count()),  # the partial sum overflows to inf
+        iter([1.0, math.nan]),  # the partial sum is NaN
+    ], ids=["overflow", "zero-division", "inf-sum", "nan-sum"])
+    def test_a_sum_out_of_range_raises_domain_error(self, terms):
+        with pytest.raises(DomainError, match="test series"):
+            _sum_series(terms, "test series")
+
+    def test_raises_after_max_terms(self, monkeypatch):
+        monkeypatch.setattr(context, "MAX_TERMS", 10)
+        drawn = []
+
+        def terms():
+            for k in count():
+                drawn.append(k)
+                yield 0.9 ** k
+
+        with pytest.raises(NonConvergence, match="test series"):
+            _sum_series(terms(), "test series")
+        assert len(drawn) == 10
 
 
 class TestSeriesReadTheTable:

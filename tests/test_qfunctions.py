@@ -1,10 +1,11 @@
 """Unit tests for q-exponential, q-trigonometric, and q-Bessel functions."""
 
 import math
+import random
 
 import pytest
 
-from qlab import (ArgumentError, QContext, qbessel, qexp_big, qexp_gen,
+from qlab import (ArgumentError, PoleError, QContext, QError, qbessel, qexp_big, qexp_gen,
                   qexp_small, qtrig)
 
 
@@ -25,9 +26,37 @@ class TestQExponentials:
 
     def test_small_pole(self):
         # e_q(z) = 1/(z; q)_inf blows up where a factor vanishes
-        from qlab import PoleError
         with pytest.raises(PoleError):
             qexp_small(1.0, 0.5)
+
+    def test_small_pole_test_agrees_with_the_scan(self):
+        # one test at the nearest power decides as the walk over every power did
+        def pole_by_scan(z, base):
+            zq = z
+            while zq >= 1e-12:
+                if abs(1.0 - zq) < 1e-12:
+                    return True
+                zq *= base
+            return False
+
+        rng = random.Random(0)
+        cases = [(base ** -k * (1.0 + rel), base) for base in (0.2, 0.5, 0.9, 0.99)
+                 for k in (0, 1, 7, 40, 299) for rel in (0.0, 1e-13, -2e-13, 5e-12)]
+        cases += [(rng.uniform(0.0, 50.0), rng.choice((0.3, 0.7, 0.95))) for _ in range(200)]
+        poles = 0
+        for z, base in cases:
+            if pole_by_scan(z, base):
+                poles += 1
+                with pytest.raises(PoleError):
+                    qexp_small(z, base)
+            else:
+                try:
+                    qexp_small(z, base)
+                except PoleError:
+                    pytest.fail(f"no pole at z={z}, base {base}")
+                except QError:  # a product beyond the factor ceiling
+                    pass
+        assert poles == 60  # every constructed pole but those 5e-12 away
 
     def test_gen_collapses_at_classical_alpha(self):
         c = QContext(q=0.5, alpha=-0.5)
