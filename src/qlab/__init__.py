@@ -27,11 +27,9 @@ from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        moment_check, moment_constant, norm_constant,
                        poisson_kernel_residual, qlaguerre, relation_residual,
                        rogers_ramanujan_residual, weight)
-from .qoscillator import (AlgebraRelation, OperatorMatrix, algebra_residual,
-                          apply_ladder, build_matrix, eigen_residual,
-                          inner_product, phi, raised_from_ground,
-                          selfadjoint_residual, sym_qbracket_diag,
-                          wave_function)
+from .qoscillator import (algebra_residual, apply_ladder, build_matrix, eigen_residual,
+                          inner_product, phi, raised_from_ground, selfadjoint_residual,
+                          sym_qbracket_diag, wave_function)
 from .report import CheckResult, VerificationReport
 from .suites import (DEFAULT_ALPHA_GRID, DEFAULT_Q_GRID, SUITE_NAMES,
                      SuiteConfig, run_suite)

@@ -10,7 +10,6 @@ residuals of every commutation/factorization relation they satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -24,51 +23,6 @@ from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, _sqrt, hermite_h,
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
-
-#: default excluded top indices per relation: raising operators escape a
-#: truncated basis, so finite sections are exact only on a leading block
-_SAFE_BLOCKS = {
-    "N_a": 1,
-    "N_a_plus": 1,
-    "K0_K_plus": 2,
-    "K0_K_minus": 2,
-    "Kminus_Kplus": 2,
-    "casimir_even": 2,
-    "casimir_odd": 2,
-    "deformed_commut_plus": 1,
-    "deformed_commut_minus": 1,
-    "number_recovery": 1,
-    "H_factorization": 1,
-}
-
-RELATION_NAMES = tuple(_SAFE_BLOCKS)
-
-
-@dataclass(frozen=True)
-class AlgebraRelation:
-    """One operator relation plus the truncation-edge block it excludes."""
-
-    relation: str
-    safe_block: int = -1
-
-    def __post_init__(self):
-        if self.relation not in _SAFE_BLOCKS:
-            raise ArgumentError(f"unknown algebra relation: {self.relation!r}")
-        if self.safe_block < 0:
-            object.__setattr__(self, "safe_block", _SAFE_BLOCKS[self.relation])
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense real matrix realization of one operator on the phi basis."""
-
-    dim: int
-    entries: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
-            raise ArgumentError(f"non-finite entries in operator {self.label!r}")
 
 
 def phi(n: int, x, ctx: QContext):
@@ -153,125 +107,121 @@ def _sym(n: float, q: float) -> float:
     return sym_qnumber(n, math.sqrt(q))
 
 
-def build_matrix(which: str, dim: int, ctx: QContext) -> OperatorMatrix:
+def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
+    """Every operator of OPERATOR_NAMES on the first dim basis vectors, each
+    built from the ones before it: a, b, K0, K+- and then the Casimir."""
+    q, alpha = ctx.q, ctx.alpha
+    a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
+    try:
+        for n in range(1, dim):
+            a[n - 1, n] = math.sqrt(_gen_qint(n, q, alpha))
+            b[n - 1, n] = math.sqrt(_sym(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q))
+        k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
+        gamma = 1.0 / _sym(2.0, q)
+        k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
+        bracket = sym_qbracket_diag(k0 - 0.5 * np.eye(dim), q)
+    except OverflowError as exc:  # a symmetric q-number past double range
+        raise DomainError(f"operator matrices at dim={dim}, q={q} leave double range") from exc
+    return {"a": a, "a_plus": a.T.copy(), "N": np.diag(np.arange(dim, dtype=float)),
+            "parity_K": np.diag(np.array([(-1.0) ** n for n in range(dim)])),
+            "H": np.diag(np.array([_gen_qint(n, q, alpha) for n in range(dim)])),
+            "b": b, "b_plus": b.T.copy(), "K0": k0, "K_plus": k_plus, "K_minus": k_minus,
+            "casimir": bracket @ bracket - k_plus @ k_minus}
+
+
+def build_matrix(which: str, dim: int, ctx: QContext) -> np.ndarray:
     """Dense matrix of one operator on the first dim basis vectors."""
     if which not in OPERATOR_NAMES:
         raise ArgumentError(f"unknown operator: {which!r}")
     if dim < 3:
         raise DimensionError(f"matrix realization needs dim >= 3, got {dim}")
-    q, alpha = ctx.q, ctx.alpha
-    m = np.zeros((dim, dim))
-
-    if which == "a":
-        for n in range(1, dim):
-            m[n - 1, n] = math.sqrt(_gen_qint(n, q, alpha))
-    elif which == "a_plus":
-        m = build_matrix("a", dim, ctx).entries.T.copy()
-    elif which == "N":
-        m = np.diag(np.arange(dim, dtype=float))
-    elif which == "parity_K":
-        m = np.diag(np.array([(-1.0) ** n for n in range(dim)]))
-    elif which == "H":
-        m = np.diag(np.array([_gen_qint(n, q, alpha) for n in range(dim)]))
-    elif which == "b":
-        for n in range(1, dim):
-            if n % 2 == 0:
-                m[n - 1, n] = math.sqrt(_sym(float(n), q))
-            else:
-                m[n - 1, n] = math.sqrt(_sym(n + 2.0 * alpha + 1.0, q))
-    elif which == "b_plus":
-        m = build_matrix("b", dim, ctx).entries.T.copy()
-    elif which == "K0":
-        m = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
-    elif which in ("K_plus", "K_minus"):
-        gamma = 1.0 / _sym(2.0, q)
-        b = build_matrix("b", dim, ctx).entries
-        m = gamma * (b.T @ b.T if which == "K_plus" else b @ b)
-    elif which == "casimir":
-        k0 = build_matrix("K0", dim, ctx)
-        half = OperatorMatrix(dim, k0.entries - 0.5 * np.eye(dim), "K0 - 1/2")
-        bracket = sym_qbracket_diag(half, q).entries
-        kp = build_matrix("K_plus", dim, ctx).entries
-        km = build_matrix("K_minus", dim, ctx).entries
-        m = bracket @ bracket - kp @ km
-    return OperatorMatrix(dim, m, which)
+    m = _operator_matrices(dim, ctx)[which]
+    if not np.all(np.isfinite(m)):
+        raise ArgumentError(f"non-finite entries in operator {which!r}")
+    return m
 
 
-def sym_qbracket_diag(M: OperatorMatrix, base: float) -> OperatorMatrix:
+def _diagonal(m: np.ndarray, what: str) -> np.ndarray:
+    """The diagonal of m; NotDiagonal if an entry off it exceeds 1e-14."""
+    off = np.max(np.abs(m - np.diag(np.diag(m))))
+    if off > 1e-14:
+        raise NotDiagonal(f"{what} has off-diagonal entries up to {off}")
+    return np.diag(m)
+
+
+def sym_qbracket_diag(m: np.ndarray, base: float) -> np.ndarray:
     """Apply the symmetric q-number entrywise to a diagonal matrix."""
-    off = M.entries - np.diag(np.diag(M.entries))
-    if np.max(np.abs(off)) > 1e-14:
-        raise NotDiagonal(
-            f"operator {M.label!r} has off-diagonal entries up to {np.max(np.abs(off))}")
-    diag = np.array([sym_qnumber(v, base) for v in np.diag(M.entries)])
-    return OperatorMatrix(M.dim, np.diag(diag), f"[{M.label}]")
+    return np.diag(np.array([sym_qnumber(v, base) for v in _diagonal(m, "the matrix")]))
 
 
-def _block_norm(m: np.ndarray, keep: int) -> float:
-    return float(np.max(np.abs(m[:keep, :keep]))) if keep > 0 else 0.0
+def _casimir_row(parity: int):
+    # the Casimir's diagonal minus its value [(alpha + parity) / 2]^2 on the
+    # basis vectors of one parity, 0 on the others
+    def residual(m, ctx):
+        target = sym_qnumber((ctx.alpha + parity) / 2.0, ctx.q) ** 2
+        c = np.diag(m["casimir"])
+        return np.diag(np.where(np.arange(len(c)) % 2 == parity, c - target, 0.0))
+    return residual
 
 
-def algebra_residual(rel: AlgebraRelation, dim: int, ctx: QContext) -> float:
-    """Max-norm residual of one operator relation on the safe leading block."""
-    if dim < rel.safe_block + 3:
-        raise DimensionError(
-            f"relation {rel.relation} needs dim >= {rel.safe_block + 3}, got {dim}")
-    q, alpha = ctx.q, ctx.alpha
-    keep = dim - rel.safe_block
-    get = lambda name: build_matrix(name, dim, ctx).entries  # noqa: E731
+def _number_recovery(m, ctx):
+    # N = (log_q(1 - (1 - q) a a+) + log_q(1 - (1 - q) a+ a)) / 2 - (alpha + 1)
+    q = ctx.q
+    args = [1.0 - (1.0 - q) * _diagonal(p, what)
+            for p, what in ((m["a"] @ m["a_plus"], "a a+"), (m["a_plus"] @ m["a"], "a+ a"))]
+    if not all(np.all(v > 0.0) for v in args):
+        raise DomainError(f"number recovery at q={q}: 1 - (1 - q) [[n]] rounds to <= 0 "
+                          f"below dim={len(args[0])}, so its log is undefined")
+    rec = (np.log(args[0]) + np.log(args[1])) / (2.0 * math.log(q)) - (ctx.alpha + 1.0)
+    return np.diag(rec - np.diag(m["N"]))
 
-    name = rel.relation
-    if name == "N_a":
-        n, a = get("N"), get("a")
-        return _block_norm(n @ a - a @ n + a, keep)
-    if name == "N_a_plus":
-        n, ap = get("N"), get("a_plus")
-        return _block_norm(n @ ap - ap @ n - ap, keep)
-    if name == "K0_K_plus":
-        k0, kp = get("K0"), get("K_plus")
-        return _block_norm(k0 @ kp - kp @ k0 - kp, keep)
-    if name == "K0_K_minus":
-        k0, km = get("K0"), get("K_minus")
-        return _block_norm(k0 @ km - km @ k0 + km, keep)
-    if name == "Kminus_Kplus":
-        km, kp = get("K_minus"), get("K_plus")
-        two_k0 = OperatorMatrix(dim, 2.0 * get("K0"), "2 K0")
-        rhs = sym_qbracket_diag(two_k0, q).entries
-        return _block_norm(km @ kp - kp @ km - rhs, keep)
-    if name in ("casimir_even", "casimir_odd"):
-        c = np.diag(get("casimir"))
-        parity = 0 if name == "casimir_even" else 1
-        target = sym_qnumber((alpha + parity) / 2.0, q) ** 2
-        idx = [n for n in range(keep) if n % 2 == parity]
-        return float(np.max(np.abs(c[idx] - target)))
-    if name == "number_recovery":
-        a, ap = get("a"), get("a_plus")
-        aap = OperatorMatrix(dim, a @ ap, "a a+")
-        apa = OperatorMatrix(dim, ap @ a, "a+ a")
-        for mat in (aap, apa):
-            off = mat.entries - np.diag(np.diag(mat.entries))
-            if np.max(np.abs(off)) > 1e-14:
-                raise NotDiagonal(f"{mat.label} is not diagonal")
-        log_q = math.log(q)
-        rec = (np.log(1.0 - (1.0 - q) * np.diag(aap.entries))
-               + np.log(1.0 - (1.0 - q) * np.diag(apa.entries))) / (2.0 * log_q) \
-            - (alpha + 1.0)
-        return float(np.max(np.abs(rec[:keep] - np.arange(keep))))
-    if name in ("deformed_commut_plus", "deformed_commut_minus"):
-        s = 1.0 if name == "deformed_commut_plus" else -1.0
-        nu = alpha + 0.5
-        b, bp = get("b"), get("b_plus")
-        n_diag = np.arange(dim, dtype=float)
-        k_diag = (-1.0) ** n_diag
-        mid = np.diag(q ** (s * (1.0 + 2.0 * nu * k_diag) / 2.0))
-        bracket = np.diag(np.array(
-            [sym_qnumber(1.0 + 2.0 * nu * k, math.sqrt(q)) for k in k_diag]))
-        rhs = bracket @ np.diag(q ** (-s * (n_diag + nu - nu * k_diag) / 2.0))
-        return _block_norm(b @ bp - mid @ (bp @ b) - rhs, keep)
-    if name == "H_factorization":
-        h, a, ap = get("H"), get("a"), get("a_plus")
-        return _block_norm(h - ap @ a, keep)
-    raise ArgumentError(f"unknown algebra relation: {name!r}")
+
+def _deformed_commutator(s: float):
+    # b b+ - q^{s(1 + 2 nu K)/2} b+ b = [1 + 2 nu K] q^{-s(N + nu - nu K)/2}
+    def residual(m, ctx):
+        q, nu = ctx.q, ctx.alpha + 0.5
+        n, k = np.diag(m["N"]), np.diag(m["parity_K"])
+        mid = np.diag(q ** (s * (1.0 + 2.0 * nu * k) / 2.0))
+        bracket = np.diag([sym_qnumber(1.0 + 2.0 * nu * kn, math.sqrt(q)) for kn in k])
+        rhs = bracket @ np.diag(q ** (-s * (n + nu - nu * k) / 2.0))
+        return m["b"] @ m["b_plus"] - mid @ (m["b_plus"] @ m["b"]) - rhs
+    return residual
+
+
+#: relation -> (excluded top indices, its residual matrix from the operator
+#: matrices and the context).  A raising operator maps the top basis vectors
+#: out of the truncated basis, so a finite section of a relation holds only
+#: on the leading block that excludes them.
+_RELATIONS = {
+    "N_a": (1, lambda m, ctx: m["N"] @ m["a"] - m["a"] @ m["N"] + m["a"]),
+    "N_a_plus": (1, lambda m, ctx: m["N"] @ m["a_plus"] - m["a_plus"] @ m["N"] - m["a_plus"]),
+    "K0_K_plus": (2, lambda m, ctx: m["K0"] @ m["K_plus"] - m["K_plus"] @ m["K0"]
+                  - m["K_plus"]),
+    "K0_K_minus": (2, lambda m, ctx: m["K0"] @ m["K_minus"] - m["K_minus"] @ m["K0"]
+                   + m["K_minus"]),
+    "Kminus_Kplus": (2, lambda m, ctx: m["K_minus"] @ m["K_plus"] - m["K_plus"] @ m["K_minus"]
+                     - sym_qbracket_diag(2.0 * m["K0"], ctx.q)),
+    "casimir_even": (2, _casimir_row(0)),
+    "casimir_odd": (2, _casimir_row(1)),
+    "deformed_commut_plus": (1, _deformed_commutator(1.0)),
+    "deformed_commut_minus": (1, _deformed_commutator(-1.0)),
+    "number_recovery": (1, _number_recovery),
+    "H_factorization": (1, lambda m, ctx: m["H"] - m["a_plus"] @ m["a"]),
+}
+
+RELATION_NAMES = tuple(_RELATIONS)
+
+
+def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
+    """Max-norm residual of one operator relation on the leading block that
+    excludes its top indices."""
+    if relation not in _RELATIONS:
+        raise ArgumentError(f"unknown algebra relation: {relation!r}")
+    excluded, residual = _RELATIONS[relation]
+    if dim < excluded + 3:
+        raise DimensionError(f"relation {relation} needs dim >= {excluded + 3}, got {dim}")
+    keep = dim - excluded
+    return float(np.max(np.abs(residual(_operator_matrices(dim, ctx), ctx)[:keep, :keep])))
 
 
 def eigen_residual(n: int, x: float, ctx: QContext) -> float:

@@ -330,8 +330,7 @@ def suite_oscillator_algebra(cfg: SuiteConfig) -> list[CheckResult]:
         base = {"q": ctx.q, "alpha": ctx.alpha, "dim": cfg.dim}
         for name in qoscillator.RELATION_NAMES:
             out.append(_checked("algebra_" + name, base, max(cfg.tol, 1e-11),
-                                qoscillator.algebra_residual,
-                                qoscillator.AlgebraRelation(name), cfg.dim, ctx))
+                                qoscillator.algebra_residual, name, cfg.dim, ctx))
         for n in range(min(cfg.n_max, 8) + 1):
             for k in (-2, 0, 3):
                 x = ctx.q ** k

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qlab import (AlgebraRelation, QContext,
+from qlab import (QContext,
                   algebra_residual, apply_ladder, bessel_expansion_residual,
                   continuous_orthogonality, discrete_orthogonality_residual,
                   eigen_residual, gen_qint, gen_qpoch, hermite_h,
@@ -21,6 +21,7 @@ from qlab import (AlgebraRelation, QContext,
                   poisson_kernel_residual, qderiv, qderiv_pow,
                   qexp_big, qexp_gen, qnumber, qpoch, rogers_ramanujan_residual,
                   wave_function)
+from qlab.qoscillator import _RELATIONS
 
 Q_GRID = (0.3, 0.5, 0.8)
 ALPHA_GRID = (-0.5, 0.25, 1.3)
@@ -159,7 +160,8 @@ class TestCriterion8OscillatorEigenrelations:
 
 
 class TestCriterion9MatrixAlgebra:
-    """All operator relations at dim=12 on the leading 10-block.
+    """All operator relations on the leading 10-block, at dim = 10 plus the
+    relation's excluded top indices.
 
     Absolute tolerances this tight are resolvable only where the matrix
     entries stay within a few decades of unity; entries grow like q^{-n},
@@ -177,8 +179,7 @@ class TestCriterion9MatrixAlgebra:
         for q in (0.5, 0.8):
             for alpha in ALPHA_GRID:
                 ctx = QContext(q=q, alpha=alpha)
-                r = algebra_residual(AlgebraRelation(name, safe_block=2),
-                                     12, ctx)
+                r = algebra_residual(name, 10 + _RELATIONS[name][0], ctx)
                 assert r < self.TOLS[name], (q, alpha, r)
 
 
