@@ -85,11 +85,12 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
     top = float(np.max(np.abs(a))) if array else abs(a)
     if top == 0.0:
         return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
+    if not top < math.inf:
+        raise DomainError(f"(a;q)_inf needs a finite argument (a={a}, q={q})")
     tol = context.SERIES_TOL
     one_minus_q = 1.0 - q
     # the loop stops about where |a| q^k / (1 - q) <= tol / 2
-    need = (math.ceil((math.log(tol * one_minus_q / 2.0) - math.log(top)) / math.log(q))
-            if top < math.inf else math.inf)  # an inf or NaN |a| never stops
+    need = math.ceil((math.log(tol * one_minus_q / 2.0) - math.log(top)) / math.log(q))
     if need <= context.MAX_TERMS:
         out = 1.0
         aq = a.copy() if array else a  # an array is updated in place
@@ -353,8 +354,9 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
 
     The exponent n runs over [LATTICE_LO, LATTICE_HI]; summation proceeds
     outward from n = 0 in both directions and a direction stops once its
-    terms have stayed below SERIES_TOL (relative to the largest term seen)
-    for a few consecutive lattice points.  Where a window edge comes first,
+    terms have stayed below SERIES_TOL (relative to the largest term seen,
+    so a small integrand is summed to its own size) or at 0 for a few
+    consecutive lattice points.  Where a window edge comes first,
     the terms beyond it are summed as a geometric series t r / (1 - r), with
     t the edge term and r = t / (the term before); tail_bound holds how far
     that sum moves with the ratio one point in, plus rounding, or the whole
@@ -371,7 +373,7 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
     q = ctx.q
     tol = context.SERIES_TOL
     terms: list[float] = []
-    peak = 1.0
+    peak = 0.0
     tail = 0.0
     count = 0
 
@@ -388,7 +390,8 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
                 raise NonConvergence(f"Jackson integral term is NaN at q^{n}")
             terms.append(t)
             peak = max(peak, mag)
-            if mag < tol * peak:
+            small = mag < tol * peak or mag == 0.0
+            if small:
                 below += 1
                 if below >= 3:
                     # geometric extrapolation of the discarded tail
@@ -397,7 +400,7 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
                     break
             else:
                 below = 0
-            if n == hi and mag >= tol * peak:
+            if n == hi and not small:
                 r = t / prev if prev else math.nan
                 r0 = prev / prev2 if prev2 else math.nan
                 if not -1.0 < r < 1.0:

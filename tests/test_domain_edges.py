@@ -4,27 +4,30 @@ Across 0 < q < 1 and alpha > -1 every public function of the polynomial
 family and every series it rests on returns a finite value or raises a
 QError: never NaN, +-inf or a raw Python exception.  The sweep reaches
 q = 0.995, alpha = -0.99 and 20, degree 170, x = 50 and, for the series,
-arguments up to 1e200.
+arguments up to 1e200; the operator-algebra residuals reach dim 64.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from qlab import (DomainError, QContext, QError, discrete_orthogonality_rhs, gen_qfact,
-                  gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
+from qlab import (DomainError, QContext, QError, algebra_residual, discrete_orthogonality_rhs,
+                  gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
                   moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
-                  qlaguerre, qpoch_inf, qtrig, weight)
+                  qexp_small, qlaguerre, qpoch_inf, qtrig, weight)
+from qlab.qoscillator import RELATION_NAMES
 
 QS = (0.05, 0.5, 0.9, 0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.0, 20.0)
 NS = (0, 5, 20, 60, 170)
 XS = (0.0, 0.3, 2.0, 50.0)
 ZS = (0.0, 0.3, 2.0, 50.0, 1e6, 1e200)
+DIMS = (5, 12, 64)
 
 #: name -> (function of the swept arguments and the context, the swept
-#: arguments in order: degree n, point x, series argument z)
+#: arguments in order: degree n, point x, series argument z, matrix dim d)
 SWEEP = {
     "hermite_h": (hermite_h, "nx"),
     "hermite_h_scaled": (hermite_h_scaled, "nx"),
@@ -44,13 +47,15 @@ SWEEP = {
        for kind in ("second_jackson", "hahn_exton", "modified")},
     "qexp_big": (lambda z, ctx: qexp_big(z, ctx.q).value, "z"),
     "qpoch_inf": (lambda z, ctx: qpoch_inf(z, ctx).value, "z"),
+    **{f"algebra_{rel}": (lambda d, ctx, rel=rel: algebra_residual(rel, d, ctx), "d")
+       for rel in RELATION_NAMES},
 }
 
 
 @pytest.mark.parametrize("name", SWEEP)
 def test_finite_value_or_qerror(name):
     fn, arg_names = SWEEP[name]
-    axes = [{"n": NS, "x": XS, "z": ZS}[a] for a in arg_names]
+    axes = [{"n": NS, "x": XS, "z": ZS, "d": DIMS}[a] for a in arg_names]
     broken = []
     for q, alpha in itertools.product(QS, ALPHAS):
         ctx = QContext(q=q, alpha=alpha)
@@ -81,3 +86,17 @@ def test_finite_value_or_qerror(name):
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):
         fn(*args, QContext(q=q, alpha=alpha))
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, fn", [
+    ("qpoch_inf", lambda z, ctx: qpoch_inf(z, ctx)),
+    ("qexp_small", lambda z, ctx: qexp_small(z, ctx.q)),
+    ("qexp_big", lambda z, ctx: qexp_big(z, ctx.q)),
+    ("weight", weight),
+    ("weight_array", lambda z, ctx: weight(np.array([0.3, z]), ctx)),
+])
+def test_nonfinite_product_argument_raises_domain_error(name, fn, z):
+    # the products behind these functions take only finite arguments
+    with pytest.raises(DomainError):
+        fn(z, QContext(q=0.5, alpha=0.25))

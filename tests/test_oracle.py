@@ -11,6 +11,10 @@ log prod_{j >= 0} (1 - b q^j) = -sum_{m >= 1} b^m / (m (1 - q^m)).
 The series references are the same sums written out in 50-digit mpf, and
 mp.qhyper for the modified q-Bessel function; errors are relative to
 max(1, |reference|).
+
+Jackson sums of small integrands are checked against the same sums in
+60-digit mpf, and the normalization offset of the wave functions against
+Ramanujan's q-beta integral by 40-digit quadrature.
 """
 
 import math
@@ -19,8 +23,10 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from qlab import (PoleError, QContext, moment_constant, norm_constant, phi, qbessel, qexp_gen,
-                  qpoch_inf, qtrig, weight)
+from qlab import (PoleError, QContext, continuous_orthogonality, discrete_orthogonality_residual,
+                  discrete_orthogonality_rhs, jackson_integral, moment_constant, norm_constant,
+                  phi, qbessel, qexp_gen, qpoch_inf, qtrig, weight)
+from qlab.qhermite import _ortho_integrand
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -171,3 +177,112 @@ def test_modified_qbessel(qf, af):
         x = mp50.mpf(xf)
         want = mp50.qhyper([0], [q ** (2 * a + 2)], q * q, q * q * x * x)
         assert _series_err(qbessel(xf, af, "modified", ctx), want) <= 5e-12
+
+
+# ---------------------------------------------------------------------------
+# Jackson sums at 60 digits
+# ---------------------------------------------------------------------------
+
+mp60 = mpmath.MPContext()
+mp60.dps = 60
+
+
+def _mp60_hermite(n, x, q, a):
+    # the explicit sum of h_n, with (b; base)_k written out
+    def qpoch(b, base, k):
+        return mp60.fprod(1 - b * base ** j for j in range(k))
+
+    def gen_qpoch(k):
+        return mp60.fprod(1 - q ** (j if j % 2 == 0 else j + 2 * a + 1) for j in range(1, k + 1))
+
+    return qpoch(q, q, n) * mp60.fsum(
+        (-1) ** k * q ** (-2 * n * k + k * (2 * k + 1)) * x ** (n - 2 * k)
+        / (qpoch(q * q, q * q, k) * gen_qpoch(n - 2 * k)) for k in range(n // 2 + 1))
+
+
+def _mp60_weight(x, q, a):
+    b, out = -q ** (-2 * a - 1) * x * x, mp60.mpf(1)
+    while abs(b) > mp60.mpf(10) ** -70:
+        out *= 1 - b
+        b *= q * q
+    return 1 / out
+
+
+def _mp60_jackson_line(f, q):
+    """(1 - q) sum over all integers k of q^k (f(q^k) + f(-q^k)), outward from
+    k = 0 until three terms in a row fall below 1e-70 of the sum."""
+    total = mp60.mpf(0)
+    for k, step in ((0, 1), (-1, -1)):
+        small = 0
+        while small < 3:
+            y = q ** k
+            t = y * (f(y) + f(-y))
+            total += t
+            small = small + 1 if abs(t) < mp60.mpf(10) ** -70 * abs(total) else 0
+            k += step
+    return (1 - q) * total
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_discrete_diagonal_small_integrand(n):
+    # at q = 0.05, alpha = 5 every term of h_n^2 w |x|^{2 alpha + 1} lies
+    # between 1e-47 and 1e-15: the sum stops relative to its own largest term
+    ctx = QContext(q=0.05, alpha=5.0)
+    q, a = mp60.mpf(ctx.q), mp60.mpf(ctx.alpha)
+    want = _mp60_jackson_line(
+        lambda x: _mp60_hermite(n, x, q, a) ** 2 * _mp60_weight(x, q, a) * abs(x) ** (2 * a + 1), q)
+    got = jackson_integral(_ortho_integrand(n, n, ctx), "line", ctx).value
+    assert abs(got - want) / want <= 1e-13
+    assert abs(discrete_orthogonality_rhs(n, ctx) - want) / want <= 1e-13
+    assert discrete_orthogonality_residual(n, n, ctx) <= 1e-13
+
+
+def test_jackson_sum_of_a_small_integrand():
+    # a bump of height 1e-12 at y = 0.05; with an absolute stopping rule the
+    # sum read 8.25e-17
+    q = 0.9
+    got = jackson_integral(lambda y: 1e-12 * math.exp(-(math.log(y) - math.log(0.05)) ** 2),
+                           "halfline", QContext(q=q)).value
+    qm = mp.mpf(q)
+    want = (1 - qm) * mp.nsum(lambda k: qm ** k * mp.mpf(1e-12)
+                              * mp.exp(-(k * mp.log(qm) - mp.log(mp.mpf(0.05))) ** 2),
+                              [-mp.inf, mp.inf])
+    assert _rel_err(got, want) <= 1e-14
+    assert _rel_err(got, mp.mpf("1.08004207281026754e-13")) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The normalization offset: <phi_n, phi_n> = q^((alpha + 1)(alpha + 1/2))
+# ---------------------------------------------------------------------------
+
+OFFSET_CONTEXTS = [QContext(q=0.5, alpha=0.25), QContext(q=0.8, alpha=1.3),
+                   QContext(q=0.3, alpha=-0.9), QContext(q=0.9, alpha=3.7)]
+OFFSET_IDS = [f"q={c.q}-alpha={c.alpha}" for c in OFFSET_CONTEXTS]
+
+
+@pytest.mark.parametrize("ctx", OFFSET_CONTEXTS, ids=OFFSET_IDS)
+def test_normalization_offset_closed_form(ctx):
+    # d_n^2 int h_n^2 w |x|^{2 alpha + 1} dx is n-independent, and equals the
+    # power of q that the weight's moment below leaves over from d_0^2
+    offset = ctx.q ** ((ctx.alpha + 1.0) * (ctx.alpha + 0.5))
+    for n in range(4):
+        assert abs(continuous_orthogonality(n, n, ctx) - offset) / offset <= 1e-14
+
+
+@pytest.mark.parametrize("ctx", OFFSET_CONTEXTS, ids=OFFSET_IDS)
+def test_weight_moment_ramanujan_closed_form(ctx):
+    # Ramanujan's q-beta integral with t = q^{-2 alpha - 1} x^2, p = q^2 and
+    # c = alpha + 1: int_R w |x|^{2 alpha + 1} dx
+    #   = q^{(alpha + 1)(2 alpha + 1)} Gamma(-alpha) Gamma(alpha + 1)
+    #     (q^{-2 alpha}; q^2)_inf / (q^2; q^2)_inf
+    q, a = _mp(ctx)
+    qp = _qp.__wrapped__  # the quadrature nodes would fill the cache
+    c = q ** (-2 * a - 1)
+    # s = |x|^{2 alpha + 2} takes |x|^{2 alpha + 1} dx into ds / (2 alpha + 2),
+    # which leaves no singularity at 0 for alpha near -1
+    lhs = mp.quad(lambda s: 1 / qp(-c * s ** (1 / (a + 1)), q * q), [0, 1, mp.inf]) / (a + 1)
+    rhs = (q ** ((a + 1) * (2 * a + 1)) * mp.gamma(-a) * mp.gamma(a + 1)
+           * qp(q ** (-2 * a), q * q) / qp(q * q, q * q))
+    assert _rel_err(lhs, rhs) <= 1e-35
+    if ctx.q == 0.5:
+        assert _rel_err(lhs, mp.mpf("0.41683350159888355559")) <= 1e-19
