@@ -118,15 +118,17 @@ def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
             b[n - 1, n] = math.sqrt(_sym(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q))
         k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
         gamma = 1.0 / _sym(2.0, q)
-        k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
         bracket = sym_qbracket_diag(k0 - 0.5 * np.eye(dim), q)
     except OverflowError as exc:  # a symmetric q-number past double range
         raise DomainError(f"operator matrices at dim={dim}, q={q} leave double range") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness
+        k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
+        casimir = bracket @ bracket - k_plus @ k_minus
     return {"a": a, "a_plus": a.T.copy(), "N": np.diag(np.arange(dim, dtype=float)),
             "parity_K": np.diag(np.array([(-1.0) ** n for n in range(dim)])),
             "H": np.diag(np.array([_gen_qint(n, q, alpha) for n in range(dim)])),
             "b": b, "b_plus": b.T.copy(), "K0": k0, "K_plus": k_plus, "K_minus": k_minus,
-            "casimir": bracket @ bracket - k_plus @ k_minus}
+            "casimir": casimir}
 
 
 def build_matrix(which: str, dim: int, ctx: QContext) -> np.ndarray:
@@ -155,24 +157,19 @@ def sym_qbracket_diag(m: np.ndarray, base: float) -> np.ndarray:
 
 
 def _casimir_row(parity: int):
-    # the Casimir's diagonal minus its value [(alpha + parity) / 2]^2 on the
-    # basis vectors of one parity, 0 on the others
+    # the Casimir's diagonal minus [(alpha + parity) / 2]^2 at one parity, 0 at the other
     def residual(m, ctx):
-        target = sym_qnumber((ctx.alpha + parity) / 2.0, ctx.q) ** 2
-        c = np.diag(m["casimir"])
-        return np.diag(np.where(np.arange(len(c)) % 2 == parity, c - target, 0.0))
+        c = np.diag(m["casimir"]) - sym_qnumber((ctx.alpha + parity) / 2.0, ctx.q) ** 2
+        return np.diag(np.where(np.arange(len(c)) % 2 == parity, c, 0.0))
     return residual
 
 
 def _number_recovery(m, ctx):
     # N = (log_q(1 - (1 - q) a a+) + log_q(1 - (1 - q) a+ a)) / 2 - (alpha + 1)
     q = ctx.q
-    args = [1.0 - (1.0 - q) * _diagonal(p, what)
-            for p, what in ((m["a"] @ m["a_plus"], "a a+"), (m["a_plus"] @ m["a"], "a+ a"))]
-    if not all(np.all(v > 0.0) for v in args):
-        raise DomainError(f"number recovery at q={q}: 1 - (1 - q) [[n]] rounds to <= 0 "
-                          f"below dim={len(args[0])}, so its log is undefined")
-    rec = (np.log(args[0]) + np.log(args[1])) / (2.0 * math.log(q)) - (ctx.alpha + 1.0)
+    aap, apa = _diagonal(m["a"] @ m["a_plus"], "a a+"), _diagonal(m["a_plus"] @ m["a"], "a+ a")
+    rec = (np.log(1.0 - (1.0 - q) * aap)
+           + np.log(1.0 - (1.0 - q) * apa)) / (2.0 * math.log(q)) - (ctx.alpha + 1.0)
     return np.diag(rec - np.diag(m["N"]))
 
 
@@ -188,15 +185,13 @@ def _deformed_commutator(s: float):
     return residual
 
 
-#: relation -> (excluded top indices, its residual matrix from the operator
-#: matrices and the context).  A raising operator maps the top basis vectors
-#: out of the truncated basis, so a finite section of a relation holds only
-#: on the leading block that excludes them.
+#: relation -> (excluded top indices, its residual matrix from the operator matrices and
+#: the context).  A raising operator maps the top basis vectors out of the truncated
+#: basis, so a finite section of a relation holds only on the block that excludes them.
 _RELATIONS = {
     "N_a": (1, lambda m, ctx: m["N"] @ m["a"] - m["a"] @ m["N"] + m["a"]),
     "N_a_plus": (1, lambda m, ctx: m["N"] @ m["a_plus"] - m["a_plus"] @ m["N"] - m["a_plus"]),
-    "K0_K_plus": (2, lambda m, ctx: m["K0"] @ m["K_plus"] - m["K_plus"] @ m["K0"]
-                  - m["K_plus"]),
+    "K0_K_plus": (2, lambda m, ctx: m["K0"] @ m["K_plus"] - m["K_plus"] @ m["K0"] - m["K_plus"]),
     "K0_K_minus": (2, lambda m, ctx: m["K0"] @ m["K_minus"] - m["K_minus"] @ m["K0"]
                    + m["K_minus"]),
     "Kminus_Kplus": (2, lambda m, ctx: m["K_minus"] @ m["K_plus"] - m["K_plus"] @ m["K_minus"]
@@ -213,15 +208,20 @@ RELATION_NAMES = tuple(_RELATIONS)
 
 
 def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
-    """Max-norm residual of one operator relation on the leading block that
-    excludes its top indices."""
+    """Max-norm residual of one relation on the block without its top indices."""
     if relation not in _RELATIONS:
         raise ArgumentError(f"unknown algebra relation: {relation!r}")
     excluded, residual = _RELATIONS[relation]
     if dim < excluded + 3:
         raise DimensionError(f"relation {relation} needs dim >= {excluded + 3}, got {dim}")
     keep = dim - excluded
-    return float(np.max(np.abs(residual(_operator_matrices(dim, ctx), ctx)[:keep, :keep])))
+    with np.errstate(all="ignore"):
+        r = float(np.max(np.abs(residual(_operator_matrices(dim, ctx), ctx)[:keep, :keep])))
+    if not math.isfinite(r):
+        # entries past double range, or a log of 1 - (1 - q) [[n]] rounded to
+        # <= 0 in the number recovery (from dim 55 at q = 0.5)
+        raise DomainError(f"relation {relation} has no finite residual at dim={dim}, q={ctx.q}")
+    return r
 
 
 def eigen_residual(n: int, x: float, ctx: QContext) -> float:
