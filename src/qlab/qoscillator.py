@@ -112,15 +112,15 @@ def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
     built from the ones before it: a, b, K0, K+- and then the Casimir."""
     q, alpha = ctx.q, ctx.alpha
     a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
+    k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
     try:
         for n in range(1, dim):
             a[n - 1, n] = math.sqrt(_gen_qint(n, q, alpha))
             b[n - 1, n] = math.sqrt(_sym(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q))
-        k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
-        gamma = 1.0 / _sym(2.0, q)
         bracket = sym_qbracket_diag(k0 - 0.5 * np.eye(dim), q)
     except OverflowError as exc:  # a symmetric q-number past double range
         raise DomainError(f"operator matrices at dim={dim}, q={q} leave double range") from exc
+    gamma = 1.0 / _sym(2.0, q)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness
         k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
         casimir = bracket @ bracket - k_plus @ k_minus

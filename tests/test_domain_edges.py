@@ -90,13 +90,14 @@ def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name, fn", [
-    ("qpoch_inf", lambda z, ctx: qpoch_inf(z, ctx)),
+    ("qpoch_inf", qpoch_inf),
     ("qexp_small", lambda z, ctx: qexp_small(z, ctx.q)),
     ("qexp_big", lambda z, ctx: qexp_big(z, ctx.q)),
     ("weight", weight),
     ("weight_array", lambda z, ctx: weight(np.array([0.3, z]), ctx)),
 ])
 def test_nonfinite_product_argument_raises_domain_error(name, fn, z):
-    # the products behind these functions take only finite arguments
+    # the product (a; q)_inf behind these functions takes only finite a: an
+    # inf or NaN argument is outside the domain, not a product too long
     with pytest.raises(DomainError):
         fn(z, QContext(q=0.5, alpha=0.25))

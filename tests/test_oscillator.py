@@ -373,3 +373,16 @@ class TestAlgebraRelations:
     def test_unknown_relation_rejected(self):
         with pytest.raises(ArgumentError):
             algebra_residual("bogus", 12, CTX)
+
+    def test_non_finite_residual_raises(self):
+        # at q = 0.05, dim 300 the Casimir's entries overflow; the lowering
+        # matrix built with it stays finite
+        ctx = QContext(q=0.05, alpha=0.25)
+        assert np.all(np.isfinite(build_matrix("a", 300, ctx)))
+        with pytest.raises(ArgumentError):
+            build_matrix("casimir", 300, ctx)
+        with pytest.raises(DomainError):
+            algebra_residual("casimir_even", 300, ctx)
+        # 1 - (1 - q) [[n]] rounds to <= 0 under the number recovery's log
+        with pytest.raises(DomainError):
+            algebra_residual("number_recovery", 64, QContext(q=0.5, alpha=0.25))

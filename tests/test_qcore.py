@@ -173,13 +173,6 @@ class TestProductCache:
         with pytest.raises(NonConvergence, match="needs about 7398229255 factors"):
             _qpoch_inf(-1e300, 0.9999999)
 
-    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
-    def test_nonfinite_argument_raises_domain_error(self, a):
-        # an inf or NaN argument is outside the domain, not a slow product
-        for arg in (a, np.array([0.5, a])):
-            with pytest.raises(DomainError, match="finite argument"):
-                _qpoch_inf(arg, 0.5)
-
     def test_discrete_orthogonality_reuses_lattice_products(self):
         # the 45 entries n <= m <= 8 evaluate the weight at the same lattice
         # points +-q^k and the same constants; about 2350 products, of which
