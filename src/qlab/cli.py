@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
+import math
 import sys
 from functools import lru_cache
 from typing import Any, Callable
@@ -36,113 +38,67 @@ from .qoscillator import eigen_residual, phi
 from .suites import SuiteConfig, run_suite
 
 
-def _ctx(args: dict[str, Any]) -> QContext:
-    if "q" not in args:
-        raise ArgumentError("missing required argument: q")
-    kwargs = {"q": args["q"]}
-    if "alpha" in args:
-        kwargs["alpha"] = args["alpha"]
-    return QContext(**kwargs)
+def _ctx(args: dict[str, Any], key: str) -> QContext:
+    # a context parameter, whatever its name, reads q and an optional alpha
+    q = _real(args, "q")
+    return QContext(q, _real(args, "alpha") if "alpha" in args else QContext.alpha)
 
 
 def _int(args: dict[str, Any], key: str) -> int:
     v = _real(args, key)
-    if v != int(v):
-        raise ArgumentError(f"argument {key} must be an integer, got {v}")
+    if not math.isfinite(v) or v != int(v):
+        raise ArgumentError(f"argument {key} must be a finite integer, got {v}")
     return int(v)
 
 
 def _real(args: dict[str, Any], key: str) -> float:
     if key not in args:
         raise ArgumentError(f"missing required argument: {key}")
-    return args[key]
+    v = args[key]
+    if isinstance(v, str):
+        raise ArgumentError(f"argument {key} must be a number, got {v!r}")
+    return v
 
 
-def _str(args: dict[str, Any], key: str, default: str | None = None) -> str:
+def _str(args: dict[str, Any], key: str) -> str:
     if key not in args:
-        if default is None:
-            raise ArgumentError(f"missing required argument: {key}")
-        return default
+        raise ArgumentError(f"missing required argument: {key}")
     return str(args[key])
 
 
+_PARSERS = {int: _int, str: _str, QContext: _ctx}
+
+
+def _bind(fn: Callable, defaults: dict[str, str]) -> tuple[Callable[[dict], Any], str]:
+    """Registry entry of fn: a caller that parses fn's parameters from the
+    key=value map by annotation (the unannotated as reals), with defaults for
+    absent keys, and looks fn up by name here at every call, so a wrapper
+    installed on this module's name is the one called; and fn's summary."""
+    name, namespace = fn.__name__, globals()
+    parsers = [(key, _PARSERS.get(p.annotation, _real))
+               for key, p in inspect.signature(fn, eval_str=True).parameters.items()]
+
+    def call(args: dict[str, Any]) -> Any:
+        if defaults:
+            args = {**defaults, **args}
+        return namespace[name](*[parse(args, key) for key, parse in parsers])
+
+    return call, " ".join(inspect.getdoc(fn).split("\n\n")[0].split())
+
+
+#: values the CLI supplies for these functions' parameters when a key is absent
+_DEFAULTS = {"qbessel": {"kind": "modified"}, "poisson_kernel_residual": {"which": "general"}}
+
 #: registry: name -> (callable taking the parsed key=value map, description)
 REGISTRY: dict[str, tuple[Callable[[dict], Any], str]] = {
-    "qpoch": (lambda a: qpoch(_real(a, "a"), _int(a, "n"), _ctx(a)),
-              "finite q-shifted factorial (a;q)_n  [a, n, q]"),
-    "qpoch_inf": (lambda a: qpoch_inf(_real(a, "a"), _ctx(a)),
-                  "infinite q-shifted factorial (a;q)_inf  [a, q]"),
-    "qnumber": (lambda a: qnumber(_real(a, "x"), _ctx(a)),
-                "q-number (1-q^x)/(1-q)  [x, q]"),
-    "sym_qnumber": (lambda a: sym_qnumber(_real(a, "x"), _real(a, "base")),
-                    "symmetric q-number  [x, base]"),
-    "gen_qint": (lambda a: gen_qint(_int(a, "n"), _ctx(a)),
-                 "generalized q-integer  [n, q, alpha]"),
-    "gen_qfact": (lambda a: gen_qfact(_int(a, "n"), _ctx(a)),
-                  "generalized q-factorial  [n, q, alpha]"),
-    "gen_qpoch": (lambda a: gen_qpoch(_int(a, "n"), _ctx(a)),
-                  "generalized q-shifted factorial  [n, q, alpha]"),
-    "theta": (lambda a: theta(_int(a, "n")), "parity indicator  [n]"),
-    "qexp_big": (lambda a: qexp_big(_real(a, "z"), _real(a, "q")),
-                 "q-exponential E_q(z)  [z, q]"),
-    "qexp_small": (lambda a: qexp_small(_real(a, "z"), _real(a, "q")),
-                   "q-exponential e_q(z)  [z, q]"),
-    "qexp_gen": (lambda a: qexp_gen(_real(a, "z"), _ctx(a)),
-                 "generalized q-exponential  [z, q, alpha]"),
-    "qtrig": (lambda a: qtrig(_real(a, "z"), _str(a, "which"), _real(a, "q")),
-              "q-cosine/q-sine  [z, which=cos|sin, q]"),
-    "qbessel": (lambda a: qbessel(_real(a, "x"), _real(a, "order"),
-                                  _str(a, "kind", "modified"), _ctx(a)),
-                "q-Bessel function  [x, order, kind, q, alpha]"),
-    "hermite_h": (lambda a: hermite_h(_int(a, "n"), _real(a, "x"), _ctx(a)),
-                  "generalized discrete q-Hermite II polynomial  [n, x, q, alpha]"),
-    "hermite_via_laguerre": (
-        lambda a: hermite_via_laguerre(_int(a, "n"), _real(a, "x"), _ctx(a)),
-        "same polynomial through the q-Laguerre route  [n, x, q, alpha]"),
-    "qlaguerre": (lambda a: qlaguerre(_int(a, "n"), _real(a, "order"),
-                                      _real(a, "x"), _ctx(a)),
-                  "q-Laguerre polynomial (base q)  [n, order, x, q]"),
-    "weight": (lambda a: weight(_real(a, "x"), _ctx(a)),
-               "orthogonality weight  [x, q, alpha]"),
-    "moment_constant": (lambda a: moment_constant(_ctx(a)),
-                        "half-line moment constant  [q, alpha]"),
-    "phi": (lambda a: phi(_int(a, "n"), _real(a, "x"), _ctx(a)),
-            "normalized wave function  [n, x, q, alpha]"),
-    "relation_residual": (
-        lambda a: relation_residual(_str(a, "kind"), _int(a, "n"),
-                                    _real(a, "x"), _ctx(a)),
-        "polynomial-identity residual  [kind, n, x, q, alpha]"),
-    "moment_check": (lambda a: moment_check(_int(a, "n"), _ctx(a)),
-                     "moment-formula residual  [n, q, alpha]"),
-    "bessel_weight_transform": (
-        lambda a: bessel_weight_transform(_real(a, "x"), _ctx(a)),
-        "weight Bessel-transform residual  [x, q, alpha]"),
-    "integral_representation_residual": (
-        lambda a: integral_representation_residual(_int(a, "n"),
-                                                   _real(a, "x"), _ctx(a)),
-        "integral-representation residual  [n, x, q, alpha]"),
-    "poisson_kernel_residual": (
-        lambda a: poisson_kernel_residual(_real(a, "x"), _real(a, "y"),
-                                          _str(a, "which", "general"), _ctx(a)),
-        "Poisson-kernel residual  [x, y, which, q, alpha]"),
-    "bessel_expansion_residual": (
-        lambda a: bessel_expansion_residual(_real(a, "x"), _ctx(a)),
-        "Bessel-expansion residual  [x, q, alpha]"),
-    "rogers_ramanujan_residual": (
-        lambda a: rogers_ramanujan_residual(_ctx(a)),
-        "q-binomial summation residual  [q, alpha]"),
-    "eigen_residual": (
-        lambda a: eigen_residual(_int(a, "n"), _real(a, "x"), _ctx(a)),
-        "oscillator eigenrelation residual  [n, x, q, alpha]"),
-    "bessel_delta_residual": (
-        lambda a: bessel_delta_residual(_int(a, "n"), _real(a, "lam"),
-                                        _real(a, "x"), _str(a, "parity"), _ctx(a)),
-        "iterated-difference Bessel residual  [n, lam, x, parity, q, alpha]"),
-    "first_qderiv_bessel_residual": (
-        lambda a: first_qderiv_bessel_residual(_real(a, "lam"), _real(a, "x"),
-                                               _ctx(a)),
-        "first-difference Bessel residual  [lam, x, q, alpha]"),
-}
+    fn.__name__: _bind(fn, _DEFAULTS.get(fn.__name__, {})) for fn in (
+        qpoch, qpoch_inf, qnumber, sym_qnumber, gen_qint, gen_qfact, gen_qpoch,
+        theta, qexp_big, qexp_small, qexp_gen, qtrig, qbessel, hermite_h,
+        hermite_via_laguerre, qlaguerre, weight, moment_constant, phi,
+        relation_residual, moment_check, bessel_weight_transform,
+        integral_representation_residual, poisson_kernel_residual,
+        bessel_expansion_residual, rogers_ramanujan_residual, eigen_residual,
+        bessel_delta_residual, first_qderiv_bessel_residual)}
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, Any]:
@@ -165,6 +121,15 @@ def _lookup(name: str) -> Callable[[dict], Any]:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownFunction(f"unknown function {name!r}; known: {known}")
     return REGISTRY[name][0]
+
+
+def _write(text: str, path: str | None, end: str = "") -> None:
+    """text to the file at path, or to stdout followed by end."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end=end)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -190,12 +155,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report = run_suite(cfg, tool_version=__version__)
-    payload = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+    if args.format == "json":
+        _write(report.to_json(), args.out, end="\n")
     else:
-        print(payload, end="" if args.format == "csv" else "\n")
+        _write(report.to_csv(), args.out)
     summary = report.summary
     print(f"checks: {summary['total']}  pass: {summary['pass']}  "
           f"fail: {summary['fail']}", file=sys.stderr)
@@ -237,11 +200,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for v, r in rows:
             writer.writerow([repr(v), repr(r)])
         out = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        print(out, end="")
+    _write(out, args.out)
     return 0
 
 

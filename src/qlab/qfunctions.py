@@ -18,52 +18,51 @@ from .qcore import _factorials, _in_range, _qpoch_inf, _sum_series, qderiv, qder
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
 
-def qexp_big(z: float, base: float) -> TruncatedValue:
-    """E_base(z) = (-z; base)_inf, entire in z."""
-    _check_base(base)
-    p = _qpoch_inf(-z, base)
+def qexp_big(z: float, q: float) -> TruncatedValue:
+    """E_q(z) = (-z; q)_inf, entire in z."""
+    _check_base(q)
+    p = _qpoch_inf(-z, q)
     if not math.isfinite(p.value):
-        raise DomainError(f"E_q({z}) leaves double range at base {base}")
+        raise DomainError(f"E_q({z}) leaves double range at q {q}")
     return p
 
 
-def qexp_small(z: float, base: float) -> TruncatedValue:
-    """e_base(z) = 1 / (z; base)_inf.
+def qexp_small(z: float, q: float) -> TruncatedValue:
+    """e_q(z) = 1 / (z; q)_inf.
 
     The product form extends the |z| < 1 series to all real z away from
-    the poles z = base^{-k}.
+    the poles z = q^{-k}.
     """
-    _check_base(base)
+    _check_base(q)
     if 0.0 < z < math.inf:
-        # the only pole near z is base^-k with k the nearest integer to
-        # ln z / -ln base
-        k = max(0, round(math.log(z) / -math.log(base)))
-        if abs(1.0 - z * base ** k) < 1e-12:
-            raise PoleError(f"e_q pole at z={z} (base={base})")
-    p = _qpoch_inf(z, base)
+        # the only pole near z is q^-k with k the nearest integer to
+        # ln z / -ln q
+        k = max(0, round(math.log(z) / -math.log(q)))
+        if abs(1.0 - z * q ** k) < 1e-12:
+            raise PoleError(f"e_q pole at z={z} (q={q})")
+    p = _qpoch_inf(z, q)
     if not math.isfinite(p.value):
         # product overflow: e_q underflows to zero (large negative argument)
         return TruncatedValue(0.0, 0.0, p.terms_used)
     if p.value == 0.0:
-        raise PoleError(f"e_q pole at z={z} (base={base})")
+        raise PoleError(f"e_q pole at z={z} (q={q})")
     value = 1.0 / p.value
     return TruncatedValue(value, abs(value) * p.tail_bound / max(abs(p.value), 1e-300),
                           p.terms_used)
 
 
-def _check_base(base: float) -> None:
-    if not 0.0 < base < 1.0:
-        raise DomainError(f"base must lie in (0, 1), got {base}")
+def _check_base(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"base must lie in (0, 1), got {q}")
 
 
-def qtrig(z: float, which: str, base: float) -> float:
+def qtrig(z: float, which: str, q: float) -> float:
     """Cos_q / Sin_q: the real even/odd parts of E_q at imaginary argument.
 
     Cos_q(z) = sum (-1)^n q^{n(2n-1)} z^{2n} / (q;q)_{2n}
     Sin_q(z) = sum (-1)^n q^{n(2n+1)} z^{2n+1} / (q;q)_{2n+1}
     """
-    _check_base(base)
-    q = base
+    _check_base(q)
     if which not in ("cos", "sin"):
         raise ArgumentError(f"qtrig expects 'cos' or 'sin', got {which!r}")
     s = 0 if which == "cos" else 1  # the term of index n has degree 2n + s

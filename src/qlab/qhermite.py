@@ -193,18 +193,17 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
+def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
     """Scale-normalized residual |LHS - RHS| / (1 + |LHS| + |RHS|) of one
     structural relation of the polynomial family.
 
-    generating     : generating function at x = point, z = 0.3
-    inversion      : monomial expansion of x^n re-evaluated at point
-    forward_shift, backward_shift, qdiff: three-term relations at x = point
+    generating     : generating function at x, z = 0.3
+    inversion      : monomial expansion of x^n re-evaluated at x
+    forward_shift, backward_shift, qdiff: three-term relations at x
     rodrigues      : weight * polynomial vs iterated difference of the weight
     """
     q, alpha = ctx.q, ctx.alpha
     if kind == "generating":
-        x = point
         z = 0.3
         lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
         fac = _factorials(q, alpha)
@@ -214,7 +213,6 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         return _rel(lhs, rhs)
 
     if kind == "inversion":
-        x = point
         fac = _factorials(q, alpha).upto(n)
         total = 0.0
         scale = 0.0
@@ -227,7 +225,6 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         return abs(x ** n - gp * total) / (1.0 + abs(x) ** n + gp * scale)
 
     if kind == "forward_shift":
-        x = point
         lhs = (hermite_h(n, x / q, ctx)
                - q ** ((2.0 * alpha + 1.0) * theta(n + 1)) * hermite_h(n, x, ctx))
         rhs = (q ** (-n) * (1.0 - q ** n) * x * hermite_h(n - 1, x, ctx)
@@ -235,7 +232,6 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         return _rel(lhs, rhs)
 
     if kind == "backward_shift":
-        x = point
         lhs = (hermite_h(n, x, ctx)
                - q ** ((2.0 * alpha + 1.0) * theta(n + 1))
                * (1.0 + q ** (-2.0 * alpha - 1.0) * x * x)
@@ -247,7 +243,6 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
         return _rel(lhs, rhs)
 
     if kind == "qdiff":
-        x = point
         u = 1.0 + q ** (-2.0 * alpha - 1.0) * x * x
         if n % 2 == 0:
             mid = 1.0 + q ** (-2.0 * alpha) + q ** (n - 2.0 * alpha - 1.0) * x * x
@@ -258,7 +253,6 @@ def relation_residual(kind: str, n: int, point: float, ctx: QContext) -> float:
                     mid * hermite_h(n, x, ctx))
 
     if kind == "rodrigues":
-        x = point
         if x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
         lhs = weight(x, ctx) * hermite_h(n, x, ctx)

@@ -7,9 +7,20 @@ import math
 
 import pytest
 
-from qlab import (CheckResult, ConfigError, SuiteConfig, VerificationReport,
-                  run_suite)
-from qlab.cli import _parser, main
+import qlab.cli
+from qlab import (CheckResult, ConfigError, QContext, SuiteConfig, TruncatedValue,
+                  VerificationReport, run_suite)
+from qlab.cli import REGISTRY, _parser, main
+from qlab.qcore import (gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
+                        sym_qnumber, theta)
+from qlab.qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
+                             qbessel, qexp_big, qexp_gen, qexp_small, qtrig)
+from qlab.qhermite import (bessel_expansion_residual, bessel_weight_transform,
+                           hermite_h, hermite_via_laguerre,
+                           integral_representation_residual, moment_check,
+                           moment_constant, poisson_kernel_residual, qlaguerre,
+                           relation_residual, rogers_ramanujan_residual, weight)
+from qlab.qoscillator import eigen_residual, phi
 
 SMALL = ["--q", "0.5", "--alpha", "0.25", "--n-max", "3", "--dim", "6"]
 
@@ -115,6 +126,118 @@ class TestCliEval:
         assert "DomainError" in capsys.readouterr().err
 
 
+class TestCliArgumentErrors:
+    @pytest.mark.parametrize("n", ["inf", "-inf", "nan", "1e400", "2.5"])
+    def test_non_integer_exit_2(self, capsys, n):
+        assert main(["eval", "hermite_h", f"n={n}", "x=0.5", "q=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError" in err and "argument n must be a finite integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "qnumber", "x=abc", "q=0.5"],
+        ["eval", "qnumber", "x=", "q=0.5"],
+        ["eval", "qnumber", "x=0.5", "q=abc"],
+        ["eval", "qnumber", "x=0.5", "q=0.5", "alpha=abc"],
+        ["eval", "hermite_h", "n=abc", "x=0.5", "q=0.5"],
+        ["table", "qnumber", "--sweep", "q=0.1:0.9:3", "x=abc"],
+    ])
+    def test_non_number_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError" in err and "must be a number" in err
+
+
+CTX = QContext(0.5, 0.25)
+CTX_KEYS = "q=0.5 alpha=0.25"
+
+#: name -> (key=value arguments, the same call made directly).  qbessel and
+#: poisson_kernel_residual omit their defaulted key, so the call passes the
+#: CLI's default.
+EVAL_CASES = {
+    "qpoch": (f"a=0.3 n=4 {CTX_KEYS}", lambda: qpoch(0.3, 4, CTX)),
+    "qpoch_inf": (f"a=0.3 {CTX_KEYS}", lambda: qpoch_inf(0.3, CTX)),
+    "qnumber": (f"x=2.5 {CTX_KEYS}", lambda: qnumber(2.5, CTX)),
+    "sym_qnumber": ("x=2.5 base=0.7", lambda: sym_qnumber(2.5, 0.7)),
+    "gen_qint": (f"n=3 {CTX_KEYS}", lambda: gen_qint(3, CTX)),
+    "gen_qfact": (f"n=3 {CTX_KEYS}", lambda: gen_qfact(3, CTX)),
+    "gen_qpoch": (f"n=3 {CTX_KEYS}", lambda: gen_qpoch(3, CTX)),
+    "theta": ("n=3", lambda: theta(3)),
+    "qexp_big": ("z=0.3 q=0.5", lambda: qexp_big(0.3, 0.5)),
+    "qexp_small": ("z=0.3 q=0.5", lambda: qexp_small(0.3, 0.5)),
+    "qexp_gen": (f"z=0.3 {CTX_KEYS}", lambda: qexp_gen(0.3, CTX)),
+    "qtrig": ("z=0.3 which=sin q=0.5", lambda: qtrig(0.3, "sin", 0.5)),
+    "qbessel": (f"x=0.5 order=0.25 {CTX_KEYS}",
+                lambda: qbessel(0.5, 0.25, "modified", CTX)),
+    "hermite_h": (f"n=3 x=0.7 {CTX_KEYS}", lambda: hermite_h(3, 0.7, CTX)),
+    "hermite_via_laguerre": (f"n=3 x=0.7 {CTX_KEYS}",
+                             lambda: hermite_via_laguerre(3, 0.7, CTX)),
+    "qlaguerre": (f"n=2 order=0.25 x=0.7 {CTX_KEYS}",
+                  lambda: qlaguerre(2, 0.25, 0.7, CTX)),
+    "weight": (f"x=0.7 {CTX_KEYS}", lambda: weight(0.7, CTX)),
+    "moment_constant": (CTX_KEYS, lambda: moment_constant(CTX)),
+    "phi": (f"n=2 x=0.7 {CTX_KEYS}", lambda: phi(2, 0.7, CTX)),
+    "relation_residual": (f"kind=qdiff n=3 x=0.7 {CTX_KEYS}",
+                          lambda: relation_residual("qdiff", 3, 0.7, CTX)),
+    "moment_check": (f"n=2 {CTX_KEYS}", lambda: moment_check(2, CTX)),
+    "bessel_weight_transform": (f"x=0.3 {CTX_KEYS}",
+                                lambda: bessel_weight_transform(0.3, CTX)),
+    "integral_representation_residual": (
+        f"n=2 x=0.7 {CTX_KEYS}", lambda: integral_representation_residual(2, 0.7, CTX)),
+    "poisson_kernel_residual": (f"x=0.5 y=0.7 {CTX_KEYS}",
+                                lambda: poisson_kernel_residual(0.5, 0.7, "general", CTX)),
+    "bessel_expansion_residual": (f"x=0.5 {CTX_KEYS}",
+                                  lambda: bessel_expansion_residual(0.5, CTX)),
+    "rogers_ramanujan_residual": (CTX_KEYS, lambda: rogers_ramanujan_residual(CTX)),
+    "eigen_residual": (f"n=2 x=0.7 {CTX_KEYS}", lambda: eigen_residual(2, 0.7, CTX)),
+    "bessel_delta_residual": (
+        f"n=1 lam=0.8 x=0.5 parity=odd_order {CTX_KEYS}",
+        lambda: bessel_delta_residual(1, 0.8, 0.5, "odd_order", CTX)),
+    "first_qderiv_bessel_residual": (f"lam=0.8 x=0.5 {CTX_KEYS}",
+                                     lambda: first_qderiv_bessel_residual(0.8, 0.5, CTX)),
+}
+
+
+def _printed(value) -> str:
+    if isinstance(value, TruncatedValue):
+        return (f"{value.value!r}\ntail_bound: {value.tail_bound!r}\n"
+                f"terms_used: {value.terms_used}\n")
+    return f"{float(value)!r}\n"
+
+
+class TestCliRegistry:
+    def test_every_entry_has_a_case(self):
+        assert set(EVAL_CASES) == set(REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_eval_prints_the_library_value(self, capsys, name):
+        kv, direct = EVAL_CASES[name]
+        assert main(["eval", name, *kv.split()]) == 0
+        assert capsys.readouterr().out == _printed(direct())
+
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_each_required_key_is_required(self, capsys, name):
+        pairs = EVAL_CASES[name][0].split()
+        for i, pair in enumerate(pairs):
+            key = pair.partition("=")[0]
+            if key == "alpha":
+                continue
+            assert main(["eval", name, *pairs[:i], *pairs[i + 1:]]) == 2, key
+            err = capsys.readouterr().err
+            assert f"ArgumentError: missing required argument: {key}" in err
+
+    def test_registered_function_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(*args):
+            seen.append(args)
+            return 1.5
+
+        monkeypatch.setattr(qlab.cli, "qbessel", fake)
+        assert main(["eval", "qbessel", "x=0.5", "order=0.25", "q=0.5"]) == 0
+        assert capsys.readouterr().out == "1.5\n"
+        assert seen == [(0.5, 0.25, "modified", QContext(0.5))]
+
+
 class TestCliVerify:
     def test_all_pass_exit_0(self, capsys):
         assert main(["verify", "--suite", "kernels", *SMALL]) == 0
@@ -173,6 +296,36 @@ class TestCliTable:
     def test_bad_sweep_exit_2(self, capsys):
         assert main(["table", "qnumber", "--sweep", "x=1:3", "q=0.5"]) == 2
         assert main(["table", "qnumber", "--sweep", "x=1:3:-2", "q=0.5"]) == 2
+
+
+class TestCliOutputBytes:
+    """verify and table write the same bytes to --out as before, and to
+    stdout; a JSON report on stdout alone gains a closing newline."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify(self, capsys, tmp_path, monkeypatch, fmt):
+        rep = VerificationReport(tool_version="v", config={"suite": "x"})
+        rep.add(CheckResult("c", {"q": 0.5}, 1e-12, 1e-8))
+        monkeypatch.setattr(qlab.cli, "run_suite", lambda cfg, tool_version: rep)
+        text = rep.to_json() if fmt == "json" else rep.to_csv()
+        assert main(["verify", "--format", fmt]) == 0
+        assert capsys.readouterr().out == text + ("\n" if fmt == "json" else "")
+        out = tmp_path / "report"
+        assert main(["verify", "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "x,value\r\n0.0,0.0\r\n1.0,1.0\r\n"),
+        ("json", json.dumps([{"x": 0.0, "value": 0.0}, {"x": 1.0, "value": 1.0}],
+                            indent=2) + "\n"),
+    ])
+    def test_table(self, capsys, tmp_path, fmt, text):
+        argv = ["table", "qnumber", "--sweep", "x=0:1:2", "q=0.5", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "table"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
 
 
 class TestCliParserReuse:
