@@ -72,13 +72,19 @@ _PARSERS = {int: _int, str: _str, QContext: _ctx}
 def _bind(fn: Callable, defaults: dict[str, str]) -> tuple[Callable[[dict], Any], str]:
     """Registry entry of fn: a caller that parses fn's parameters from the
     key=value map by annotation (the unannotated as reals), with defaults for
-    absent keys, and looks fn up by name here at every call, so a wrapper
-    installed on this module's name is the one called; and fn's summary."""
+    absent keys, rejects a key fn does not take, and looks fn up by name here
+    at every call, so a wrapper installed on this module's name is the one
+    called; and fn's summary."""
     name, namespace = fn.__name__, globals()
     parsers = [(key, _PARSERS.get(p.annotation, _real))
                for key, p in inspect.signature(fn, eval_str=True).parameters.items()]
+    allowed = dict.fromkeys(k for key, parse in parsers
+                            for k in (("q", "alpha") if parse is _ctx else (key,))).keys()
 
     def call(args: dict[str, Any]) -> Any:
+        if not args.keys() <= allowed:
+            stray = ", ".join(k for k in args if k not in allowed)
+            raise ArgumentError(f"{name} takes no argument {stray}; it takes {', '.join(allowed)}")
         if defaults:
             args = {**defaults, **args}
         return namespace[name](*[parse(args, key) for key, parse in parsers])

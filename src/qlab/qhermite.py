@@ -478,7 +478,10 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
                * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
                * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value
                * fac.gp[n])
-        return _in_range(num / den, f"degree-{n} discrete norm", ctx)
+        value = _in_range(num / den, f"degree-{n} discrete norm", ctx)
+        if value == 0.0:  # q = 0.05, alpha = 20: the diagonal is about 3.3e-574
+            raise DomainError(f"degree-{n} discrete norm underflows to 0 at q = {q}")
+        return value
     except (OverflowError, ZeroDivisionError) as exc:
         # q^{-n^2} overflows, or (q;q)_{n,alpha} underflows to 0 with (1-q)^n
         raise DomainError(f"degree-{n} discrete norm leaves double range at "
@@ -577,11 +580,33 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
         return float(fine), float(abs(fine - coarse))
 
 
+@lru_cache(maxsize=256)
+def _lattice_index(q: float, lo: int, hi: int) -> dict:
+    # numbers the lattice points +-q^j, lo <= j <= hi, as jackson_integral forms them
+    x = [q ** j for j in range(lo, hi + 1)]
+    return {p: i for i, p in enumerate(dict.fromkeys(x + [-p for p in x]))}
+
+
+@lru_cache(maxsize=256)
+def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> np.ndarray:
+    """sqrt(w) h_n at the points of _lattice_index, computed once as arrays
+    for every discrete orthogonality entry of degree n; read-only."""
+    x = np.array(list(_lattice_index(ctx.q, lo, hi)))
+    with np.errstate(all="ignore"):  # hermite_h raises where a value overflows
+        table = _damped(np.sqrt(weight(x, ctx)), x, lambda t: hermite_h(n, t, ctx))
+    table.flags.writeable = False
+    return table
+
+
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
     """Residual of the discrete (Jackson) orthogonality entry (n, m): the
     Jackson line integral of h_n h_m w |x|^{2a+1} against the closed-form
     diagonal, and off the diagonal against the diagonal scale."""
-    integral = jackson_integral(_ortho_integrand(n, m, ctx), "line", ctx).value
+    window = (context.LATTICE_LO, context.LATTICE_HI)
+    index = _lattice_index(ctx.q, *window)
+    hn, hm = (_lattice_table(k, ctx, *window).tolist() for k in (n, m))
+    f = lambda x: hn[index[x]] * hm[index[x]] * abs(x) ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
+    integral = jackson_integral(f, "line", ctx).value
     scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
     return abs(integral - scale) / scale if n == m else abs(integral) / scale
 

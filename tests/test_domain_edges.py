@@ -4,7 +4,8 @@ Across 0 < q < 1 and alpha > -1 every public function of the polynomial
 family and every series it rests on returns a finite value or raises a
 QError: never NaN, +-inf or a raw Python exception.  The sweep reaches
 q = 0.995, alpha = -0.99 and 20, degree 170, x = 50 and, for the series,
-arguments up to 1e200; the operator-algebra residuals reach dim 64.
+arguments up to 1e200; the operator-algebra residuals reach dim 64 and the
+orthogonality entries degree 20.
 """
 
 import itertools
@@ -13,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from qlab import (DomainError, QContext, QError, algebra_residual, discrete_orthogonality_rhs,
-                  gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
+from qlab import (DomainError, QContext, QError, algebra_residual, continuous_orthogonality,
+                  discrete_orthogonality_residual, discrete_orthogonality_rhs, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
                   moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
                   qexp_small, qlaguerre, qpoch_inf, qtrig, weight)
 from qlab.qoscillator import RELATION_NAMES
@@ -25,9 +26,11 @@ NS = (0, 5, 20, 60, 170)
 XS = (0.0, 0.3, 2.0, 50.0)
 ZS = (0.0, 0.3, 2.0, 50.0, 1e6, 1e200)
 DIMS = (5, 12, 64)
+PAIRS = ((0, 0), (2, 5), (5, 5), (20, 20))
 
 #: name -> (function of the swept arguments and the context, the swept
-#: arguments in order: degree n, point x, series argument z, matrix dim d)
+#: arguments in order: degree n, point x, series argument z, matrix dim d,
+#: degree pair p)
 SWEEP = {
     "hermite_h": (hermite_h, "nx"),
     "hermite_h_scaled": (hermite_h_scaled, "nx"),
@@ -39,6 +42,9 @@ SWEEP = {
     "gen_qpoch": (gen_qpoch, "n"),
     "gen_qfact": (gen_qfact, "n"),
     "discrete_orthogonality_rhs": (discrete_orthogonality_rhs, "n"),
+    "discrete_orthogonality_residual": (
+        lambda p, ctx: discrete_orthogonality_residual(*p, ctx), "p"),
+    "continuous_orthogonality": (lambda p, ctx: continuous_orthogonality(*p, ctx), "p"),
     "qexp_gen": (qexp_gen, "z"),
     "qtrig_cos": (lambda z, ctx: qtrig(z, "cos", ctx.q), "z"),
     "qtrig_sin": (lambda z, ctx: qtrig(z, "sin", ctx.q), "z"),
@@ -55,7 +61,7 @@ SWEEP = {
 @pytest.mark.parametrize("name", SWEEP)
 def test_finite_value_or_qerror(name):
     fn, arg_names = SWEEP[name]
-    axes = [{"n": NS, "x": XS, "z": ZS, "d": DIMS}[a] for a in arg_names]
+    axes = [{"n": NS, "x": XS, "z": ZS, "d": DIMS, "p": PAIRS}[a] for a in arg_names]
     broken = []
     for q, alpha in itertools.product(QS, ALPHAS):
         ctx = QContext(q=q, alpha=alpha)
@@ -82,6 +88,10 @@ def test_finite_value_or_qerror(name):
     (gen_qfact, 0.995, 20.0, (170,)),
     # the explicit sum's terms overflow with both signs: it returned NaN
     (hermite_h, 0.97, -0.99, (170, 50.0)),
+    # the diagonal is about 3.3e-574 (a 40-digit Jackson sum): it returned 0.0,
+    # and the orthogonality residual divided by it
+    (discrete_orthogonality_rhs, 0.05, 20.0, (0,)),
+    (discrete_orthogonality_residual, 0.05, 20.0, (2, 5)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

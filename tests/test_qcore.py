@@ -16,8 +16,9 @@ from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
 from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
-from qlab.qcore import _gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_cached, _sum_series
-from qlab.qhermite import _gauss_jacobi, discrete_orthogonality_residual
+from qlab.qcore import (_gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_array, _qpoch_inf_cached,
+                        _sum_series)
+from qlab.qhermite import _gauss_jacobi, _lattice_table, discrete_orthogonality_residual
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -124,8 +125,32 @@ class TestProductCache:
     @settings(max_examples=150, deadline=None)
     def test_array_bitwise_equal_to_reference(self, values, q):
         a = np.array(values)
+        _qpoch_inf_array.cache_clear()
         with np.errstate(over="ignore"):
-            assert _outcome(a, q, _qpoch_inf) == _outcome(a, q, _reference)
+            want = _outcome(a, q, _reference)
+            # a miss and then a hit of the cache, the hit on an equal copy
+            assert _outcome(a, q, _qpoch_inf) == want
+            assert _outcome(a.copy(), q, _qpoch_inf) == want
+        info = _qpoch_inf_array.cache_info()
+        # a product that raises is not cached, and raises again
+        assert (info.misses, info.hits) == ((2, 0) if want is NonConvergence else (1, 1))
+
+    def test_cached_array_is_read_only(self):
+        got = _qpoch_inf(np.array([-0.3, -2.0, 0.4]), 0.5)
+        assert _qpoch_inf(np.array([-0.3, -2.0, 0.4]), 0.5) is got
+        for arr in (got.value, got.tail_bound):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_array_cache_is_keyed_on_contents_and_bounded(self):
+        _qpoch_inf_array.cache_clear()
+        a = np.array([-0.3, -2.0])
+        for k in range(40):
+            _qpoch_inf(a * (1.0 + k / 40.0), 0.5)
+        _qpoch_inf(a.reshape(2, 1), 0.5)  # the same contents, another shape
+        info = _qpoch_inf_array.cache_info()
+        assert info.misses == 41 and info.hits == 0
+        assert info.maxsize == info.currsize == 16
 
     def test_int_float_and_numpy_keys_agree(self):
         _qpoch_inf_cached.cache_clear()
@@ -173,18 +198,19 @@ class TestProductCache:
         with pytest.raises(NonConvergence, match="needs about 7398229255 factors"):
             _qpoch_inf(-1e300, 0.9999999)
 
-    def test_discrete_orthogonality_reuses_lattice_products(self):
-        # the 45 entries n <= m <= 8 evaluate the weight at the same lattice
-        # points +-q^k and the same constants; about 2350 products, of which
-        # 46 are distinct
+    def test_discrete_orthogonality_builds_each_table_once(self):
+        # the 45 entries n <= m <= 8 read sqrt(w) h_n at the lattice points
+        # +-q^k from one table per degree, and the nine tables share the
+        # weight's one array product
         ctx = QContext(q=0.5, alpha=0.25)
-        _qpoch_inf_cached.cache_clear()
+        _lattice_table.cache_clear()
+        _qpoch_inf_array.cache_clear()
         for n in range(9):
             for m in range(n, 9):
                 discrete_orthogonality_residual(n, m, ctx)
-        info = _qpoch_inf_cached.cache_info()
-        assert info.hits + info.misses > 2000
-        assert info.misses <= 60
+        info = _lattice_table.cache_info()
+        assert (info.misses, info.hits) == (9, 2 * 45 - 9)
+        assert _qpoch_inf_array.cache_info().misses == 1
 
     @pytest.mark.parametrize("k, beta", [(20, -0.6), (40, 0.5), (40, 3.6)])
     def test_gauss_jacobi_rules_are_read_only(self, k, beta):

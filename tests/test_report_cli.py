@@ -225,6 +225,18 @@ class TestCliRegistry:
             err = capsys.readouterr().err
             assert f"ArgumentError: missing required argument: {key}" in err
 
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_a_key_the_function_does_not_take_is_rejected(self, capsys, name):
+        # a misspelt key must not leave its parameter at a default
+        pairs = EVAL_CASES[name][0].split()
+        assert main(["eval", name, *pairs, "aplha=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: {name} takes no argument aplha;" in err
+
+    def test_a_context_takes_q_and_alpha_only(self, capsys):
+        assert main(["eval", "weight", "x=0.7", "q=0.5", "alpha=0.25", "ctx=1"]) == 2
+        assert "takes no argument ctx; it takes x, q, alpha" in capsys.readouterr().err
+
     def test_registered_function_is_looked_up_at_call_time(self, capsys, monkeypatch):
         seen = []
 
@@ -292,6 +304,11 @@ class TestCliTable:
                      "--format", "json"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert [row["x"] for row in d] == [1.0, 3.0]
+
+    def test_sweep_of_a_key_the_function_does_not_take_exit_2(self, capsys):
+        assert main(["table", "hermite_h", "--sweep", "aplha=0:1:3",
+                     "n=2", "x=0.5", "q=0.5"]) == 2
+        assert "hermite_h takes no argument aplha" in capsys.readouterr().err
 
     def test_bad_sweep_exit_2(self, capsys):
         assert main(["table", "qnumber", "--sweep", "x=1:3", "q=0.5"]) == 2
