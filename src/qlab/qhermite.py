@@ -20,8 +20,8 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (_factorials, _gen_qpoch, _in_range, _qpoch, _qpoch_inf,
-                    _sum_series, jackson_integral, qderiv_pow, theta)
+from .qcore import (FunctionHandle, _factorials, _gen_qpoch, _in_range, _qpoch,
+                    _qpoch_inf, _sum_series, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -499,12 +499,16 @@ def _ortho_integrand(n: int, m: int, ctx: QContext):
     alpha = ctx.alpha
 
     def f(x):
-        root = _sqrt(weight(x, ctx))
-        hn = _damped(root, x, lambda t: hermite_h(n, t, ctx))
-        hm = hn if m == n else _damped(root, x, lambda t: hermite_h(m, t, ctx))
+        hn = _root_h(n, x, ctx)
+        hm = hn if m == n else _root_h(m, x, ctx)
         return hn * hm * abs(x) ** (2.0 * alpha + 1.0)
 
     return f
+
+
+def _root_h(n: int, x, ctx: QContext):
+    # sqrt(w) h_n, one factor of the orthogonality integrands
+    return _damped(_sqrt(weight(x, ctx)), x, lambda t: hermite_h(n, t, ctx))
 
 
 def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
@@ -581,31 +585,27 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def _lattice_index(q: float, lo: int, hi: int) -> dict:
-    # numbers the lattice points +-q^j, lo <= j <= hi, as jackson_integral forms them
-    x = [q ** j for j in range(lo, hi + 1)]
-    return {p: i for i, p in enumerate(dict.fromkeys(x + [-p for p in x]))}
-
-
-@lru_cache(maxsize=256)
-def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> np.ndarray:
-    """sqrt(w) h_n at the points of _lattice_index, computed once as arrays
-    for every discrete orthogonality entry of degree n; read-only."""
-    x = np.array(list(_lattice_index(ctx.q, lo, hi)))
-    with np.errstate(all="ignore"):  # hermite_h raises where a value overflows
-        table = _damped(np.sqrt(weight(x, ctx)), x, lambda t: hermite_h(n, t, ctx))
-    table.flags.writeable = False
-    return table
+def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> FunctionHandle:
+    """sqrt(w) h_n at the lattice points +-q^j, lo <= j <= hi, for every
+    discrete orthogonality entry of degree n: a lookup in a table computed
+    once as arrays and keyed on the floats jackson_integral forms, or, where
+    the arrays leave double range at some point, _root_h itself, so that only
+    a point the sum reads can raise."""
+    x = [ctx.q ** j for j in range(lo, hi + 1)]
+    x += [-p for p in x]
+    with np.errstate(all="ignore"):
+        try:
+            return dict(zip(x, _root_h(n, np.array(x), ctx).tolist())).__getitem__
+        except DomainError:
+            return lambda p: _root_h(n, p, ctx)
 
 
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
     """Residual of the discrete (Jackson) orthogonality entry (n, m): the
     Jackson line integral of h_n h_m w |x|^{2a+1} against the closed-form
     diagonal, and off the diagonal against the diagonal scale."""
-    window = (context.LATTICE_LO, context.LATTICE_HI)
-    index = _lattice_index(ctx.q, *window)
-    hn, hm = (_lattice_table(k, ctx, *window).tolist() for k in (n, m))
-    f = lambda x: hn[index[x]] * hm[index[x]] * abs(x) ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
+    hn, hm = (_lattice_table(k, ctx, context.LATTICE_LO, context.LATTICE_HI) for k in (n, m))
+    f = lambda x: hn(x) * hm(x) * abs(x) ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
     integral = jackson_integral(f, "line", ctx).value
     scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
     return abs(integral - scale) / scale if n == m else abs(integral) / scale

@@ -92,6 +92,9 @@ def test_finite_value_or_qerror(name):
     # and the orthogonality residual divided by it
     (discrete_orthogonality_rhs, 0.05, 20.0, (0,)),
     (discrete_orthogonality_residual, 0.05, 20.0, (2, 5)),
+    # the sum reads lattice points where h_27 overflows, though most of the
+    # Jackson window is in range
+    (discrete_orthogonality_residual, 0.05, -0.5, (27, 27)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

@@ -18,7 +18,8 @@ from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import (_gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_array, _qpoch_inf_cached,
                         _sum_series)
-from qlab.qhermite import _gauss_jacobi, _lattice_table, discrete_orthogonality_residual
+from qlab.qhermite import (_gauss_jacobi, _lattice_table, _ortho_integrand,
+                           discrete_orthogonality_residual, discrete_orthogonality_rhs)
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -211,6 +212,20 @@ class TestProductCache:
         info = _lattice_table.cache_info()
         assert (info.misses, info.hits) == (9, 2 * 45 - 9)
         assert _qpoch_inf_array.cache_info().misses == 1
+
+    @pytest.mark.parametrize("alpha, n, m", [(-0.5, 0, 0), (0.25, 5, 5), (5.0, 2, 5)])
+    def test_lattice_table_fails_only_at_points_read(self, alpha, n, m):
+        # at q = 1e-4 the window's far end x = q^-40 = 1e160 squares to inf,
+        # where the weight's product raises: the table's arrays fail, its
+        # points are read one by one, and the entry matches the point-by-point
+        # sum, which stops long before that point
+        ctx = QContext(q=1e-4, alpha=alpha)
+        with pytest.raises(DomainError):
+            _lattice_table(n, ctx, context.LATTICE_LO, context.LATTICE_HI)(1e-4 ** -40)
+        ref = jackson_integral(_ortho_integrand(n, m, ctx), "line", ctx).value
+        scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
+        expected = abs(ref - scale) / scale if n == m else abs(ref) / scale
+        assert discrete_orthogonality_residual(n, m, ctx) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k, beta", [(20, -0.6), (40, 0.5), (40, 3.6)])
     def test_gauss_jacobi_rules_are_read_only(self, k, beta):
