@@ -10,6 +10,7 @@ one, Bessel expansion and the Rogers-Ramanujan type summation.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from itertools import count, islice
 
@@ -496,19 +497,17 @@ def _sqrt(v):
 def _ortho_integrand(n: int, m: int, ctx: QContext):
     # (sqrt(w) h_n) (sqrt(w) h_m) |x|^{2a+1}, at a point or on a numpy array of
     # points: each factor stays in range where h_n h_m alone would overflow
-    alpha = ctx.alpha
-
     def f(x):
         hn = _root_h(n, x, ctx)
         hm = hn if m == n else _root_h(m, x, ctx)
-        return hn * hm * abs(x) ** (2.0 * alpha + 1.0)
+        return hn * hm * abs(x) ** (2.0 * ctx.alpha + 1.0)
 
     return f
 
 
-def _root_h(n: int, x, ctx: QContext):
-    # sqrt(w) h_n, one factor of the orthogonality integrands
-    return _damped(_sqrt(weight(x, ctx)), x, lambda t: hermite_h(n, t, ctx))
+def _root_h(n: int, x, ctx: QContext, d: float = 1.0):
+    # d sqrt(w) h_n: phi_n with d = d_n, with d = 1 a factor of the orthogonality integrands
+    return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 
 def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
@@ -585,19 +584,23 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
+def _lattice_index(q: float, lo: int, hi: int) -> dict:
+    # numbers the lattice points +-q^j, lo <= j <= hi, as jackson_integral forms them
+    x = [q ** j for j in range(lo, hi + 1)]
+    return {p: i for i, p in enumerate(dict.fromkeys(x + [-p for p in x]))}
+
+
+@lru_cache(maxsize=256)
 def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> FunctionHandle:
-    """sqrt(w) h_n at the lattice points +-q^j, lo <= j <= hi, for every
-    discrete orthogonality entry of degree n: a lookup in a table computed
-    once as arrays and keyed on the floats jackson_integral forms, or, where
-    the arrays leave double range at some point, _root_h itself, so that only
-    a point the sum reads can raise."""
-    x = [ctx.q ** j for j in range(lo, hi + 1)]
-    x += [-p for p in x]
+    """sqrt(w) h_n at the points of _lattice_index, from values computed once as arrays,
+    or, where they leave double range somewhere, _root_h at each point the sum reads."""
+    index = _lattice_index(ctx.q, lo, hi)
     with np.errstate(all="ignore"):
         try:
-            return dict(zip(x, _root_h(n, np.array(x), ctx).tolist())).__getitem__
+            values = array("d", _root_h(n, np.array(list(index)), ctx).tolist())
         except DomainError:
             return lambda p: _root_h(n, p, ctx)
+    return lambda p: values[index[p]]
 
 
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:

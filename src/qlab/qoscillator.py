@@ -18,8 +18,7 @@ import numpy as np
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
 from .qcore import FunctionHandle, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
-from .qhermite import (_auto_cutoff, _damped, _piecewise_quad, _sqrt, hermite_h,
-                       norm_constant, weight)
+from .qhermite import _auto_cutoff, _piecewise_quad, _root_h, _sqrt, norm_constant
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -28,8 +27,7 @@ OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
 def phi(n: int, x, ctx: QContext):
     """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
     numpy array."""
-    d = norm_constant(n, ctx)
-    return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
+    return _root_h(n, x, ctx, norm_constant(n, ctx))
 
 
 def wave_function(n: int, ctx: QContext) -> FunctionHandle:
