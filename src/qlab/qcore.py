@@ -84,7 +84,7 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
     if top == 0.0:
         return TruncatedValue(np.ones_like(a) if array else 1.0, 0.0, 0)
     if not top < math.inf:
-        raise DomainError(f"(a;q)_inf needs a finite argument (a={a}, q={q})")
+        raise DomainError(f"(a;q)_inf needs a finite argument (a={_show(a)}, q={q})")
     tol = context.SERIES_TOL
     one_minus_q = 1.0 - q
     # the loop stops about where |a| q^k / (1 - q) <= tol / 2
@@ -107,7 +107,7 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
                         tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
                     return TruncatedValue(out, tail, k)
     raise NonConvergence(f"(a;q)_inf needs about {max(1, need)} factors to meet tol={tol}, "
-                         f"beyond the ceiling of {context.MAX_TERMS} (a={a}, q={q})")
+                         f"beyond the ceiling of {context.MAX_TERMS} (a={_show(a)}, q={q})")
 
 
 _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
@@ -175,9 +175,7 @@ def gen_qint(n: int, ctx: QContext) -> float:
 
 
 def _gen_qint(n: int, q: float, alpha: float) -> float:
-    if n % 2 == 0:
-        return _qnumber(float(n), q)
-    return _qnumber(n + 2.0 * alpha + 1.0, q)
+    return _qnumber(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q)
 
 
 def gen_qfact(n: int, ctx: QContext) -> float:
@@ -191,6 +189,12 @@ def _in_range(value: float, what: str, ctx: QContext) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{what} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
     return value
+
+
+def _show(x) -> str:
+    # x in a message: an array, of up to thousands of points, by its size and range
+    return (f"{x.size} points in [{x.min(initial=np.inf):.6g}, {x.max(initial=-np.inf):.6g}]"
+            if isinstance(x, ndarray) else f"{x}")
 
 
 def _gen_qfact(n: int, q: float, alpha: float) -> float:
@@ -369,7 +373,7 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
     t the edge term and r = t / (the term before); tail_bound holds how far
     that sum moves with the ratio one point in, plus rounding, or the whole
     sum if there is no such ratio.  An edge ratio outside (-1, 1) raises
-    NonConvergence.
+    NonConvergence, and f overflowing at a lattice point DomainError.
     """
     if domain == "halfline":
         g = f
@@ -391,7 +395,10 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
         n = lo
         while (n <= hi) if step == 1 else (n >= hi):
             xn = q ** n
-            t = xn * g(xn)
+            try:
+                t = xn * g(xn)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise DomainError(f"Jackson integrand leaves double range at q^{n} = {xn}") from exc
             count += 1
             mag = abs(t)
             if math.isnan(t):

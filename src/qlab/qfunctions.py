@@ -115,10 +115,7 @@ def _bessel_terms(u: float, order: float, second_jackson: bool, q: float):
     u2 = u * u
     for n in count():
         yield t
-        if second_jackson:
-            w = q ** (2.0 * (2 * n + 1 + order))
-        else:
-            w = q ** (2 * (n + 1))
+        w = q ** (2.0 * (2 * n + 1 + order)) if second_jackson else q ** (2 * (n + 1))
         t *= -w * u2 / ((1.0 - q ** (2 * n + 2))
                         * (1.0 - q ** (2.0 * order + 2.0 + 2 * n)))
 
@@ -139,18 +136,13 @@ def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QConte
     if parity not in ("even_order", "odd_order"):
         raise ArgumentError(f"unknown parity: {parity!r}")
     q, alpha = ctx.q, ctx.alpha
-    k = 2 * n if parity == "even_order" else 2 * n + 1
-    handle = qderiv_pow(lambda t: qbessel(lam * t, alpha, "modified", ctx),
-                        k, "delta_alpha", ctx)
-    lhs = handle(x)
-    if parity == "even_order":
-        rhs = ((-1.0) ** n * q ** (n * (n + 1.0)) * lam ** (2 * n)
-               / (1.0 - q) ** (2 * n)
-               * qbessel(q ** n * lam * x, alpha, "modified", ctx))
-    else:
-        rhs = ((-1.0) ** (n + 1) * q ** ((n + 1.0) * (n + 2.0)) * lam ** (2 * n + 2)
-               / ((1.0 - q) ** (2 * n + 1) * (1.0 - q ** (2.0 * alpha + 2.0)))
-               * x * qbessel(q ** (n + 1) * lam * x, alpha + 1.0, "modified", ctx))
+    s = int(parity == "odd_order")
+    m = n + s  # both sides in one formula: the odd order takes m = n + 1
+    lhs = qderiv_pow(lambda t: qbessel(lam * t, alpha, "modified", ctx),
+                     2 * n + s, "delta_alpha", ctx)(x)
+    rhs = ((-1.0) ** m * q ** (m * (m + 1.0)) * lam ** (2 * m)
+           / ((1.0 - q) ** (2 * n + s) * (1.0 - q ** (2.0 * alpha + 2.0)) ** s)
+           * x ** s * qbessel(q ** m * lam * x, alpha + s, "modified", ctx))
     return abs(lhs - rhs)
 
 

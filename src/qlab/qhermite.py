@@ -22,7 +22,7 @@ from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
 from .qcore import (FunctionHandle, _factorials, _gen_qpoch, _in_range, _qpoch,
-                    _qpoch_inf, _sum_series, jackson_integral, qderiv_pow, theta)
+                    _qpoch_inf, _show, _sum_series, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -32,7 +32,14 @@ from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 def hermite_h(n: int, x, ctx: QContext):
     """Generalized discrete q-Hermite II polynomial of degree n at x, by its
-    explicit sum; x may be a numpy array."""
+    explicit sum; x may be a numpy array, summed without numpy's warnings."""
+    if isinstance(x, ndarray):
+        with np.errstate(all="ignore"):
+            return _hermite_sum(n, x, ctx)
+    return _hermite_sum(n, x, ctx)
+
+
+def _hermite_sum(n: int, x, ctx: QContext):
     q = ctx.q
     fac = _factorials(q, ctx.alpha).upto(n)
     total = 0.0
@@ -49,7 +56,7 @@ def hermite_h(n: int, x, ctx: QContext):
         # a power of q or x overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
         # underflows to 0 with (1-q)^n
         raise DomainError(f"degree-{n} polynomial term leaves double range at "
-                          f"x = {x}, q = {q}") from exc
+                          f"x = {_show(x)}, q = {q}") from exc
     return value
 
 
@@ -109,16 +116,12 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     q, alpha = ctx.q, ctx.alpha
     arg = q ** (-2.0 * alpha - 1.0) * x * x
     fac = _factorials(q, alpha).upto(n)
+    m, s = divmod(n, 2)  # an odd degree takes the factor x and the order alpha + 1
     try:
-        if n % 2 == 0:
-            m = n // 2
-            return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0)) * fac.qp[2 * m] / fac.ab[m]
-                    * qlaguerre(m, alpha, arg, ctx))
-        m = (n - 1) // 2
-        return ((-1.0) ** m * q ** (-m * (2.0 * m + 1.0)) * fac.qp[2 * m + 1]
-                / fac.ab[m + 1] * x * qlaguerre(m, alpha + 1.0, arg, ctx))
+        return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0 + 2 * s)) * fac.qp[n] / fac.ab[m + s]
+                * x ** s * qlaguerre(m, alpha + s, arg, ctx))
     except (OverflowError, ZeroDivisionError) as exc:
-        # q^{-m(2m-1)} overflows, or a finite q-shifted factorial underflows to 0
+        # q^{-m(2m-1+2s)} overflows, or a finite q-shifted factorial underflows to 0
         raise DomainError(f"degree-{n} Laguerre route leaves double range at "
                           f"x = {x}, q = {q}") from exc
 
@@ -244,11 +247,9 @@ def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
         return _rel(lhs, rhs)
 
     if kind == "qdiff":
+        s = n % 2
         u = 1.0 + q ** (-2.0 * alpha - 1.0) * x * x
-        if n % 2 == 0:
-            mid = 1.0 + q ** (-2.0 * alpha) + q ** (n - 2.0 * alpha - 1.0) * x * x
-        else:
-            mid = q + q ** (-2.0 * alpha - 1.0) + q ** (n - 1.0 - 2.0 * alpha) * x * x
+        mid = q ** s + q ** (-2.0 * alpha - s) + q ** (n - 1.0 - 2.0 * alpha) * x * x
         return _rel(u * hermite_h(n, q * x, ctx)
                     + q ** (-2.0 * alpha) * hermite_h(n, x / q, ctx),
                     mid * hermite_h(n, x, ctx))
@@ -268,12 +269,8 @@ def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
         a = [1.0]
         for k in range(n):
             s_fac = 1.0 if k % 2 == 0 else q ** (2.0 * alpha + 1.0)
-            nxt = []
-            for j in range(k + 2):
-                left = a[j] if j <= k else 0.0
-                right = a[j - 1] if 1 <= j <= k + 1 else 0.0
-                nxt.append((left - s_fac * right * q ** (-k)) / (1.0 - q))
-            a = nxt
+            a = [(left - s_fac * right * q ** (-k)) / (1.0 - q)
+                 for left, right in zip(a + [0.0], [0.0] + a)]
         cond = abs(pref) / abs(x) ** n * sum(
             abs(a[j]) * weight(q ** j * x, ctx) for j in range(n + 1))
         return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + cond)
@@ -343,11 +340,7 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
 
     if _lattice_ratio(x, ctx) >= 1.0:
         return _continued_halfline(f, x, shift, order, power, ctx)
-    try:
-        return jackson_integral(f, "halfline", ctx).value
-    except OverflowError as exc:
-        raise DomainError(f"integrand leaves double range on the lattice at "
-                          f"x = {x}, q = {q}, alpha = {ctx.alpha}") from exc
+    return jackson_integral(f, "halfline", ctx).value
 
 
 def bessel_weight_transform(x: float, ctx: QContext) -> float:
@@ -443,26 +436,12 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
                              f"cannot be resolved in double precision")
 
     fac = _factorials(q, alpha).upto(n)
-    if n % 2 == 0:
-        m = n // 2
-        shift = q ** m
-        power = 2.0 * m + 2.0 * alpha + 1.0
-        order = alpha
-        pref = ((-1.0) ** m * q ** (-float(m * m) + m * (2.0 * alpha + 3.0))
-                * fac.qp[2 * m] / (c * fac.gp[2 * m] * w))
-    else:
-        m = (n - 1) // 2
-        shift = q ** (m + 1)
-        power = 2.0 * m + 2.0 * alpha + 3.0
-        order = alpha + 1.0
-        # the sign (-1)^m follows from iterating the difference operator an
-        # odd number of times: (q-1)^{2m+1} / (1-q)^{2m+1} = -1 absorbs the
-        # extra minus that a naive reading of the closed form would give
-        pref = ((-1.0) ** m * q ** (-float(m * m) + (m + 1.0) * (2.0 * alpha + 3.0))
-                * fac.qp[2 * m + 1] * x
-                / (c * (1.0 - q ** (2.0 * alpha + 2.0)) * fac.gp[2 * m + 1] * w))
-
-    rep = pref * _bessel_transform(x, shift, order, power, ctx)
+    m, s = divmod(n, 2)
+    # odd degrees keep the sign (-1)^m: (q-1)^{2m+1} / (1-q)^{2m+1} = -1 absorbs one minus
+    pref = ((-1.0) ** m * q ** (-float(m * m) + (m + s) * (2.0 * alpha + 3.0)) * fac.qp[n]
+            * (x / (1.0 - q ** (2.0 * alpha + 2.0))) ** s / (c * fac.gp[n] * w))
+    rep = pref * _bessel_transform(x, q ** (m + s), alpha + s,
+                                   2.0 * (m + s) + 2.0 * alpha + 1.0, ctx)
     h = hermite_h(n, x, ctx)
     return abs(h - rep) / (abs(h) + 1.0)
 
@@ -585,15 +564,14 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
 
 @lru_cache(maxsize=256)
 def _lattice_index(q: float, lo: int, hi: int) -> dict:
-    # numbers the lattice points +-q^j, lo <= j <= hi, as jackson_integral forms them
-    x = [q ** j for j in range(lo, hi + 1)]
-    return {p: i for i, p in enumerate(dict.fromkeys(x + [-p for p in x]))}
+    # numbers the half-line lattice points q^j, lo <= j <= hi, as jackson_integral forms them
+    return {p: i for i, p in enumerate(dict.fromkeys(q ** j for j in range(lo, hi + 1)))}
 
 
 @lru_cache(maxsize=256)
 def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> FunctionHandle:
-    """sqrt(w) h_n at the points of _lattice_index, from values computed once as arrays,
-    or, where they leave double range somewhere, _root_h at each point the sum reads."""
+    """sqrt(w) h_n at the points q^j of _lattice_index, from values computed once as
+    arrays, or, where they leave double range somewhere, _root_h at each point read."""
     index = _lattice_index(ctx.q, lo, hi)
     with np.errstate(all="ignore"):
         try:
@@ -606,11 +584,14 @@ def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> FunctionHandle:
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
     """Residual of the discrete (Jackson) orthogonality entry (n, m): the
     Jackson line integral of h_n h_m w |x|^{2a+1} against the closed-form
-    diagonal, and off the diagonal against the diagonal scale."""
+    diagonal, and off the diagonal against the diagonal scale.  As h_k has
+    the parity of k, the line integral is (1 + (-1)^{n+m}) times the
+    half-line one: exactly 0 for n + m odd, where no sum is formed."""
     hn, hm = (_lattice_table(k, ctx, context.LATTICE_LO, context.LATTICE_HI) for k in (n, m))
-    f = lambda x: hn(x) * hm(x) * abs(x) ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
-    integral = jackson_integral(f, "line", ctx).value
-    scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
+    f = lambda x: hn(x) * hm(x) * x ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
+    integral = 2.0 * jackson_integral(f, "halfline", ctx).value if (n + m) % 2 == 0 else 0.0
+    # root by root: the product of the diagonals overflows from about 1e154 each
+    scale = math.prod(math.sqrt(discrete_orthogonality_rhs(k, ctx)) for k in (n, m))
     return abs(integral - scale) / scale if n == m else abs(integral) / scale
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from qlab import context
 from qlab import (DomainError, QContext, QError, algebra_residual, continuous_orthogonality,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
                   moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
@@ -77,6 +78,28 @@ def test_finite_value_or_qerror(name):
     assert not broken
 
 
+@pytest.mark.parametrize("name", ["hermite_h", "weight", "phi"])
+def test_lattice_array_finite_or_qerror(name):
+    # the Jackson lattice points +-q^j of each context as one array: a numpy
+    # warning (an error under the suite's warning filter) or a raw exception
+    # on the array path breaks the contract as it does on floats
+    fn, arg_names = SWEEP[name]
+    broken = []
+    for q, alpha in itertools.product(QS, ALPHAS):
+        ctx = QContext(q=q, alpha=alpha)
+        x = q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+        for n in NS if "n" in arg_names else [None]:
+            try:
+                value = fn(*([] if n is None else [n]), np.concatenate((-x, x)), ctx)
+            except QError:
+                continue
+            except Exception as exc:
+                value = type(exc).__name__
+            if not (isinstance(value, np.ndarray) and np.isfinite(value).all()):
+                broken.append((q, alpha, n, value if isinstance(value, str) else "non-finite"))
+    assert not broken
+
+
 @pytest.mark.parametrize("fn, q, alpha, args", [
     # the true value is about 5.4e573 (40-digit mpmath)
     (moment_constant, 0.05, 20.0, ()),
@@ -95,6 +118,11 @@ def test_finite_value_or_qerror(name):
     # the sum reads lattice points where h_27 overflows, though most of the
     # Jackson window is in range
     (discrete_orthogonality_residual, 0.05, -0.5, (27, 27)),
+    # |x|^{2 alpha + 1} leaves double range at a lattice point the sum reads,
+    # far out at alpha = 20 and at a subnormal x at alpha = -0.99: it raised
+    # OverflowError
+    (discrete_orthogonality_residual, 3e-3, 20.0, (0, 0)),
+    (discrete_orthogonality_residual, 1e-4, -0.99, (0, 0)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

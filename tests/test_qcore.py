@@ -199,9 +199,17 @@ class TestProductCache:
         with pytest.raises(NonConvergence, match="needs about 7398229255 factors"):
             _qpoch_inf(-1e300, 0.9999999)
 
+    @pytest.mark.parametrize("a", [np.full(1000, -1e300), np.array([0.3, math.inf] * 500)])
+    def test_array_message_names_size_and_range(self, a):
+        # the message named every entry of a: about 23 KB for 1000 points
+        with pytest.raises((NonConvergence, DomainError)) as info:
+            _qpoch_inf(a, 0.999)
+        assert "1000 points in [" in str(info.value)
+        assert len(str(info.value)) <= 300
+
     def test_discrete_orthogonality_builds_each_table_once(self):
         # the 45 entries n <= m <= 8 read sqrt(w) h_n at the lattice points
-        # +-q^k from one table per degree, and the nine tables share the
+        # q^k from one table per degree, and the nine tables share the
         # weight's one array product
         ctx = QContext(q=0.5, alpha=0.25)
         _lattice_table.cache_clear()
@@ -362,6 +370,14 @@ class TestIntegrals:
         mp.dps = 30
         exact = (1 - mp.mpf(q)) / (1 - mp.mpf(q) ** mp.mpf("0.02"))  # (1-q)/(1-q^0.02)
         assert abs(got.value - exact) <= got.tail_bound < 1e-12 * exact
+
+    def test_integrand_overflow_raises_domain_error(self):
+        # a raw ZeroDivisionError or OverflowError of the integrand at a
+        # lattice point becomes a DomainError naming the point
+        with pytest.raises(DomainError, match=r"at q\^0 = 1\.0"):
+            jackson_integral(lambda t: 1.0 / (t - 1.0), "halfline", CTX)
+        with pytest.raises(DomainError, match=r"at q\^3 = 0\.125"):
+            jackson_integral(lambda t: t ** -400.0, "halfline", CTX)
 
     def test_divergent_integrand_raises(self):
         from qlab import NonConvergence

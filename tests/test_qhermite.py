@@ -18,7 +18,7 @@ from qlab import (DomainError, NonConvergence, PoleError,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
                   hermite_h_scaled,
                   hermite_via_laguerre, integral_representation_residual,
-                  moment_check, moment_constant, norm_constant,
+                  moment_check, moment_constant, norm_constant, phi,
                   poisson_kernel_residual, qexp_small, qlaguerre,
                   relation_residual, rogers_ramanujan_residual, weight)
 from qlab import qhermite
@@ -67,6 +67,18 @@ class TestPolynomial:
         with pytest.raises(DomainError), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             hermite_h(2, np.array([0.5, 1e200]), CTX)
+
+    @pytest.mark.parametrize("fn", [hermite_h, phi])
+    def test_array_overflow_raises_a_short_domain_error(self, fn):
+        # degree 20 overflows on the Jackson lattice points +-q^j at q = 0.05:
+        # under a warnings-as-errors filter numpy's overflow warning escaped
+        # as a RuntimeWarning, and otherwise the message held all 322 points
+        ctx = QContext(q=0.05, alpha=0.25)
+        x = ctx.q ** np.arange(qlab.context.LATTICE_LO, qlab.context.LATTICE_HI + 1.0)
+        with warnings.catch_warnings(), pytest.raises(DomainError) as info:
+            warnings.simplefilter("error")
+            fn(20, np.concatenate((-x, x)), ctx)
+        assert len(str(info.value)) <= 300
 
     def test_scaled_variant(self):
         for n in range(7):
@@ -318,6 +330,21 @@ class TestOrthogonality:
             r = discrete_orthogonality_residual(n, n, CTX)
             assert r < 1e-10
             assert discrete_orthogonality_rhs(n, CTX) > 0.0
+
+    def test_discrete_odd_entries_vanish_exactly(self):
+        # h_k has the parity of k, so an entry with n + m odd is
+        # (1 + (-1)^{n+m}) = 0 times the half-line sum; the line sum read up
+        # to 4e-17 at 54 of these 180 entries
+        odd = [discrete_orthogonality_residual(n, m, ctx)
+               for ctx in GRID for n in range(9) for m in range(n + 1, 9, 2)]
+        assert len(odd) == 180 and set(odd) == {0.0}
+
+    @pytest.mark.parametrize("q, n, bound", [(0.5, 27, math.inf), (0.2, 20, math.inf),
+                                             (3e-3, 8, 1e-9)])
+    def test_discrete_diagonal_past_1e154(self, q, n, bound):
+        # the product of the two diagonals overflowed, and the residual was NaN
+        r = discrete_orthogonality_residual(n, n, QContext(q=q, alpha=0.25))
+        assert math.isfinite(r) and r <= bound
 
     def test_continuous_offdiagonal(self):
         for (n, m) in ((0, 2), (1, 3), (2, 4)):
