@@ -6,6 +6,11 @@ Subcommands:
   verify [--suite NAME] ...      run a verification suite, emit JSON/CSV
   table FUNCTION --sweep p=lo:hi:count key=value ...   tabulate a sweep
 
+A table sweeps x through hermite_h, weight, phi or eigen_residual in one
+call on the array of its points (their x is annotated Points).  Where that
+call raises a QError or gives a non-finite value, and for every other
+function or swept key, the table is evaluated point by point.
+
 Exit codes: 0 all checks pass (or evaluation succeeded), 1 any check
 failed (or a domain/convergence error), 2 configuration or usage error.
 """
@@ -22,10 +27,12 @@ import sys
 from functools import lru_cache
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__
 from .context import (ArgumentError, ConfigError, QContext, QError,
                       TruncatedValue, UnknownFunction)
-from .qcore import (gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
+from .qcore import (Points, gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
                     sym_qnumber, theta)
 from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
                          qbessel, qexp_big, qexp_gen, qexp_small, qtrig)
@@ -69,15 +76,16 @@ def _str(args: dict[str, Any], key: str) -> str:
 _PARSERS = {int: _int, str: _str, QContext: _ctx}
 
 
-def _bind(fn: Callable, defaults: dict[str, str]) -> tuple[Callable[[dict], Any], str]:
+def _bind(fn: Callable, defaults: dict[str, str]) -> tuple[Callable[[dict], Any], str, frozenset]:
     """Registry entry of fn: a caller that parses fn's parameters from the
-    key=value map by annotation (the unannotated as reals), with defaults for
-    absent keys, rejects a key fn does not take, and looks fn up by name here
-    at every call, so a wrapper installed on this module's name is the one
-    called; and fn's summary."""
+    key=value map by annotation (the unannotated and Points as reals), with
+    defaults for absent keys, rejects a key fn does not take, and looks fn up
+    by name here at every call, so a wrapper installed on this module's name
+    is the one called; and fn's summary; and the keys annotated Points, which
+    also take a numpy array."""
     name, namespace = fn.__name__, globals()
-    parsers = [(key, _PARSERS.get(p.annotation, _real))
-               for key, p in inspect.signature(fn, eval_str=True).parameters.items()]
+    params = inspect.signature(fn, eval_str=True).parameters
+    parsers = [(key, _PARSERS.get(p.annotation, _real)) for key, p in params.items()]
     allowed = dict.fromkeys(k for key, parse in parsers
                             for k in (("q", "alpha") if parse is _ctx else (key,))).keys()
 
@@ -89,14 +97,14 @@ def _bind(fn: Callable, defaults: dict[str, str]) -> tuple[Callable[[dict], Any]
             args = {**defaults, **args}
         return namespace[name](*[parse(args, key) for key, parse in parsers])
 
-    return call, " ".join(inspect.getdoc(fn).split("\n\n")[0].split())
+    return (call, " ".join(inspect.getdoc(fn).split("\n\n")[0].split()),
+            frozenset(key for key, p in params.items() if p.annotation == Points))
 
 
 #: values the CLI supplies for these functions' parameters when a key is absent
 _DEFAULTS = {"qbessel": {"kind": "modified"}, "poisson_kernel_residual": {"which": "general"}}
 
-#: registry: name -> (callable taking the parsed key=value map, description)
-REGISTRY: dict[str, tuple[Callable[[dict], Any], str]] = {
+_BOUND = {
     fn.__name__: _bind(fn, _DEFAULTS.get(fn.__name__, {})) for fn in (
         qpoch, qpoch_inf, qnumber, sym_qnumber, gen_qint, gen_qfact, gen_qpoch,
         theta, qexp_big, qexp_small, qexp_gen, qtrig, qbessel, hermite_h,
@@ -105,6 +113,13 @@ REGISTRY: dict[str, tuple[Callable[[dict], Any], str]] = {
         integral_representation_residual, poisson_kernel_residual,
         bessel_expansion_residual, rogers_ramanujan_residual, eigen_residual,
         bessel_delta_residual, first_qderiv_bessel_residual)}
+
+#: registry: name -> (callable taking the parsed key=value map, description)
+REGISTRY: dict[str, tuple[Callable[[dict], Any], str]] = {
+    name: (call, summary) for name, (call, summary, _) in _BOUND.items()}
+
+#: name -> the keys a table sweeps in one call on a numpy array of points
+_ARRAY_KEYS = {name: keys for name, (_, _, keys) in _BOUND.items()}
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, Any]:
@@ -186,16 +201,31 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return key, lo, hi, count
 
 
+def _sweep_values(fn: Callable[[dict], Any], array: bool, fixed: dict[str, Any],
+                  key: str, points: list[float]) -> list[float]:
+    """fn's values over the points of key: in one call on their numpy array if
+    array is set, else point by point.  Where the array call raises a QError
+    or gives a non-finite value, point by point too: an error then names the
+    first point it fails at, and hermite_h keeps its per-point +-inf."""
+    if array and points:
+        try:
+            with np.errstate(all="ignore"):
+                values = fn({**fixed, key: np.array(points)})
+            if np.isfinite(values).all():
+                return values.tolist()
+        except QError:
+            pass
+    return [float(r) if not isinstance(r, TruncatedValue) else r.value
+            for r in (fn({**fixed, key: p}) for p in points)]
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     fn = _lookup(args.function)
     fixed = _parse_kv(args.params)
     key, lo, hi, count = _parse_sweep(args.sweep)
-    rows = []
-    for i in range(count):
-        value = lo if count == 1 else lo + (hi - lo) * i / (count - 1)
-        result = fn({**fixed, key: value})
-        rows.append((value, float(result) if not isinstance(result, TruncatedValue)
-                     else result.value))
+    points = [lo if count == 1 else lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    values = _sweep_values(fn, key in _ARRAY_KEYS[args.function], fixed, key, points)
+    rows = list(zip(points, values))
     if args.format == "json":
         out = json.dumps([{key: v, "value": r} for v, r in rows],
                          indent=2) + "\n"

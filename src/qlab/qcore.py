@@ -22,6 +22,9 @@ from .context import (ArgumentError, DomainError, NonConvergence, QContext,
 
 FunctionHandle = Callable[[float], float]
 
+#: a point or a numpy array of points: the x of the functions that take arrays
+Points = float | ndarray
+
 QDERIV_VARIANTS = (
     "backward",
     "forward",
@@ -205,8 +208,13 @@ def _gen_qfact(n: int, q: float, alpha: float) -> float:
 
 
 def gen_qpoch(n: int, ctx: QContext) -> float:
-    """Generalized q-shifted factorial (q; q)_{n, alpha} = (1-q)^n n!_{q,alpha}."""
-    return _in_range(_gen_qpoch(n, ctx.q, ctx.alpha), f"(q;q)_({n},alpha)", ctx)
+    """Generalized q-shifted factorial (q; q)_{n, alpha} = (1-q)^n n!_{q,alpha};
+    it is positive, so where it underflows to 0 it raises DomainError."""
+    value = _in_range(_gen_qpoch(n, ctx.q, ctx.alpha), f"(q;q)_({n},alpha)", ctx)
+    if value == 0.0:  # q = 0.99, alpha = 0.25, n = 170: the product is about 1e-60
+        raise DomainError(f"(q;q)_({n},alpha) underflows to 0 at q = {ctx.q}, "
+                          f"alpha = {ctx.alpha}")
+    return value
 
 
 def _gen_qpoch(n: int, q: float, alpha: float) -> float:

@@ -21,7 +21,7 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (FunctionHandle, _factorials, _gen_qpoch, _in_range, _qpoch,
+from .qcore import (FunctionHandle, Points, _factorials, _gen_qpoch, _in_range, _qpoch,
                     _qpoch_inf, _show, _sum_series, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
@@ -30,7 +30,7 @@ from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 # Polynomials and weight
 # ---------------------------------------------------------------------------
 
-def hermite_h(n: int, x, ctx: QContext):
+def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
     """Generalized discrete q-Hermite II polynomial of degree n at x, by its
     explicit sum; x may be a numpy array, summed without numpy's warnings."""
     if isinstance(x, ndarray):
@@ -126,16 +126,22 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
                           f"x = {x}, q = {q}") from exc
 
 
-def weight(x, ctx: QContext):
+def weight(x: Points, ctx: QContext) -> Points:
     """Orthogonality weight e_{q^2}(-q^{-2 alpha - 1} x^2); even, positive.
 
     The weight is 1 / (z; q^2)_inf, bit for bit qexp_small(z, q^2) on floats;
     x may be a numpy array, where the product takes the factor count of the
     largest |z|.  As z <= 0 the product is >= 1, and it overflows to inf
-    exactly where the weight underflows to 0.
+    exactly where the weight underflows to 0.  A z past double range raises
+    DomainError, also on an array, without numpy's overflow warning.
     """
     q = ctx.q
-    z = -(q ** (-2.0 * ctx.alpha - 1.0)) * x * x
+    c = -(q ** (-2.0 * ctx.alpha - 1.0))
+    if isinstance(x, ndarray):
+        with np.errstate(over="ignore"):
+            z = c * x * x
+    else:
+        z = c * x * x
     return 1.0 / _qpoch_inf(z, q * q).value
 
 

@@ -17,14 +17,14 @@ import numpy as np
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
-from .qcore import FunctionHandle, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
+from .qcore import FunctionHandle, Points, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
 from .qhermite import _auto_cutoff, _piecewise_quad, _root_h, _sqrt, norm_constant
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
 
 
-def phi(n: int, x, ctx: QContext):
+def phi(n: int, x: Points, ctx: QContext) -> Points:
     """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
     numpy array."""
     return _root_h(n, x, ctx, norm_constant(n, ctx))
@@ -222,14 +222,15 @@ def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
     return r
 
 
-def eigen_residual(n: int, x: float, ctx: QContext) -> float:
-    """Scale-normalized residual of H phi_n = [[n]] phi_n at one point.
+def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
+    """Scale-normalized residual of H phi_n = [[n]] phi_n at a point, or at
+    each point of a numpy array.
 
     The 1/x^2 prefactor of H amplifies roundoff from the cancelling bracket
     (the three terms are O(phi) but combine to O(x^2 phi)), so the honest
     measure divides by the summed magnitude the evaluation actually handled.
     """
-    if x == 0.0:
+    if (x == 0.0).any() if isinstance(x, np.ndarray) else x == 0.0:
         raise DomainError("eigenrelation is evaluated away from x = 0")
     q, alpha = ctx.q, ctx.alpha
     f = wave_function(n, ctx)

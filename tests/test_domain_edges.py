@@ -100,6 +100,16 @@ def test_lattice_array_finite_or_qerror(name):
     assert not broken
 
 
+@pytest.mark.parametrize("fn", [weight, lambda x, ctx: phi(2, x, ctx)], ids=["weight", "phi_2"])
+def test_array_square_overflow_raises_domain_error(fn):
+    # at q = 1e-4 the lattice points q^j reach x = 1e160, whose x^2 overflows:
+    # numpy's overflow warning (an error under the suite's warning filter)
+    # leaked from the weight where its product rejects the argument
+    ctx = QContext(q=1e-4, alpha=0.25)
+    with pytest.raises(DomainError):
+        fn(ctx.q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0), ctx)
+
+
 @pytest.mark.parametrize("fn, q, alpha, args", [
     # the true value is about 5.4e573 (40-digit mpmath)
     (moment_constant, 0.05, 20.0, ()),
@@ -123,6 +133,10 @@ def test_lattice_array_finite_or_qerror(name):
     # OverflowError
     (discrete_orthogonality_residual, 3e-3, 20.0, (0, 0)),
     (discrete_orthogonality_residual, 1e-4, -0.99, (0, 0)),
+    # (1-q)^170 underflows the product of the factors, about 3e-62 and 1e-60
+    # (q = 0.99, alpha = -0.5 and 0.25): it returned 0.0
+    (gen_qpoch, 0.99, -0.5, (170,)),
+    (gen_qpoch, 0.99, 0.25, (170,)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

@@ -315,6 +315,74 @@ class TestCliTable:
         assert main(["table", "qnumber", "--sweep", "x=1:3:-2", "q=0.5"]) == 2
 
 
+def _table(capsys, name, sweep, *pairs) -> list[tuple[float, float]]:
+    assert main(["table", name, "--sweep", sweep, *pairs]) == 0
+    return [(float(x), float(v))
+            for x, v in list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]]
+
+
+def _counting(monkeypatch, name) -> list:
+    # a wrapper on the CLI module's name, which the registry looks up at every call
+    calls, fn = [], getattr(qlab.cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(qlab.cli, name, counted)
+    return calls
+
+
+class TestCliArraySweep:
+    """A sweep of x through hermite_h, weight, phi or eigen_residual is one
+    call on the array of points, unless it fails; then it runs point by point."""
+
+    CASES = {"hermite_h": (lambda x, ctx: hermite_h(7, x, ctx), ["n=7"]),
+             "weight": (weight, []),
+             "phi": (lambda x, ctx: phi(4, x, ctx), ["n=4"]),
+             "eigen_residual": (lambda x, ctx: eigen_residual(3, x, ctx), ["n=3"])}
+
+    @pytest.mark.parametrize("q, alpha", [(0.2, -0.9), (0.5, 0.25), (0.9, 2.5)])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_values_match_point_by_point(self, capsys, name, q, alpha):
+        fn, pairs = self.CASES[name]
+        ctx = QContext(q, alpha)
+        rows = _table(capsys, name, "x=-2.7:3.1:64", *pairs, f"q={q}", f"alpha={alpha}")
+        assert len(rows) == 64
+        for x, v in rows:
+            ref = fn(x, ctx)
+            assert abs(v - ref) / (1.0 + abs(v) + abs(ref)) <= 1e-13, x
+
+    def test_non_finite_values_fall_back_point_by_point(self, capsys, monkeypatch):
+        # the array path raises on inf; point by point the explicit sum keeps it
+        calls = _counting(monkeypatch, "hermite_h")
+        ctx = QContext(0.3242, 1.5759)
+        rows = _table(capsys, "hermite_h", "x=-2:2:64", "n=36", "q=0.3242", "alpha=1.5759")
+        assert len(calls) == 65
+        assert [repr(v) for _, v in rows] == [repr(hermite_h(36, x, ctx)) for x, _ in rows]
+        assert math.isinf(rows[0][1]) and math.isfinite(rows[32][1])
+
+    def test_a_failing_point_is_named_as_point_by_point(self, capsys):
+        assert main(["eval", "hermite_h", "n=170", "x=45", "q=0.97", "alpha=-0.99"]) == 1
+        err = capsys.readouterr().err
+        assert main(["table", "hermite_h", "--sweep", "x=45:50:64",
+                     "n=170", "q=0.97", "alpha=-0.99"]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_one_call_per_table(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, "hermite_h")
+        _table(capsys, "hermite_h", "x=-1:1:64", "n=5", "q=0.5", "alpha=0.25")
+        assert len(calls) == 1
+
+    def test_other_keys_go_point_by_point(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, "qnumber")
+        _table(capsys, "qnumber", "x=-1:1:64", "q=0.5")
+        assert len(calls) == 64
+        calls = _counting(monkeypatch, "hermite_h")
+        _table(capsys, "hermite_h", "q=0.1:0.9:64", "n=5", "x=0.5", "alpha=0.25")
+        assert len(calls) == 64
+
+
 class TestCliOutputBytes:
     """verify and table write the same bytes to --out as before, and to
     stdout; a JSON report on stdout alone gains a closing newline."""
