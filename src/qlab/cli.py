@@ -6,8 +6,9 @@ Subcommands:
   verify [--suite NAME] ...      run a verification suite, emit JSON/CSV
   table FUNCTION --sweep p=lo:hi:count key=value ...   tabulate a sweep
 
-A table sweeps x through hermite_h, weight, phi or eigen_residual in one
-call on the array of its points (their x is annotated Points).  Where that
+A table sweeps x through hermite_h, weight, phi, eigen_residual,
+relation_residual or qbessel, and z through qexp_gen, in one call on the
+array of its points (those parameters are annotated Points).  Where that
 call raises a QError or gives a non-finite value, and for every other
 function or swept key, the table is evaluated point by point.
 

@@ -126,7 +126,7 @@ def _qpoch_inf_array(data: bytes, dtype, shape: tuple, q: float) -> TruncatedVal
     return p
 
 
-def _sum_series(terms, what: str) -> float:
+def _sum_series(terms, what: str, x: Points = 0.0) -> Points:
     """The sum of the iterable terms: every infinite series is summed here.
 
     Stops once three successive terms fall below SERIES_TOL relative to
@@ -134,8 +134,34 @@ def _sum_series(terms, what: str) -> float:
     value near a zero) does not end the sum.  Raises DomainError naming what
     when forming a term overflows or divides by zero, or when the partial sum
     is inf or NaN; NonConvergence after MAX_TERMS terms.
+
+    Where the caller's point x is a numpy array, the terms are arrays of its
+    shape (or floats, such as a first term 1.0, that stand for one) and the
+    sum is an array: each element takes terms until it meets the rule on its
+    own, and the loop runs until every element has; an element that raises
+    raises for the whole array.
     """
     tol = context.SERIES_TOL
+    if isinstance(x, ndarray):
+        total = np.zeros(x.shape)
+        below = np.zeros(x.shape, dtype=int)
+        live = np.ones(x.shape, dtype=bool)
+        with np.errstate(all="ignore"):  # the terms of an element that has stopped may overflow
+            try:
+                for i, t in enumerate(islice(terms, context.MAX_TERMS)):
+                    total += np.where(live, t, 0.0)
+                    if not np.isfinite(total).all():
+                        raise DomainError(f"{what}: partial sum leaves double range at term {i}")
+                    small = np.abs(t) < tol * np.maximum(np.abs(total), 1.0)
+                    below = (below + 1) * small
+                    if i > 4:
+                        live &= below < 3
+                        if not live.any():
+                            return total
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise DomainError(f"{what}: a term leaves double range") from exc
+        raise NonConvergence(f"{what}: did not meet tol={tol} within {context.MAX_TERMS} "
+                             f"terms (sums so far {_show(total)})")
     total = 0.0
     below = 0
     try:
@@ -186,10 +212,10 @@ def gen_qfact(n: int, ctx: QContext) -> float:
     return _in_range(_gen_qfact(n, ctx.q, ctx.alpha), f"{n}!_(q,alpha)", ctx)
 
 
-def _in_range(value: float, what: str, ctx: QContext) -> float:
+def _in_range(value: Points, what: str, ctx: QContext) -> Points:
     # as q -> 1 factorials, sums and products overflow at large n or |x|,
-    # and (1-q)^n underflows
-    if not math.isfinite(value):
+    # and (1-q)^n underflows; an array is in range where all of it is
+    if not (np.isfinite(value).all() if isinstance(value, ndarray) else math.isfinite(value)):
         raise DomainError(f"{what} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
     return value
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 import math
 from itertools import count
 
+import numpy as np
+from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on every call
+
 from .context import ArgumentError, DomainError, PoleError, QContext, TruncatedValue
-from .qcore import _factorials, _in_range, _qpoch_inf, _sum_series, qderiv, qderiv_pow
+from .qcore import (Points, _factorials, _in_range, _qpoch_inf, _sum_series, qderiv,
+                    qderiv_pow)
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -72,21 +76,32 @@ def qtrig(z: float, which: str, q: float) -> float:
                        "q-trigonometric series")
 
 
-def qexp_gen(z: float, ctx: QContext) -> float:
-    """Generalized q-exponential E_{q,alpha}(z) with generalized factorials."""
+def qexp_gen(z: Points, ctx: QContext) -> Points:
+    """Generalized q-exponential E_{q,alpha}(z) with generalized factorials;
+    z may be a numpy array."""
     q = ctx.q
     fac = _factorials(q, ctx.alpha)
     return _sum_series((q ** (k * (k - 1) / 2.0) * z ** k / fac.upto(k).gp[k] for k in count()),
-                       "E_(q,alpha) series")
+                       "E_(q,alpha) series", z)
 
 
-def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
+def qbessel(x: Points, order: float, kind: str, ctx: QContext) -> Points:
     """q-Bessel functions of the three kinds used here, order > -1.
 
     second_jackson: J_order^{(2)}(x; q^2)
     hahn_exton    : J_order^{(3)}(x; q^2)
     modified      : j_order(x; q^2), even and entire in x
+
+    x may be a numpy array, evaluated without numpy's warnings: a value out
+    of double range raises DomainError there as on a float.
     """
+    if isinstance(x, ndarray):
+        with np.errstate(all="ignore"):
+            return _qbessel(x, order, kind, ctx)
+    return _qbessel(x, order, kind, ctx)
+
+
+def _qbessel(x, order: float, kind: str, ctx: QContext):
     if kind not in BESSEL_KINDS:
         raise ArgumentError(f"unknown Bessel kind: {kind!r}")
     if order <= -1.0:
@@ -94,14 +109,14 @@ def qbessel(x: float, order: float, kind: str, ctx: QContext) -> float:
     q = ctx.q
     q2 = q * q
     if kind == "modified":
-        return _sum_series(_bessel_terms(x, order, False, q), "q-Bessel series")
-    if x <= 0.0 and order != int(order):
+        return _sum_series(_bessel_terms(x, order, False, q), "q-Bessel series", x)
+    if order != int(order) and ((x <= 0.0).any() if isinstance(x, ndarray) else x <= 0.0):
         raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
     pref = _qpoch_inf(q ** (2.0 * order + 2.0), q2).value / _qpoch_inf(q2, q2).value
     u = x / 2.0 if kind == "second_jackson" else x
     try:
         value = pref * u ** order * _sum_series(
-            _bessel_terms(u, order, kind == "second_jackson", q), "q-Bessel series")
+            _bessel_terms(u, order, kind == "second_jackson", q), "q-Bessel series", x)
     except OverflowError as exc:  # from u^order
         raise DomainError(f"q-Bessel prefactor leaves double range at x = {x}") from exc
     return _in_range(value, "q-Bessel function", ctx)

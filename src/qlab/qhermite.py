@@ -152,7 +152,8 @@ def norm_constant(n: int, ctx: QContext) -> float:
 
     d_n = C q^{n^2/2} sqrt((q;q)_{n,alpha}) / (q;q)_n, where C^2 holds the Gamma
     combination Gamma(-a) Gamma(a+1), the exact reflection value
-    -pi / sin(pi a); nonnegative integer a is a pole.
+    -pi / sin(pi a); nonnegative integer a is a pole.  Where (q;q)_{n,alpha}
+    underflows to 0 it raises DomainError.
     """
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
@@ -167,6 +168,9 @@ def norm_constant(n: int, ctx: QContext) -> float:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
     big_c = math.sqrt(radicand)
     fac = _factorials(q, alpha).upto(n)
+    if fac.gp[n] == 0.0:  # (1-q)^n underflows first: at q = 0.99, alpha = 0.25,
+        # n = 170 the product is about 1e-60 and d_n about 3e-31
+        raise DomainError(f"(q;q)_({n},alpha) underflows to 0 at q = {q}, alpha = {alpha}")
     return big_c * q ** (n * n / 2.0) * math.sqrt(fac.gp[n]) / fac.qp[n]
 
 
@@ -203,15 +207,29 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
+def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
     """Scale-normalized residual |LHS - RHS| / (1 + |LHS| + |RHS|) of one
-    structural relation of the polynomial family.
+    structural relation of the polynomial family; x may be a numpy array.
 
     generating     : generating function at x, z = 0.3
     inversion      : monomial expansion of x^n re-evaluated at x
     forward_shift, backward_shift, qdiff: three-term relations at x
     rodrigues      : weight * polynomial vs iterated difference of the weight
+
+    On an array, evaluated without numpy's warnings, a non-finite residual
+    raises DomainError.
     """
+    if isinstance(x, ndarray):
+        with np.errstate(all="ignore"):
+            value = _relation_residual(kind, n, x, ctx)
+        if not np.isfinite(value).all():
+            raise DomainError(f"{kind} relation residual leaves double range at "
+                              f"x = {_show(x)}, q = {ctx.q}")
+        return value
+    return _relation_residual(kind, n, x, ctx)
+
+
+def _relation_residual(kind: str, n: int, x, ctx: QContext):
     q, alpha = ctx.q, ctx.alpha
     if kind == "generating":
         z = 0.3
@@ -219,7 +237,7 @@ def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
         fac = _factorials(q, alpha)
         rhs = _sum_series((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
                            for m, s in enumerate(_scaled_walk(x, ctx))),
-                          "generating-function kernel series")
+                          "generating-function kernel series", x)
         return _rel(lhs, rhs)
 
     if kind == "inversion":
@@ -261,7 +279,7 @@ def relation_residual(kind: str, n: int, x: float, ctx: QContext) -> float:
                     mid * hermite_h(n, x, ctx))
 
     if kind == "rodrigues":
-        if x == 0.0:
+        if (x == 0.0).any() if isinstance(x, ndarray) else x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
         lhs = weight(x, ctx) * hermite_h(n, x, ctx)
         qi = 1.0 / q

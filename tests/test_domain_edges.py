@@ -18,7 +18,8 @@ from qlab import context
 from qlab import (DomainError, QContext, QError, algebra_residual, continuous_orthogonality,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
                   moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
-                  qexp_small, qlaguerre, qpoch_inf, qtrig, weight)
+                  qexp_small, qlaguerre, qpoch_inf, qtrig, relation_residual, weight)
+from qlab.qhermite import RELATION_KINDS
 from qlab.qoscillator import RELATION_NAMES
 
 QS = (0.05, 0.5, 0.9, 0.97, 0.99, 0.995)
@@ -78,7 +79,9 @@ def test_finite_value_or_qerror(name):
     assert not broken
 
 
-@pytest.mark.parametrize("name", ["hermite_h", "weight", "phi"])
+@pytest.mark.parametrize("name", ["hermite_h", "weight", "phi", "qexp_gen",
+                                  "qbessel_second_jackson", "qbessel_hahn_exton",
+                                  "qbessel_modified"])
 def test_lattice_array_finite_or_qerror(name):
     # the Jackson lattice points +-q^j of each context as one array: a numpy
     # warning (an error under the suite's warning filter) or a raw exception
@@ -91,6 +94,25 @@ def test_lattice_array_finite_or_qerror(name):
         for n in NS if "n" in arg_names else [None]:
             try:
                 value = fn(*([] if n is None else [n]), np.concatenate((-x, x)), ctx)
+            except QError:
+                continue
+            except Exception as exc:
+                value = type(exc).__name__
+            if not (isinstance(value, np.ndarray) and np.isfinite(value).all()):
+                broken.append((q, alpha, n, value if isinstance(value, str) else "non-finite"))
+    assert not broken
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_relation_residual_lattice_array_finite_or_qerror(kind):
+    # as above, for the residuals of the structural relations at degrees 0 and 5
+    broken = []
+    for q, alpha in itertools.product(QS, ALPHAS):
+        ctx = QContext(q=q, alpha=alpha)
+        x = q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+        for n in NS[:2]:
+            try:
+                value = relation_residual(kind, n, np.concatenate((-x, x)), ctx)
             except QError:
                 continue
             except Exception as exc:
@@ -137,6 +159,8 @@ def test_array_square_overflow_raises_domain_error(fn):
     # (q = 0.99, alpha = -0.5 and 0.25): it returned 0.0
     (gen_qpoch, 0.99, -0.5, (170,)),
     (gen_qpoch, 0.99, 0.25, (170,)),
+    # sqrt((q;q)_{170,alpha}) read as 0 where d_170 is about 3e-31: it returned 0.0
+    (norm_constant, 0.99, 0.25, (170,)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

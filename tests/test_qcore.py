@@ -552,6 +552,68 @@ class TestSumSeries:
         assert len(drawn) == 10
 
 
+class TestSumSeriesArray:
+    """With the caller's point a numpy array, the sum is an array: each
+    element follows the rule of a single sum on its own terms."""
+
+    X = np.array([0.0, -0.3, 0.5, 1.0, -2.0, 5.0])
+
+    @staticmethod
+    def _terms(x, drawn=None):
+        # the exponential series from the float 1.0, each term formed from the
+        # one before: on an array, every element's terms are its float terms
+        t = 1.0
+        for k in count(1):
+            if drawn is not None:
+                drawn.append(k)
+            yield t
+            t = t * x / k
+
+    def test_each_element_is_the_sum_of_its_own_terms(self):
+        total = _sum_series(self._terms(self.X), "test series", self.X)
+        assert isinstance(total, np.ndarray) and total.shape == self.X.shape
+        for x, v in zip(self.X, total):
+            ref = _sum_series(self._terms(float(x)), "test series")
+            assert abs(v - ref) <= 1e-15 * abs(ref), x
+
+    def test_sums_until_every_element_has_stopped(self):
+        drawn = []
+        _sum_series(self._terms(self.X, drawn), "test series", self.X)
+        alone = []
+        for x in self.X:
+            alone.append([])
+            _sum_series(self._terms(float(x), alone[-1]), "test series")
+        counts = [len(d) for d in alone]
+        assert min(counts) == 6 < max(counts) == len(drawn)
+
+    def test_a_stopped_element_takes_no_later_term(self):
+        # the first element stops at the sixth term; its later terms overflow
+        terms = (np.array([1.0 if k == 0 else math.inf if k > 6 else 0.0, 0.5 ** k])
+                 for k in count())
+        total = _sum_series(terms, "test series", np.zeros(2))
+        assert total[0] == 1.0 and total[1] == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.5, 1e200]),  # one element's partial sum overflows to inf
+        np.array([0.5, math.nan]),  # one element's partial sum is NaN
+    ], ids=["inf-sum", "nan-sum"])
+    def test_an_element_out_of_range_raises_domain_error(self, x):
+        with pytest.raises(DomainError, match="test series"):
+            _sum_series(self._terms(x), "test series", x)
+
+    def test_a_term_out_of_range_raises_domain_error(self):
+        # forming a term raises as on floats: here a float power overflows
+        terms = (np.ones(2) * math.exp(100.0 * k) for k in count())
+        with pytest.raises(DomainError, match="test series"):
+            _sum_series(terms, "test series", np.ones(2))
+
+    def test_raises_where_one_element_needs_more_than_max_terms(self, monkeypatch):
+        monkeypatch.setattr(context, "MAX_TERMS", 10)
+        x = np.array([0.0, 5.0])  # 0 stops at the sixth term, 5 needs about 40
+        with pytest.raises(NonConvergence, match="test series"):
+            _sum_series(self._terms(x), "test series", x)
+
+
 class TestSeriesReadTheTable:
     def test_qexp_gen_bit_equal(self):
         for q in (0.1, 0.3, 0.5, 0.8, 0.9):

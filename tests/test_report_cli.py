@@ -13,10 +13,11 @@ from qlab import (CheckResult, ConfigError, QContext, SuiteConfig, TruncatedValu
 from qlab.cli import REGISTRY, _parser, main
 from qlab.qcore import (gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
                         sym_qnumber, theta)
-from qlab.qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
-                             qbessel, qexp_big, qexp_gen, qexp_small, qtrig)
-from qlab.qhermite import (bessel_expansion_residual, bessel_weight_transform,
-                           hermite_h, hermite_via_laguerre,
+from qlab.qfunctions import (BESSEL_KINDS, bessel_delta_residual,
+                             first_qderiv_bessel_residual, qbessel, qexp_big, qexp_gen,
+                             qexp_small, qtrig)
+from qlab.qhermite import (RELATION_KINDS, bessel_expansion_residual,
+                           bessel_weight_transform, hermite_h, hermite_via_laguerre,
                            integral_representation_residual, moment_check,
                            moment_constant, poisson_kernel_residual, qlaguerre,
                            relation_residual, rogers_ramanujan_residual, weight)
@@ -334,24 +335,43 @@ def _counting(monkeypatch, name) -> list:
 
 
 class TestCliArraySweep:
-    """A sweep of x through hermite_h, weight, phi or eigen_residual is one
-    call on the array of points, unless it fails; then it runs point by point."""
+    """A sweep of x through hermite_h, weight, phi, eigen_residual,
+    relation_residual or qbessel, or of z through qexp_gen, is one call on the
+    array of points, unless it fails; then it runs point by point."""
 
     CASES = {"hermite_h": (lambda x, ctx: hermite_h(7, x, ctx), ["n=7"]),
              "weight": (weight, []),
              "phi": (lambda x, ctx: phi(4, x, ctx), ["n=4"]),
-             "eigen_residual": (lambda x, ctx: eigen_residual(3, x, ctx), ["n=3"])}
+             "eigen_residual": (lambda x, ctx: eigen_residual(3, x, ctx), ["n=3"]),
+             **{f"relation_residual/{kind}": (
+                 lambda x, ctx, kind=kind: relation_residual(kind, 5, x, ctx),
+                 [f"kind={kind}", "n=5"]) for kind in RELATION_KINDS},
+             **{f"qbessel/{kind}": (lambda x, ctx, kind=kind: qbessel(x, 1.3, kind, ctx),
+                                    [f"kind={kind}", "order=1.3"]) for kind in BESSEL_KINDS}}
 
     @pytest.mark.parametrize("q, alpha", [(0.2, -0.9), (0.5, 0.25), (0.9, 2.5)])
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_values_match_point_by_point(self, capsys, name, q, alpha):
+    def test_values_match_point_by_point(self, capsys, monkeypatch, name, q, alpha):
         fn, pairs = self.CASES[name]
         ctx = QContext(q, alpha)
-        rows = _table(capsys, name, "x=-2.7:3.1:64", *pairs, f"q={q}", f"alpha={alpha}")
-        assert len(rows) == 64
+        function, _, kind = name.partition("/")
+        calls = _counting(monkeypatch, function)
+        # the prefactored q-Bessel kinds are defined for x > 0 at fractional order
+        sweep = "x=0.05:3.1:64" if kind in ("second_jackson", "hahn_exton") else "x=-2.7:3.1:64"
+        rows = _table(capsys, function, sweep, *pairs, f"q={q}", f"alpha={alpha}")
+        assert len(rows) == 64 and len(calls) == 1
         for x, v in rows:
             ref = fn(x, ctx)
             assert abs(v - ref) / (1.0 + abs(v) + abs(ref)) <= 1e-13, x
+
+    def test_qexp_gen_sweeps_z_in_one_call(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, "qexp_gen")
+        ctx = QContext(0.5, 0.25)
+        rows = _table(capsys, "qexp_gen", "z=-2.7:3.1:64", "q=0.5", "alpha=0.25")
+        assert len(rows) == 64 and len(calls) == 1
+        for z, v in rows:
+            ref = qexp_gen(z, ctx)
+            assert abs(v - ref) / (1.0 + abs(v) + abs(ref)) <= 1e-13, z
 
     def test_non_finite_values_fall_back_point_by_point(self, capsys, monkeypatch):
         # the array path raises on inf; point by point the explicit sum keeps it
@@ -368,6 +388,23 @@ class TestCliArraySweep:
         assert main(["table", "hermite_h", "--sweep", "x=45:50:64",
                      "n=170", "q=0.97", "alpha=-0.99"]) == 1
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("function, sweep, pairs, failing, index", [
+        # the Rodrigues residual is not evaluated at x = 0, the 33rd point
+        ("relation_residual", "x=-1:1:65", ["kind=rodrigues", "n=3"], "0", 33),
+        # a prefactored q-Bessel kind of fractional order needs x > 0
+        ("qbessel", "x=-0.5:2:64", ["kind=hahn_exton", "order=1.3"], "-0.5", 1),
+    ], ids=["rodrigues-at-0", "hahn_exton-at-x<=0"])
+    def test_a_point_outside_the_domain_is_named_as_point_by_point(
+            self, capsys, monkeypatch, function, sweep, pairs, failing, index):
+        assert main(["eval", function, f"x={failing}", *pairs, "q=0.5", "alpha=0.25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ")
+        calls = _counting(monkeypatch, function)
+        assert main(["table", function, "--sweep", sweep, *pairs, "q=0.5", "alpha=0.25"]) == 1
+        assert capsys.readouterr().err == err
+        # the array call, then the points up to the first failing one
+        assert len(calls) == 1 + index
 
     def test_one_call_per_table(self, capsys, monkeypatch):
         calls = _counting(monkeypatch, "hermite_h")
