@@ -145,13 +145,13 @@ def _lookup(name: str) -> Callable[[dict], Any]:
     return REGISTRY[name][0]
 
 
-def _write(text: str, path: str | None, end: str = "") -> None:
-    """text to the file at path, or to stdout followed by end."""
+def _write(text: str, path: str | None) -> None:
+    """text to the file at path, or to stdout: the same bytes either way."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
-        print(text, end=end)
+        print(text, end="")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -177,10 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report = run_suite(cfg, tool_version=__version__)
-    if args.format == "json":
-        _write(report.to_json(), args.out, end="\n")
-    else:
-        _write(report.to_csv(), args.out)
+    _write(report.to_json() + "\n" if args.format == "json" else report.to_csv(), args.out)
     summary = report.summary
     print(f"checks: {summary['total']}  pass: {summary['pass']}  "
           f"fail: {summary['fail']}", file=sys.stderr)

@@ -25,15 +25,6 @@ FunctionHandle = Callable[[float], float]
 #: a point or a numpy array of points: the x of the functions that take arrays
 Points = float | ndarray
 
-QDERIV_VARIANTS = (
-    "backward",
-    "forward",
-    "backward_alpha",
-    "forward_alpha",
-    "delta_alpha",
-    "delta_alpha_plus",
-)
-
 
 # ---------------------------------------------------------------------------
 # q-shifted factorials and q-numbers
@@ -209,7 +200,7 @@ def _gen_qint(n: int, q: float, alpha: float) -> float:
 
 def gen_qfact(n: int, ctx: QContext) -> float:
     """Generalized q-factorial n!_{q,alpha} = prod_{k=1}^{n} gen_qint(k)."""
-    return _in_range(_gen_qfact(n, ctx.q, ctx.alpha), f"{n}!_(q,alpha)", ctx)
+    return _in_range(_factorials(ctx.q, ctx.alpha).upto(n).gf[n], f"{n}!_(q,alpha)", ctx)
 
 
 def _in_range(value: Points, what: str, ctx: QContext) -> Points:
@@ -226,40 +217,38 @@ def _show(x) -> str:
             if isinstance(x, ndarray) else f"{x}")
 
 
-def _gen_qfact(n: int, q: float, alpha: float) -> float:
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= _gen_qint(k, q, alpha)
-    return out
-
-
 def gen_qpoch(n: int, ctx: QContext) -> float:
     """Generalized q-shifted factorial (q; q)_{n, alpha} = (1-q)^n n!_{q,alpha};
     it is positive, so where it underflows to 0 it raises DomainError."""
-    value = _in_range(_gen_qpoch(n, ctx.q, ctx.alpha), f"(q;q)_({n},alpha)", ctx)
+    value = _in_range(_factorials(ctx.q, ctx.alpha).upto(n).gp[n], f"(q;q)_({n},alpha)", ctx)
     if value == 0.0:  # q = 0.99, alpha = 0.25, n = 170: the product is about 1e-60
         raise DomainError(f"(q;q)_({n},alpha) underflows to 0 at q = {ctx.q}, "
                           f"alpha = {ctx.alpha}")
     return value
 
 
-def _gen_qpoch(n: int, q: float, alpha: float) -> float:
-    return (1.0 - q) ** n * _gen_qfact(n, q, alpha)
-
-
 class _Factorials:
-    """The finite q-shifted factorials of one (q, alpha), grown on demand.
+    """The finite q-shifted factorials of one (q, alpha), grown on demand: the
+    one place they are formed.
 
-    qp[n] = (q;q)_n, qq[n] = (q^2;q^2)_n, ab[n] = (q^{2 alpha + 2};q^2)_n and
-    gp[n] = (q;q)_{n,alpha}.  Each list is extended by the running product of
-    _qpoch and _gen_qpoch, so every entry is bit-for-bit the value they return.
+    qp[n] = (q;q)_n, qq[n] = (q^2;q^2)_n and ab[n] = (q^{2 alpha + 2};q^2)_n
+    are the running products of _qpoch, bit for bit.  gf[n] = n!_{q,alpha} is
+    the running product of the generalized q-integers g_k / (1 - q), where
+    g_k = 1 - q^k for even k and 1 - q^{k + 2 alpha + 1} for odd k, and
+    gp[n] = (q;q)_{n,alpha} = (1 - q)^n gf[n].  pc[n] = (q;q)_{n,alpha} / (q;q)_n^2,
+    the Poisson kernel's coefficient, is the running product of the factors
+    g_k / (1 - q^k)^2, which stay near 1: it stays in range where gp and qp
+    underflow with (1 - q)^n.  gp is (1 - q)^n gf[n] on purpose, not the
+    product of the g_k: near q = 1 it underflows to 0 at large n, and that 0
+    makes hermite_h's cancelling explicit sum raise instead of returning a
+    wrong finite value.
     """
 
     def __init__(self, q: float, alpha: float):
         self.q, self.alpha = q, alpha
-        self.qp, self.qq, self.ab, self.gp = [1.0], [1.0], [1.0], [1.0]
+        self.qp, self.qq, self.ab = [1.0], [1.0], [1.0]
+        self.gf, self.gp, self.pc = [1.0], [1.0], [1.0]
         self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
-        self._gen_qfact = 1.0
 
     def upto(self, n: int) -> "_Factorials":
         """This table, with every list holding index n."""
@@ -272,8 +261,10 @@ class _Factorials:
                 vals.append(vals[-1] * (1.0 - self._aq[i]))
                 self._aq[i] *= base
             k = len(self.gp)
-            self._gen_qfact *= _gen_qint(k, q, self.alpha)
-            self.gp.append((1.0 - q) ** k * self._gen_qfact)
+            g = 1.0 - q ** (k if k % 2 == 0 else k + 2.0 * self.alpha + 1.0)
+            self.gf.append(self.gf[-1] * (g / (1.0 - q)))
+            self.gp.append((1.0 - q) ** k * self.gf[-1])
+            self.pc.append(self.pc[-1] * (g / (1.0 - q ** k) ** 2))
         return self
 
 

@@ -21,8 +21,8 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (FunctionHandle, Points, _factorials, _gen_qpoch, _in_range, _qpoch,
-                    _qpoch_inf, _show, _sum_series, jackson_integral, qderiv_pow, theta)
+from .qcore import (FunctionHandle, Points, _factorials, _in_range, _qpoch_inf, _show,
+                    _sum_series, gen_qpoch, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -166,12 +166,8 @@ def norm_constant(n: int, ctx: QContext) -> float:
                 / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2).value))
     if radicand <= 0.0:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
-    big_c = math.sqrt(radicand)
-    fac = _factorials(q, alpha).upto(n)
-    if fac.gp[n] == 0.0:  # (1-q)^n underflows first: at q = 0.99, alpha = 0.25,
-        # n = 170 the product is about 1e-60 and d_n about 3e-31
-        raise DomainError(f"(q;q)_({n},alpha) underflows to 0 at q = {q}, alpha = {alpha}")
-    return big_c * q ** (n * n / 2.0) * math.sqrt(fac.gp[n]) / fac.qp[n]
+    return (math.sqrt(radicand) * q ** (n * n / 2.0) * math.sqrt(gen_qpoch(n, ctx))
+            / _factorials(q, alpha).qp[n])
 
 
 def moment_constant(ctx: QContext) -> float:
@@ -216,17 +212,15 @@ def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
     forward_shift, backward_shift, qdiff: three-term relations at x
     rodrigues      : weight * polynomial vs iterated difference of the weight
 
-    On an array, evaluated without numpy's warnings, a non-finite residual
-    raises DomainError.
+    A non-finite residual raises DomainError; an array is evaluated without
+    numpy's warnings.
     """
     if isinstance(x, ndarray):
         with np.errstate(all="ignore"):
             value = _relation_residual(kind, n, x, ctx)
-        if not np.isfinite(value).all():
-            raise DomainError(f"{kind} relation residual leaves double range at "
-                              f"x = {_show(x)}, q = {ctx.q}")
-        return value
-    return _relation_residual(kind, n, x, ctx)
+    else:
+        value = _relation_residual(kind, n, x, ctx)
+    return _in_range(value, f"{kind} relation residual at x = {_show(x)}", ctx)
 
 
 def _relation_residual(kind: str, n: int, x, ctx: QContext):
@@ -282,9 +276,10 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
         if (x == 0.0).any() if isinstance(x, ndarray) else x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
         lhs = weight(x, ctx) * hermite_h(n, x, ctx)
-        qi = 1.0 / q
-        pref = ((q - 1.0) ** n * q ** (-n * (n - 1.0) / 2.0)
-                * _qpoch(qi, n, qi) / _gen_qpoch(n, qi, alpha))
+        # (1/q;1/q)_n / (1/q;1/q)_{n,alpha}: the factors of even k cancel
+        ratio = math.prod((1.0 - q ** -k) / (1.0 - q ** (-k - 2.0 * alpha - 1.0))
+                          for k in range(1, n + 1, 2))
+        pref = (q - 1.0) ** n * q ** (-n * (n - 1.0) / 2.0) * ratio
         handle = qderiv_pow(lambda t: weight(t, ctx), n, "delta_alpha", ctx)
         rhs = pref * handle(x)
         # iterated backward differences toward x = 0 amplify roundoff; the
@@ -648,55 +643,40 @@ def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
-def _poisson_coefficients(ctx: QContext):
-    """Yield c_i = (q;q)_{i,alpha} / (q;q)_i^2 for i = 0, 1, 2, ... as the
-    running product c_i = c_{i-1} g_i / (1 - q^i)^2, g_i = 1 - q^i for even i
-    and 1 - q^{i+2a+1} for odd i: every factor stays near 1, where
-    (q;q)_{i,alpha} = (1-q)^i i!_{q,alpha} underflows with (1-q)^i."""
-    q, alpha = ctx.q, ctx.alpha
-    c = 1.0
-    yield c
-    for i in count(1):
-        g = 1.0 - q ** (i if i % 2 == 0 else i + 2.0 * alpha + 1.0)
-        c *= g / (1.0 - q ** i) ** 2
-        yield c
-
-
 def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> float:
     """Residual of the Poisson kernel evaluated at one.
 
     general              : bilinear sum of the generalized family against the
                            second-kind q-Bessel product (x, y > 0 required)
-    half_integer_corollary: the alpha = -1/2 Cos_q/Sin_q form
+    half_integer_corollary: the same sum at alpha = -1/2 against its
+                           Cos_q/Sin_q form
 
-    The bilinear sums walk the scaled polynomials at x and at y by their
-    three-term recurrence (_scaled_walk): N terms cost O(N).
+    The bilinear sum walks the scaled polynomials at x and at y by their
+    three-term recurrence (_scaled_walk): N terms cost O(N).  Its
+    coefficients (q;q)_{i,alpha} / (q;q)_i^2 are the factorial table's pc
+    column, which stays in range where (1-q)^i underflows.
     """
     if abs(x - y) < 1e-8:
         raise DomainError("Poisson kernel residual needs x != y")
     q = ctx.q
     q2 = q * q
+    if which == "half_integer_corollary":
+        ctx = ctx.with_alpha(-0.5)
+    elif which != "general":
+        raise ArgumentError(f"unknown Poisson kernel form: {which!r}")
+    elif x <= 0.0 or y <= 0.0:
+        raise DomainError("general Poisson kernel form needs x, y > 0")
+    alpha = ctx.alpha
+    scale = q ** (alpha + 0.5)
+    fac = _factorials(q, alpha)
+    lhs = _sum_series((fac.upto(i).pc[i] * sx * sy for i, (sx, sy) in enumerate(zip(
+        _scaled_walk(scale * x, ctx), _scaled_walk(scale * y, ctx)))), "Poisson kernel series")
 
     if which == "half_integer_corollary":
-        cctx = ctx.with_alpha(-0.5)
-        fac = _factorials(q, cctx.alpha)
-        lhs = _sum_series((sx * sy / fac.upto(i).qp[i] for i, (sx, sy)
-                           in enumerate(zip(_scaled_walk(x, cctx), _scaled_walk(y, cctx)))),
-                          "Poisson kernel series")
         pref = _qpoch_inf(q, q2).value / (_qpoch_inf(q2, q2).value * (x - y))
         rhs = pref * (qtrig(x, "sin", q) * qtrig(y, "cos", q)
                       - qtrig(x, "cos", q) * qtrig(y, "sin", q))
         return abs(lhs - rhs)
-
-    if which != "general":
-        raise ArgumentError(f"unknown Poisson kernel form: {which!r}")
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("general Poisson kernel form needs x, y > 0")
-    alpha = ctx.alpha
-    scale = q ** (alpha + 0.5)
-    lhs = _sum_series((c * sx * sy for c, sx, sy in zip(
-        _poisson_coefficients(ctx), _scaled_walk(scale * x, ctx),
-        _scaled_walk(scale * y, ctx))), "Poisson kernel series")
     pref = (_qpoch_inf(q2, q2).value * (x * y) ** (-alpha)
             / (_qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value * (x - y)))
     rhs = pref * (qbessel(2.0 * x, alpha + 1.0, "second_jackson", ctx)

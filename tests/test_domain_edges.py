@@ -57,6 +57,9 @@ SWEEP = {
     "qpoch_inf": (lambda z, ctx: qpoch_inf(z, ctx).value, "z"),
     **{f"algebra_{rel}": (lambda d, ctx, rel=rel: algebra_residual(rel, d, ctx), "d")
        for rel in RELATION_NAMES},
+    # a float x; the array case is test_relation_residual_lattice_array_finite_or_qerror
+    **{f"relation_{kind}": (lambda n, x, ctx, kind=kind: relation_residual(kind, n, x, ctx), "nx")
+       for kind in RELATION_KINDS},
 }
 
 
@@ -161,6 +164,10 @@ def test_array_square_overflow_raises_domain_error(fn):
     (gen_qpoch, 0.99, 0.25, (170,)),
     # sqrt((q;q)_{170,alpha}) read as 0 where d_170 is about 3e-31: it returned 0.0
     (norm_constant, 0.99, 0.25, (170,)),
+    # the Rodrigues side's prefactor times the iterated difference of the weight
+    # overflows, about 1.6e227 times -1.4e119, where the other side is 1.6e246:
+    # a float returned NaN, where an array raised
+    (lambda n, x, ctx: relation_residual("rodrigues", n, x, ctx), 0.05, 0.25, (20, 0.3)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

@@ -61,6 +61,33 @@ def test_only_the_product_and_the_series_sum_read_max_terms():
     assert readers == {("qcore", "_qpoch_inf_product"), ("qcore", "_sum_series")}
 
 
+#: what forms finite q-shifted factorials: the table of qcore, and the product it extends
+FACTORIAL_FORMERS = {"_qpoch", "_Factorials"}
+
+
+def _names_read(source: str, names: set[str]) -> set[str]:
+    """Those of names that source imports or reads as a module attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name in names:
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.attr)
+    return found
+
+
+def test_scanner_sees_factorial_formers():
+    source = "from .qcore import _qpoch, qpoch\nqcore._Factorials(0.5, 0.25)\n"
+    assert _names_read(source, FACTORIAL_FORMERS) == FACTORIAL_FORMERS
+
+
+@pytest.mark.parametrize("path", [p for p in _modules() if p.stem != "qcore"],
+                         ids=lambda p: p.stem)
+def test_only_qcore_forms_finite_factorials(path):
+    # the others read them from the cached table (_factorials) or qcore's public functions
+    assert not _names_read(path.read_text(), FACTORIAL_FORMERS)
+
+
 def _unused_imports(source: str) -> list[str]:
     """The names source's import statements bind that nothing else in it reads."""
     tree = ast.parse(source)

@@ -16,8 +16,7 @@ from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
 from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
-from qlab.qcore import (_gen_qpoch, _qpoch, _qpoch_inf, _qpoch_inf_array, _qpoch_inf_cached,
-                        _sum_series)
+from qlab.qcore import _qpoch, _qpoch_inf, _qpoch_inf_array, _qpoch_inf_cached, _sum_series
 from qlab.qhermite import (_gauss_jacobi, _lattice_table, _ortho_integrand,
                            discrete_orthogonality_residual, discrete_orthogonality_rhs)
 
@@ -476,11 +475,11 @@ def _qexp_gen_per_term(z, ctx):
     # the per-term formula qexp_gen used before it read the factorial table,
     # stopped by the shared rule: three successive terms below SERIES_TOL
     # relative to max(1, |sum|), from the sixth term on
-    q, alpha = ctx.q, ctx.alpha
+    q = ctx.q
     total = 0.0
     below = 0
     for k in range(MAX_TERMS):
-        t = q ** (k * (k - 1) / 2.0) * z ** k / _gen_qpoch(k, q, alpha)
+        t = q ** (k * (k - 1) / 2.0) * z ** k / gen_qpoch(k, ctx)
         total += t
         if abs(t) < SERIES_TOL * max(1.0, abs(total)):
             below += 1

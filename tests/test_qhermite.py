@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from itertools import islice
 
 import mpmath
 import numpy as np
@@ -22,7 +21,7 @@ from qlab import (DomainError, NonConvergence, PoleError,
                   poisson_kernel_residual, qexp_small, qlaguerre,
                   relation_residual, rogers_ramanujan_residual, weight)
 from qlab import qhermite
-from qlab.qcore import _Factorials, _factorials, _gen_qpoch, _qpoch
+from qlab.qcore import _Factorials, _factorials, _qpoch
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
@@ -178,11 +177,10 @@ class TestThreeTermRecurrence:
         # side's (the kernel sum agrees with a 60-digit sum to 2e-13)
         ctx = QContext(q=0.97, alpha=1.0)
         assert poisson_kernel_residual(0.8, 0.3, "general", ctx) < 1e-7
-        coeff = list(islice(qhermite._poisson_coefficients(ctx), 1000))
-        fac = _Factorials(0.97, 1.0).upto(40)
+        coeff = _Factorials(0.97, 1.0).upto(999)
         for i in range(41):
-            assert coeff[i] == pytest.approx(fac.gp[i] / fac.qp[i] ** 2, rel=1e-13)
-        assert min(coeff) > 0.0
+            assert coeff.pc[i] == pytest.approx(coeff.gp[i] / coeff.qp[i] ** 2, rel=1e-13)
+        assert min(coeff.pc) > 0.0
 
 
 class TestFactorialTable:
@@ -190,16 +188,24 @@ class TestFactorialTable:
     ALPHAS = (-0.9, -0.5, 0.25, 1.3, 2.3)
 
     def test_entries_equal_the_direct_products(self):
-        # bit-for-bit, not approximately: the table replaces these calls
+        # (a;q)_n bit for bit, as qpoch forms them; the generalized factorials
+        # against 30-digit products of their factors
+        mp = mpmath.MPContext()
+        mp.dps = 30
         for q in self.QS:
             q2 = q * q
             for a in self.ALPHAS:
                 f = _Factorials(q, a).upto(120)
+                qm = mp.mpf(q)
+                gf = mp.mpf(1)
                 for n in range(121):
                     assert f.qp[n] == _qpoch(q, n, q)
                     assert f.qq[n] == _qpoch(q2, n, q2)
                     assert f.ab[n] == _qpoch(q ** (2.0 * a + 2.0), n, q2)
-                    assert f.gp[n] == _gen_qpoch(n, q, a)
+                    if n:
+                        gf *= (1 - qm ** (n if n % 2 == 0 else n + 2 * mp.mpf(a) + 1)) / (1 - qm)
+                    assert f.gf[n] == pytest.approx(float(gf), rel=1e-13)
+                    assert f.gp[n] == pytest.approx(float((1 - qm) ** n * gf), rel=1e-13)
 
     def test_independent_of_request_order(self):
         for q in self.QS:
@@ -209,7 +215,7 @@ class TestFactorialTable:
                 f.upto(3)
                 f.upto(120)
                 g = _Factorials(q, a).upto(120)
-                assert (f.qp, f.qq, f.ab, f.gp) == (g.qp, g.qq, g.ab, g.gp)
+                assert (f.qp, f.qq, f.ab, f.gf, f.gp, f.pc) == (g.qp, g.qq, g.ab, g.gf, g.gp, g.pc)
 
     def test_negative_index_raises(self):
         with pytest.raises(DomainError):

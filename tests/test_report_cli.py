@@ -421,17 +421,17 @@ class TestCliArraySweep:
 
 
 class TestCliOutputBytes:
-    """verify and table write the same bytes to --out as before, and to
-    stdout; a JSON report on stdout alone gains a closing newline."""
+    """verify and table write the same bytes to --out and to stdout; a JSON
+    report ends with a newline."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_verify(self, capsys, tmp_path, monkeypatch, fmt):
         rep = VerificationReport(tool_version="v", config={"suite": "x"})
         rep.add(CheckResult("c", {"q": 0.5}, 1e-12, 1e-8))
         monkeypatch.setattr(qlab.cli, "run_suite", lambda cfg, tool_version: rep)
-        text = rep.to_json() if fmt == "json" else rep.to_csv()
+        text = rep.to_json() + "\n" if fmt == "json" else rep.to_csv()
         assert main(["verify", "--format", fmt]) == 0
-        assert capsys.readouterr().out == text + ("\n" if fmt == "json" else "")
+        assert capsys.readouterr().out == text
         out = tmp_path / "report"
         assert main(["verify", "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == text.encode()
