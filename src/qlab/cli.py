@@ -8,9 +8,10 @@ Subcommands:
 
 A table sweeps x through hermite_h, weight, phi, eigen_residual,
 relation_residual or qbessel, and z through qexp_gen, in one call on the
-array of its points (those parameters are annotated Points).  Where that
-call raises a QError or gives a non-finite value, and for every other
-function or swept key, the table is evaluated point by point.
+array of its points, which qcore._guarded runs without numpy's warnings
+(those parameters are annotated Points).  Where that call raises a QError
+or gives a non-finite value, and for every other function or swept key,
+the table is evaluated point by point.
 
 Exit codes: 0 all checks pass (or evaluation succeeded), 1 any check
 failed (or a domain/convergence error), 2 configuration or usage error.
@@ -207,8 +208,7 @@ def _sweep_values(fn: Callable[[dict], Any], array: bool, fixed: dict[str, Any],
     first point it fails at, and hermite_h keeps its per-point +-inf."""
     if array and points:
         try:
-            with np.errstate(all="ignore"):
-                values = fn({**fixed, key: np.array(points)})
+            values = fn({**fixed, key: np.array(points)})
             if np.isfinite(values).all():
                 return values.tolist()
         except QError:

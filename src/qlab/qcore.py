@@ -8,8 +8,9 @@ q-integrals over the geometric lattice.
 
 from __future__ import annotations
 
+import inspect
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import islice
 from typing import Callable
 
@@ -217,6 +218,29 @@ def _show(x) -> str:
             if isinstance(x, ndarray) else f"{x}")
 
 
+def _guarded(fn):
+    """fn, where an OverflowError or ZeroDivisionError (a power past double
+    range, a factorial rounded to 0) raises a DomainError naming the call, and
+    a numpy array given to its parameter annotated Points runs without numpy's
+    warnings: the one place overflow is mapped.  Hot helpers go without it."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    at, key = next(((i, k) for i, (k, p) in enumerate(params.items())
+                    if p.annotation == Points), (len(params), None))
+
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            if isinstance(args[at] if at < len(args) else kwargs.get(key), ndarray):
+                with np.errstate(all="ignore"):
+                    return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            shown = [*map(_show, args), *(f"{k}={_show(v)}" for k, v in kwargs.items())]
+            raise DomainError(f"{fn.__name__}({', '.join(shown)}) leaves double range") from exc
+
+    return guarded
+
+
 def gen_qpoch(n: int, ctx: QContext) -> float:
     """Generalized q-shifted factorial (q; q)_{n, alpha} = (1-q)^n n!_{q,alpha};
     it is positive, so where it underflows to 0 it raises DomainError."""
@@ -253,7 +277,7 @@ class _Factorials:
     def upto(self, n: int) -> "_Factorials":
         """This table, with every list holding index n."""
         if n < 0:
-            raise DomainError("qpoch requires n >= 0")
+            raise DomainError(f"degree {n} is negative: the q-factorial table starts at 0")
         q = self.q
         while len(self.gp) <= n:
             for i, (vals, base) in enumerate(((self.qp, q), (self.qq, q * q),

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from itertools import count
 
-import numpy as np
 from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on every call
 
 from .context import ArgumentError, DomainError, PoleError, QContext, TruncatedValue
-from .qcore import (Points, _factorials, _in_range, _qpoch_inf, _sum_series, qderiv,
-                    qderiv_pow)
+from .qcore import (Points, _factorials, _guarded, _in_range, _qpoch_inf, _sum_series,
+                    qderiv, qderiv_pow)
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -76,6 +75,7 @@ def qtrig(z: float, which: str, q: float) -> float:
                        "q-trigonometric series")
 
 
+@_guarded
 def qexp_gen(z: Points, ctx: QContext) -> Points:
     """Generalized q-exponential E_{q,alpha}(z) with generalized factorials;
     z may be a numpy array."""
@@ -85,6 +85,7 @@ def qexp_gen(z: Points, ctx: QContext) -> Points:
                        "E_(q,alpha) series", z)
 
 
+@_guarded
 def qbessel(x: Points, order: float, kind: str, ctx: QContext) -> Points:
     """q-Bessel functions of the three kinds used here, order > -1.
 
@@ -92,16 +93,8 @@ def qbessel(x: Points, order: float, kind: str, ctx: QContext) -> Points:
     hahn_exton    : J_order^{(3)}(x; q^2)
     modified      : j_order(x; q^2), even and entire in x
 
-    x may be a numpy array, evaluated without numpy's warnings: a value out
-    of double range raises DomainError there as on a float.
+    x may be a numpy array, where a value out of double range raises as on a float.
     """
-    if isinstance(x, ndarray):
-        with np.errstate(all="ignore"):
-            return _qbessel(x, order, kind, ctx)
-    return _qbessel(x, order, kind, ctx)
-
-
-def _qbessel(x, order: float, kind: str, ctx: QContext):
     if kind not in BESSEL_KINDS:
         raise ArgumentError(f"unknown Bessel kind: {kind!r}")
     if order <= -1.0:
@@ -114,11 +107,8 @@ def _qbessel(x, order: float, kind: str, ctx: QContext):
         raise DomainError("prefactored q-Bessel kinds need x > 0 for fractional order")
     pref = _qpoch_inf(q ** (2.0 * order + 2.0), q2).value / _qpoch_inf(q2, q2).value
     u = x / 2.0 if kind == "second_jackson" else x
-    try:
-        value = pref * u ** order * _sum_series(
-            _bessel_terms(u, order, kind == "second_jackson", q), "q-Bessel series", x)
-    except OverflowError as exc:  # from u^order
-        raise DomainError(f"q-Bessel prefactor leaves double range at x = {x}") from exc
+    value = pref * u ** order * _sum_series(  # u^order may overflow
+        _bessel_terms(u, order, kind == "second_jackson", q), "q-Bessel series", x)
     return _in_range(value, "q-Bessel function", ctx)
 
 

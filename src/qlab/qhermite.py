@@ -21,8 +21,8 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (FunctionHandle, Points, _factorials, _in_range, _qpoch_inf, _show,
-                    _sum_series, gen_qpoch, jackson_integral, qderiv_pow, theta)
+from .qcore import (FunctionHandle, Points, _factorials, _guarded, _in_range, _qpoch_inf,
+                    _show, _sum_series, gen_qpoch, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -30,37 +30,26 @@ from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 # Polynomials and weight
 # ---------------------------------------------------------------------------
 
+@_guarded
 def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
     """Generalized discrete q-Hermite II polynomial of degree n at x, by its
-    explicit sum; x may be a numpy array, summed without numpy's warnings."""
-    if isinstance(x, ndarray):
-        with np.errstate(all="ignore"):
-            return _hermite_sum(n, x, ctx)
-    return _hermite_sum(n, x, ctx)
-
-
-def _hermite_sum(n: int, x, ctx: QContext):
+    explicit sum; x may be a numpy array."""
     q = ctx.q
     fac = _factorials(q, ctx.alpha).upto(n)
     total = 0.0
-    try:
-        for k in range(n // 2 + 1):
-            total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
-                      * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
-        value = fac.qp[n] * total
-        # an array holding inf or nan raises; a float keeps +-inf where its
-        # terms overflow (README, known limitations), but nan carries no value
-        if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
-            raise OverflowError("the sum holds an overflow as nan")
-    except (OverflowError, ZeroDivisionError) as exc:
-        # a power of q or x overflows, or (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha}
-        # underflows to 0 with (1-q)^n
-        raise DomainError(f"degree-{n} polynomial term leaves double range at "
-                          f"x = {_show(x)}, q = {q}") from exc
+    for k in range(n // 2 + 1):  # a power may overflow, or (q;q)_{n,alpha} round to 0
+        total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
+                  * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
+    value = fac.qp[n] * total
+    # an array holding inf or nan raises; a float keeps +-inf where its
+    # terms overflow (README, known limitations), but nan carries no value
+    if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
+        raise OverflowError("the sum holds an overflow as nan")
     return value
 
 
-def hermite_h_scaled(n: int, x, ctx: QContext):
+@_guarded
+def hermite_h_scaled(n: int, x: Points, ctx: QContext) -> Points:
     """q^{n^2/2} times hermite_h(n, x): the overflow-safe kernel scaling.
 
     The polynomial's dominant coefficient grows like q^{-n^2}; in the
@@ -69,7 +58,7 @@ def hermite_h_scaled(n: int, x, ctx: QContext):
     """
     value = next(islice(_scaled_walk(x, ctx), n, None))
     if not np.isfinite(value).all():
-        raise DomainError(f"degree-{n} scaled polynomial leaves double range at x = {x}")
+        raise DomainError(f"degree-{n} scaled polynomial leaves double range at x = {_show(x)}")
     return value
 
 
@@ -87,7 +76,8 @@ def _scaled_walk(x, ctx: QContext):
     lead = 1.0 - q ** (2.0 * alpha + 2.0)
     if lead == 0.0:
         raise DomainError(f"(q;q)_(1,alpha) rounds to 0 at q = {q}, alpha = {alpha}")
-    prev, cur = 1.0, q ** 0.5 * (1.0 - q) * x / lead
+    prev = np.ones(x.shape) if isinstance(x, ndarray) else 1.0  # s_0 has x's shape
+    cur = q ** 0.5 * (1.0 - q) * x / lead
     yield prev
     for n in count(1):
         yield cur
@@ -95,37 +85,32 @@ def _scaled_walk(x, ctx: QContext):
         prev, cur = cur, (q ** (n + 0.5) * x * cur - q * (1.0 - q ** n) * prev) / a
 
 
+@_guarded
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     """q-Laguerre polynomial L_n^{(order)}(x; q^2), generalized-factorial form."""
     q = ctx.q
     fac = _factorials(q, order).upto(2 * n)
     total = 0.0
-    try:
-        for k in range(n + 1):
-            total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
-                      / (fac.gp[2 * k] * fac.qq[n - k]))
-    except (OverflowError, ZeroDivisionError) as exc:
-        # x^k overflows, or (q;q)_{2k,alpha} underflows to 0 with (1-q)^{2k}
-        raise DomainError(f"degree-{n} q-Laguerre term leaves double range at "
-                          f"x = {x}, q = {q}") from exc
+    for k in range(n + 1):
+        # x^k may overflow, or (q;q)_{2k,alpha} underflow to 0 with (1-q)^{2k}
+        total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
+                  / (fac.gp[2 * k] * fac.qq[n - k]))
     return _in_range(fac.ab[n] * total, f"degree-{n} q-Laguerre polynomial", ctx)
 
 
+@_guarded
 def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     """hermite_h through its q-Laguerre factorization (independent route)."""
     q, alpha = ctx.q, ctx.alpha
     arg = q ** (-2.0 * alpha - 1.0) * x * x
     fac = _factorials(q, alpha).upto(n)
     m, s = divmod(n, 2)  # an odd degree takes the factor x and the order alpha + 1
-    try:
-        return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0 + 2 * s)) * fac.qp[n] / fac.ab[m + s]
-                * x ** s * qlaguerre(m, alpha + s, arg, ctx))
-    except (OverflowError, ZeroDivisionError) as exc:
-        # q^{-m(2m-1+2s)} overflows, or a finite q-shifted factorial underflows to 0
-        raise DomainError(f"degree-{n} Laguerre route leaves double range at "
-                          f"x = {x}, q = {q}") from exc
+    # q^{-m(2m-1+2s)} may overflow, or a finite q-shifted factorial underflow to 0
+    return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0 + 2 * s)) * fac.qp[n] / fac.ab[m + s]
+            * x ** s * qlaguerre(m, alpha + s, arg, ctx))
 
 
+@_guarded
 def weight(x: Points, ctx: QContext) -> Points:
     """Orthogonality weight e_{q^2}(-q^{-2 alpha - 1} x^2); even, positive.
 
@@ -133,16 +118,10 @@ def weight(x: Points, ctx: QContext) -> Points:
     x may be a numpy array, where the product takes the factor count of the
     largest |z|.  As z <= 0 the product is >= 1, and it overflows to inf
     exactly where the weight underflows to 0.  A z past double range raises
-    DomainError, also on an array, without numpy's overflow warning.
+    DomainError, also on an array.
     """
     q = ctx.q
-    c = -(q ** (-2.0 * ctx.alpha - 1.0))
-    if isinstance(x, ndarray):
-        with np.errstate(over="ignore"):
-            z = c * x * x
-    else:
-        z = c * x * x
-    return 1.0 / _qpoch_inf(z, q * q).value
+    return 1.0 / _qpoch_inf(-(q ** (-2.0 * ctx.alpha - 1.0)) * x * x, q * q).value
 
 
 @lru_cache(maxsize=256)
@@ -184,9 +163,7 @@ def moment_constant(ctx: QContext) -> float:
          * _qpoch_inf(q2, q2).value
          / (_qpoch_inf(-q, q2).value ** 2
             * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value))
-    if not math.isfinite(c):
-        raise DomainError(f"moment constant leaves double range at q = {q}, alpha = {alpha}")
-    return c
+    return _in_range(c, "moment constant", ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +180,7 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
+@_guarded
 def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
     """Scale-normalized residual |LHS - RHS| / (1 + |LHS| + |RHS|) of one
     structural relation of the polynomial family; x may be a numpy array.
@@ -212,15 +190,10 @@ def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
     forward_shift, backward_shift, qdiff: three-term relations at x
     rodrigues      : weight * polynomial vs iterated difference of the weight
 
-    A non-finite residual raises DomainError; an array is evaluated without
-    numpy's warnings.
+    A non-finite residual raises DomainError.
     """
-    if isinstance(x, ndarray):
-        with np.errstate(all="ignore"):
-            value = _relation_residual(kind, n, x, ctx)
-    else:
-        value = _relation_residual(kind, n, x, ctx)
-    return _in_range(value, f"{kind} relation residual at x = {_show(x)}", ctx)
+    return _in_range(_relation_residual(kind, n, x, ctx),
+                     f"{kind} relation residual at x = {_show(x)}", ctx)
 
 
 def _relation_residual(kind: str, n: int, x, ctx: QContext):
@@ -316,6 +289,7 @@ def _damped(env, x, rest):
     return env * rest(x)
 
 
+@_guarded
 def moment_check(n: int, ctx: QContext) -> float:
     """Relative residual of the even-moment formula of the half-line weight."""
     q, alpha = ctx.q, ctx.alpha
@@ -325,13 +299,9 @@ def moment_check(n: int, ctx: QContext) -> float:
         env = qexp_small(-q * y * y, q2).value
         return _damped(env, y, lambda t: t ** (2.0 * n + 2.0 * alpha + 1.0))
 
-    try:
-        integral = jackson_integral(f, "halfline", ctx).value
-        closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
-                  * _factorials(q, alpha).upto(n).ab[n])
-    except OverflowError as exc:
-        raise DomainError(f"degree-{n} moment leaves double range at q = {q}, "
-                          f"alpha = {alpha}") from exc
+    integral = jackson_integral(f, "halfline", ctx).value
+    closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
+              * _factorials(q, alpha).upto(n).ab[n])
     return abs(integral - closed) / abs(closed)
 
 
@@ -465,26 +435,23 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
     return abs(h - rep) / (abs(h) + 1.0)
 
 
+@_guarded
 def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     """Closed-form diagonal of the discrete (Jackson) orthogonality."""
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
     fac = _factorials(q, alpha).upto(n)
-    try:
-        num = (2.0 * (1.0 - q) * _qpoch_inf(-q, q2).value ** 2 * _qpoch_inf(q2, q2).value
-               * q ** (-float(n * n)) * fac.qp[n] ** 2)
-        den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
-               * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
-               * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value
-               * fac.gp[n])
-        value = _in_range(num / den, f"degree-{n} discrete norm", ctx)
-        if value == 0.0:  # q = 0.05, alpha = 20: the diagonal is about 3.3e-574
-            raise DomainError(f"degree-{n} discrete norm underflows to 0 at q = {q}")
-        return value
-    except (OverflowError, ZeroDivisionError) as exc:
-        # q^{-n^2} overflows, or (q;q)_{n,alpha} underflows to 0 with (1-q)^n
-        raise DomainError(f"degree-{n} discrete norm leaves double range at "
-                          f"q = {q}") from exc
+    # q^{-n^2} may overflow, or (q;q)_{n,alpha} underflow to 0 with (1-q)^n
+    num = (2.0 * (1.0 - q) * _qpoch_inf(-q, q2).value ** 2 * _qpoch_inf(q2, q2).value
+           * q ** (-float(n * n)) * fac.qp[n] ** 2)
+    den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
+           * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
+           * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value
+           * fac.gp[n])
+    value = _in_range(num / den, f"degree-{n} discrete norm", ctx)
+    if value == 0.0:  # q = 0.05, alpha = 20: the diagonal is about 3.3e-574
+        raise DomainError(f"degree-{n} discrete norm underflows to 0 at q = {q}")
+    return value
 
 
 def _sqrt(v):

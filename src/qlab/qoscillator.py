@@ -17,13 +17,15 @@ import numpy as np
 
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
-from .qcore import FunctionHandle, Points, _gen_qint, _lattice_power, gen_qfact, sym_qnumber
+from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
+                    _show, gen_qfact, sym_qnumber)
 from .qhermite import _auto_cutoff, _piecewise_quad, _root_h, _sqrt, norm_constant
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
 
 
+@_guarded
 def phi(n: int, x: Points, ctx: QContext) -> Points:
     """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
     numpy array."""
@@ -105,19 +107,17 @@ def _sym(n: float, q: float) -> float:
     return sym_qnumber(n, math.sqrt(q))
 
 
+@_guarded
 def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
     """Every operator of OPERATOR_NAMES on the first dim basis vectors, each
     built from the ones before it: a, b, K0, K+- and then the Casimir."""
     q, alpha = ctx.q, ctx.alpha
     a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
     k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
-    try:
-        for n in range(1, dim):
-            a[n - 1, n] = math.sqrt(_gen_qint(n, q, alpha))
-            b[n - 1, n] = math.sqrt(_sym(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q))
-        bracket = sym_qbracket_diag(k0 - 0.5 * np.eye(dim), q)
-    except OverflowError as exc:  # a symmetric q-number past double range
-        raise DomainError(f"operator matrices at dim={dim}, q={q} leave double range") from exc
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(_gen_qint(n, q, alpha))
+        b[n - 1, n] = math.sqrt(_sym(float(n) if n % 2 == 0 else n + 2.0 * alpha + 1.0, q))
+    bracket = sym_qbracket_diag(k0 - 0.5 * np.eye(dim), q)
     gamma = 1.0 / _sym(2.0, q)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness
         k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
@@ -222,13 +222,15 @@ def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
     return r
 
 
+@_guarded
 def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
     """Scale-normalized residual of H phi_n = [[n]] phi_n at a point, or at
     each point of a numpy array.
 
     The 1/x^2 prefactor of H amplifies roundoff from the cancelling bracket
     (the three terms are O(phi) but combine to O(x^2 phi)), so the honest
-    measure divides by the summed magnitude the evaluation actually handled.
+    measure divides by the summed magnitude the evaluation actually handled;
+    where that prefactor overflows, near x = 0, it raises DomainError.
     """
     if (x == 0.0).any() if isinstance(x, np.ndarray) else x == 0.0:
         raise DomainError("eigenrelation is evaluated away from x = 0")
@@ -242,7 +244,8 @@ def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
     lhs = pref * reduce(add, terms)
     rhs = _gen_qint(n, q, alpha) * values[0]
     scale = abs(pref) * reduce(add, map(abs, terms))
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale)
+    return _in_range(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale),
+                     f"eigenrelation residual at x = {_show(x)}", ctx)
 
 
 def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:

@@ -8,17 +8,21 @@ arguments up to 1e200; the operator-algebra residuals reach dim 64 and the
 orthogonality entries degree 20.
 """
 
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qlab
 from qlab import context
 from qlab import (DomainError, QContext, QError, algebra_residual, continuous_orthogonality,
-                  discrete_orthogonality_residual, discrete_orthogonality_rhs, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled, hermite_via_laguerre,
-                  moment_constant, norm_constant, phi, qbessel, qexp_big, qexp_gen,
-                  qexp_small, qlaguerre, qpoch_inf, qtrig, relation_residual, weight)
+                  discrete_orthogonality_residual, discrete_orthogonality_rhs,
+                  eigen_residual, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled,
+                  hermite_via_laguerre, moment_constant, norm_constant, phi, qbessel, qexp_big,
+                  qexp_gen, qexp_small, qlaguerre, qpoch_inf, qtrig, relation_residual, weight)
+from qlab.qcore import Points
 from qlab.qhermite import RELATION_KINDS
 from qlab.qoscillator import RELATION_NAMES
 
@@ -39,6 +43,7 @@ SWEEP = {
     "hermite_via_laguerre": (hermite_via_laguerre, "nx"),
     "weight": (weight, "x"),
     "phi": (phi, "nx"),
+    "eigen_residual": (eigen_residual, "nx"),
     "norm_constant": (norm_constant, "n"),
     "moment_constant": (moment_constant, ""),
     "gen_qpoch": (gen_qpoch, "n"),
@@ -82,9 +87,23 @@ def test_finite_value_or_qerror(name):
     assert not broken
 
 
-@pytest.mark.parametrize("name", ["hermite_h", "weight", "phi", "qexp_gen",
-                                  "qbessel_second_jackson", "qbessel_hahn_exton",
-                                  "qbessel_modified"])
+def _public(fn):
+    # an entry's function, or the qlab function its lambda calls
+    return getattr(qlab, fn.__code__.co_names[0]) if fn.__name__ == "<lambda>" else fn
+
+
+def _takes_points(fn) -> bool:
+    return any(p.annotation == Points
+               for p in inspect.signature(fn, eval_str=True).parameters.values())
+
+
+#: the entries whose function takes a numpy array, by its Points annotation;
+#: relation_residual's have their own test, at the degrees its Rodrigues side affords
+ARRAY_SWEEP = [name for name, (fn, _) in SWEEP.items()
+               if _takes_points(_public(fn)) and _public(fn) is not relation_residual]
+
+
+@pytest.mark.parametrize("name", ARRAY_SWEEP)
 def test_lattice_array_finite_or_qerror(name):
     # the Jackson lattice points +-q^j of each context as one array: a numpy
     # warning (an error under the suite's warning filter) or a raw exception

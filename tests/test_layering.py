@@ -2,11 +2,14 @@
 layers, which are built on them."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import qlab
+from qlab import qcore
 
 NUMERIC = ("qcore", "qfunctions", "qhermite", "qoscillator")
 UPPER = {"report", "suites", "cli"}
@@ -109,3 +112,59 @@ def test_scanner_sees_unused_imports():
                          ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+OVERFLOW_ERRORS = {"OverflowError", "ZeroDivisionError"}
+
+
+def _overflow_handlers(source: str) -> set[str]:
+    """The top-level definitions of source with an except clause naming
+    OverflowError or ZeroDivisionError."""
+    owners = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if {getattr(c, "id", None) for c in caught} & OVERFLOW_ERRORS:
+                    owners.add(getattr(top, "name", "<module>"))
+    return owners
+
+
+def test_scanner_sees_overflow_handlers():
+    source = ("def f():\n    try:\n        pass\n    except (ValueError, ZeroDivisionError):\n"
+              "        pass\n\ndef g():\n    try:\n        pass\n    except OverflowError:\n"
+              "        pass\n\ndef h():\n    try:\n        pass\n    except ValueError:\n"
+              "        pass\n")
+    assert _overflow_handlers(source) == {"f", "g"}
+
+
+def test_only_qcore_maps_overflow():
+    # the guard of the public functions, and the two handlers whose messages
+    # name a series or a lattice point
+    owners = {(path.stem, owner) for path in _modules()
+              for owner in _overflow_handlers(path.read_text())}
+    assert owners == {("qcore", "_guarded"), ("qcore", "_sum_series"),
+                      ("qcore", "jackson_integral")}
+
+
+def _points_functions() -> dict[str, object]:
+    """name -> function, of the public functions of the numeric modules with a
+    parameter annotated Points."""
+    found = {}
+    for name in NUMERIC:
+        module = importlib.import_module(f"qlab.{name}")
+        for attr, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not attr.startswith("_")
+                    and any(p.annotation == qcore.Points for p in
+                            inspect.signature(fn, eval_str=True).parameters.values())):
+                found[attr] = fn
+    return found
+
+
+def test_every_points_function_is_guarded():
+    found = _points_functions()
+    assert {"hermite_h", "hermite_h_scaled", "weight", "phi", "eigen_residual",
+            "relation_residual", "qbessel", "qexp_gen"} <= found.keys()
+    guard = qcore._guarded(lambda: None).__code__
+    assert [name for name, fn in found.items() if fn.__code__ is not guard] == []

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from itertools import count
 
 import mpmath
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
-                  gen_qint, gen_qpoch, jackson_integral, qbessel, qderiv, qderiv_pow,
+                  gen_qint, gen_qpoch, hermite_h, jackson_integral, qbessel, qderiv, qderiv_pow,
                   qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
 from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
-from qlab.qcore import _qpoch, _qpoch_inf, _qpoch_inf_array, _qpoch_inf_cached, _sum_series
+from qlab.qcore import (Points, _guarded, _qpoch, _qpoch_inf, _qpoch_inf_array,
+                        _qpoch_inf_cached, _sum_series)
 from qlab.qhermite import (_gauss_jacobi, _lattice_table, _ortho_integrand,
                            discrete_orthogonality_residual, discrete_orthogonality_rhs)
 
@@ -626,3 +628,39 @@ class TestSeriesReadTheTable:
             for z in (-2.5, -0.4, 0.4, 0.9, 2.0, 5.0):
                 for which in ("cos", "sin"):
                     assert qtrig(z, which, q) == _qtrig_per_term(z, which, q)
+
+
+
+@_guarded
+def _scaled(n: int, x: Points) -> Points:
+    # 10.0 ** n raises OverflowError past n = 308; 1 / x divides by zero at x = 0
+    return 10.0 ** n * (1.0 / x)
+
+
+class TestGuard:
+    def test_overflow_message_names_the_call(self):
+        with pytest.raises(DomainError) as info:
+            hermite_h(3, 1e200, QContext(q=0.5, alpha=0.25))
+        assert str(info.value) == ("hermite_h(3, 1e+200, QContext(q=0.5, alpha=0.25)) "
+                                   "leaves double range")
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda x: _scaled(400, x), "_scaled(400, 3 points in [1, 3])"),
+        (lambda x: _scaled(400, x=x), "_scaled(400, x=3 points in [1, 3])"),
+    ], ids=["positional", "keyword"])
+    def test_an_array_is_shown_by_its_size_and_range(self, call, shown):
+        with pytest.raises(DomainError) as info:
+            call(np.array([1.0, 2.0, 3.0]))
+        assert str(info.value) == shown + " leaves double range"
+
+    @pytest.mark.parametrize("call", [lambda x: _scaled(0, x), lambda x: _scaled(0, x=x)],
+                             ids=["positional", "keyword"])
+    def test_a_points_array_runs_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(np.array([0.0, 2.0])).tolist() == [math.inf, 0.5]
+
+    def test_a_float_zero_division_raises_domain_error(self):
+        with pytest.raises(DomainError, match=r"^_scaled\(0, 0\.0\) leaves double range$"):
+            _scaled(0, 0.0)

@@ -67,7 +67,7 @@ class TestPolynomial:
             warnings.simplefilter("ignore", RuntimeWarning)
             hermite_h(2, np.array([0.5, 1e200]), CTX)
 
-    @pytest.mark.parametrize("fn", [hermite_h, phi])
+    @pytest.mark.parametrize("fn", [hermite_h, phi, hermite_h_scaled])
     def test_array_overflow_raises_a_short_domain_error(self, fn):
         # degree 20 overflows on the Jackson lattice points +-q^j at q = 0.05:
         # under a warnings-as-errors filter numpy's overflow warning escaped
@@ -220,6 +220,14 @@ class TestFactorialTable:
     def test_negative_index_raises(self):
         with pytest.raises(DomainError):
             _Factorials(0.5, 0.25).upto(-1)
+
+    @pytest.mark.parametrize("fn", [qlab.gen_qfact, qlab.gen_qpoch, norm_constant,
+                                    lambda n, ctx: hermite_h(n, 0.5, ctx)],
+                             ids=["gen_qfact", "gen_qpoch", "norm_constant", "hermite_h"])
+    def test_negative_degree_names_the_degree_and_the_table(self, fn):
+        # the table's own message reaches every caller; it read "qpoch requires n >= 0"
+        with pytest.raises(DomainError, match=r"degree -1 .*q-factorial table"):
+            fn(-1, QContext(0.5, 0.25))
 
     def test_cache_is_bounded(self):
         assert _factorials.cache_info().maxsize is not None

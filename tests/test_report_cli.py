@@ -406,6 +406,15 @@ class TestCliArraySweep:
         # the array call, then the points up to the first failing one
         assert len(calls) == 1 + index
 
+    def test_eigen_residual_near_zero_raises(self, capsys):
+        # H's 1/x^2 prefactor overflows: eval printed nan and the table three
+        # nan rows, both exiting 0
+        args = ["q=0.05", "alpha=-0.99", "n=0"]
+        assert main(["eval", "eigen_residual", "x=3.0e-154", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: DomainError: ")
+        assert main(["table", "eigen_residual", "--sweep", "x=1e-155:3e-154:3", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: DomainError: ")
+
     def test_one_call_per_table(self, capsys, monkeypatch):
         calls = _counting(monkeypatch, "hermite_h")
         _table(capsys, "hermite_h", "x=-1:1:64", "n=5", "q=0.5", "alpha=0.25")
