@@ -41,8 +41,8 @@ def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
         total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
                   * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
     value = fac.qp[n] * total
-    # an array holding inf or nan raises; a float keeps +-inf where its
-    # terms overflow (README, known limitations), but nan carries no value
+    # an array holding inf or nan, or a float holding nan, raises through the
+    # guard; a float keeps +-inf where its terms overflow (README, known limitations)
     if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
         raise OverflowError("the sum holds an overflow as nan")
     return value
