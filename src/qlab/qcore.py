@@ -110,7 +110,7 @@ _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
 
 @lru_cache(maxsize=16)
 def _qpoch_inf_array(data: bytes, dtype, shape: tuple, q: float) -> TruncatedValue:
-    # up to about 45 KB an entry, hence the smaller bound; read-only, inf where it overflows
+    # up to about 66 KB an entry, hence the smaller bound; read-only, inf where it overflows
     with np.errstate(over="ignore"):
         p = _qpoch_inf_product(np.frombuffer(data, dtype).reshape(shape), q)
     for part in (p.value, p.tail_bound):  # the tail is the float 0.0 where a = 0

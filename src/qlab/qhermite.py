@@ -56,6 +56,8 @@ def hermite_h_scaled(n: int, x: Points, ctx: QContext) -> Points:
     q^{n^2/2} scaling the three-term recurrence (_scaled_walk) keeps every
     intermediate in double range, at O(n) cost.
     """
+    if n < 0:
+        raise DomainError(f"degree {n} is negative: the scaled walk starts at 0")
     value = next(islice(_scaled_walk(x, ctx), n, None))
     if not np.isfinite(value).all():
         raise DomainError(f"degree-{n} scaled polynomial leaves double range at x = {_show(x)}")
@@ -89,7 +91,7 @@ def _scaled_walk(x, ctx: QContext):
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     """q-Laguerre polynomial L_n^{(order)}(x; q^2), generalized-factorial form."""
     q = ctx.q
-    fac = _factorials(q, order).upto(2 * n)
+    fac = _factorials(q, order).upto(n).upto(2 * n)  # upto(n) names a negative n as given
     total = 0.0
     for k in range(n + 1):
         # x^k may overflow, or (q;q)_{2k,alpha} underflow to 0 with (1-q)^{2k}
@@ -459,17 +461,6 @@ def _sqrt(v):
     return np.sqrt(v) if isinstance(v, ndarray) else math.sqrt(v)
 
 
-def _ortho_integrand(n: int, m: int, ctx: QContext):
-    # (sqrt(w) h_n) (sqrt(w) h_m) |x|^{2a+1}, at a point or on a numpy array of
-    # points: each factor stays in range where h_n h_m alone would overflow
-    def f(x):
-        hn = _root_h(n, x, ctx)
-        hm = hn if m == n else _root_h(m, x, ctx)
-        return hn * hm * abs(x) ** (2.0 * ctx.alpha + 1.0)
-
-    return f
-
-
 def _root_h(n: int, x, ctx: QContext, d: float = 1.0):
     # d sqrt(w) h_n: phi_n with d = d_n, with d = 1 a factor of the orthogonality integrands
     return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
@@ -515,20 +506,14 @@ def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
-    """Integrate f over (0, cutoff) on the geometric panels [0, cutoff q^45],
-    then x 1/q up to cutoff, with a 20- and a 40-node rule on each panel:
-    (the 40-node sum, its distance from the 20-node sum).
-
-    f is |x|^{2 alpha + 1} times a factor smooth at 0, as in both callers.
-    The panels away from 0 take Gauss-Legendre rules; the first takes the
-    Gauss-Jacobi rules of the weight x^{2 alpha + 1}, which stay accurate
-    where that power is singular at 0 (alpha < -1/2).  f is called once per
-    rule, on the numpy array of all that rule's nodes.  Floating-point
-    warnings are silenced here; the callers' gates reject a non-finite
-    result.
-    """
-    q = ctx.q
+def _piecewise_quad(cutoff: float, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
+    """The table (x, weights) of int_0^cutoff f(x) x^{2 alpha + 1} dx, f smooth at 0:
+    x holds the nodes of a 20- and a 40-node rule on each geometric panel
+    [0, cutoff q^45], then x 1/q up to cutoff, and weights @ f(x) is (the
+    20-node sum, the 40-node sum).  The first panel takes the Gauss-Jacobi
+    rules of the weight x^{2 alpha + 1}, accurate where that power is
+    singular at 0 (alpha < -1/2), the others Gauss-Legendre rules."""
+    q, beta = ctx.q, 2.0 * ctx.alpha + 1.0
     edges = [0.0]
     x = cutoff * q ** 45
     while x < cutoff:
@@ -537,15 +522,36 @@ def _piecewise_quad(f, cutoff: float, ctx: QContext) -> tuple[float, float]:
     edges.append(cutoff)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half, mid = (hi - lo)[:, None] / 2.0, (hi + lo)[:, None] / 2.0
-    sums = []
-    with np.errstate(all="ignore"):
-        for nodes, weights in _GAUSS_LEGENDRE:
-            t, w = np.tile(nodes, (len(lo), 1)), np.tile(weights, (len(lo), 1))
-            t[0], w[0] = _gauss_jacobi(len(nodes), 2.0 * ctx.alpha + 1.0)
-            points = mid + half * t
-            sums.append(np.sum(half * w * f(points.ravel()).reshape(points.shape)))
-        coarse, fine = sums
-        return float(fine), float(abs(fine - coarse))
+    points, sums = [], []
+    for nodes, weights in _GAUSS_LEGENDRE:
+        t, w = np.tile(nodes, (len(lo), 1)), np.tile(weights, (len(lo), 1))
+        t[0], w[0] = _gauss_jacobi(len(nodes), beta)
+        points.append((mid + half * t).ravel())
+        sums.append((half * w).ravel() * points[-1] ** beta)
+    x, k = np.concatenate(points), len(points[0])
+    weights = np.zeros((2, len(x)))
+    weights[0, :k], weights[1, k:] = sums
+    return x, weights
+
+
+@lru_cache(maxsize=256)
+def _gram(n_max: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The half-line integrals of sqrt(w) h_n sqrt(w) h_m x^{2 alpha + 1} up to
+    _auto_cutoff(n_max, n_max), n, m <= n_max: the 40-node Gram matrix
+    Phi diag(weights) Phi^T of _piecewise_quad's table, its distance from the
+    20-node one, and per degree "" or the DomainError message of a row past double
+    range.  Row k of Phi is sqrt(w) h_k at the nodes, in range where h_n h_m is not."""
+    failed = [""] * (n_max + 1)
+    with np.errstate(all="ignore"):  # the callers' gates reject a non-finite entry
+        x, weights = _piecewise_quad(_auto_cutoff(n_max, n_max, ctx), ctx)
+        phi = np.full((n_max + 1, len(x)), np.nan)
+        for k in range(n_max + 1):
+            try:
+                phi[k] = _root_h(k, x, ctx)
+            except DomainError as exc:
+                failed[k] = str(exc)
+        coarse, fine = ((phi * w) @ phi.T for w in weights)
+        return fine, abs(fine - coarse), tuple(failed)
 
 
 @lru_cache(maxsize=256)
@@ -583,23 +589,20 @@ def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
 
 def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
     """The continuous orthogonality entry int d_n d_m h_n h_m w |x|^{2a+1} dx
-    over the line, by Gauss-Legendre quadrature (_piecewise_quad); expected
-    delta_{nm} up to an n-independent diagonal factor.
+    over the line, read from the Gram matrices of degrees up to max(8, n, m)
+    (_gram); expected delta_{nm} up to an n-independent diagonal factor.
 
-    Raises QuadratureFailure when the value or its quadrature error is not
-    finite, or when the error in the normalized entry exceeds QUAD_TOL.
+    Raises DomainError where h_n or h_m leaves double range at the nodes, and
+    QuadratureFailure when the value or its quadrature error is not finite,
+    or when the error in the normalized entry exceeds QUAD_TOL.
     """
-    d_n = norm_constant(n, ctx)
-    d_m = norm_constant(m, ctx)
-    f = _ortho_integrand(n, m, ctx)
-    # the line integrand f(x) + f(-x) is 2 f(x) or 0, since h_k has the
-    # parity of k and w, |x| are even; one evaluation of f serves, and odd
-    # entries vanish exactly (numpy's power is not sign-symmetric to the
-    # last bit)
-    g = lambda x: (1.0 + (-1.0) ** (n + m)) * f(x)  # noqa: E731
-    value, err = _piecewise_quad(g, _auto_cutoff(n, m, ctx), ctx)
-    value *= d_n * d_m
-    err *= d_n * d_m  # error in the normalized entry, not the raw integral
+    d_n, d_m = norm_constant(n, ctx), norm_constant(m, ctx)
+    fine, err, failed = _gram(max(8, n, m), ctx)
+    if failed[n] or failed[m]:
+        raise DomainError(failed[n] or failed[m])
+    # (1 + (-1)^{n+m}) times the half-line integral, as h_k has the parity of k and
+    # w, |x| are even: odd entries are exactly 0; err is the normalized entry's
+    value, err = (float((1.0 + (-1.0) ** (n + m)) * t[n, m]) * (d_n * d_m) for t in (fine, err))
     if not (math.isfinite(value) and err <= QUAD_TOL):
         raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
                                 f"tolerance {QUAD_TOL} for (n,m)=({n},{m})")

@@ -249,25 +249,22 @@ def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
 
 
 def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
-    """Quadrature inner product int f g |x|^{2a+1} dx over the line.
-
-    f and g are called on numpy arrays of quadrature nodes, all nonzero.
-    Raises QuadratureFailure when the quadrature value is not finite, its
-    error exceeds 1e-7, or the integrand at the cutoff c, times c, exceeds
-    1e-7 (the dropped tail is then not negligible: wave functions of degree
-    16 and up at q = 0.5 reach past the fixed cutoff).
-    """
-    alpha = ctx.alpha
-
-    def integrand(x):
-        return (f(x) * g(x) + f(-x) * g(-x)) * x ** (2.0 * alpha + 1.0)
-
+    """Quadrature inner product int f g |x|^{2a+1} dx over the line: f and g are
+    called on the nodes x of the table of _gram(8, ctx) and its cutoff c, once
+    at x and once at -x.  Raises QuadratureFailure when the value is not finite,
+    its error exceeds 1e-7, or the integrand at c, times c, exceeds 1e-7 (the
+    dropped tail is then not negligible: wave functions from degree 16 at q = 0.5)."""
     cutoff = _auto_cutoff(8, 8, ctx)
-    value, err = _piecewise_quad(integrand, cutoff, ctx)
+    x, weights = _piecewise_quad(cutoff, ctx)
+    x = np.append(x, cutoff)
+    with np.errstate(all="ignore"):  # the gates reject a non-finite result
+        line = f(x) * g(x) + f(-x) * g(-x)
+        coarse, fine = weights @ line[:-1]
+        value, err = float(fine), float(abs(fine - coarse))
+        edge = abs(float(line[-1] * np.float64(cutoff) ** (2.0 * ctx.alpha + 1.0))) * cutoff
     if not (math.isfinite(value) and err <= 1e-7):
         raise QuadratureFailure(f"inner-product quadrature value {value} with error "
                                 f"{err} misses 1e-7")
-    edge = abs(float(integrand(np.array([cutoff]))[0])) * cutoff
     if not edge <= 1e-7:
         raise QuadratureFailure(f"inner-product integrand at the cutoff {cutoff}, times "
                                 f"the cutoff, is {edge}: the dropped tail misses 1e-7")

@@ -49,19 +49,48 @@ def _modules():
     return sorted(Path(qlab.__file__).parent.glob("*.py"))
 
 
+def _readers(source: str, names: set[str]) -> set[str]:
+    """The top-level definitions of source that read one of names: by name, as
+    a module attribute or by importing it."""
+    owners = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id in names
+                 and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute) and node.attr in names)
+                    or (isinstance(node, ast.alias) and node.name in names)):
+                owners.add(getattr(top, "name", "<module>"))
+    return owners
+
+
+def _qlab_readers(names: set[str]) -> set[tuple[str, str]]:
+    # (module, top-level definition) of every reader of names in qlab
+    return {(path.stem, owner) for path in _modules()
+            for owner in _readers(path.read_text(), names)}
+
+
+#: the quadrature rules of the node table
+QUADRATURE_RULES = {"_GAUSS_LEGENDRE", "_gauss_jacobi"}
+
+
+def test_scanner_sees_readers():
+    source = ("from .qhermite import _gauss_jacobi\n_GAUSS_LEGENDRE = rules()\n\n"
+              "def _gauss_jacobi(k):\n    return k\n\n"
+              "def f():\n    return _GAUSS_LEGENDRE\n\n"
+              "def g():\n    return qhermite._gauss_jacobi(20)\n")
+    assert _readers(source, QUADRATURE_RULES) == {"<module>", "f", "g"}
+    assert _readers("_GAUSS_LEGENDRE = rules()\n", QUADRATURE_RULES) == set()
+
+
 def test_only_the_product_and_the_series_sum_read_max_terms():
     # one ceiling, read where a product and a series are formed, nowhere else
-    readers = set()
-    for path in _modules():
-        for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", "<module>")
-            for node in ast.walk(top):
-                if ((isinstance(node, ast.Name) and node.id == "MAX_TERMS"
-                     and isinstance(node.ctx, ast.Load))
-                        or (isinstance(node, ast.Attribute) and node.attr == "MAX_TERMS")
-                        or (isinstance(node, ast.alias) and node.name == "MAX_TERMS")):
-                    readers.add((path.stem, owner))
-    assert readers == {("qcore", "_qpoch_inf_product"), ("qcore", "_sum_series")}
+    assert _qlab_readers({"MAX_TERMS"}) == {("qcore", "_qpoch_inf_product"),
+                                            ("qcore", "_sum_series")}
+
+
+def test_only_the_node_table_reads_the_quadrature_rules():
+    # one quadrature path: every quadrature integral is a sum over _piecewise_quad's table
+    assert _qlab_readers(QUADRATURE_RULES) == {("qhermite", "_piecewise_quad")}
 
 
 #: what forms finite q-shifted factorials: the table of qcore, and the product it extends

@@ -26,12 +26,18 @@ import pytest
 from qlab import (PoleError, QContext, continuous_orthogonality, discrete_orthogonality_residual,
                   discrete_orthogonality_rhs, jackson_integral, moment_constant, norm_constant,
                   phi, qbessel, qexp_gen, qpoch_inf, qtrig, weight)
-from qlab.qhermite import _ortho_integrand
+from qlab.qhermite import _root_h
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
 CONTEXTS = [QContext(q=q, alpha=alpha) for q in QS for alpha in ALPHAS]
 IDS = [f"q={c.q}-alpha={c.alpha}" for c in CONTEXTS]
+
+
+def _ortho_integrand(n: int, m: int, ctx: QContext):
+    # (sqrt(w) h_n) (sqrt(w) h_m) |x|^{2a+1} at a point: the discrete entries' integrand
+    return lambda x: _root_h(n, x, ctx) * _root_h(m, x, ctx) * abs(x) ** (2.0 * ctx.alpha + 1.0)
+
 
 mp = mpmath.MPContext()
 mp.dps = 40

@@ -19,10 +19,15 @@ from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import (Points, _guarded, _qpoch, _qpoch_inf, _qpoch_inf_array,
                         _qpoch_inf_cached, _sum_series)
-from qlab.qhermite import (_gauss_jacobi, _lattice_table, _ortho_integrand,
+from qlab.qhermite import (_gauss_jacobi, _lattice_table, _root_h,
                            discrete_orthogonality_residual, discrete_orthogonality_rhs)
 
 CTX = QContext(q=0.5, alpha=0.25)
+
+
+def _ortho_integrand(n: int, m: int, ctx: QContext):
+    # (sqrt(w) h_n) (sqrt(w) h_m) |x|^{2a+1} at a point: the discrete entries' integrand
+    return lambda x: _root_h(n, x, ctx) * _root_h(m, x, ctx) * abs(x) ** (2.0 * ctx.alpha + 1.0)
 
 
 class TestContext:

@@ -19,9 +19,11 @@ from qlab import (DomainError, NonConvergence, PoleError,
                   hermite_via_laguerre, integral_representation_residual,
                   moment_check, moment_constant, norm_constant, phi,
                   poisson_kernel_residual, qexp_small, qlaguerre,
-                  relation_residual, rogers_ramanujan_residual, weight)
+                  relation_residual, rogers_ramanujan_residual, selfadjoint_residual,
+                  wave_function, weight)
 from qlab import qhermite
 from qlab.qcore import _Factorials, _factorials, _qpoch
+from qlab.suites import SuiteConfig, suite_orthogonality
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
@@ -222,12 +224,20 @@ class TestFactorialTable:
             _Factorials(0.5, 0.25).upto(-1)
 
     @pytest.mark.parametrize("fn", [qlab.gen_qfact, qlab.gen_qpoch, norm_constant,
-                                    lambda n, ctx: hermite_h(n, 0.5, ctx)],
-                             ids=["gen_qfact", "gen_qpoch", "norm_constant", "hermite_h"])
+                                    lambda n, ctx: hermite_h(n, 0.5, ctx),
+                                    lambda n, ctx: qlaguerre(n, ctx.alpha, 0.5, ctx)],
+                             ids=["gen_qfact", "gen_qpoch", "norm_constant", "hermite_h",
+                                  "qlaguerre"])
     def test_negative_degree_names_the_degree_and_the_table(self, fn):
-        # the table's own message reaches every caller; it read "qpoch requires n >= 0"
+        # the table's own message reaches every caller; it read "qpoch requires n >= 0",
+        # and qlaguerre's named degree -2, the index 2n it reads
         with pytest.raises(DomainError, match=r"degree -1 .*q-factorial table"):
             fn(-1, QContext(0.5, 0.25))
+
+    def test_negative_degree_of_the_scaled_walk(self):
+        # islice raised a raw ValueError
+        with pytest.raises(DomainError, match=r"degree -1 is negative"):
+            hermite_h_scaled(-1, 0.5, QContext(0.5, 0.25))
 
     def test_cache_is_bounded(self):
         assert _factorials.cache_info().maxsize is not None
@@ -396,8 +406,11 @@ class TestOrthogonality:
     @pytest.mark.parametrize("value, err", [(math.nan, math.nan), (1.0, math.nan),
                                             (math.inf, 0.0)])
     def test_continuous_non_finite_quadrature_raises(self, monkeypatch, value, err):
-        # a NaN error compares false against the tolerance: it must fail too
-        monkeypatch.setattr(qhermite, "_piecewise_quad", lambda f, c, ctx: (value, err))
+        # a NaN error compares false against the tolerance: it must fail too;
+        # the case enters as every entry of the Gram table and of its error
+        monkeypatch.setattr(qhermite, "_gram", lambda n_max, ctx: (
+            np.full((n_max + 1, n_max + 1), value), np.full((n_max + 1, n_max + 1), err),
+            ("",) * (n_max + 1)))
         with pytest.raises(QuadratureFailure):
             continuous_orthogonality(0, 2, CTX)
 
@@ -416,6 +429,47 @@ class TestOrthogonality:
         ctx = QContext(q=0.5, alpha=-0.5)
         for n in range(4):
             assert continuous_orthogonality(n, n, ctx) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestQuadratureTable:
+    """The continuous orthogonality reads its entries from one Gram table per
+    (q, alpha) and degree bound, built on one quadrature table of nodes."""
+
+    def test_one_table_per_context_over_the_suite(self, monkeypatch):
+        builds = []
+        build = qhermite._piecewise_quad
+        monkeypatch.setattr(qhermite, "_piecewise_quad",
+                            lambda cutoff, ctx: builds.append(ctx) or build(cutoff, ctx))
+        qhermite._gram.cache_clear()
+        suite_orthogonality(SuiteConfig(suite="orthogonality"))
+        info = qhermite._gram.cache_info()
+        # 7 diagonal and 21 off-diagonal entries per context, all of degree <= 8
+        assert (info.misses, info.hits) == (9, 9 * 28 - 9)
+        assert builds == GRID
+
+    @pytest.mark.parametrize("ctx", GRID, ids=str)
+    def test_entry_independent_of_what_the_table_served_before(self, ctx):
+        qhermite._gram.cache_clear()
+        first = [continuous_orthogonality(n, m, ctx).hex() for n, m in ((2, 4), (5, 5))]
+        qhermite._gram.cache_clear()
+        table = {(n, m): continuous_orthogonality(n, m, ctx) for n in range(9) for m in range(9)}
+        assert [table[2, 4].hex(), table[5, 5].hex()] == first
+
+    def test_a_row_past_double_range_fails_only_its_entries(self):
+        # at q = 0.05 the degree-20 table's rows 17 to 20 overflow at its largest
+        # nodes (and the products of row 16 with itself)
+        ctx = QContext(q=0.05, alpha=0.25)
+        fine, err, failed = qhermite._gram(20, ctx)
+        assert [k for k in range(21) if failed[k]] == list(range(17, 21))
+        assert np.isfinite(fine[:16, :16]).all() and np.isfinite(err[:16, :16]).all()
+        with pytest.raises(DomainError, match="hermite_h"):
+            continuous_orthogonality(0, 20, ctx)
+
+    @pytest.mark.parametrize("ctx", GRID, ids=str)
+    def test_h_selfadjoint_on_wave_functions(self, ctx):
+        for n, m in ((1, 3), (3, 5), (1, 7)):
+            f, g = wave_function(n, ctx), wave_function(m, ctx)
+            assert selfadjoint_residual(f, g, ctx) < 1e-7
 
 
 def _mp_raw_diagonal(n: int, q: float, alpha: float):
