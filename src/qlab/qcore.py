@@ -417,12 +417,10 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
     outward from n = 0 in both directions and a direction stops once its
     terms have stayed below SERIES_TOL (relative to the largest term seen,
     so a small integrand is summed to its own size) or at 0 for a few
-    consecutive lattice points.  Where a window edge comes first,
-    the terms beyond it are summed as a geometric series t r / (1 - r), with
-    t the edge term and r = t / (the term before); tail_bound holds how far
-    that sum moves with the ratio one point in, plus rounding, or the whole
-    sum if there is no such ratio.  An edge ratio outside (-1, 1) raises
-    NonConvergence, and f overflowing at a lattice point DomainError.
+    consecutive lattice points.  Where a window edge comes first, the terms
+    beyond it are summed by the edge rule (_edge_tail), whose bound joins
+    tail_bound; an edge ratio outside (-1, 1) raises NonConvergence, and f
+    overflowing at a lattice point DomainError.
     """
     if domain == "halfline":
         g = f
@@ -465,16 +463,25 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
             else:
                 below = 0
             if n == hi and not small:
-                r = t / prev if prev else math.nan
-                r0 = prev / prev2 if prev2 else math.nan
-                if not -1.0 < r < 1.0:
-                    raise NonConvergence(f"Jackson integral terms do not decay geometrically "
-                                         f"at lattice edge n={n} (ratio {r:.6g})")
-                terms.append(t * r / (1.0 - r))
-                tail += (abs(t) * (abs(r - r0) + 1e-15) / ((1.0 - r) * (1.0 - r0))
-                         if -1.0 < r0 < 1.0 else abs(terms[-1]))
+                beyond, bound = _edge_tail(t, prev, prev2, n)
+                terms.append(beyond)
+                tail += bound
             prev, prev2 = t, prev
             n += step
 
     value = (1.0 - q) * math.fsum(terms)
     return TruncatedValue(value, (1.0 - q) * tail, count)
+
+
+def _edge_tail(t: float, prev: float, prev2: float, n: int) -> tuple[float, float]:
+    # the edge rule of a Jackson sum at q^n: the terms beyond it as a geometric series
+    # t r / (1 - r), t the edge term, r = t / prev, and how far that sum moves with the
+    # ratio one point in, r0 = prev / prev2, plus rounding, or all of it without r0
+    r = t / prev if prev else math.nan
+    r0 = prev / prev2 if prev2 else math.nan
+    if not -1.0 < r < 1.0:
+        raise NonConvergence(f"Jackson integral terms do not decay geometrically "
+                             f"at lattice edge n={n} (ratio {r:.6g})")
+    beyond = t * r / (1.0 - r)
+    return beyond, (abs(t) * (abs(r - r0) + 1e-15) / ((1.0 - r) * (1.0 - r0))
+                    if -1.0 < r0 < 1.0 else abs(beyond))

@@ -10,7 +10,6 @@ one, Bessel expansion and the Rogers-Ramanujan type summation.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from itertools import count, islice
 
@@ -21,7 +20,7 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (FunctionHandle, Points, _factorials, _guarded, _in_range, _qpoch_inf,
+from .qcore import (Points, _edge_tail, _factorials, _guarded, _in_range, _qpoch_inf,
                     _show, _sum_series, gen_qpoch, jackson_integral, qderiv_pow, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
@@ -72,19 +71,47 @@ def _scaled_walk(x, ctx: QContext):
     odd n, A_n = (1 - q^{n+2a+2}) / (1 - q^{n+1}) for even n and
     C_n = q^{1-2n} (1 - q^n).  In the q^{n^2/2} scaling it reads
     s_{n+1} = (q^{n+1/2} x s_n - q (1 - q^n) s_{n-1}) / A_n, from s_0 = 1 and
-    s_1 = q^{1/2} (1 - q) x / (1 - q^{2a+2}).
+    s_1 = q^{1/2} (1 - q) x / (1 - q^{2a+2}).  Sent an exponent e (per point on an
+    array) in place of next(), it divides the two values it carries by 2^e, exactly.
     """
     q, alpha = ctx.q, ctx.alpha
     lead = 1.0 - q ** (2.0 * alpha + 2.0)
     if lead == 0.0:
         raise DomainError(f"(q;q)_(1,alpha) rounds to 0 at q = {q}, alpha = {alpha}")
-    prev = np.ones(x.shape) if isinstance(x, ndarray) else 1.0  # s_0 has x's shape
-    cur = q ** 0.5 * (1.0 - q) * x / lead
-    yield prev
-    for n in count(1):
-        yield cur
+    prev, cur = 0.0, np.ones(x.shape) if isinstance(x, ndarray) else 1.0  # s_0 has x's shape
+    for n in count():
+        shift = yield cur
+        if shift is not None:
+            prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
         a = 1.0 if n % 2 else (1.0 - q ** (n + 2.0 * alpha + 2.0)) / (1.0 - q ** (n + 1.0))
-        prev, cur = cur, (q ** (n + 0.5) * x * cur - q * (1.0 - q ** n) * prev) / a
+        prev, cur = cur, (q ** 0.5 * (1.0 - q) * x * cur / lead if n == 0
+                          else (q ** (n + 0.5) * x * cur - q * (1.0 - q ** n) * prev) / a)
+
+
+def _log_rows(n_max: int, x: ndarray, ctx: QContext) -> tuple[ndarray, ndarray]:
+    """The sign and log|sqrt(w) h_k| at the points x, k <= n_max, formed in logs:
+    no row under- or overflows.  log w = log w(q^K x) - sum_{j<K} log(1 + q^{2j} z),
+    z = q^{-2a-1} x^2, with K the fewest steps that take every q^{2K} z below
+    1 - q^2 (there w lies in [1/e, 1]); h_k = q^{-k^2/2} s_k, from _scaled_walk
+    rescaled per point by a power of two after each degree."""
+    q, log_q = ctx.q, math.log(ctx.q)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: x = 0, or an odd row there
+        log_z = (-2.0 * ctx.alpha - 1.0) * log_q + 2.0 * np.log(np.abs(x))
+        steps = int(max(0.0, np.ceil((log_z.max() - math.log1p(-q * q)) / (-2.0 * log_q))))
+        log_w = np.log(weight(q ** steps * x, ctx))
+        block = max(1, 4096 // len(x))  # steps per pass: few numpy calls, in cache
+        for j in range(0, steps, block):  # log(1 + e^y), in range
+            y = log_z + 2.0 * log_q * np.arange(j, min(j + block, steps))[:, None]
+            log_w -= (np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))).sum(axis=0)
+        sign, log = np.empty((2, n_max + 1, len(x)))
+        walk, shift, prev, exponent = _scaled_walk(x, ctx), None, 0.0, np.zeros(x.shape)
+        for k in range(n_max + 1):
+            cur = walk.send(shift)
+            sign[k] = np.sign(cur)
+            log[k] = np.log(np.abs(cur)) + exponent * math.log(2.0) + 0.5 * (log_w - k * k * log_q)
+            shift = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            prev, exponent = np.ldexp(cur, -shift), exponent + shift
+    return sign, log
 
 
 @_guarded
@@ -134,7 +161,7 @@ def norm_constant(n: int, ctx: QContext) -> float:
     d_n = C q^{n^2/2} sqrt((q;q)_{n,alpha}) / (q;q)_n, where C^2 holds the Gamma
     combination Gamma(-a) Gamma(a+1), the exact reflection value
     -pi / sin(pi a); nonnegative integer a is a pole.  Where (q;q)_{n,alpha}
-    underflows to 0 it raises DomainError.
+    or d_n itself underflows to 0 it raises DomainError.
     """
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
@@ -147,8 +174,11 @@ def norm_constant(n: int, ctx: QContext) -> float:
                 / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2).value))
     if radicand <= 0.0:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
-    return (math.sqrt(radicand) * q ** (n * n / 2.0) * math.sqrt(gen_qpoch(n, ctx))
-            / _factorials(q, alpha).qp[n])
+    d = (math.sqrt(radicand) * q ** (n * n / 2.0) * math.sqrt(gen_qpoch(n, ctx))
+         / _factorials(q, alpha).qp[n])
+    if d == 0.0:  # q = 0.05, n = 30: q^{n^2/2} is about 1e-585
+        raise DomainError(f"d_{n} underflows to 0 at q = {q}, alpha = {alpha}")
+    return d
 
 
 def moment_constant(ctx: QContext) -> float:
@@ -326,7 +356,8 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, y, lambda t: qbessel(shift * x * t, order, "modified", ctx)
+        # the unguarded body: jackson_integral maps an overflow at each lattice point
+        return _damped(env, y, lambda t: qbessel.__wrapped__(shift * x * t, order, "modified", ctx)
                        * t ** power)
 
     if _lattice_ratio(x, ctx) >= 1.0:
@@ -466,18 +497,15 @@ def _root_h(n: int, x, ctx: QContext, d: float = 1.0):
     return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 
-def _auto_cutoff(n: int, m: int, ctx: QContext) -> float:
-    # the first x = q^{-k}, k >= 0, where w(x) x^{n+m+2a+1} < 1e-24: where the
-    # weight underflows to 0, or else compared in logs, as the power alone
-    # can overflow
-    power = n + m + 2.0 * ctx.alpha + 1.0
-    x = 1.0
-    for _ in range(200):
-        w = weight(x, ctx)
-        if w == 0.0 or math.log(w) + power * math.log(x) < math.log(1e-24):
-            return x
-        x /= ctx.q
-    return x
+@lru_cache(maxsize=256)
+def _auto_cutoff(n_max: int, ctx: QContext) -> float:
+    # the first x = q^{-k}, 0 <= k < 200, past which w (h_{n_max} / c)^2 x^{2a+1} stays below
+    # 1e-24, c the leading coefficient, in logs: w may underflow where the product is not small
+    x = ctx.q ** -np.arange(min(200.0, np.floor(700.0 / -math.log(ctx.q))))
+    log_c = math.log(_factorials(ctx.q, ctx.alpha).upto(n_max).qp[n_max] / gen_qpoch(n_max, ctx))
+    log_mass = 2.0 * (_log_rows(n_max, x, ctx)[1][-1] - log_c) + (2.0 * ctx.alpha + 1.0) * np.log(x)
+    above = np.flatnonzero(log_mass >= math.log(1e-24))
+    return float(x[min(above[-1] + 1, len(x) - 1)]) if above.size else 1.0
 
 
 #: tolerance of the continuous orthogonality entries; it also bounds their
@@ -506,14 +534,15 @@ def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _piecewise_quad(cutoff: float, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
-    """The table (x, weights) of int_0^cutoff f(x) x^{2 alpha + 1} dx, f smooth at 0:
+def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]:
+    """The continuous relation's node table (x, 0.0, weights) of
+    int_0^cutoff f(x) x^{2 alpha + 1} dx, f smooth at 0, cutoff = _auto_cutoff(n_max):
     x holds the nodes of a 20- and a 40-node rule on each geometric panel
     [0, cutoff q^45], then x 1/q up to cutoff, and weights @ f(x) is (the
     20-node sum, the 40-node sum).  The first panel takes the Gauss-Jacobi
     rules of the weight x^{2 alpha + 1}, accurate where that power is
     singular at 0 (alpha < -1/2), the others Gauss-Legendre rules."""
-    q, beta = ctx.q, 2.0 * ctx.alpha + 1.0
+    q, beta, cutoff = ctx.q, 2.0 * ctx.alpha + 1.0, _auto_cutoff(n_max, ctx)
     edges = [0.0]
     x = cutoff * q ** 45
     while x < cutoff:
@@ -531,78 +560,72 @@ def _piecewise_quad(cutoff: float, ctx: QContext) -> tuple[np.ndarray, np.ndarra
     x, k = np.concatenate(points), len(points[0])
     weights = np.zeros((2, len(x)))
     weights[0, :k], weights[1, k:] = sums
-    return x, weights
+    return x, 0.0, weights
+
+
+def _jackson_nodes(n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
+    # the discrete relation's node table: the Jackson lattice q^j, LATTICE_LO <= j <=
+    # LATTICE_HI, its measure (1 - q) x^{2a+2} as the log factor, one rule of unit weights
+    q, j = ctx.q, np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+    return (_in_range(q ** j, "the Jackson lattice", ctx),
+            math.log1p(-q) + (2.0 * ctx.alpha + 2.0) * math.log(q) * j, np.ones((1, len(j))))
 
 
 @lru_cache(maxsize=256)
-def _gram(n_max: int, ctx: QContext) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The half-line integrals of sqrt(w) h_n sqrt(w) h_m x^{2 alpha + 1} up to
-    _auto_cutoff(n_max, n_max), n, m <= n_max: the 40-node Gram matrix
-    Phi diag(weights) Phi^T of _piecewise_quad's table, its distance from the
-    20-node one, and per degree "" or the DomainError message of a row past double
-    range.  Row k of Phi is sqrt(w) h_k at the nodes, in range where h_n h_m is not."""
-    failed = [""] * (n_max + 1)
-    with np.errstate(all="ignore"):  # the callers' gates reject a non-finite entry
-        x, weights = _piecewise_quad(_auto_cutoff(n_max, n_max, ctx), ctx)
-        phi = np.full((n_max + 1, len(x)), np.nan)
-        for k in range(n_max + 1):
-            try:
-                phi[k] = _root_h(k, x, ctx)
-            except DomainError as exc:
-                failed[k] = str(exc)
-        coarse, fine = ((phi * w) @ phi.T for w in weights)
-        return fine, abs(fine - coarse), tuple(failed)
-
-
-@lru_cache(maxsize=256)
-def _lattice_index(q: float, lo: int, hi: int) -> dict:
-    # numbers the half-line lattice points q^j, lo <= j <= hi, as jackson_integral forms them
-    return {p: i for i, p in enumerate(dict.fromkeys(q ** j for j in range(lo, hi + 1)))}
-
-
-@lru_cache(maxsize=256)
-def _lattice_table(n: int, ctx: QContext, lo: int, hi: int) -> FunctionHandle:
-    """sqrt(w) h_n at the points q^j of _lattice_index, from values computed once as
-    arrays, or, where they leave double range somewhere, _root_h at each point read."""
-    index = _lattice_index(ctx.q, lo, hi)
-    with np.errstate(all="ignore"):
-        try:
-            values = array("d", _root_h(n, np.array(list(index)), ctx).tolist())
-        except DomainError:
-            return lambda p: _root_h(n, p, ctx)
-    return lambda p: values[index[p]]
+def _gram(nodes, n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
+    """The Gram matrices of the rows sqrt(w) h_k, k <= n_max, over a node table
+    nodes(n_max, ctx) (_piecewise_quad or _jackson_nodes): its points, a log factor
+    each row takes half of, and one row of weights per rule.  Each row from
+    _log_rows is scaled by its largest magnitude exp(top[k]), so no product leaves
+    double range: entry (n, m) of rule r is grams[r, n, m] exp(top[n] + top[m]).
+    ends holds the scaled rows at the table's first three and last three points."""
+    with np.errstate(all="ignore"):  # the readers reject a non-finite entry
+        x, log_factor, weights = nodes(n_max, ctx)
+        sign, log = _log_rows(n_max, x, ctx)
+        log += 0.5 * log_factor
+        top = log.max(axis=1)
+        rows = sign * np.exp(log - top[:, None])
+        return np.stack([(rows * w) @ rows.T for w in weights]), top, rows[:, [0, 1, 2, -3, -2, -1]]
 
 
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
-    """Residual of the discrete (Jackson) orthogonality entry (n, m): the
-    Jackson line integral of h_n h_m w |x|^{2a+1} against the closed-form
-    diagonal, and off the diagonal against the diagonal scale.  As h_k has
-    the parity of k, the line integral is (1 + (-1)^{n+m}) times the
-    half-line one: exactly 0 for n + m odd, where no sum is formed."""
-    hn, hm = (_lattice_table(k, ctx, context.LATTICE_LO, context.LATTICE_HI) for k in (n, m))
-    f = lambda x: hn(x) * hm(x) * x ** (2.0 * ctx.alpha + 1.0)  # noqa: E731
-    integral = 2.0 * jackson_integral(f, "halfline", ctx).value if (n + m) % 2 == 0 else 0.0
+    """Residual of the discrete (Jackson) orthogonality entry (n, m): the Jackson line
+    integral of h_n h_m w |x|^{2a+1} from the Gram matrix of degrees up to max(8, n, m)
+    over the Jackson lattice (_gram), against the closed-form diagonal, and off it
+    against the diagonal scale; (1 + (-1)^{n+m}) times the half-line one, as h_k has
+    the parity of k.  A window end whose term reaches SERIES_TOL times its rows'
+    largest values takes jackson_integral's edge rule (_edge_tail); NonConvergence
+    where the tails are not known to SERIES_TOL of the diagonal scale."""
     # root by root: the product of the diagonals overflows from about 1e154 each
-    scale = math.prod(math.sqrt(discrete_orthogonality_rhs(k, ctx)) for k in (n, m))
-    return abs(integral - scale) / scale if n == m else abs(integral) / scale
+    log_scale = sum(0.5 * math.log(discrete_orthogonality_rhs(k, ctx)) for k in (n, m))
+    if (n + m) % 2:
+        return 0.0
+    (gram,), top, ends = _gram(_jackson_nodes, max(8, n, m), ctx)
+    total, bound, t = float(gram[n, m]), 0.0, (ends[n] * ends[m]).tolist()
+    for (edge, before, second), j in ((t[:3], context.LATTICE_LO), (t[:2:-1], context.LATTICE_HI)):
+        if abs(edge) >= context.SERIES_TOL:
+            beyond, known = _edge_tail(edge, before, second, j)
+            total, bound = total + beyond, bound + known
+    scale = 2.0 * math.exp(top[n] + top[m] - log_scale)
+    if bound * scale > context.SERIES_TOL:  # q = 0.99: the window ends inside the mass
+        raise NonConvergence(f"Jackson sum of ({n}, {m}): the tails past its window are "
+                             f"known to {bound * scale:.3g}, above tol={context.SERIES_TOL}")
+    return abs(total * scale - 1.0) if n == m else abs(total * scale)
 
 
 def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
-    """The continuous orthogonality entry int d_n d_m h_n h_m w |x|^{2a+1} dx
-    over the line, read from the Gram matrices of degrees up to max(8, n, m)
-    (_gram); expected delta_{nm} up to an n-independent diagonal factor.
-
-    Raises DomainError where h_n or h_m leaves double range at the nodes, and
-    QuadratureFailure when the value or its quadrature error is not finite,
-    or when the error in the normalized entry exceeds QUAD_TOL.
-    """
+    """The continuous orthogonality entry int d_n d_m h_n h_m w |x|^{2a+1} dx over
+    the line, read from the Gram matrices of degrees up to max(8, n, m) over the
+    quadrature table (_gram); expected delta_{nm} up to an n-independent factor.
+    Raises QuadratureFailure when the value or its quadrature error is not
+    finite, or when the error in the normalized entry exceeds QUAD_TOL."""
     d_n, d_m = norm_constant(n, ctx), norm_constant(m, ctx)
-    fine, err, failed = _gram(max(8, n, m), ctx)
-    if failed[n] or failed[m]:
-        raise DomainError(failed[n] or failed[m])
-    # (1 + (-1)^{n+m}) times the half-line integral, as h_k has the parity of k and
-    # w, |x| are even: odd entries are exactly 0; err is the normalized entry's
-    value, err = (float((1.0 + (-1.0) ** (n + m)) * t[n, m]) * (d_n * d_m) for t in (fine, err))
+    (coarse, fine), top, _ = _gram(_piecewise_quad, max(8, n, m), ctx)
+    # (1 + (-1)^{n+m}) times the half-line integral (h_k has the parity of k), the
+    # row scales put back with d_n d_m in logs, as each alone may leave double range
+    with np.errstate(all="ignore"):  # the gate rejects a non-finite value or error
+        scale = (1.0 + (-1.0) ** (n + m)) * np.exp(top[n] + top[m] + math.log(d_n) + math.log(d_m))
+        value, err = float(fine[n, m] * scale), float(abs(fine[n, m] - coarse[n, m]) * scale)
     if not (math.isfinite(value) and err <= QUAD_TOL):
         raise QuadratureFailure(f"quadrature value {value} with error {err} misses "
                                 f"tolerance {QUAD_TOL} for (n,m)=({n},{m})")

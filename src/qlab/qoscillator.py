@@ -254,8 +254,8 @@ def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
     at x and once at -x.  Raises QuadratureFailure when the value is not finite,
     its error exceeds 1e-7, or the integrand at c, times c, exceeds 1e-7 (the
     dropped tail is then not negligible: wave functions from degree 16 at q = 0.5)."""
-    cutoff = _auto_cutoff(8, 8, ctx)
-    x, weights = _piecewise_quad(cutoff, ctx)
+    cutoff = _auto_cutoff(8, ctx)
+    x, _, weights = _piecewise_quad(8, ctx)
     x = np.append(x, cutoff)
     with np.errstate(all="ignore"):  # the gates reject a non-finite result
         line = f(x) * g(x) + f(-x) * g(-x)

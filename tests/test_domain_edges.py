@@ -169,14 +169,12 @@ def test_array_square_overflow_raises_domain_error(fn):
     # and the orthogonality residual divided by it
     (discrete_orthogonality_rhs, 0.05, 20.0, (0,)),
     (discrete_orthogonality_residual, 0.05, 20.0, (2, 5)),
-    # the sum reads lattice points where h_27 overflows, though most of the
-    # Jackson window is in range
+    # the closed-form diagonal's q^{-n^2} overflows; the per-point sum read
+    # lattice points where h_27 overflows, though most of the window is in range
     (discrete_orthogonality_residual, 0.05, -0.5, (27, 27)),
-    # |x|^{2 alpha + 1} leaves double range at a lattice point the sum reads,
-    # far out at alpha = 20 and at a subnormal x at alpha = -0.99: it raised
-    # OverflowError
+    # the closed-form diagonal underflows; the per-point sum raised OverflowError
+    # where |x|^{2 alpha + 1} left double range far out on the lattice
     (discrete_orthogonality_residual, 3e-3, 20.0, (0, 0)),
-    (discrete_orthogonality_residual, 1e-4, -0.99, (0, 0)),
     # (1-q)^170 underflows the product of the factors, about 3e-62 and 1e-60
     # (q = 0.99, alpha = -0.5 and 0.25): it returned 0.0
     (gen_qpoch, 0.99, -0.5, (170,)),
@@ -191,6 +189,17 @@ def test_array_square_overflow_raises_domain_error(fn):
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):
         fn(*args, QContext(q=q, alpha=alpha))
+
+
+def test_lattice_entry_where_the_window_end_rounds_to_zero():
+    # at q = 1e-4 the window's end q^120 = 1e-480 rounds to 0, where the
+    # per-point sum divided by zero in |x|^{2 alpha + 1} at alpha = -0.99 and
+    # raised DomainError; the rows take the lattice measure in logs, and the
+    # diagonal matches the Jackson sum in 50 digits (mpmath, 2520 lattice
+    # points), 11.886816568382197034, 1.1e-15 from the closed form
+    ctx = QContext(q=1e-4, alpha=-0.99)
+    assert abs(discrete_orthogonality_rhs(0, ctx) / 11.886816568382197034 - 1.0) <= 1e-14
+    assert discrete_orthogonality_residual(0, 0, ctx) <= 1e-14
 
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])

@@ -93,6 +93,20 @@ def test_only_the_node_table_reads_the_quadrature_rules():
     assert _qlab_readers(QUADRATURE_RULES) == {("qhermite", "_piecewise_quad")}
 
 
+def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
+    # both orthogonality relations read one Gram path over their node tables;
+    # a per-entry Jackson sum is left to the moments and the Bessel transform
+    def readers(names):
+        return {found for found in _qlab_readers(names) if found[1] != "<module>"}
+
+    assert readers({"jackson_integral"}) == {("qhermite", "moment_check"),
+                                             ("qhermite", "_bessel_transform"),
+                                             ("qhermite", "_continued_halfline")}
+    assert readers({"_gram"}) == {("qhermite", "continuous_orthogonality"),
+                                  ("qhermite", "discrete_orthogonality_residual")}
+    assert readers({"_log_rows"}) == {("qhermite", "_gram"), ("qhermite", "_auto_cutoff")}
+
+
 #: what forms finite q-shifted factorials: the table of qcore, and the product it extends
 FACTORIAL_FORMERS = {"_qpoch", "_Factorials"}
 

@@ -23,9 +23,10 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from qlab import (PoleError, QContext, continuous_orthogonality, discrete_orthogonality_residual,
-                  discrete_orthogonality_rhs, jackson_integral, moment_constant, norm_constant,
-                  phi, qbessel, qexp_gen, qpoch_inf, qtrig, weight)
+from qlab import (NonConvergence, PoleError, QContext, QError, continuous_orthogonality,
+                  discrete_orthogonality_residual, discrete_orthogonality_rhs, jackson_integral,
+                  moment_constant, norm_constant, phi, qbessel, qexp_gen, qpoch_inf, qtrig,
+                  weight)
 from qlab.qhermite import _root_h
 
 QS = (0.97, 0.99, 0.995)
@@ -273,6 +274,51 @@ def test_normalization_offset_closed_form(ctx):
     offset = ctx.q ** ((ctx.alpha + 1.0) * (ctx.alpha + 0.5))
     for n in range(4):
         assert abs(continuous_orthogonality(n, n, ctx) - offset) / offset <= 1e-14
+
+
+def _or_qerror(entry):
+    # the entry's value, or None where it raises a QError
+    try:
+        return entry()
+    except QError:
+        return None
+
+
+@pytest.mark.parametrize("q, alpha, degrees", [(0.05, 0.25, range(17)), (0.05, -0.9, range(17)),
+                                               (0.2, 1.3, [*range(17), 18])])
+def test_normalization_offset_at_small_q_and_high_degree(q, alpha, degrees):
+    # the weight underflows to 0 at nodes where w h_n^2 is not small: (18, 18)
+    # at (0.2, 1.3) read 11 % off the offset without raising, and (14, 14) at
+    # (0.05, 0.25) raised QuadratureFailure; a 40-digit quadrature gives the
+    # offset to 2.6e-27 and 3.6e-41 there
+    ctx = QContext(q=q, alpha=alpha)
+    offset = q ** ((alpha + 1.0) * (alpha + 0.5))
+    for n in degrees:
+        value = _or_qerror(lambda: continuous_orthogonality(n, n, ctx))
+        assert value is None or abs(value - offset) <= 1e-12 * offset, n
+
+
+@pytest.mark.parametrize("q, n_max", [(0.2, 20), (0.5, 27)])
+def test_discrete_diagonal_at_high_degree(q, n_max):
+    # the per-point sums lost the weight where it underflows: (20, 20) at
+    # q = 0.2 read 0.88 and (27, 27) at q = 0.5 read 1.0e-5; the closed form
+    # agrees with a 150-digit Jackson sum to 3e-15
+    ctx = QContext(q=q, alpha=0.25)
+    for n in range(n_max + 1):
+        residual = _or_qerror(lambda: discrete_orthogonality_residual(n, n, ctx))
+        assert residual is None or residual <= 1e-12, n
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_discrete_diagonal_where_the_window_ends_inside_the_mass(n):
+    # at q = 0.99 the window [q^120, q^-40] covers only 0.30 <= x <= 1.49 and
+    # the terms still grow at its small-x end; (3, 3) read 0.1505 from a
+    # geometric tail whose ratio had not settled, without raising
+    ctx = QContext(q=0.99, alpha=0.25)
+    try:
+        assert discrete_orthogonality_residual(n, n, ctx) <= 1e-10
+    except NonConvergence:
+        pass
 
 
 @pytest.mark.parametrize("ctx", OFFSET_CONTEXTS, ids=OFFSET_IDS)

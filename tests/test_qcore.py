@@ -19,8 +19,10 @@ from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import (Points, _guarded, _qpoch, _qpoch_inf, _qpoch_inf_array,
                         _qpoch_inf_cached, _sum_series)
-from qlab.qhermite import (_gauss_jacobi, _lattice_table, _root_h,
-                           discrete_orthogonality_residual, discrete_orthogonality_rhs)
+from qlab import SuiteConfig, qhermite
+from qlab.qhermite import (_gauss_jacobi, _root_h, discrete_orthogonality_residual,
+                           discrete_orthogonality_rhs)
+from qlab.suites import suite_orthogonality
 
 CTX = QContext(q=0.5, alpha=0.25)
 
@@ -213,29 +215,30 @@ class TestProductCache:
         assert "1000 points in [" in str(info.value)
         assert len(str(info.value)) <= 300
 
-    def test_discrete_orthogonality_builds_each_table_once(self):
-        # the 45 entries n <= m <= 8 read sqrt(w) h_n at the lattice points
-        # q^k from one table per degree, and the nine tables share the
-        # weight's one array product
-        ctx = QContext(q=0.5, alpha=0.25)
-        _lattice_table.cache_clear()
-        _qpoch_inf_array.cache_clear()
-        for n in range(9):
-            for m in range(n, 9):
-                discrete_orthogonality_residual(n, m, ctx)
-        info = _lattice_table.cache_info()
-        assert (info.misses, info.hits) == (9, 2 * 45 - 9)
-        assert _qpoch_inf_array.cache_info().misses == 1
+    def test_discrete_orthogonality_reads_one_lattice_gram_per_context(self, monkeypatch):
+        # every discrete entry of the suite reads the Gram matrix of one lattice
+        # table per context, next to the continuous entries' quadrature table
+        lattices = []
+        build = qhermite._jackson_nodes
+        monkeypatch.setattr(qhermite, "_jackson_nodes",
+                            lambda n_max, ctx: lattices.append(ctx) or build(n_max, ctx))
+        qhermite._gram.cache_clear()
+        suite_orthogonality(SuiteConfig(suite="orthogonality"))
+        info = qhermite._gram.cache_info()
+        # per context 25 discrete entries with n + m even (the other 20 are 0
+        # unread) and 28 continuous ones, all of degree <= 8
+        assert (info.misses, info.hits) == (2 * 9, 9 * (25 + 28) - 2 * 9)
+        assert lattices == [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
+                            for a in (-0.5, 0.25, 1.3)]
 
     @pytest.mark.parametrize("alpha, n, m", [(-0.5, 0, 0), (0.25, 5, 5), (5.0, 2, 5)])
-    def test_lattice_table_fails_only_at_points_read(self, alpha, n, m):
-        # at q = 1e-4 the window's far end x = q^-40 = 1e160 squares to inf,
-        # where the weight's product raises: the table's arrays fail, its
-        # points are read one by one, and the entry matches the point-by-point
-        # sum, which stops long before that point
+    def test_lattice_far_end_carries_no_mass(self, alpha, n, m):
+        # at q = 1e-4 the window's far end x = q^-40 = 1e160 squares to inf, where
+        # the weight's product raises; the rows formed in logs read 0 there, and
+        # the entry matches the point-by-point sum, which stops long before it
         ctx = QContext(q=1e-4, alpha=alpha)
-        with pytest.raises(DomainError):
-            _lattice_table(n, ctx, context.LATTICE_LO, context.LATTICE_HI)(1e-4 ** -40)
+        (gram,), top, ends = qhermite._gram(qhermite._jackson_nodes, 8, ctx)
+        assert (ends[:, 0] == 0.0).all() and np.isfinite(gram).all()
         ref = jackson_integral(_ortho_integrand(n, m, ctx), "line", ctx).value
         scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
         expected = abs(ref - scale) / scale if n == m else abs(ref) / scale

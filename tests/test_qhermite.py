@@ -407,10 +407,11 @@ class TestOrthogonality:
                                             (math.inf, 0.0)])
     def test_continuous_non_finite_quadrature_raises(self, monkeypatch, value, err):
         # a NaN error compares false against the tolerance: it must fail too;
-        # the case enters as every entry of the Gram table and of its error
-        monkeypatch.setattr(qhermite, "_gram", lambda n_max, ctx: (
-            np.full((n_max + 1, n_max + 1), value), np.full((n_max + 1, n_max + 1), err),
-            ("",) * (n_max + 1)))
+        # the case enters as every entry of the 40-node Gram matrix, from which
+        # the 20-node one is err away, with unit row scales
+        monkeypatch.setattr(qhermite, "_gram", lambda nodes, n_max, ctx: (
+            np.stack([np.full((n_max + 1, n_max + 1), v) for v in (value - err, value)]),
+            np.zeros(n_max + 1), None))
         with pytest.raises(QuadratureFailure):
             continuous_orthogonality(0, 2, CTX)
 
@@ -442,9 +443,8 @@ class TestQuadratureTable:
                             lambda cutoff, ctx: builds.append(ctx) or build(cutoff, ctx))
         qhermite._gram.cache_clear()
         suite_orthogonality(SuiteConfig(suite="orthogonality"))
-        info = qhermite._gram.cache_info()
-        # 7 diagonal and 21 off-diagonal entries per context, all of degree <= 8
-        assert (info.misses, info.hits) == (9, 9 * 28 - 9)
+        # a quadrature Gram and a lattice Gram per context, all of degree <= 8
+        assert qhermite._gram.cache_info().misses == 2 * 9
         assert builds == GRID
 
     @pytest.mark.parametrize("ctx", GRID, ids=str)
@@ -455,15 +455,21 @@ class TestQuadratureTable:
         table = {(n, m): continuous_orthogonality(n, m, ctx) for n in range(9) for m in range(9)}
         assert [table[2, 4].hex(), table[5, 5].hex()] == first
 
-    def test_a_row_past_double_range_fails_only_its_entries(self):
-        # at q = 0.05 the degree-20 table's rows 17 to 20 overflow at its largest
-        # nodes (and the products of row 16 with itself)
+    def test_every_entry_to_degree_20_is_exact_or_raises(self):
+        # at q = 0.05 the weight underflows to 0 where w h_n^2 is not small, and
+        # the degree-20 table's rows 17 to 20 overflowed at its largest nodes;
+        # rows formed in logs keep every entry within 1e-12 of its value: the
+        # offset q^{(a+1)(a+1/2)} on the diagonal (a 40-digit quadrature gives
+        # it to 3.6e-41 at n = 14) and 0 off it, or raise
         ctx = QContext(q=0.05, alpha=0.25)
-        fine, err, failed = qhermite._gram(20, ctx)
-        assert [k for k in range(21) if failed[k]] == list(range(17, 21))
-        assert np.isfinite(fine[:16, :16]).all() and np.isfinite(err[:16, :16]).all()
-        with pytest.raises(DomainError, match="hermite_h"):
-            continuous_orthogonality(0, 20, ctx)
+        offset = ctx.q ** ((ctx.alpha + 1.0) * (ctx.alpha + 0.5))
+        for n in range(21):
+            for m in range(n, 21):
+                try:
+                    value = continuous_orthogonality(n, m, ctx)
+                except QError:
+                    continue
+                assert abs(value - offset * (n == m)) <= 1e-12 * offset, (n, m)
 
     @pytest.mark.parametrize("ctx", GRID, ids=str)
     def test_h_selfadjoint_on_wave_functions(self, ctx):
