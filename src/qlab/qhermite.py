@@ -493,7 +493,7 @@ def _sqrt(v):
 
 
 def _root_h(n: int, x, ctx: QContext, d: float = 1.0):
-    # d sqrt(w) h_n: phi_n with d = d_n, with d = 1 a factor of the orthogonality integrands
+    # d sqrt(w) h_n by the explicit sum: phi_n with d = d_n, with d = 1 what _log_rows forms
     return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 
