@@ -63,11 +63,11 @@ def qpoch_inf(a: float, ctx: QContext) -> TruncatedValue:
 
 
 def _qpoch_inf(a, q: float) -> TruncatedValue:
-    # a product is a pure function of its argument and q and recurs often, as a
-    # scalar (lattice points, envelopes, the constants of every check) or as an
-    # array (the quadrature nodes several checks share): both are cached
+    # a scalar product recurs often (lattice points, envelopes, the constants of every
+    # check) and is cached; an array is formed afresh, inf where it overflows
     if isinstance(a, ndarray):
-        return _qpoch_inf_array(a.tobytes(), a.dtype, a.shape, q)
+        with np.errstate(over="ignore"):
+            return _qpoch_inf_product(a, q)
     return _qpoch_inf_cached(float(a), q)
 
 
@@ -106,16 +106,6 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
 
 
 _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
-
-
-@lru_cache(maxsize=16)
-def _qpoch_inf_array(data: bytes, dtype, shape: tuple, q: float) -> TruncatedValue:
-    # up to about 66 KB an entry, hence the smaller bound; read-only, inf where it overflows
-    with np.errstate(over="ignore"):
-        p = _qpoch_inf_product(np.frombuffer(data, dtype).reshape(shape), q)
-    for part in (p.value, p.tail_bound):  # the tail is the float 0.0 where a = 0
-        np.asarray(part).flags.writeable = False
-    return p
 
 
 def _sum_series(terms, what: str, x: Points = 0.0) -> Points:

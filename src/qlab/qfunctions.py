@@ -125,6 +125,7 @@ def _bessel_terms(u: float, order: float, second_jackson: bool, q: float):
                         * (1.0 - q ** (2.0 * order + 2.0 + 2 * n)))
 
 
+@_guarded
 def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QContext) -> float:
     """Residual of the iterated-difference identities on j_alpha.
 
@@ -143,7 +144,7 @@ def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QConte
     q, alpha = ctx.q, ctx.alpha
     s = int(parity == "odd_order")
     m = n + s  # both sides in one formula: the odd order takes m = n + 1
-    lhs = qderiv_pow(lambda t: qbessel(lam * t, alpha, "modified", ctx),
+    lhs = qderiv_pow(lambda t: qbessel.__wrapped__(lam * t, alpha, "modified", ctx),
                      2 * n + s, "delta_alpha", ctx)(x)
     rhs = ((-1.0) ** m * q ** (m * (m + 1.0)) * lam ** (2 * m)
            / ((1.0 - q) ** (2 * n + s) * (1.0 - q ** (2.0 * alpha + 2.0)) ** s)
@@ -151,12 +152,13 @@ def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QConte
     return abs(lhs - rhs)
 
 
+@_guarded
 def first_qderiv_bessel_residual(lam: float, x: float, ctx: QContext) -> float:
     """Residual of D_q j_a(l x) = -q^2 l^2 x / ((1-q)(1-q^{2a+2})) j_{a+1}(q l x)."""
     if x == 0.0:
         raise DomainError("residual is evaluated away from x = 0")
     q, alpha = ctx.q, ctx.alpha
-    lhs = qderiv(lambda t: qbessel(lam * t, alpha, "modified", ctx), x, "backward", ctx)
+    lhs = qderiv(lambda t: qbessel.__wrapped__(lam * t, alpha, "modified", ctx), x, "backward", ctx)
     rhs = (-(q ** 2) * lam ** 2 * x
            / ((1.0 - q) * (1.0 - q ** (2.0 * alpha + 2.0)))
            * qbessel(q * lam * x, alpha + 1.0, "modified", ctx))

@@ -21,7 +21,7 @@ from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
 from .qcore import (Points, _edge_tail, _factorials, _guarded, _in_range, _qpoch_inf,
-                    _show, _sum_series, gen_qpoch, jackson_integral, qderiv_pow, theta)
+                    _show, _sum_series, gen_qpoch, jackson_integral, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -280,23 +280,21 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
     if kind == "rodrigues":
         if (x == 0.0).any() if isinstance(x, ndarray) else x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
-        lhs = weight(x, ctx) * hermite_h(n, x, ctx)
         # (1/q;1/q)_n / (1/q;1/q)_{n,alpha}: the factors of even k cancel
         ratio = math.prod((1.0 - q ** -k) / (1.0 - q ** (-k - 2.0 * alpha - 1.0))
                           for k in range(1, n + 1, 2))
         pref = (q - 1.0) ** n * q ** (-n * (n - 1.0) / 2.0) * ratio
-        handle = qderiv_pow(lambda t: weight(t, ctx), n, "delta_alpha", ctx)
-        rhs = pref * handle(x)
-        # iterated backward differences toward x = 0 amplify roundoff; the
-        # honest scale is the summed magnitude of the expansion
-        # Delta^n w(x) = sum_j a_j w(q^j x) / x^n, not the cancelled result
+        # Delta^n w(x) = sum_j a_j w(q^j x) / x^n, one weight per point; differences toward
+        # x = 0 amplify roundoff, so the honest scale is the expansion's summed magnitude
         a = [1.0]
         for k in range(n):
             s_fac = 1.0 if k % 2 == 0 else q ** (2.0 * alpha + 1.0)
             a = [(left - s_fac * right * q ** (-k)) / (1.0 - q)
                  for left, right in zip(a + [0.0], [0.0] + a)]
-        cond = abs(pref) / abs(x) ** n * sum(
-            abs(a[j]) * weight(q ** j * x, ctx) for j in range(n + 1))
+        w = [weight(q ** j * x, ctx) for j in range(n + 1)]
+        terms = [a_j * w_j for a_j, w_j in zip(a, w)]
+        lhs, rhs = w[0] * hermite_h(n, x, ctx), pref / x ** n * sum(terms)
+        cond = abs(pref) / abs(x) ** n * sum(map(abs, terms))
         return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + cond)
 
     raise ArgumentError(f"unknown relation kind: {kind!r}")

@@ -19,7 +19,7 @@ from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, Q
                       QuadratureFailure)
 from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
                     _show, gen_qfact, sym_qnumber)
-from .qhermite import _auto_cutoff, _piecewise_quad, _root_h, _sqrt, norm_constant
+from .qhermite import _auto_cutoff, _log_rows, _piecewise_quad, _root_h, _sqrt, norm_constant
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -271,11 +271,30 @@ def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
     return value
 
 
-def selfadjoint_residual(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
-    """|<Hf, g> - <f, Hg>| by quadrature, for f, g in the wave-function span."""
-    hf = lambda x: apply_ladder(f, "H", x, ctx)  # noqa: E731
-    hg = lambda x: apply_ladder(g, "H", x, ctx)  # noqa: E731
-    return abs(inner_product(hf, g, ctx) - inner_product(f, hg, ctx))
+def selfadjoint_residual(n: int, m: int, ctx: QContext) -> float:
+    """|<H phi_n, phi_m> - <phi_n, H phi_m>| over _piecewise_quad's table for degrees up
+    to max(8, n, m), from one _log_rows call at t / q, t and q t, each row scaled by its
+    largest value over the three.  QuadratureFailure where a side is not finite or its
+    error exceeds 1e-7: its two rules' difference plus eps times the summed magnitude of
+    H's terms, whose 1/x^2 amplifies a cancelling bracket (even pairs at alpha <= -1/2)."""
+    q, top_degree, sides = ctx.q, max(n, m), []
+    t, _, weights = _piecewise_quad(max(8, top_degree), ctx)
+    log_d = math.log(norm_constant(n, ctx)) + math.log(norm_constant(m, ctx))
+    pref, groups = _ladder_terms("H", t, q, ctx.alpha)
+    with np.errstate(all="ignore"):  # the gate rejects a non-finite value or error
+        sign, log = _log_rows(top_degree, np.concatenate((t / q, t, q * t)), ctx)
+        top = log.max(axis=1)
+        rows = (sign * np.exp(log - top[:, None])).reshape(top_degree + 1, 3, len(t))
+        scale = (1.0 + (-1.0) ** (n + m)) * np.exp(top[n] + top[m] + log_d)
+        for k, other in ((n, m), (m, n)):  # H phi_k has k's parity: one group of terms
+            terms = [c * rows[k, j + 1] for c, j, _ in groups[k % 2]]
+            coarse, fine = weights @ (pref * reduce(add, terms) * rows[other, 1]) * scale
+            err = abs(fine - coarse) + 2.0 ** -52 * weights[1] @ np.abs(
+                pref * reduce(add, map(abs, terms)) * rows[other, 1]) * scale
+            if not (math.isfinite(fine) and err <= 1e-7):
+                raise QuadratureFailure(f"<H phi_{k}, phi_{other}> = {fine}: error {err} > 1e-7")
+            sides.append(float(fine))
+    return abs(sides[0] - sides[1])
 
 
 def raised_from_ground(n: int, x: float, ctx: QContext) -> float:

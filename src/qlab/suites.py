@@ -55,8 +55,8 @@ class SuiteConfig:
             raise ConfigError(f"n_max must be in [1, 40], got {self.n_max}")
         if not 3 <= self.dim <= 64:
             raise ConfigError(f"dim must be in [3, 64], got {self.dim}")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
+        if not self.tol > 0.0:  # NaN too
+            raise ConfigError(f"tol must be positive, got {self.tol}")
 
     def to_dict(self) -> dict:
         return {
@@ -347,9 +347,7 @@ def suite_oscillator_algebra(cfg: SuiteConfig) -> list[CheckResult]:
             out.append(_checked("repeated_raising", {**base, "n": n, "x": 0.7}, cfg.tol,
                                 _raising_residual, n, ctx))
         out.append(_checked("h_selfadjointness", {**base, "pair": "phi1_phi3"}, 1e-7,
-                            qoscillator.selfadjoint_residual,
-                            qoscillator.wave_function(1, ctx),
-                            qoscillator.wave_function(3, ctx), ctx))
+                            qoscillator.selfadjoint_residual, 1, 3, ctx))
     return out
 
 

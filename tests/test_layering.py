@@ -104,7 +104,44 @@ def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
                                              ("qhermite", "_continued_halfline")}
     assert readers({"_gram"}) == {("qhermite", "continuous_orthogonality"),
                                   ("qhermite", "discrete_orthogonality_residual")}
-    assert readers({"_log_rows"}) == {("qhermite", "_gram"), ("qhermite", "_auto_cutoff")}
+    assert readers({"_log_rows"}) == {("qhermite", "_gram"), ("qhermite", "_auto_cutoff"),
+                                      ("qoscillator", "selfadjoint_residual")}
+
+
+def _lru_cached(source: str) -> set[str]:
+    """The names source binds to an lru_cache: a decorated definition, or an
+    assignment of lru_cache(...)(fn)."""
+    def is_lru(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None)) == "lru_cache"
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and any(map(is_lru, node.decorator_list)):
+            found.add(node.name)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and is_lru(node.value.func)):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_scanner_sees_lru_caches():
+    source = ("@lru_cache(maxsize=2)\ndef f(x):\n    return x\n\n"
+              "@functools.lru_cache\ndef g(x):\n    return x\n\n"
+              "h = lru_cache(maxsize=8)(f)\nk = f(1)\n")
+    assert _lru_cached(source) == {"f", "g", "h"}
+
+
+def test_one_caching_policy():
+    # every cache is a bounded lru_cache over scalar keys (floats, ints, contexts,
+    # functions): none is keyed on an array's contents
+    cached = {(path.stem, name) for path in _modules() for name in _lru_cached(path.read_text())}
+    assert cached == {("cli", "_parser"), ("qcore", "_qpoch_inf_cached"),
+                      ("qcore", "_factorials"), ("qhermite", "norm_constant"),
+                      ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
+                      ("qhermite", "_gram")}
+    for module, name in cached:
+        assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize
 
 
 #: what forms finite q-shifted factorials: the table of qcore, and the product it extends

@@ -270,6 +270,13 @@ class TestCliVerify:
         assert main(["verify", "--suite", "bogus"]) == 2
         assert main(["verify", "--q", "1.5"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_tol_not_positive_exit_2(self, capsys, tol):
+        # a NaN tolerance would fail every check by comparison; it is refused as -1 is
+        assert main(["verify", "--suite", "kernels", *SMALL, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConfigError: tol must be positive" in captured.err
+
     def test_csv_output_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["verify", "--suite", "kernels", *SMALL,
