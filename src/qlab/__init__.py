@@ -15,7 +15,7 @@ from .context import (ArgumentError, ConfigError, DimensionError, DomainError,
                       QContext, QError, QuadratureFailure, TruncatedValue,
                       UnknownFunction)
 from .qcore import (FunctionHandle, gen_qfact, gen_qint, gen_qpoch,
-                    jackson_integral, qderiv, qderiv_pow, qnumber, qpoch,
+                    jackson_integral, qderiv, qderiv_levels, qderiv_pow, qnumber, qpoch,
                     qpoch_inf, sym_qnumber, theta)
 from .qfunctions import (BESSEL_KINDS, bessel_delta_residual,
                          first_qderiv_bessel_residual, qbessel, qexp_big,

@@ -164,6 +164,30 @@ def _sum_series(terms, what: str, x: Points = 0.0) -> Points:
                          f"terms (sum so far {total!r})")
 
 
+def _guarded(fn):
+    """fn, where an OverflowError or ZeroDivisionError (a power past double
+    range, a factorial rounded to 0) raises a DomainError naming the call, and
+    a numpy array given to its parameter annotated Points runs without numpy's
+    warnings: the one place overflow is mapped.  Hot helpers go without it."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    at, key = next(((i, k) for i, (k, p) in enumerate(params.items())
+                    if p.annotation == Points), (len(params), None))
+
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            if isinstance(args[at] if at < len(args) else kwargs.get(key), ndarray):
+                with np.errstate(all="ignore"):
+                    return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            shown = [*map(_show, args), *(f"{k}={_show(v)}" for k, v in kwargs.items())]
+            raise DomainError(f"{fn.__name__}({', '.join(shown)}) leaves double range") from exc
+
+    return guarded
+
+
+@_guarded
 def qnumber(x: float, ctx: QContext) -> float:
     """q-number [[x]]_q = (1 - q^x) / (1 - q)."""
     return _qnumber(x, ctx.q)
@@ -173,6 +197,7 @@ def _qnumber(x: float, q: float) -> float:
     return (1.0 - q ** x) / (1.0 - q)
 
 
+@_guarded
 def sym_qnumber(x: float, base: float) -> float:
     """Symmetric q-number [x]_base = (base^x - base^-x) / (base - 1/base)."""
     if base == 1.0:
@@ -206,29 +231,6 @@ def _show(x) -> str:
     # x in a message: an array, of up to thousands of points, by its size and range
     return (f"{x.size} points in [{x.min(initial=np.inf):.6g}, {x.max(initial=-np.inf):.6g}]"
             if isinstance(x, ndarray) else f"{x}")
-
-
-def _guarded(fn):
-    """fn, where an OverflowError or ZeroDivisionError (a power past double
-    range, a factorial rounded to 0) raises a DomainError naming the call, and
-    a numpy array given to its parameter annotated Points runs without numpy's
-    warnings: the one place overflow is mapped.  Hot helpers go without it."""
-    params = inspect.signature(fn, eval_str=True).parameters
-    at, key = next(((i, k) for i, (k, p) in enumerate(params.items())
-                    if p.annotation == Points), (len(params), None))
-
-    @wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            if isinstance(args[at] if at < len(args) else kwargs.get(key), ndarray):
-                with np.errstate(all="ignore"):
-                    return fn(*args, **kwargs)
-            return fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            shown = [*map(_show, args), *(f"{k}={_show(v)}" for k, v in kwargs.items())]
-            raise DomainError(f"{fn.__name__}({', '.join(shown)}) leaves double range") from exc
-
-    return guarded
 
 
 def gen_qpoch(n: int, ctx: QContext) -> float:
@@ -296,8 +298,8 @@ def theta(n: int) -> int:
 # q-difference operators and the lattice engine
 # ---------------------------------------------------------------------------
 
-def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q):
-    """The k-th power of a lattice operator applied to f, at x.
+def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q) -> list:
+    """The values at x of the levels 0..k of a lattice operator's powers on f.
 
     The operator's value at t reads the even and odd halves of its argument
     g at t q^j, lo <= j <= hi (reach = (lo, hi)).  f is evaluated once at
@@ -305,7 +307,8 @@ def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q):
     values into the halves e = (g(p) + g(-p)) / 2 and o = (g(p) - g(-p)) / 2,
     listed by increasing i, and stencil(ts, even, odd) returns the new
     values at +t and at -t for the level's points ts; even[i - lo + j] is
-    e(ts[i] q^j).  x may be a float, an mpmath number or a numpy array.
+    e(ts[i] q^j).  The list stops before a level that would divide by a point
+    rounded to 0.  x may be a float, an mpmath number or a numpy array.
     """
     lo, hi = reach
     pts = [x]
@@ -313,17 +316,28 @@ def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q):
         pts.insert(0, pts[0] / q)
     for _ in range(hi * k):
         pts.append(pts[-1] * q)
-    inner = pts[-lo:len(pts) - hi]  # where the first level evaluates
-    if k and (np.any(np.array(inner) == 0.0) if isinstance(x, ndarray) else 0.0 in inner):
-        raise DomainError("lattice operators are not evaluated at x = 0")
+    top = k  # the last level that divides by no point rounded to 0
+    if k and (np.any(np.array(pts) == 0.0) if isinstance(x, ndarray) else 0.0 in pts):
+        # the zeros run from z on; level j divides by pts up to len - 1 - hi (k - j + 1)
+        z = next(i for i, p in enumerate(pts) if np.any(p == 0.0))
+        top = max(0, k - (len(pts) - 1 - z) // hi) if hi else 0
+        pts = pts[-lo * (k - top):len(pts) - hi * (k - top)]
     plus = [f(p) for p in pts]
     minus = [f(-p) for p in pts]
-    for _ in range(k):
+    levels = [plus[-lo * top]]
+    for j in range(top - 1, -1, -1):
         pts = pts[-lo:len(pts) - hi]
         even = [0.5 * (a + b) for a, b in zip(plus, minus)]
         odd = [0.5 * (a - b) for a, b in zip(plus, minus)]
         plus, minus = stencil(pts, even, odd)
-    return plus[0]
+        levels.append(plus[-lo * j])
+    return levels
+
+
+def _level(levels: list, k: int):
+    if len(levels) <= k:  # the _lattice_power list stops short
+        raise DomainError("lattice operators are not evaluated at x = 0")
+    return levels[k]
 
 
 #: Delta_alpha reads t and q t, Delta_alpha^+ reads t / q and t
@@ -372,7 +386,7 @@ def qderiv(f: FunctionHandle, x: float, variant: str, ctx: QContext) -> float:
     if variant == "forward_alpha":
         return (f(x / q) - shift * f(x)) / denom
     if variant in _DELTA_REACH:
-        return _lattice_power(f, x, 1, _delta_stencil(q, ctx.alpha), _DELTA_REACH[variant], q)
+        return _lattice_power(f, x, 1, _delta_stencil(q, ctx.alpha), _DELTA_REACH[variant], q)[1]
     raise ArgumentError(f"unknown q-derivative variant: {variant!r}")
 
 
@@ -383,12 +397,17 @@ def qderiv_pow(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> Functi
     its value is bit for bit that of k nested qderiv calls.  With mpmath
     numbers for q and alpha, and an f returning them, it runs in mpmath.
     """
+    levels = qderiv_levels(f, k, variant, ctx)
+    return f if k == 0 else lambda x: _level(levels(x), k)
+
+
+def qderiv_levels(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> Callable:
+    """The handle x -> [qderiv_pow(f, j, variant, ctx)(x) for j = 0..k] from one
+    lattice, bit for bit; it stops before a level that qderiv_pow raises for."""
     if variant not in _DELTA_REACH:
-        raise ArgumentError("qderiv_pow supports the delta variants only")
+        raise ArgumentError("qderiv_pow and qderiv_levels support the delta variants only")
     if k < 0:
-        raise DomainError("qderiv_pow requires k >= 0")
-    if k == 0:
-        return f
+        raise DomainError("qderiv_pow and qderiv_levels require k >= 0")
     stencil, reach = _delta_stencil(ctx.q, ctx.alpha), _DELTA_REACH[variant]
     return lambda x: _lattice_power(f, x, k, stencil, reach, ctx.q)
 

@@ -634,6 +634,7 @@ def continuous_orthogonality(n: int, m: int, ctx: QContext) -> float:
 # Kernels and summation formulas
 # ---------------------------------------------------------------------------
 
+@_guarded
 def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> float:
     """Residual of the Poisson kernel evaluated at one.
 
@@ -677,6 +678,7 @@ def poisson_kernel_residual(x: float, y: float, which: str, ctx: QContext) -> fl
     return abs(lhs - rhs)
 
 
+@_guarded
 def bessel_expansion_residual(x: float, ctx: QContext) -> float:
     """Residual of the even-polynomial expansion of the second q-Bessel; the
     even scaled polynomials come from one recurrence walk (_scaled_walk)."""

@@ -18,7 +18,7 @@ import numpy as np
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
 from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
-                    _show, gen_qfact, sym_qnumber)
+                    _level, _show, gen_qfact, sym_qnumber)
 from .qhermite import _auto_cutoff, _log_rows, _piecewise_quad, _root_h, _sqrt, norm_constant
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
@@ -99,7 +99,8 @@ def apply_ladder(f: FunctionHandle, which: str, x, ctx: QContext):
     """
     if which not in _LADDER_REACH:
         raise ArgumentError(f"unknown ladder operator: {which!r}")
-    return _lattice_power(f, x, 1, _ladder_stencil(which, ctx), _LADDER_REACH[which], ctx.q)
+    return _level(_lattice_power(f, x, 1, _ladder_stencil(which, ctx), _LADDER_REACH[which],
+                                 ctx.q), 1)
 
 
 def _sym(n: float, q: float) -> float:
@@ -305,6 +306,6 @@ def raised_from_ground(n: int, x: float, ctx: QContext) -> float:
     value is 1.4e-10 off phi_n at n = 8 and 0.056 at n = 12, where the same
     recursion in 60 digits stays within phi_n's own rounding.
     """
-    return (_lattice_power(wave_function(0, ctx), x, n, _ladder_stencil("a_plus", ctx),
-                           _LADDER_REACH["a_plus"], ctx.q)
+    return (_level(_lattice_power(wave_function(0, ctx), x, n, _ladder_stencil("a_plus", ctx),
+                                  _LADDER_REACH["a_plus"], ctx.q), n)
             / math.sqrt(gen_qfact(n, ctx)))

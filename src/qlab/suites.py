@@ -16,8 +16,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import qoscillator
-from .context import ConfigError, QContext, QError
-from .qcore import gen_qint, gen_qpoch, qderiv_pow, qnumber, qpoch_inf, sym_qnumber
+from .context import ConfigError, DomainError, QContext, QError
+from .qcore import gen_qint, gen_qpoch, qderiv_levels, qderiv_pow, qnumber, qpoch_inf, sym_qnumber
 from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
                          qbessel, qexp_big, qexp_gen, qtrig)
 from .qhermite import (QUAD_TOL, RELATION_KINDS, _rel, bessel_expansion_residual,
@@ -90,8 +90,12 @@ def _grid(cfg: SuiteConfig) -> Iterable[QContext]:
             yield QContext(q=q, alpha=alpha)
 
 
-def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext) -> float:
-    lhs = qderiv_pow(lambda t: t ** n, k, "delta_alpha", ctx)(x)
+def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext, lattices: dict) -> float:
+    # level k of one order-n lattice per (n, x); one past its end raises in qderiv_pow
+    if (n, x) not in lattices:
+        lattices[n, x] = qderiv_levels(lambda t: t ** n, n, "delta_alpha", ctx)(x)
+    levels = lattices[n, x]
+    lhs = levels[k] if k < len(levels) else qderiv_pow(lambda t: t ** n, k, "delta_alpha", ctx)(x)
     rhs = (gen_qpoch(n, ctx) * x ** (n - k)
            / ((1.0 - ctx.q) ** k * gen_qpoch(n - k, ctx)))
     return _rel(lhs, rhs)
@@ -104,13 +108,16 @@ def _bridge_residual(x: float, ctx: QContext) -> float:
 
 def _addition_residual(q: float, rng: np.random.Generator) -> float:
     # worst scale-normalized residual of the symmetric q-number addition
-    # identity over 50 random triples
+    # identity over 50 random triples; one that leaves double range raises
     worst = 0.0
-    for a, b, c in rng.uniform(-5.0, 5.0, size=(50, 3)):
+    for a, b, c in rng.uniform(-5.0, 5.0, size=(50, 3)).tolist():
         t1 = sym_qnumber(a, q) * sym_qnumber(b - c, q)
         t2 = sym_qnumber(b, q) * sym_qnumber(c - a, q)
         t3 = sym_qnumber(c, q) * sym_qnumber(a - b, q)
-        worst = max(worst, abs(t1 + t2 + t3) / (1.0 + abs(t1) + abs(t2) + abs(t3)))
+        r = abs(t1 + t2 + t3) / (1.0 + abs(t1) + abs(t2) + abs(t3))
+        if not math.isfinite(r):
+            raise DomainError(f"the addition identity leaves double range at q = {q}")
+        worst = max(worst, r)
     return worst
 
 
@@ -118,12 +125,13 @@ def suite_qcalculus(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     for ctx in _grid(cfg):
         base = {"q": ctx.q, "alpha": ctx.alpha}
+        lattices: dict = {}
         for n in range(min(cfg.n_max, 12) + 1):
             for k in range(n + 1):
                 for x in (0.3, -1.1):
                     out.append(_checked(
                         "monomial_delta_rule", {**base, "n": n, "k": k, "x": x},
-                        max(cfg.tol, 1e-12), _monomial_rule_residual, n, k, x, ctx))
+                        max(cfg.tol, 1e-12), _monomial_rule_residual, n, k, x, ctx, lattices))
         for x in (1.0, 2.0, 2.0 * ctx.alpha + 2.0, 7.3):
             out.append(_checked("sym_qnumber_bridge", {**base, "x": x}, 1e-12,
                                 _bridge_residual, x, ctx))

@@ -17,11 +17,12 @@ import pytest
 
 import qlab
 from qlab import context
-from qlab import (DomainError, QContext, QError, algebra_residual, continuous_orthogonality,
-                  discrete_orthogonality_residual, discrete_orthogonality_rhs,
-                  eigen_residual, gen_qfact, gen_qpoch, hermite_h, hermite_h_scaled,
-                  hermite_via_laguerre, moment_constant, norm_constant, phi, qbessel, qexp_big,
-                  qexp_gen, qexp_small, qlaguerre, qpoch_inf, qtrig, relation_residual, weight)
+from qlab import (DomainError, QContext, QError, algebra_residual, bessel_expansion_residual,
+                  continuous_orthogonality, discrete_orthogonality_residual,
+                  discrete_orthogonality_rhs, eigen_residual, gen_qfact, gen_qpoch, hermite_h,
+                  hermite_h_scaled, hermite_via_laguerre, moment_constant, norm_constant, phi,
+                  poisson_kernel_residual, qbessel, qexp_big, qexp_gen, qexp_small, qlaguerre,
+                  qnumber, qpoch_inf, qtrig, relation_residual, sym_qnumber, weight)
 from qlab.qcore import Points
 from qlab.qhermite import RELATION_KINDS
 from qlab.qoscillator import RELATION_NAMES
@@ -53,6 +54,9 @@ SWEEP = {
         lambda p, ctx: discrete_orthogonality_residual(*p, ctx), "p"),
     "continuous_orthogonality": (lambda p, ctx: continuous_orthogonality(*p, ctx), "p"),
     "qexp_gen": (qexp_gen, "z"),
+    # q^x and base^-x overflow at large negative exponents
+    "qnumber": (lambda z, ctx: qnumber(-z, ctx), "z"),
+    "sym_qnumber": (lambda z, ctx: sym_qnumber(z, ctx.q), "z"),
     "qtrig_cos": (lambda z, ctx: qtrig(z, "cos", ctx.q), "z"),
     "qtrig_sin": (lambda z, ctx: qtrig(z, "sin", ctx.q), "z"),
     "qlaguerre": (lambda n, z, ctx: qlaguerre(n, ctx.alpha, z, ctx), "nz"),
@@ -185,6 +189,10 @@ def test_array_square_overflow_raises_domain_error(fn):
     # overflows, about 1.6e227 times -1.4e119, where the other side is 1.6e246:
     # a float returned NaN, where an array raised
     (lambda n, x, ctx: relation_residual("rodrigues", n, x, ctx), 0.05, 0.25, (20, 0.3)),
+    # a subnormal x: (x y)^(-alpha) divided by zero and x^(-alpha - 1) overflowed,
+    # both raw Python exceptions
+    (lambda x, y, ctx: poisson_kernel_residual(x, y, "general", ctx), 0.9, 0.25, (5e-324, 0.3)),
+    (bessel_expansion_residual, 0.9, 0.25, (2e-323,)),
 ])
 def test_edge_breaks_raise_domain_error(fn, q, alpha, args):
     with pytest.raises(DomainError):

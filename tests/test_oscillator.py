@@ -237,6 +237,14 @@ class TestLadder:
             monkeypatch.undo()
             assert len(points) == len(set(points)) == 2 * (n + 1)
 
+    def test_repeated_raising_raises_past_an_underflowed_point(self):
+        # at q = 1e-30, 0.3 q^11 rounds to 0: a+ applied 11 times divides by no
+        # zero point, and applied 12 times it raises rather than reading level 11
+        ctx = QContext(q=1e-30, alpha=0.25)
+        assert math.isfinite(raised_from_ground(11, 0.3, ctx))
+        with pytest.raises(DomainError):
+            raised_from_ground(12, 0.3, ctx)
+
     def test_repeated_raising_against_60_digits(self):
         # the 60-digit recursion stays within phi_n's own rounding (about
         # 2e-15 relative) up to n = 12, so the float drift is cancellation in

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import (ConfigError, DomainError, QContext, TruncatedValue, gen_qfact,
-                  gen_qint, gen_qpoch, hermite_h, jackson_integral, qbessel, qderiv, qderiv_pow,
-                  qnumber, qpoch, qpoch_inf, qexp_gen, qtrig, sym_qnumber, theta)
+                  gen_qint, gen_qpoch, hermite_h, jackson_integral, qbessel, qderiv,
+                  qderiv_levels, qderiv_pow, qnumber, qpoch, qpoch_inf, qexp_gen, qtrig,
+                  sym_qnumber, theta)
 from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import Points, _guarded, _qpoch, _qpoch_inf, _qpoch_inf_cached, _sum_series
@@ -432,6 +433,48 @@ class TestLatticeTower:
                 with pytest.raises(DomainError):
                     qderiv_pow(lambda t: t ** 6, k, variant, CTX)(0.0)
 
+    @given(q=st.floats(0.05, 0.95), alpha=st.floats(-0.95, 3.0), n=st.integers(0, 14),
+           x=st.floats(0.1, 2.5), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_levels_equal_each_power(self, q, alpha, n, x, sign):
+        # reach (0, 1) keeps x at the front of the lattice, (-1, 0) at its end
+        ctx = QContext(q=q, alpha=alpha)
+        f = lambda t: t ** n + math.sin(t) + 0.5 * math.cos(2.0 * t)  # noqa: E731
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            levels = qderiv_levels(f, n, variant, ctx)(sign * x)
+            want = [qderiv_pow(f, k, variant, ctx)(sign * x) for k in range(n + 1)]
+            assert len(levels) == n + 1
+            assert all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(levels, want))
+
+    def test_levels_call_f_once_per_lattice_point(self):
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            for n in (0, 1, 6, 12):
+                points = []
+
+                def f(t):
+                    points.append(t)
+                    return math.exp(-t * t) + t ** 3
+
+                qderiv_levels(f, n, variant, CTX)(0.9)
+                assert len(points) == len(set(points)) == 2 * (n + 1)
+
+    def test_levels_stop_before_a_point_rounded_to_zero(self):
+        # at q = 1e-30, x q^11 underflows to 0 for x = 0.3 and -1.1: level 12
+        # would divide by it, so the order-12 list holds levels 0..11, each the
+        # power's own value, and only the 12th power raises
+        ctx = QContext(q=1e-30, alpha=0.25)
+        f = lambda t: t ** 12  # noqa: E731
+        for x in (0.3, -1.1):
+            levels = qderiv_levels(f, 12, "delta_alpha", ctx)(x)
+            assert len(levels) == 12
+            assert levels == [qderiv_pow(f, k, "delta_alpha", ctx)(x) for k in range(12)]
+            with pytest.raises(DomainError):
+                qderiv_pow(f, 12, "delta_alpha", ctx)(x)
+        # at x = 0 only level 0 is defined, and on an array one zero point decides
+        for variant in ("delta_alpha", "delta_alpha_plus"):
+            assert qderiv_levels(f, 5, variant, ctx)(0.0) == [0.0]
+            assert len(qderiv_levels(f, 5, variant, ctx)(np.array([0.0, 0.5]))) == 1
+
     def test_mpmath_context_meets_the_odd_bessel_identity(self):
         # Delta^{2n+1} j_a(l x) = (-1)^{n+1} q^{(n+1)(n+2)} l^{2n+2} x
         #   j_{a+1}(q^{n+1} l x) / ((1-q)^{2n+1} (1-q^{2a+2})), with
@@ -456,6 +499,8 @@ class TestLatticeTower:
                        / ((1 - q) ** (2 * n + 1) * (1 - q ** (2 * a + 2))))
                 assert isinstance(lhs, mp.mpf)
                 assert abs(lhs - rhs) <= 1e-34 * abs(rhs)
+                levels = qderiv_levels(lambda t: j(lam * t, a), 2 * n + 1, "delta_alpha", ctx)(x)
+                assert levels[-1] == lhs and all(isinstance(v, mp.mpf) for v in levels)
             assert float(j(lam * x, a)) == pytest.approx(
                 qbessel(0.63, af, "modified", QContext(q=qf, alpha=af)), rel=1e-14)
 

@@ -62,6 +62,21 @@ def test_golden_covers_error_and_classical_entries(checks):
     assert any(w["name"] == "continuous_unit_diagonal_classical" for w in want)
 
 
+def test_qcalculus_where_lattice_points_and_products_leave_double_range():
+    # at q = 1e-30, x q^11 rounds to 0 for both monomial points: the checks
+    # share one order-12 lattice per (n, x), and only the 12th power raises;
+    # two of the 50 addition triples overflow their products, whose NaN
+    # residual max() used to drop, passing the check at 3.1e-14
+    cfg = SuiteConfig(suite="qcalculus", q_values=(1e-30,), alpha_values=(0.25,), n_max=12)
+    results = run_suite(cfg, tool_version="edge").results
+    mono = [r for r in results if r.name == "monomial_delta_rule"]
+    assert len(mono) == 182
+    assert [(r.params["n"], r.params["k"], r.error.split(":")[0])
+            for r in mono if r.error] == [(12, 12, "DomainError")] * 2
+    (addition,) = [r for r in results if r.name == "qnumber_addition_identity"]
+    assert addition.error.startswith("DomainError") and not addition.passed
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(_entries(), indent=1) + "\n")
