@@ -20,10 +20,7 @@ failed (or a domain/convergence error), 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
-import io
-import json
 import math
 import sys
 from functools import lru_cache
@@ -44,6 +41,7 @@ from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        moment_constant, poisson_kernel_residual, qlaguerre,
                        relation_residual, rogers_ramanujan_residual, weight)
 from .qoscillator import eigen_residual, phi
+from .report import csv_records, json_records
 from .suites import SuiteConfig, run_suite
 
 
@@ -223,18 +221,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     key, lo, hi, count = _parse_sweep(args.sweep)
     points = [lo if count == 1 else lo + (hi - lo) * i / (count - 1) for i in range(count)]
     values = _sweep_values(fn, key in _ARRAY_KEYS[args.function], fixed, key, points)
-    rows = list(zip(points, values))
-    if args.format == "json":
-        out = json.dumps([{key: v, "value": r} for v, r in rows],
-                         indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([key, "value"])
-        for v, r in rows:
-            writer.writerow([repr(v), repr(r)])
-        out = buf.getvalue()
-    _write(out, args.out)
+    rows = zip(points, values)
+    _write(json_records((key, "value"), rows) + "\n" if args.format == "json"
+           else csv_records((key, "value"), rows), args.out)
     return 0
 
 

@@ -190,6 +190,8 @@ def _guarded(fn):
 @_guarded
 def qnumber(x: float, ctx: QContext) -> float:
     """q-number [[x]]_q = (1 - q^x) / (1 - q)."""
+    if not math.isfinite(x):
+        raise DomainError(f"qnumber needs a finite x, got {x}")
     return _qnumber(x, ctx.q)
 
 
@@ -202,6 +204,8 @@ def sym_qnumber(x: float, base: float) -> float:
     """Symmetric q-number [x]_base = (base^x - base^-x) / (base - 1/base)."""
     if base == 1.0:
         raise DomainError("sym_qnumber is undefined at base 1")
+    if not math.isfinite(x):
+        raise DomainError(f"sym_qnumber needs a finite x, got {x}")
     return (base ** x - base ** (-x)) / (base - 1.0 / base)
 
 

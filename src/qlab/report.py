@@ -1,4 +1,10 @@
-"""Check results and serializable verification reports."""
+"""Check results, verification reports, and the one renderer that writes
+reports and tables as JSON or CSV.
+
+The renderer writes the bytes of ``json.dumps(..., indent=2)`` and of
+``csv.writer`` rows, and renders each parameter item once per report:
+``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,79 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Optional
+
+_INF = float("inf")
+
+
+def _scalar(v: Any) -> str:
+    """v as json.dumps writes it: NaN, Infinity and -Infinity for the
+    non-finite floats, and strings escaped to ASCII."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not a JSON scalar")
+
+
+def _layout(parts: Iterable[str], indent: str, brackets: str) -> str:
+    """The rendered parts (object items or array elements) inside brackets, "{}"
+    or "[]", laid out as json.dumps(indent=2) lays them out with the closing
+    bracket at indent."""
+    body = (",\n  " + indent).join(parts)
+    return f"{brackets[0]}\n  {indent}{body}\n{indent}{brackets[1]}" if body else brackets
+
+
+def csv_records(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """The header and the rows as CSV; the csv module writes a float by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_records(keys: tuple[str, ...], rows: Iterable[Iterable[Any]]) -> str:
+    """The rows as a JSON array of objects keyed by keys, the bytes of
+    json.dumps([dict(zip(keys, row)) for row in rows], indent=2) for
+    distinct keys and scalar values."""
+    names = [encode_basestring_ascii(k) + ": " for k in keys]
+    return _layout((_layout([n + _scalar(v) for n, v in zip(names, row)], "  ", "{}")
+                    for row in rows), "", "[]")
+
+
+class _ParamItems:
+    """The '"key": value' items of parameter dicts, each rendered once.
+
+    A float zero is rendered afresh each time: 0.0 and -0.0 are equal keys."""
+
+    def __init__(self):
+        self._memo: dict[tuple, str] = {}
+
+    def items(self, pairs: Iterable[tuple[str, Any]]) -> list[str]:
+        memo = self._memo
+        return [memo.get((k, v.__class__, v)) or self._render(k, v) for k, v in pairs]
+
+    def _render(self, k: str, v: Any) -> str:
+        item = encode_basestring_ascii(k) + ": " + _scalar(v)
+        if v or not isinstance(v, float):
+            self._memo[k, v.__class__, v] = item
+        return item
 
 
 @dataclass
@@ -90,8 +168,30 @@ class VerificationReport:
             "summary": self.summary,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """The bytes of json.dumps(self.to_dict(), indent=2)."""
+        head = json.dumps({"tool_version": self.tool_version, "config": self.config}, indent=2)
+        tail = json.dumps({"summary": self.summary}, indent=2)
+        params = _ParamItems()
+        entries = []
+        for r in self.results:
+            fields = [
+                '"name": ' + _scalar(r.name),
+                '"params": ' + _layout(params.items(r.params.items()), "      ", "{}"),
+                '"residual": ' + _scalar(r.residual),
+                '"tolerance": ' + _scalar(r.tolerance),
+                '"pass": ' + _scalar(r.passed),
+            ]
+            if r.terms_used is not None:
+                fields.append('"terms_used": ' + _scalar(r.terms_used))
+            if r.error is not None:
+                fields.append('"error": ' + _scalar(r.error))
+            fields.append('"runtime_ms": ' + _scalar(r.runtime_ms))
+            entries.append(_layout(fields, "    ", "{}"))
+        # the results go between the header, less its closing brace, and the
+        # summary, less its opening one
+        return (head[:-2] + ',\n  "results": ' + _layout(entries, "  ", "[]") + ","
+                + tail[1:])
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -102,15 +202,9 @@ class VerificationReport:
         return report
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "params", "residual", "tolerance", "pass"])
-        for r in self.results:
-            writer.writerow([
-                r.name,
-                json.dumps(r.params, sort_keys=True),
-                repr(r.residual),
-                repr(r.tolerance),
-                str(r.passed).lower(),
-            ])
-        return buf.getvalue()
+        """One row per check; params as json.dumps(params, sort_keys=True)."""
+        params = _ParamItems()
+        return csv_records(("name", "params", "residual", "tolerance", "pass"), (
+            (r.name, "{" + ", ".join(params.items(sorted(r.params.items()))) + "}",
+             r.residual, r.tolerance, str(r.passed).lower())
+            for r in self.results))

@@ -102,8 +102,8 @@ def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext, lattices: d
 
 
 def _bridge_residual(x: float, ctx: QContext) -> float:
-    return abs(sym_qnumber(x, math.sqrt(ctx.q))
-               - ctx.q ** (-(x - 1.0) / 2.0) * qnumber(x, ctx))
+    # both sides grow like q^(-x/2)
+    return _rel(sym_qnumber(x, math.sqrt(ctx.q)), ctx.q ** (-(x - 1.0) / 2.0) * qnumber(x, ctx))
 
 
 def _addition_residual(q: float, rng: np.random.Generator) -> float:
@@ -154,7 +154,8 @@ def _qexp_series(z: float, q: float) -> float:
 
 
 def _qexp_residual(z: float, q: float) -> float:
-    return abs(qexp_big(z, q).value - _qexp_series(z, q))
+    # relative: E_q(1.2) reaches about 4e3 at q near 0.9, where 1e-12 is about an ulp
+    return _rel(qexp_big(z, q).value, _qexp_series(z, q))
 
 
 def _collapse_residual(z: float, ctx: QContext) -> float:

@@ -217,9 +217,12 @@ def test_lattice_entry_where_the_window_end_rounds_to_zero():
     ("qexp_big", lambda z, ctx: qexp_big(z, ctx.q)),
     ("weight", weight),
     ("weight_array", lambda z, ctx: weight(np.array([0.3, z]), ctx)),
+    ("qnumber", qnumber),
+    ("sym_qnumber", lambda z, ctx: sym_qnumber(z, ctx.q)),
 ])
 def test_nonfinite_product_argument_raises_domain_error(name, fn, z):
-    # the product (a; q)_inf behind these functions takes only finite a: an
-    # inf or NaN argument is outside the domain, not a product too long
+    # the product (a; q)_inf behind the first five functions takes only finite
+    # a: an inf or NaN argument is outside the domain, not a product too long;
+    # q^x in the q-numbers would turn it into +-inf or NaN without an error
     with pytest.raises(DomainError):
         fn(z, QContext(q=0.5, alpha=0.25))

@@ -72,6 +72,65 @@ class TestVerificationReport:
         assert rows[2][4] == "false"
 
 
+def _reference_csv(report: VerificationReport) -> str:
+    # the row-by-row writer the renderer replaced, kept as its reference
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["name", "params", "residual", "tolerance", "pass"])
+    for r in report.results:
+        writer.writerow([r.name, json.dumps(r.params, sort_keys=True), repr(r.residual),
+                         repr(r.tolerance), str(r.passed).lower()])
+    return buf.getvalue()
+
+
+def _hand_made() -> VerificationReport:
+    rep = VerificationReport(tool_version="1.0.0",
+                             config={"suite": "x", "q_values": [0.5], "tol": math.inf})
+    for residual in (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 12345.678):
+        rep.add(CheckResult("residual", {"q": 0.5, "n": 3}, residual, 1e-8))
+    rep.add(CheckResult("empty", {}, 1e-12, 1e-8))
+    rep.add(CheckResult("non_finite_params",
+                        {"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0}, 0.0, 1e-8))
+    # the float zeros of one key in both signs, and equal values of other types
+    for v in (0.0, -0.0, 0.0, 1, 1.0, True, False, 0, None, "1"):
+        rep.add(CheckResult("types", {"v": v, "a": "b"}, 0.0, 1e-8))
+    rep.add(CheckResult("error", {"kind": "rodrigues", "b": True, "n": 2, "none": None},
+                        math.inf, 1e-8, terms_used=17,
+                        error='DomainError: x = "0" \u2260 q\u00b2 \\ at \u03b1'))
+    rep.add(CheckResult("terms", {"q": 0.3}, 1e-9, 1e-8, terms_used=0, runtime_ms=2.5))
+    return rep
+
+
+class TestReportBytes:
+    """to_json writes the bytes of json.dumps(to_dict(), indent=2), and to_csv
+    those of the row-by-row csv writer."""
+
+    @pytest.fixture(scope="class")
+    def default_report(self):
+        return run_suite(SuiteConfig(), "v")
+
+    def _check(self, rep):
+        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2)
+        assert rep.to_csv() == _reference_csv(rep)
+
+    def test_default_grid(self, default_report):
+        self._check(default_report)
+
+    def test_hand_made(self):
+        self._check(_hand_made())
+
+    def test_empty(self):
+        self._check(VerificationReport(tool_version="v", config={}))
+
+    def test_a_non_scalar_parameter_is_refused(self):
+        rep = VerificationReport(tool_version="v", config={})
+        rep.add(CheckResult("c", {"v": 1 + 2j}, 0.0, 1e-8))
+        with pytest.raises(TypeError):
+            rep.to_json()
+        with pytest.raises(TypeError):
+            rep.to_csv()
+
+
 class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
@@ -464,6 +523,25 @@ class TestCliOutputBytes:
         out = tmp_path / "table"
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == text.encode()
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_with_non_finite_values(self, capsys, fmt):
+        # the explicit sum reads inf on the first points of this sweep
+        args = ["n=36", "q=0.3242", "alpha=1.5759"]
+        rows = _table(capsys, "hermite_h", "x=-2:2:5", *args)
+        assert math.isinf(rows[0][1]) and math.isfinite(rows[2][1])
+        if fmt == "json":
+            text = json.dumps([{"x": x, "value": v} for x, v in rows], indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["x", "value"])
+            for x, v in rows:
+                writer.writerow([repr(x), repr(v)])
+            text = buf.getvalue()
+        assert main(["table", "hermite_h", "--sweep", "x=-2:2:5", *args, "--format", fmt]) == 0
+        assert capsys.readouterr().out == text
 
 
 class TestCliParserReuse:

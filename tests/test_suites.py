@@ -77,6 +77,18 @@ def test_qcalculus_where_lattice_points_and_products_leave_double_range():
     assert addition.error.startswith("DomainError") and not addition.passed
 
 
+@pytest.mark.parametrize("suite, q, name", [
+    # E_q(1.2) is about 4e3 here, where 1e-12 absolute is about one ulp
+    ("special_functions", 0.8857785446834403, "qexp_big_product_vs_series"),
+    # both sides of the bridge grow like q^(-x/2), about 2.5e29 at x = 7.3
+    ("qcalculus", 1e-8, "sym_qnumber_bridge"),
+])
+def test_series_checks_are_relative_to_their_scale(suite, q, name):
+    cfg = SuiteConfig(suite=suite, q_values=(q,), alpha_values=(0.25,), n_max=1)
+    results = [r for r in run_suite(cfg, tool_version="edge").results if r.name == name]
+    assert results and all(r.passed for r in results)
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(_entries(), indent=1) + "\n")
