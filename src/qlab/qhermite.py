@@ -154,6 +154,7 @@ def weight(x: Points, ctx: QContext) -> Points:
 
 
 @lru_cache(maxsize=256)
+@_guarded
 def norm_constant(n: int, ctx: QContext) -> float:
     """Normalization constant d_n of the continuous orthogonality, and of the
     wave function phi_n = d_n sqrt(w) h_n.
@@ -304,19 +305,10 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
 # Moments, integral representations, orthogonality
 # ---------------------------------------------------------------------------
 
-def _damped(env, x, rest):
-    # env * rest(x), where the q-exponential envelope env underflows long
-    # before the polynomial or Bessel factors matter: skip them once it is
-    # negligibly small.  On arrays rest sees only the points it is needed at.
-    if isinstance(env, ndarray):
-        out = np.zeros_like(env)
-        keep = ~(np.abs(env) < 1e-250)
-        if keep.any():
-            out[keep] = env[keep] * rest(x[keep])
-        return out
-    if env == 0.0 or abs(env) < 1e-250:
-        return 0.0
-    return env * rest(x)
+def _damped(env: float, rest) -> float:
+    # env * rest(), where the q-exponential envelope env underflows long before
+    # the power or Bessel factor matters: skip it once env is negligibly small
+    return 0.0 if abs(env) < 1e-250 else env * rest()
 
 
 @_guarded
@@ -327,7 +319,7 @@ def moment_check(n: int, ctx: QContext) -> float:
 
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
-        return _damped(env, y, lambda t: t ** (2.0 * n + 2.0 * alpha + 1.0))
+        return _damped(env, lambda: y ** (2.0 * n + 2.0 * alpha + 1.0))
 
     integral = jackson_integral(f, "halfline", ctx).value
     closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
@@ -355,8 +347,8 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
     def f(y: float) -> float:
         env = qexp_small(-q * y * y, q2).value
         # the unguarded body: jackson_integral maps an overflow at each lattice point
-        return _damped(env, y, lambda t: qbessel.__wrapped__(shift * x * t, order, "modified", ctx)
-                       * t ** power)
+        return _damped(env, lambda: qbessel.__wrapped__(shift * x * y, order, "modified", ctx)
+                       * y ** power)
 
     if _lattice_ratio(x, ctx) >= 1.0:
         return _continued_halfline(f, x, shift, order, power, ctx)
@@ -483,16 +475,6 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
     if value == 0.0:  # q = 0.05, alpha = 20: the diagonal is about 3.3e-574
         raise DomainError(f"degree-{n} discrete norm underflows to 0 at q = {q}")
     return value
-
-
-def _sqrt(v):
-    # np.sqrt on an array; math.sqrt keeps a float a float (the same value)
-    return np.sqrt(v) if isinstance(v, ndarray) else math.sqrt(v)
-
-
-def _root_h(n: int, x, ctx: QContext, d: float = 1.0):
-    # d sqrt(w) h_n by the explicit sum: phi_n with d = d_n, with d = 1 what _log_rows forms
-    return _damped(_sqrt(weight(x, ctx)), x, lambda t: d * hermite_h(n, t, ctx))
 
 
 @lru_cache(maxsize=256)

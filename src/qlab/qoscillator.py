@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import islice
 from operator import add
 
 import numpy as np
@@ -19,7 +20,8 @@ from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, Q
                       QuadratureFailure)
 from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
                     _level, _show, gen_qfact, sym_qnumber)
-from .qhermite import _auto_cutoff, _log_rows, _piecewise_quad, _root_h, _sqrt, norm_constant
+from .qhermite import (_auto_cutoff, _log_rows, _piecewise_quad, _scaled_walk, norm_constant,
+                       weight)
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -27,9 +29,23 @@ OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
 
 @_guarded
 def phi(n: int, x: Points, ctx: QContext) -> Points:
-    """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a
-    numpy array."""
-    return _root_h(n, x, ctx, norm_constant(n, ctx))
+    """Normalized wave function phi_n(x) = d_n sqrt(w(x)) h_n(x); x may be a numpy array.
+    h_n = q^{-n^2/2} s_n from the three-term walk (_scaled_walk), in floats; where
+    sqrt(w) < 1e-250 (w underflows long before phi is small), from _log_rows, in logs."""
+    d, root = norm_constant(n, ctx), _sqrt(weight(x, ctx))
+    value = d * ctx.q ** (-n * n / 2.0) * root * next(islice(_scaled_walk(x, ctx), n, None))
+    if not isinstance(x, np.ndarray):
+        return value if root >= 1e-250 else float(phi(n, np.array([x]), ctx)[0])
+    low = root < 1e-250
+    if low.any():
+        sign, log = _log_rows(n, x[low], ctx)
+        value[low] = sign[n] * np.exp(log[n] + math.log(d))
+    return value
+
+
+def _sqrt(v):
+    # np.sqrt on an array; math.sqrt keeps a float a float (the same value)
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def wave_function(n: int, ctx: QContext) -> FunctionHandle:

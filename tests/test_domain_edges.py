@@ -3,7 +3,7 @@
 Across 0 < q < 1 and alpha > -1 every public function of the polynomial
 family and every series it rests on returns a finite value or raises a
 QError: never NaN, +-inf or a raw Python exception.  The sweep reaches
-q = 0.995, alpha = -0.99 and 20, degree 170, x = 50 and, for the series,
+q = 0.995, alpha = -0.99, 20 and 20.3, degree 170, x = 50 and, for the series,
 arguments up to 1e200; the operator-algebra residuals reach dim 64 and the
 orthogonality entries degree 20.
 """
@@ -28,7 +28,9 @@ from qlab.qhermite import RELATION_KINDS
 from qlab.qoscillator import RELATION_NAMES
 
 QS = (0.05, 0.5, 0.9, 0.97, 0.99, 0.995)
-ALPHAS = (-0.99, -0.5, 0.25, 5.0, 20.0)
+# 20.3 as well as 20: a nonnegative integer alpha is a pole of d_n, which raises
+# PoleError before q^{-(alpha + 1)(alpha + 1/2)} in it can overflow
+ALPHAS = (-0.99, -0.5, 0.25, 5.0, 20.0, 20.3)
 NS = (0, 5, 20, 60, 170)
 XS = (0.0, 0.3, 2.0, 50.0)
 ZS = (0.0, 0.3, 2.0, 50.0, 1e6, 1e200)

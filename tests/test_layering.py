@@ -105,7 +105,16 @@ def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
     assert readers({"_gram"}) == {("qhermite", "continuous_orthogonality"),
                                   ("qhermite", "discrete_orthogonality_residual")}
     assert readers({"_log_rows"}) == {("qhermite", "_gram"), ("qhermite", "_auto_cutoff"),
+                                      ("qoscillator", "phi"),
                                       ("qoscillator", "selfadjoint_residual")}
+
+
+def test_the_wave_functions_read_the_walk_not_the_explicit_sum():
+    # phi forms h_n by the three-term recurrence; the explicit sum and its
+    # q-Laguerre form serve hermite_h and the identities that check it
+    explicit = {"hermite_h", "hermite_via_laguerre", "qlaguerre"}
+    assert not {module for module, _ in _qlab_readers(explicit)} & {"qoscillator"}
+    assert ("qoscillator", "phi") in _qlab_readers({"_scaled_walk"})
 
 
 def _lru_cached(source: str) -> set[str]:

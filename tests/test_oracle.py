@@ -21,18 +21,25 @@ import math
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 
 from qlab import (NonConvergence, PoleError, QContext, QError, continuous_orthogonality,
-                  discrete_orthogonality_residual, discrete_orthogonality_rhs, jackson_integral,
-                  moment_constant, norm_constant, phi, qbessel, qexp_gen, qpoch_inf, qtrig,
-                  weight)
-from qlab.qhermite import _root_h
+                  discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
+                  jackson_integral, moment_constant, norm_constant, phi, qbessel, qexp_gen,
+                  qpoch_inf, qtrig, weight)
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
 CONTEXTS = [QContext(q=q, alpha=alpha) for q in QS for alpha in ALPHAS]
 IDS = [f"q={c.q}-alpha={c.alpha}" for c in CONTEXTS]
+
+
+def _root_h(n: int, x: float, ctx: QContext) -> float:
+    # sqrt(w) h_n by the explicit sum, independent of phi's recurrence; 0 where
+    # sqrt(w) < 1e-250, far out, where h_n may leave double range
+    root = math.sqrt(weight(x, ctx))
+    return 0.0 if root < 1e-250 else root * hermite_h(n, x, ctx)
 
 
 def _ortho_integrand(n: int, m: int, ctx: QContext):
@@ -256,6 +263,49 @@ def test_jackson_sum_of_a_small_integrand():
                               [-mp.inf, mp.inf])
     assert _rel_err(got, want) <= 1e-14
     assert _rel_err(got, mp.mpf("1.08004207281026754e-13")) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Wave functions at 60 digits
+# ---------------------------------------------------------------------------
+
+def _mp60_phi(n, x, ctx):
+    """d_n sqrt(w) h_n at x: the explicit sum times mp.qp's weight, and d_n from
+    its closed form, in 60-digit mpf."""
+    q, a, x = mp60.mpf(ctx.q), mp60.mpf(ctx.alpha), mp60.mpf(x)
+    c_squared = (q ** (-(a + 1) * (a + 0.5)) * mp60.qp(q * q, q * q)
+                 / (mp60.gamma(-a) * mp60.gamma(a + 1) * mp60.qp(q ** (-2 * a), q * q)))
+    gen_qpoch = mp60.fprod(1 - q ** (j if j % 2 == 0 else j + 2 * a + 1) for j in range(1, n + 1))
+    d = mp60.sqrt(c_squared * gen_qpoch) * q ** (mp60.mpf(n * n) / 2) / mp60.qp(q, q, n)
+    return d * _mp60_hermite(n, x, q, a) / mp60.sqrt(mp60.qp(-q ** (-2 * a - 1) * x * x, q * q))
+
+
+def _phi_agrees(n, x, ctx, want):
+    # phi at x as a float and inside an array, and at -x by its parity, to 1e-12
+    for got in (phi(n, x, ctx), *phi(n, np.array([0.3, x, -x]), ctx)[1:] * [1, (-1) ** n]):
+        assert abs(got - want) / abs(want) <= 1e-12, (got, want)
+
+
+@pytest.mark.parametrize("n, x, q, alpha", [
+    # the explicit sum left double range where phi is finite: it raised DomainError
+    (20, 1.024e13, 0.05, 0.25), (20, 0.05 ** -11, 0.05, 0.25),
+    # sqrt(w) rounds to 0 where h_n is large: it read 0.0, at phi_16's largest value
+    (16, 6.5536e20, 0.05, -0.9), (20, 1.048576e26, 0.05, -0.9)])
+def test_phi_where_the_explicit_sum_failed(n, x, q, alpha):
+    ctx = QContext(q=q, alpha=alpha)
+    _phi_agrees(n, x, ctx, _mp60_phi(n, x, ctx))
+
+
+@pytest.mark.parametrize("n, q, alpha, j", [(16, 0.05, -0.9, 15), (20, 0.05, 0.25, 14),
+                                            (16, 0.2, 1.3, 18), (20, 0.5, 0.25, 30)])
+def test_phi_agrees_across_the_log_cut(n, q, alpha, j):
+    # sqrt(w) >= 1e-250 at q^-j, read from the float walk, and 0 at its lattice
+    # neighbour q^-(j + 1), read from _log_rows
+    ctx = QContext(q=q, alpha=alpha)
+    inner, outer = q ** -float(j), q ** -float(j + 1)
+    assert math.sqrt(weight(inner, ctx)) >= 1e-250 > math.sqrt(weight(outer, ctx))
+    for x in (inner, outer):
+        _phi_agrees(n, x, ctx, _mp60_phi(n, x, ctx))
 
 
 # ---------------------------------------------------------------------------

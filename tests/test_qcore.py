@@ -20,11 +20,18 @@ from qlab import context
 from qlab.context import MAX_TERMS, SERIES_TOL, NonConvergence
 from qlab.qcore import Points, _guarded, _qpoch, _qpoch_inf, _qpoch_inf_cached, _sum_series
 from qlab import SuiteConfig, qhermite
-from qlab.qhermite import (_gauss_jacobi, _root_h, discrete_orthogonality_residual,
-                           discrete_orthogonality_rhs)
+from qlab.qhermite import (_gauss_jacobi, discrete_orthogonality_residual,
+                           discrete_orthogonality_rhs, weight)
 from qlab.suites import suite_orthogonality
 
 CTX = QContext(q=0.5, alpha=0.25)
+
+
+def _root_h(n: int, x: float, ctx: QContext) -> float:
+    # sqrt(w) h_n by the explicit sum, independent of phi's recurrence; 0 where
+    # sqrt(w) < 1e-250, far out, where h_n may leave double range
+    root = math.sqrt(weight(x, ctx))
+    return 0.0 if root < 1e-250 else root * hermite_h(n, x, ctx)
 
 
 def _ortho_integrand(n: int, m: int, ctx: QContext):

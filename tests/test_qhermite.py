@@ -69,7 +69,7 @@ class TestPolynomial:
             warnings.simplefilter("ignore", RuntimeWarning)
             hermite_h(2, np.array([0.5, 1e200]), CTX)
 
-    @pytest.mark.parametrize("fn", [hermite_h, phi, hermite_h_scaled])
+    @pytest.mark.parametrize("fn", [hermite_h, hermite_h_scaled])
     def test_array_overflow_raises_a_short_domain_error(self, fn):
         # degree 20 overflows on the Jackson lattice points +-q^j at q = 0.05:
         # under a warnings-as-errors filter numpy's overflow warning escaped
@@ -80,6 +80,20 @@ class TestPolynomial:
             warnings.simplefilter("error")
             fn(20, np.concatenate((-x, x)), ctx)
         assert len(str(info.value)) <= 300
+
+    def test_phi_on_the_small_q_lattice_is_finite(self):
+        # degree 20 on the same lattice: phi read the explicit sum, which leaves
+        # double range at points where sqrt(w) is 0, and raised DomainError
+        ctx = QContext(q=0.05, alpha=0.25)
+        x = ctx.q ** np.arange(qlab.context.LATTICE_LO, qlab.context.LATTICE_HI + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = phi(20, np.concatenate((-x, x)), ctx)
+        assert np.isfinite(values).all()
+        # the largest |phi_20| there, first at x = -q^7, against d_20 sqrt(w) h_20 in 60
+        # digits: the explicit sum times mp.qp's weight
+        assert np.argmax(np.abs(values)) == 7 - qlab.context.LATTICE_LO
+        assert np.abs(values).max() == pytest.approx(1.0180119330044445988394e-13, rel=1e-12)
 
     def test_scaled_variant(self):
         for n in range(7):

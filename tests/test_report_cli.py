@@ -325,6 +325,17 @@ class TestCliVerify:
         assert d["summary"]["fail"] > 0
         assert any("PoleError" in (r.get("error") or "") for r in d["results"])
 
+    def test_overflowing_norm_constant_exit_1(self, capsys, tmp_path):
+        # q^{-(alpha + 1)(alpha + 1/2)} in d_n overflows: a raw OverflowError
+        # ended the run with a traceback and no report
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "orthogonality", "--q", "0.05", "--alpha", "20.3",
+                     "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        d = json.loads(out.read_text())
+        assert d["summary"]["fail"] == d["summary"]["total"] > 0
+        assert any("DomainError: norm_constant" in (r["error"] or "") for r in d["results"])
+
     def test_bad_config_exit_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         assert main(["verify", "--q", "1.5"]) == 2
