@@ -113,7 +113,7 @@ def test_the_wave_functions_read_the_walk_not_the_explicit_sum():
     # phi forms h_n by the three-term recurrence; the explicit sum and its
     # q-Laguerre form serve hermite_h and the identities that check it
     explicit = {"hermite_h", "hermite_via_laguerre", "qlaguerre"}
-    assert not {module for module, _ in _qlab_readers(explicit)} & {"qoscillator"}
+    assert "qoscillator" not in {module for module, _ in _qlab_readers(explicit)}
     assert ("qoscillator", "phi") in _qlab_readers({"_scaled_walk"})
 
 
