@@ -17,8 +17,7 @@ from .context import (ArgumentError, ConfigError, DimensionError, DomainError,
 from .qcore import (FunctionHandle, gen_qfact, gen_qint, gen_qpoch,
                     jackson_integral, qderiv, qderiv_levels, qderiv_pow, qnumber, qpoch,
                     qpoch_inf, sym_qnumber, theta)
-from .qfunctions import (BESSEL_KINDS, bessel_delta_residual,
-                         first_qderiv_bessel_residual, qbessel, qexp_big,
+from .qfunctions import (BESSEL_KINDS, bessel_delta_residual, qbessel, qexp_big,
                          qexp_gen, qexp_small, qtrig)
 from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        continuous_orthogonality, discrete_orthogonality_residual,
@@ -28,8 +27,8 @@ from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        poisson_kernel_residual, qlaguerre, relation_residual,
                        rogers_ramanujan_residual, weight)
 from .qoscillator import (algebra_residual, apply_ladder, build_matrix, eigen_residual,
-                          inner_product, phi, raised_from_ground, selfadjoint_residual,
-                          sym_qbracket_diag, wave_function)
+                          phi, raised_from_ground, selfadjoint_residual, sym_qbracket_diag,
+                          wave_function)
 from .report import CheckResult, VerificationReport
 from .suites import (DEFAULT_ALPHA_GRID, DEFAULT_Q_GRID, SUITE_NAMES,
                      SuiteConfig, run_suite)

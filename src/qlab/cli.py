@@ -33,8 +33,8 @@ from .context import (ArgumentError, ConfigError, QContext, QError,
                       TruncatedValue, UnknownFunction)
 from .qcore import (Points, gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
                     sym_qnumber, theta)
-from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
-                         qbessel, qexp_big, qexp_gen, qexp_small, qtrig)
+from .qfunctions import (bessel_delta_residual, qbessel, qexp_big, qexp_gen, qexp_small,
+                         qtrig)
 from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        hermite_h, hermite_via_laguerre,
                        integral_representation_residual, moment_check,
@@ -112,7 +112,7 @@ _BOUND = {
         relation_residual, moment_check, bessel_weight_transform,
         integral_representation_residual, poisson_kernel_residual,
         bessel_expansion_residual, rogers_ramanujan_residual, eigen_residual,
-        bessel_delta_residual, first_qderiv_bessel_residual)}
+        bessel_delta_residual)}
 
 #: registry: name -> (callable taking the parsed key=value map, description)
 REGISTRY: dict[str, tuple[Callable[[dict], Any], str]] = {

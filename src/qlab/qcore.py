@@ -209,6 +209,7 @@ def sym_qnumber(x: float, base: float) -> float:
     return (base ** x - base ** (-x)) / (base - 1.0 / base)
 
 
+@_guarded
 def gen_qint(n: int, ctx: QContext) -> float:
     """Generalized q-integer: [[n]]_q for even n, [[n + 2 alpha + 1]]_q for odd."""
     return _gen_qint(n, ctx.q, ctx.alpha)
@@ -420,28 +421,19 @@ def qderiv_levels(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> Cal
 # Jackson q-integrals
 # ---------------------------------------------------------------------------
 
-def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> TruncatedValue:
-    """Jackson q-integral over the geometric lattice {q^n}.
+def jackson_integral(f: FunctionHandle, ctx: QContext) -> TruncatedValue:
+    """Jackson q-integral over the half-line, (1-q) sum_n q^n f(q^n); over the
+    line, that of f(x) + f(-x).
 
-    halfline: (1-q) sum_n q^n f(q^n)
-    line    : (1-q) sum_n q^n [f(q^n) + f(-q^n)]
-
-    The exponent n runs over [LATTICE_LO, LATTICE_HI]; summation proceeds
-    outward from n = 0 in both directions and a direction stops once its
-    terms have stayed below SERIES_TOL (relative to the largest term seen,
-    so a small integrand is summed to its own size) or at 0 for a few
-    consecutive lattice points.  Where a window edge comes first, the terms
-    beyond it are summed by the edge rule (_edge_tail), whose bound joins
-    tail_bound; an edge ratio outside (-1, 1) raises NonConvergence, and f
-    overflowing at a lattice point DomainError.
+    The exponent n runs over [LATTICE_LO, LATTICE_HI], outward from n = 0 in
+    both directions; a direction stops once its terms have stayed below
+    SERIES_TOL (relative to the largest term seen, so a small integrand is
+    summed to its own size) or at 0 for three lattice points, and its dropped
+    terms are bounded as a geometric series of its last ratio, at most 0.9.
+    Where a window edge comes first, the edge rule (_edge_tail) sums the terms
+    beyond it and its bound joins tail_bound; an edge ratio outside (-1, 1)
+    raises NonConvergence, and f overflowing at a lattice point DomainError.
     """
-    if domain == "halfline":
-        g = f
-    elif domain == "line":
-        g = lambda x: f(x) + f(-x)  # noqa: E731
-    else:
-        raise ArgumentError(f"unknown Jackson integral domain: {domain!r}")
-
     q = ctx.q
     tol = context.SERIES_TOL
     terms: list[float] = []
@@ -456,7 +448,7 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
         while (n <= hi) if step == 1 else (n >= hi):
             xn = q ** n
             try:
-                t = xn * g(xn)
+                t = xn * f(xn)
             except (OverflowError, ZeroDivisionError) as exc:
                 raise DomainError(f"Jackson integrand leaves double range at q^{n} = {xn}") from exc
             count += 1
@@ -469,8 +461,8 @@ def jackson_integral(f: FunctionHandle, domain: str, ctx: QContext) -> Truncated
             if small:
                 below += 1
                 if below >= 3:
-                    # geometric extrapolation of the discarded tail
-                    r = q if step == 1 else min(0.9, mag / abs(prev) if prev else q)
+                    # toward 0, f ~ y^p gives terms falling like q^(p+1): slower than q if p < 0
+                    r = min(0.9, mag / abs(prev) if prev else q)
                     tail += mag * r / (1.0 - r)
                     break
             else:

@@ -16,7 +16,7 @@ from numpy import ndarray  # isinstance(x, np.ndarray) looks the class up on eve
 
 from .context import ArgumentError, DomainError, PoleError, QContext, TruncatedValue
 from .qcore import (Points, _factorials, _guarded, _in_range, _qpoch_inf, _sum_series,
-                    qderiv, qderiv_pow)
+                    qderiv_pow)
 
 BESSEL_KINDS = ("second_jackson", "hahn_exton", "modified")
 
@@ -151,15 +151,3 @@ def bessel_delta_residual(n: int, lam: float, x: float, parity: str, ctx: QConte
            * x ** s * qbessel(q ** m * lam * x, alpha + s, "modified", ctx))
     return abs(lhs - rhs)
 
-
-@_guarded
-def first_qderiv_bessel_residual(lam: float, x: float, ctx: QContext) -> float:
-    """Residual of D_q j_a(l x) = -q^2 l^2 x / ((1-q)(1-q^{2a+2})) j_{a+1}(q l x)."""
-    if x == 0.0:
-        raise DomainError("residual is evaluated away from x = 0")
-    q, alpha = ctx.q, ctx.alpha
-    lhs = qderiv(lambda t: qbessel.__wrapped__(lam * t, alpha, "modified", ctx), x, "backward", ctx)
-    rhs = (-(q ** 2) * lam ** 2 * x
-           / ((1.0 - q) * (1.0 - q ** (2.0 * alpha + 2.0)))
-           * qbessel(q * lam * x, alpha + 1.0, "modified", ctx))
-    return abs(lhs - rhs)

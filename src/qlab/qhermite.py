@@ -182,6 +182,7 @@ def norm_constant(n: int, ctx: QContext) -> float:
     return d
 
 
+@_guarded
 def moment_constant(ctx: QContext) -> float:
     """The half-line moment constant c; defined for every alpha > -1.
 
@@ -321,7 +322,7 @@ def moment_check(n: int, ctx: QContext) -> float:
         env = qexp_small(-q * y * y, q2).value
         return _damped(env, lambda: y ** (2.0 * n + 2.0 * alpha + 1.0))
 
-    integral = jackson_integral(f, "halfline", ctx).value
+    integral = jackson_integral(f, ctx).value
     closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
               * _factorials(q, alpha).upto(n).ab[n])
     return abs(integral - closed) / abs(closed)
@@ -352,9 +353,10 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
 
     if _lattice_ratio(x, ctx) >= 1.0:
         return _continued_halfline(f, x, shift, order, power, ctx)
-    return jackson_integral(f, "halfline", ctx).value
+    return jackson_integral(f, ctx).value
 
 
+@_guarded
 def bessel_weight_transform(x: float, ctx: QContext) -> float:
     """Residual of the half-line Bessel transform of the weight envelope, inside
     the disc |x| < q^{alpha+1/2} and, by the continued sum, outside it."""
@@ -389,7 +391,7 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
     """
     import mpmath
 
-    small = jackson_integral(lambda y: f(y) if y < 1.0 else 0.0, "halfline", ctx)
+    small = jackson_integral(lambda y: f(y) if y < 1.0 else 0.0, ctx)
     window, tol = -context.LATTICE_LO, context.SERIES_TOL
     base_digits = 6 + math.ceil(-math.log10(tol))
     mp = mpmath.MPContext()
@@ -429,6 +431,7 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
         f"{window + 1} lattice points (x^2 q^(-2 alpha - 1) = {_lattice_ratio(x, ctx):.6g})")
 
 
+@_guarded
 def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
     """Residual of the q-integral representation of hermite_h of degree n.
 
@@ -677,6 +680,7 @@ def bessel_expansion_residual(x: float, ctx: QContext) -> float:
     return abs(lhs - rhs)
 
 
+@_guarded
 def rogers_ramanujan_residual(ctx: QContext) -> float:
     """Residual of the Rogers-Ramanujan type summation."""
     q, alpha = ctx.q, ctx.alpha

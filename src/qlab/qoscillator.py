@@ -20,8 +20,7 @@ from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, Q
                       QuadratureFailure)
 from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
                     _level, _show, gen_qfact, sym_qnumber)
-from .qhermite import (_auto_cutoff, _log_rows, _piecewise_quad, _scaled_walk, norm_constant,
-                       weight)
+from .qhermite import _log_rows, _piecewise_quad, _scaled_walk, norm_constant, weight
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -263,29 +262,6 @@ def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
     scale = abs(pref) * reduce(add, map(abs, terms))
     return _in_range(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale),
                      f"eigenrelation residual at x = {_show(x)}", ctx)
-
-
-def inner_product(f: FunctionHandle, g: FunctionHandle, ctx: QContext) -> float:
-    """Quadrature inner product int f g |x|^{2a+1} dx over the line: f and g are
-    called on the nodes x of the table of _gram(8, ctx) and its cutoff c, once
-    at x and once at -x.  Raises QuadratureFailure when the value is not finite,
-    its error exceeds 1e-7, or the integrand at c, times c, exceeds 1e-7 (the
-    dropped tail is then not negligible: wave functions from degree 16 at q = 0.5)."""
-    cutoff = _auto_cutoff(8, ctx)
-    x, _, weights = _piecewise_quad(8, ctx)
-    x = np.append(x, cutoff)
-    with np.errstate(all="ignore"):  # the gates reject a non-finite result
-        line = f(x) * g(x) + f(-x) * g(-x)
-        coarse, fine = weights @ line[:-1]
-        value, err = float(fine), float(abs(fine - coarse))
-        edge = abs(float(line[-1] * np.float64(cutoff) ** (2.0 * ctx.alpha + 1.0))) * cutoff
-    if not (math.isfinite(value) and err <= 1e-7):
-        raise QuadratureFailure(f"inner-product quadrature value {value} with error "
-                                f"{err} misses 1e-7")
-    if not edge <= 1e-7:
-        raise QuadratureFailure(f"inner-product integrand at the cutoff {cutoff}, times "
-                                f"the cutoff, is {edge}: the dropped tail misses 1e-7")
-    return value
 
 
 def selfadjoint_residual(n: int, m: int, ctx: QContext) -> float:

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import qoscillator
 from .context import ConfigError, DomainError, QContext, QError
-from .qcore import gen_qint, gen_qpoch, qderiv_levels, qderiv_pow, qnumber, qpoch_inf, sym_qnumber
-from .qfunctions import (bessel_delta_residual, first_qderiv_bessel_residual,
-                         qbessel, qexp_big, qexp_gen, qtrig)
+from .qcore import (_guarded, gen_qint, gen_qpoch, qderiv_levels, qderiv_pow, qnumber, qpoch_inf,
+                    sym_qnumber)
+from .qfunctions import bessel_delta_residual, qbessel, qexp_big, qexp_gen, qtrig
 from .qhermite import (QUAD_TOL, RELATION_KINDS, _rel, bessel_expansion_residual,
                        bessel_weight_transform, continuous_orthogonality,
                        discrete_orthogonality_residual, hermite_h, hermite_via_laguerre,
@@ -185,7 +185,7 @@ def suite_special_functions(cfg: SuiteConfig) -> list[CheckResult]:
             out.append(_checked("qbessel_contiguous_recurrence", {**base, "x": x},
                                 cfg.tol, _contiguous_residual, x, ctx))
             out.append(_checked("qbessel_first_difference", {**base, "lam": 0.8, "x": x},
-                                cfg.tol, first_qderiv_bessel_residual, 0.8, x, ctx))
+                                cfg.tol, bessel_delta_residual, 0, 0.8, x, "odd_order", ctx))
         for n in (1, 2):
             for parity in ("even_order", "odd_order"):
                 out.append(_checked(
@@ -195,6 +195,7 @@ def suite_special_functions(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
+@_guarded
 def _half_integer_residual(x: float, which: str, order: float, ctx: QContext) -> float:
     q = ctx.q
     pref = (qpoch_inf(q, QContext(q=q * q)).value

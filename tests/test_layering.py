@@ -109,6 +109,20 @@ def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
                                       ("qoscillator", "selfadjoint_residual")}
 
 
+def test_one_quadrature_table_and_one_jackson_sum():
+    # the continuous relations read _piecewise_quad's table, and nothing else reads
+    # its cutoff; the line's Jackson sum is the half-line one of f(x) + f(-x), and
+    # the first q-difference of j_alpha is bessel_delta_residual's odd order at n = 0
+    def readers(names):
+        return {found for found in _qlab_readers(names) if found[1] != "<module>"}
+
+    assert readers({"_piecewise_quad"}) == {("qhermite", "continuous_orthogonality"),
+                                            ("qoscillator", "selfadjoint_residual")}
+    assert _qlab_readers({"_auto_cutoff"}) == {("qhermite", "_piecewise_quad")}
+    assert _qlab_readers({"qderiv"}) == {("__init__", "<module>")}  # its export alone
+    assert list(inspect.signature(qcore.jackson_integral).parameters) == ["f", "ctx"]
+
+
 def test_the_wave_functions_read_the_walk_not_the_explicit_sum():
     # phi forms h_n by the three-term recurrence; the explicit sum and its
     # q-Laguerre form serve hermite_h and the identities that check it

@@ -13,7 +13,8 @@ mp.qhyper for the modified q-Bessel function; errors are relative to
 max(1, |reference|).
 
 Jackson sums of small integrands are checked against the same sums in
-60-digit mpf, and the normalization offset of the wave functions against
+60-digit mpf, a Jackson sum's tail bound against the 40-digit sum of the terms
+it drops, and the normalization offset of the wave functions against
 Ramanujan's q-beta integral by 40-digit quadrature.
 """
 
@@ -27,7 +28,7 @@ import pytest
 from qlab import (NonConvergence, PoleError, QContext, QError, continuous_orthogonality,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
                   jackson_integral, moment_constant, norm_constant, phi, qbessel, qexp_gen,
-                  qpoch_inf, qtrig, weight)
+                  qexp_small, qpoch_inf, qtrig, weight)
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -245,7 +246,8 @@ def test_discrete_diagonal_small_integrand(n):
     q, a = mp60.mpf(ctx.q), mp60.mpf(ctx.alpha)
     want = _mp60_jackson_line(
         lambda x: _mp60_hermite(n, x, q, a) ** 2 * _mp60_weight(x, q, a) * abs(x) ** (2 * a + 1), q)
-    got = jackson_integral(_ortho_integrand(n, n, ctx), "line", ctx).value
+    g = _ortho_integrand(n, n, ctx)
+    got = jackson_integral(lambda y: g(y) + g(-y), ctx).value
     assert abs(got - want) / want <= 1e-13
     assert abs(discrete_orthogonality_rhs(n, ctx) - want) / want <= 1e-13
     assert discrete_orthogonality_residual(n, n, ctx) <= 1e-13
@@ -256,13 +258,38 @@ def test_jackson_sum_of_a_small_integrand():
     # sum read 8.25e-17
     q = 0.9
     got = jackson_integral(lambda y: 1e-12 * math.exp(-(math.log(y) - math.log(0.05)) ** 2),
-                           "halfline", QContext(q=q)).value
+                           QContext(q=q)).value
     qm = mp.mpf(q)
     want = (1 - qm) * mp.nsum(lambda k: qm ** k * mp.mpf(1e-12)
                               * mp.exp(-(k * mp.log(qm) - mp.log(mp.mpf(0.05))) ** 2),
                               [-mp.inf, mp.inf])
     assert _rel_err(got, want) <= 1e-14
     assert _rel_err(got, mp.mpf("1.08004207281026754e-13")) <= 1e-14
+
+
+@pytest.mark.parametrize("q, alpha", [(0.5, -0.6), (0.4, -0.75), (0.3, -0.85), (0.2, -0.9)])
+def test_jackson_tail_bound_covers_the_dropped_terms(q, alpha):
+    # moment_check(0)'s integrand e_{q^2}(-q y^2) y^{2 alpha + 1}: toward 0 its terms
+    # fall like q^{2 alpha + 2}, slower than q; a bound that took q as their ratio
+    # read 1.3 (at q = 0.5) to 10.5 (at q = 0.2) times below the terms it dropped
+    points = []
+
+    def f(y):
+        points.append(y)
+        return qexp_small(-q * y * y, q * q).value * y ** (2.0 * alpha + 1.0)
+
+    got = jackson_integral(f, QContext(q=q, alpha=alpha))
+    qm, am = mp.mpf(q), mp.mpf(alpha)
+    exponents = [round(math.log(y) / math.log(q)) for y in points]
+    remainder = mp.mpf(0)
+    for k, step in ((max(exponents) + 1, 1), (min(exponents) - 1, -1)):
+        while True:  # every term past the last lattice point, until they fall below 1e-45
+            t = (1 - qm) * qm ** (k * (2 * am + 2)) / mp.qp(-qm ** (2 * k + 1), qm * qm)
+            remainder += t
+            if t < mp.mpf(10) ** -45 * remainder:
+                break
+            k += step
+    assert got.tail_bound >= remainder * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

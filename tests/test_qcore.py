@@ -226,7 +226,8 @@ class TestProductCache:
         ctx = QContext(q=1e-4, alpha=alpha)
         (gram,), top, ends = qhermite._gram(qhermite._jackson_nodes, 8, ctx)
         assert (ends[:, 0] == 0.0).all() and np.isfinite(gram).all()
-        ref = jackson_integral(_ortho_integrand(n, m, ctx), "line", ctx).value
+        g = _ortho_integrand(n, m, ctx)
+        ref = jackson_integral(lambda y: g(y) + g(-y), ctx).value
         scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))
         expected = abs(ref - scale) / scale if n == m else abs(ref) / scale
         assert discrete_orthogonality_residual(n, m, ctx) == pytest.approx(expected, abs=1e-12)
@@ -342,26 +343,15 @@ class TestIntegrals:
     def test_halfline_linear_on_unit_interval(self):
         # restrict t to [0, 1]: (1 - q) sum q^{2k} = 1/(1 + q)
         f = lambda t: t if t <= 1.0 else 0.0  # noqa: E731
-        got = jackson_integral(f, "halfline", CTX)
+        got = jackson_integral(f, CTX)
         assert got.value == pytest.approx(1.0 / (1.0 + CTX.q), rel=1e-13)
-
-    def test_line_even_function_doubles(self):
-        f = lambda t: t * t * math.exp(-t * t)  # noqa: E731
-        even = jackson_integral(f, "line", CTX)
-        half = jackson_integral(f, "halfline", CTX)
-        assert even.value == pytest.approx(2.0 * half.value, rel=1e-12)
-
-    def test_line_odd_function_vanishes(self):
-        f = lambda t: t ** 3 * math.exp(-t * t)  # noqa: E731
-        got = jackson_integral(f, "line", CTX)
-        assert abs(got.value) < 1e-12
 
     def test_slow_decay_sums_the_tail_beyond_the_window(self):
         # the terms (q^0.02)^n at y = q^n are still above series_tol at
         # lattice_hi; the geometric tail beyond it is summed, not dropped
         q = 0.3
         f = lambda t: t ** -0.98 if t <= 1.0 else 0.0  # noqa: E731
-        got = jackson_integral(f, "halfline", QContext(q=q))
+        got = jackson_integral(f, QContext(q=q))
         mp = mpmath.MPContext()
         mp.dps = 30
         exact = (1 - mp.mpf(q)) / (1 - mp.mpf(q) ** mp.mpf("0.02"))  # (1-q)/(1-q^0.02)
@@ -371,14 +361,14 @@ class TestIntegrals:
         # a raw ZeroDivisionError or OverflowError of the integrand at a
         # lattice point becomes a DomainError naming the point
         with pytest.raises(DomainError, match=r"at q\^0 = 1\.0"):
-            jackson_integral(lambda t: 1.0 / (t - 1.0), "halfline", CTX)
+            jackson_integral(lambda t: 1.0 / (t - 1.0), CTX)
         with pytest.raises(DomainError, match=r"at q\^3 = 0\.125"):
-            jackson_integral(lambda t: t ** -400.0, "halfline", CTX)
+            jackson_integral(lambda t: t ** -400.0, CTX)
 
     def test_divergent_integrand_raises(self):
         from qlab import NonConvergence
         with pytest.raises(NonConvergence):
-            jackson_integral(lambda t: t, "halfline", CTX)
+            jackson_integral(lambda t: t, CTX)
 
 
 def _memoized(f):

@@ -8,14 +8,13 @@ import math
 import pytest
 
 import qlab.cli
-from qlab import (CheckResult, ConfigError, QContext, SuiteConfig, TruncatedValue,
+from qlab import (CheckResult, ConfigError, QContext, QError, SuiteConfig, TruncatedValue,
                   VerificationReport, run_suite)
-from qlab.cli import REGISTRY, _parser, main
+from qlab.cli import REGISTRY, _parse_kv, _parser, main
 from qlab.qcore import (gen_qfact, gen_qint, gen_qpoch, qnumber, qpoch, qpoch_inf,
                         sym_qnumber, theta)
-from qlab.qfunctions import (BESSEL_KINDS, bessel_delta_residual,
-                             first_qderiv_bessel_residual, qbessel, qexp_big, qexp_gen,
-                             qexp_small, qtrig)
+from qlab.qfunctions import (BESSEL_KINDS, bessel_delta_residual, qbessel, qexp_big,
+                             qexp_gen, qexp_small, qtrig)
 from qlab.qhermite import (RELATION_KINDS, bessel_expansion_residual,
                            bessel_weight_transform, hermite_h, hermite_via_laguerre,
                            integral_representation_residual, moment_check,
@@ -153,6 +152,12 @@ class TestRunSuite:
         assert rep.config["suite"] == "kernels"
         assert rep.config["q_values"] == [0.5]
 
+    def test_suites_complete_near_q_one(self):
+        # _half_integer_residual's (q^2;q^2)_inf underflowed to 0 at q = 0.9995: a raw
+        # ZeroDivisionError ended the run inside special_functions
+        rep = run_suite(SuiteConfig(q_values=(0.999, 0.9995), alpha_values=(0.25,)), "v")
+        assert {r.name for r in rep.results} >= {"qbessel_half_integer_trig", "weight_moment"}
+
 
 class TestCliEval:
     def test_known_value(self, capsys):
@@ -252,8 +257,6 @@ EVAL_CASES = {
     "bessel_delta_residual": (
         f"n=1 lam=0.8 x=0.5 parity=odd_order {CTX_KEYS}",
         lambda: bessel_delta_residual(1, 0.8, 0.5, "odd_order", CTX)),
-    "first_qderiv_bessel_residual": (f"lam=0.8 x=0.5 {CTX_KEYS}",
-                                     lambda: first_qderiv_bessel_residual(0.8, 0.5, CTX)),
 }
 
 
@@ -310,6 +313,44 @@ class TestCliRegistry:
         assert seen == [(0.5, 0.25, "modified", QContext(0.5))]
 
 
+#: (q, alpha) near q = 1, and at q = 1e-6 with alpha at either end
+NEAR_EDGE = [(q, a) for q in (0.999, 0.9995, 0.9999) for a in (-0.9, 0.25, 1.3)] + [
+    (1e-6, 40.0), (1e-6, -0.999)]
+
+#: calls past EVAL_CASES: a q-integer whose q^n overflows, and the integral
+#: representation's prefactor overflowing at degree 60
+EDGE_CASES = [("gen_qint", "n=-600 q=1e-6"),
+              ("integral_representation_residual", "n=60 x=0 q=1e-6 alpha=-0.999")]
+
+
+def _finite_or_qerror(name: str, args: dict) -> None:
+    try:
+        value = REGISTRY[name][0](args)
+    except QError:
+        return
+    assert math.isfinite(getattr(value, "value", value)), (name, args)
+
+
+class TestRegistryNearTheEdges:
+    @pytest.mark.parametrize("q, alpha", NEAR_EDGE, ids=str)
+    def test_every_function_returns_a_finite_value_or_raises_a_qerror(self, q, alpha):
+        # moment_constant, rogers_ramanujan_residual and bessel_weight_transform's
+        # lattice ratio raised a raw OverflowError or ZeroDivisionError here; at
+        # q = 1e-6 the Bessel transforms are read at x = 0, where they need no
+        # continued sum at thousands of digits
+        for name, (kv, _) in EVAL_CASES.items():
+            args = _parse_kv(kv.split())
+            args.update({k: v for k, v in (("q", q), ("alpha", alpha)) if k in args})
+            if q < 0.5 and name in ("bessel_weight_transform",
+                                    "integral_representation_residual"):
+                args["x"] = 0.0
+            _finite_or_qerror(name, args)
+
+    @pytest.mark.parametrize("name, kv", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_overflow_raises_a_qerror(self, name, kv):
+        _finite_or_qerror(name, _parse_kv(kv.split()))
+
+
 class TestCliVerify:
     def test_all_pass_exit_0(self, capsys):
         assert main(["verify", "--suite", "kernels", *SMALL]) == 0
@@ -335,6 +376,17 @@ class TestCliVerify:
         d = json.loads(out.read_text())
         assert d["summary"]["fail"] == d["summary"]["total"] > 0
         assert any("DomainError: norm_constant" in (r["error"] or "") for r in d["results"])
+
+    def test_moment_constant_overflow_near_q_one_exit_1(self, capsys, tmp_path):
+        # the moment constant's products overflow at q = 0.999: a raw OverflowError
+        # ended the run with a traceback and no report
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "hermite_identities", "--q", "0.999",
+                     "--alpha", "0.25", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        d = json.loads(out.read_text())
+        assert d["summary"]["total"] == 210
+        assert any("DomainError: moment_constant" in r.get("error", "") for r in d["results"])
 
     def test_bad_config_exit_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
