@@ -2,8 +2,9 @@
 
 All numerical routines are pure functions of their inputs and a QContext,
 which carries the deformation parameter q and the order parameter alpha.
-The series tolerance, the ceiling on series terms and product factors, and
-the Jackson-integral window are module constants.
+The series tolerance and the ceiling on series terms, product factors and
+Jackson lattice points are module constants; a Jackson sum takes its extent
+from its own terms.
 """
 
 from __future__ import annotations
@@ -58,17 +59,11 @@ class ArgumentError(QError):
 #: truncation target of the infinite sums and products
 SERIES_TOL = 1e-14
 
-#: hard ceiling on the terms of a series and the factors of a product; it only
-#: bounds the cost of one call.  qcore._sum_series raises NonConvergence after
-#: this many terms, and a product whose stopping rule needs more factors
-#: raises NonConvergence before it multiplies any.
+#: hard ceiling on the terms of a series, the points of a Jackson sum's
+#: direction and the factors of a product; it only bounds the cost of one call.
+#: A series or Jackson sum raises NonConvergence past it, and a product whose
+#: stopping rule needs more factors raises it before it multiplies any.
 MAX_TERMS = 40_000
-
-#: Jackson-integral exponent window: the lattice points are q**n for
-#: LATTICE_LO <= n <= LATTICE_HI, so LATTICE_LO < 0 covers the large-x end of
-#: the geometric lattice.  Callers read the window at call time.
-LATTICE_LO = -40
-LATTICE_HI = 120
 
 
 @dataclass(frozen=True)

@@ -422,71 +422,67 @@ def qderiv_levels(f: FunctionHandle, k: int, variant: str, ctx: QContext) -> Cal
 # ---------------------------------------------------------------------------
 
 def jackson_integral(f: FunctionHandle, ctx: QContext) -> TruncatedValue:
-    """Jackson q-integral over the half-line, (1-q) sum_n q^n f(q^n); over the
-    line, that of f(x) + f(-x).
+    """Jackson q-integral over the half-line, (1-q) sum_n q^n f(q^n) over every
+    integer n; over the line, that of f(x) + f(-x).
 
-    The exponent n runs over [LATTICE_LO, LATTICE_HI], outward from n = 0 in
-    both directions; a direction stops once its terms have stayed below
-    SERIES_TOL (relative to the largest term seen, so a small integrand is
-    summed to its own size) or at 0 for three lattice points, and its dropped
-    terms are bounded as a geometric series of its last ratio, at most 0.9.
-    Where a window edge comes first, the edge rule (_edge_tail) sums the terms
-    beyond it and its bound joins tail_bound; an edge ratio outside (-1, 1)
-    raises NonConvergence, and f overflowing at a lattice point DomainError.
+    Each direction walks out from n = 0 or n = -1 until three terms in a row fall
+    below SERIES_TOL times the largest term seen, or are 0 (the rest bounded as a
+    geometric series of the last ratio, at most 0.9), or until the edge rule
+    (_edge_tail) has a settled ratio and knows the geometric tail beyond to
+    SERIES_TOL times the largest term or the partial sum; that tail is added and
+    its bound joins tail_bound.  A first 0 after terms that were not small (an
+    envelope cut in f) takes the edge rule too.  NonConvergence where the terms
+    leave double range or after MAX_TERMS points in a direction; DomainError where
+    f or the lattice point overflows.
     """
-    q = ctx.q
-    tol = context.SERIES_TOL
-    terms: list[float] = []
-    peak = 0.0
-    tail = 0.0
-    count = 0
-
-    for step, lo, hi in ((1, 0, context.LATTICE_HI), (-1, -1, context.LATTICE_LO)):
-        below = 0
-        prev = prev2 = math.nan  # the two terms before, in this direction
-        n = lo
-        while (n <= hi) if step == 1 else (n >= hi):
-            xn = q ** n
+    q, tol = ctx.q, context.SERIES_TOL
+    terms, edges = [], []  # the lattice points' terms, and the tails the edge rule adds
+    peak = total = tail = 0.0
+    for start, step in ((0, 1), (-1, -1)):
+        first, below = len(terms), 0  # this direction's terms start at terms[first]
+        for n in range(start, start + step * context.MAX_TERMS, step):
+            xn = math.inf
             try:
+                xn = q ** n
                 t = xn * f(xn)
             except (OverflowError, ZeroDivisionError) as exc:
                 raise DomainError(f"Jackson integrand leaves double range at q^{n} = {xn}") from exc
-            count += 1
             mag = abs(t)
-            if math.isnan(t):
-                raise NonConvergence(f"Jackson integral term is NaN at q^{n}")
+            if not mag < math.inf:
+                raise NonConvergence(f"Jackson integral term is {t} at q^{n}")
             terms.append(t)
+            total += t
             peak = max(peak, mag)
-            small = mag < tol * peak or mag == 0.0
-            if small:
-                below += 1
-                if below >= 3:
-                    # toward 0, f ~ y^p gives terms falling like q^(p+1): slower than q if p < 0
-                    r = min(0.9, mag / abs(prev) if prev else q)
-                    tail += mag * r / (1.0 - r)
+            zero, small = mag == 0.0, mag == 0.0 or mag < tol * peak
+            if len(terms) - first > 4 + zero and (zero and not below or not small):
+                # the edge rule where the terms are not small, or at a first 0 after them
+                beyond, bound, settled = _edge_tail(terms[-1 - zero:-6 - zero:-1])
+                if bound < math.inf and (zero or settled and bound <= tol * max(peak, abs(total))):
+                    edges.append(beyond)
+                    tail += bound
                     break
-            else:
-                below = 0
-            if n == hi and not small:
-                beyond, bound = _edge_tail(t, prev, prev2, n)
-                terms.append(beyond)
-                tail += bound
-            prev, prev2 = t, prev
-            n += step
-
-    value = (1.0 - q) * math.fsum(terms)
-    return TruncatedValue(value, (1.0 - q) * tail, count)
+            below = below + 1 if small else 0
+            if below >= 3:
+                # toward 0, f ~ y^p gives terms falling like q^(p+1): slower than q if p < 0
+                r = min(0.9, mag / abs(terms[-2]) if terms[-2] else q)
+                tail += mag * r / (1.0 - r)
+                break
+        else:
+            raise NonConvergence(f"Jackson sum: no stop within {context.MAX_TERMS} points")
+    return TruncatedValue((1.0 - q) * math.fsum(terms + edges), (1.0 - q) * tail, len(terms))
 
 
-def _edge_tail(t: float, prev: float, prev2: float, n: int) -> tuple[float, float]:
-    # the edge rule of a Jackson sum at q^n: the terms beyond it as a geometric series
-    # t r / (1 - r), t the edge term, r = t / prev, and how far that sum moves with the
-    # ratio one point in, r0 = prev / prev2, plus rounding, or all of it without r0
-    r = t / prev if prev else math.nan
-    r0 = prev / prev2 if prev2 else math.nan
-    if not -1.0 < r < 1.0:
-        raise NonConvergence(f"Jackson integral terms do not decay geometrically "
-                             f"at lattice edge n={n} (ratio {r:.6g})")
-    beyond = t * r / (1.0 - r)
-    return beyond, (abs(t) * (abs(r - r0) + 1e-15) / ((1.0 - r) * (1.0 - r0))
-                    if -1.0 < r0 < 1.0 else abs(beyond))
+def _edge_tail(last: list[float]) -> tuple[float, float, bool]:
+    # the edge rule of a Jackson sum from its last five terms, t = last[0] first: the tail
+    # t r / (1 - r), r = t / last[1], how far it moves as r drifts by at most D,
+    # |t| (D + 1e-15) / ((1 - r)(1 - r - D)), and whether r has settled: its last three
+    # steps d, d0, d1 go one way and shrink by at most rho < 1 a step, D = |d| / (1 - rho);
+    # else D = 2 max |d|, settled at rounding level.  (nan, inf, False) unless -1 < r, r + D < 1
+    r, r0, r1, r2 = ratios = [a / b if b else math.nan for a, b in zip(last, last[1:])]
+    d, d0, d1 = r - r0, r0 - r1, r1 - r2
+    settled = d0 != 0.0 != d1 and 0.0 < d / d0 < 1.0 and 0.0 < d0 / d1 < 1.0
+    drift = abs(d) / (1.0 - max(d / d0, d0 / d1)) if settled else 2.0 * max(map(abs, (d, d0, d1)))
+    if not (all(map(math.isfinite, ratios)) and -1.0 < r < 1.0 and r + drift < 1.0):
+        return math.nan, math.inf, False
+    bound = abs(last[0]) * (drift + 1e-15) / ((1.0 - r) * (1.0 - r - drift))
+    return last[0] * r / (1.0 - r), bound, settled or drift <= 2e-15

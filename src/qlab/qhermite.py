@@ -306,25 +306,19 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
 # Moments, integral representations, orthogonality
 # ---------------------------------------------------------------------------
 
-def _damped(env: float, rest) -> float:
-    # env * rest(), where the q-exponential envelope env underflows long before
-    # the power or Bessel factor matters: skip it once env is negligibly small
-    return 0.0 if abs(env) < 1e-250 else env * rest()
-
-
 @_guarded
 def moment_check(n: int, ctx: QContext) -> float:
     """Relative residual of the even-moment formula of the half-line weight."""
-    q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
+    q, alpha, q2 = ctx.q, ctx.alpha, ctx.q * ctx.q
 
     def f(y: float) -> float:
-        env = qexp_small(-q * y * y, q2).value
-        return _damped(env, lambda: y ** (2.0 * n + 2.0 * alpha + 1.0))
+        env = qexp_small(-q * y * y, q2).value  # 0 once negligible: y^p may overflow there
+        return 0.0 if env < 1e-250 else env * y ** (2.0 * n + 2.0 * alpha + 1.0)
 
-    integral = jackson_integral(f, ctx).value
+    # the constant first: where it leaves double range the check raises before any walk
     closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
               * _factorials(q, alpha).upto(n).ab[n])
+    integral = jackson_integral(f, ctx).value
     return abs(integral - closed) / abs(closed)
 
 
@@ -342,14 +336,13 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
     still the Jackson sum, and the divergent part y >= 1 is summed to its
     analytic continuation by _continued_halfline.
     """
-    q = ctx.q
-    q2 = q * q
+    q, q2 = ctx.q, ctx.q * ctx.q
 
     def f(y: float) -> float:
-        env = qexp_small(-q * y * y, q2).value
+        env = qexp_small(-q * y * y, q2).value  # 0 once negligible, as in moment_check
         # the unguarded body: jackson_integral maps an overflow at each lattice point
-        return _damped(env, lambda: qbessel.__wrapped__(shift * x * y, order, "modified", ctx)
-                       * y ** power)
+        return 0.0 if env < 1e-250 else env * (
+            qbessel.__wrapped__(shift * x * y, order, "modified", ctx) * y ** power)
 
     if _lattice_ratio(x, ctx) >= 1.0:
         return _continued_halfline(f, x, shift, order, power, ctx)
@@ -361,11 +354,14 @@ def bessel_weight_transform(x: float, ctx: QContext) -> float:
     """Residual of the half-line Bessel transform of the weight envelope, inside
     the disc |x| < q^{alpha+1/2} and, by the continued sum, outside it."""
     q, alpha = ctx.q, ctx.alpha
+    c = moment_constant(ctx)  # first, as in moment_check
     integral = _bessel_transform(x, 1.0, alpha, 2.0 * alpha + 1.0, ctx)
-    c = moment_constant(ctx)
     rhs = c * qexp_small(-(q ** (-2.0 * alpha - 1.0)) * x * x, q * q).value
-    scale = max(abs(rhs), abs(c))
-    return abs(integral - rhs) / scale
+    return abs(integral - rhs) / max(abs(rhs), abs(c))
+
+
+#: the points y = q^{-k}, k <= 40, of the continued sum; its working precision grows with them
+_CONTINUED_POINTS = 40
 
 
 def _continued_halfline(f, x: float, shift: float, order: float, power: float,
@@ -374,25 +370,20 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
     y^power where its lattice sum diverges, r = x^2 q^{-2a-1} >= 1.
 
     The points y = q^k, k >= 1, still converge and are summed by
-    jackson_integral.  The terms at y = q^{-k}, 0 <= k <= K = -LATTICE_LO,
-    grow like (-r)^k; Wynn's epsilon algorithm (the iterated Shanks
-    transform) sums their partial sums to the value of the series' analytic
-    continuation.  Those terms are evaluated from f's definition in mpmath.
-    Roundoff in the partial sums is about 10^-digits times the largest one,
-    so the working precision is -log10(SERIES_TOL) + 6 + K log10(r) digits
-    (20 + K log10(r) at the default tolerance).
-
-    The sum stops once two successive estimates agree to SERIES_TOL relative
-    to the scale |small half| + |estimate|.  Raises NonConvergence if the
-    window runs out first, if the roundoff of the partial sums comes within
+    jackson_integral.  The terms at y = q^{-k}, 0 <= k <= K = _CONTINUED_POINTS,
+    grow like (-r)^k; Wynn's epsilon algorithm (the iterated Shanks transform)
+    sums their partial sums, formed from f's definition in mpmath at
+    -log10(SERIES_TOL) + 6 + K log10(r) digits, to the value of the series'
+    analytic continuation.  It stops once two successive estimates agree to
+    SERIES_TOL relative to |small half| + |estimate|.  Raises NonConvergence if
+    the K points run out first, if the roundoff of the partial sums comes within
     three digits of that tolerance, or if the two halves cancel below their
-    accuracy (that tolerance plus the small half's tail bound), leaving no
-    significant digit.
+    accuracy (that tolerance plus the small half's tail bound).
     """
     import mpmath
 
     small = jackson_integral(lambda y: f(y) if y < 1.0 else 0.0, ctx)
-    window, tol = -context.LATTICE_LO, context.SERIES_TOL
+    window, tol = _CONTINUED_POINTS, context.SERIES_TOL
     base_digits = 6 + math.ceil(-math.log10(tol))
     mp = mpmath.MPContext()
     mp.dps = base_digits + math.ceil(window * math.log10(_lattice_ratio(x, ctx)))
@@ -482,12 +473,18 @@ def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
 
 @lru_cache(maxsize=256)
 def _auto_cutoff(n_max: int, ctx: QContext) -> float:
-    # the first x = q^{-k}, 0 <= k < 200, past which w (h_{n_max} / c)^2 x^{2a+1} stays below
-    # 1e-24, c the leading coefficient, in logs: w may underflow where the product is not small
-    x = ctx.q ** -np.arange(min(200.0, np.floor(700.0 / -math.log(ctx.q))))
-    log_c = math.log(_factorials(ctx.q, ctx.alpha).upto(n_max).qp[n_max] / gen_qpoch(n_max, ctx))
-    log_mass = 2.0 * (_log_rows(n_max, x, ctx)[1][-1] - log_c) + (2.0 * ctx.alpha + 1.0) * np.log(x)
-    above = np.flatnonzero(log_mass >= math.log(1e-24))
+    # the first x = q^{-k} past which w (h_{n_max} / c)^2 x^{2a+1}, c the leading coefficient,
+    # stays below 1e-24 min(1, its peak), in logs (w may underflow where the product is not
+    # small), on 16, 48, 112, ... points until it falls below that for good, or x > e^700
+    q, beta, x, end = ctx.q, 2.0 * ctx.alpha + 1.0, np.empty(0), np.floor(700.0 / -math.log(ctx.q))
+    log_c = math.log(_factorials(q, ctx.alpha).upto(n_max).qp[n_max] / gen_qpoch(n_max, ctx))
+    while len(x) < end:
+        x = q ** -np.arange(min(2.0 * len(x) + 16.0, end))
+        log_mass = 2.0 * (_log_rows(n_max, x, ctx)[1][-1] - log_c) + beta * np.log(x)
+        floor = math.log(1e-24) + min(0.0, log_mass.max())
+        if log_mass[-1] < floor and (np.diff(log_mass[-3:]) < 0.0).all():
+            break
+    above = np.flatnonzero(log_mass >= floor)
     return float(x[min(above[-1] + 1, len(x) - 1)]) if above.size else 1.0
 
 
@@ -547,11 +544,23 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
 
 
 def _jackson_nodes(n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
-    # the discrete relation's node table: the Jackson lattice q^j, LATTICE_LO <= j <=
-    # LATTICE_HI, its measure (1 - q) x^{2a+2} as the log factor, one rule of unit weights
-    q, j = ctx.q, np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+    """The discrete relation's node table: the Jackson lattice q^j, -K <= j <= J, from
+    the quadrature cutoff q^-K (_auto_cutoff), its measure (1 - q) x^{2a+2} as the log
+    factor, one rule of unit weights.  Toward 0 the row sqrt((1-q) w) h_k x^{a+1} is
+    c x^{a+1+s} (s the parity of k) times 1 + e, |e| <= 2 B x^2 where B x^2 <= 1/4, with
+    B = (q^{-2a-1} + 2 q / (1 - q^{2a+2})) / (1 - q^2) from w and h_k's lowest two
+    coefficients.  So a product t of two rows of one parity at q^J has the tail
+    t r / (1 - r), r = q^{2a+2+2s}, to 8 B q^{2J} r / (1 - r) of t: 1e-3 SERIES_TOL."""
+    q, log_q = ctx.q, math.log(ctx.q)
+    u = -(2.0 * ctx.alpha + 2.0) * log_q
+    log_g = u + math.log(-math.expm1(-u))  # log (1 - r) / r, r = q^{2a+2}
+    log_b = np.logaddexp((-2.0 * ctx.alpha - 1.0) * log_q,
+                         math.log(2.0 * q) + math.log1p(math.exp(-log_g))) - math.log1p(-q * q)
+    room = min(math.log(1e-3 * context.SERIES_TOL / 8.0) + log_g, math.log(0.25)) - log_b
+    j = np.arange(round(math.log(_auto_cutoff(n_max, ctx)) / log_q),
+                  max(2, math.ceil(room / (2.0 * log_q))) + 1.0)
     return (_in_range(q ** j, "the Jackson lattice", ctx),
-            math.log1p(-q) + (2.0 * ctx.alpha + 2.0) * math.log(q) * j, np.ones((1, len(j))))
+            math.log1p(-q) + (2.0 * ctx.alpha + 2.0) * log_q * j, np.ones((1, len(j))))
 
 
 @lru_cache(maxsize=256)
@@ -561,38 +570,38 @@ def _gram(nodes, n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
     each row takes half of, and one row of weights per rule.  Each row from
     _log_rows is scaled by its largest magnitude exp(top[k]), so no product leaves
     double range: entry (n, m) of rule r is grams[r, n, m] exp(top[n] + top[m]).
-    ends holds the scaled rows at the table's first three and last three points."""
+    ends holds the scaled rows at the table's first five points and its last one."""
     with np.errstate(all="ignore"):  # the readers reject a non-finite entry
         x, log_factor, weights = nodes(n_max, ctx)
         sign, log = _log_rows(n_max, x, ctx)
         log += 0.5 * log_factor
         top = log.max(axis=1)
         rows = sign * np.exp(log - top[:, None])
-        return np.stack([(rows * w) @ rows.T for w in weights]), top, rows[:, [0, 1, 2, -3, -2, -1]]
+        return np.stack([(rows * w) @ rows.T for w in weights]), top, rows[:, [0, 1, 2, 3, 4, -1]]
 
 
 def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
     """Residual of the discrete (Jackson) orthogonality entry (n, m): the Jackson line
-    integral of h_n h_m w |x|^{2a+1} from the Gram matrix of degrees up to max(8, n, m)
-    over the Jackson lattice (_gram), against the closed-form diagonal, and off it
-    against the diagonal scale; (1 + (-1)^{n+m}) times the half-line one, as h_k has
-    the parity of k.  A window end whose term reaches SERIES_TOL times its rows'
-    largest values takes jackson_integral's edge rule (_edge_tail); NonConvergence
-    where the tails are not known to SERIES_TOL of the diagonal scale."""
+    integral of h_n h_m w |x|^{2a+1}, (1 + (-1)^{n+m}) times the half-line one, from the
+    Gram matrix of degrees up to max(8, n, m) over _jackson_nodes' lattice, against the
+    closed-form diagonal, and off it against the diagonal scale.  Past the near end the
+    tail is t r / (1 - r) with the rows' known ratio r = q^{2a+2+2s}; a far-end term at or
+    above SERIES_TOL times its rows' largest values takes the edge rule (_edge_tail), and
+    NonConvergence where that tail is not known to SERIES_TOL of the diagonal scale."""
     # root by root: the product of the diagonals overflows from about 1e154 each
     log_scale = sum(0.5 * math.log(discrete_orthogonality_rhs(k, ctx)) for k in (n, m))
     if (n + m) % 2:
         return 0.0
     (gram,), top, ends = _gram(_jackson_nodes, max(8, n, m), ctx)
-    total, bound, t = float(gram[n, m]), 0.0, (ends[n] * ends[m]).tolist()
-    for (edge, before, second), j in ((t[:3], context.LATTICE_LO), (t[:2:-1], context.LATTICE_HI)):
-        if abs(edge) >= context.SERIES_TOL:
-            beyond, known = _edge_tail(edge, before, second, j)
-            total, bound = total + beyond, bound + known
+    t = (ends[n] * ends[m]).tolist()
+    total = float(gram[n, m]) + t[-1] / math.expm1(-(2.0 * ctx.alpha + 2.0 + 2 * (n % 2))
+                                                  * math.log(ctx.q))
+    beyond, bound, _ = _edge_tail(t[:5]) if abs(t[0]) >= context.SERIES_TOL else (0.0, 0.0, True)
     scale = 2.0 * math.exp(top[n] + top[m] - log_scale)
-    if bound * scale > context.SERIES_TOL:  # q = 0.99: the window ends inside the mass
-        raise NonConvergence(f"Jackson sum of ({n}, {m}): the tails past its window are "
+    if not bound * scale <= context.SERIES_TOL:
+        raise NonConvergence(f"Jackson sum of ({n}, {m}): the tail past its far end is "
                              f"known to {bound * scale:.3g}, above tol={context.SERIES_TOL}")
+    total += beyond
     return abs(total * scale - 1.0) if n == m else abs(total * scale)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import qlab
-from qlab import context
 from qlab import (DomainError, QContext, QError, algebra_residual, bessel_expansion_residual,
                   continuous_orthogonality, discrete_orthogonality_residual,
                   discrete_orthogonality_rhs, eigen_residual, gen_qfact, gen_qpoch, hermite_h,
@@ -36,6 +35,8 @@ XS = (0.0, 0.3, 2.0, 50.0)
 ZS = (0.0, 0.3, 2.0, 50.0, 1e6, 1e200)
 DIMS = (5, 12, 64)
 PAIRS = ((0, 0), (2, 5), (5, 5), (20, 20))
+#: the exponents j of the lattice points q^j the array sweeps evaluate at
+LATTICE = np.arange(-40.0, 121.0)
 
 #: name -> (function of the swept arguments and the context, the swept
 #: arguments in order: degree n, point x, series argument z, matrix dim d,
@@ -118,7 +119,7 @@ def test_lattice_array_finite_or_qerror(name):
     broken = []
     for q, alpha in itertools.product(QS, ALPHAS):
         ctx = QContext(q=q, alpha=alpha)
-        x = q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+        x = q ** LATTICE
         for n in NS if "n" in arg_names else [None]:
             try:
                 value = fn(*([] if n is None else [n]), np.concatenate((-x, x)), ctx)
@@ -137,7 +138,7 @@ def test_relation_residual_lattice_array_finite_or_qerror(kind):
     broken = []
     for q, alpha in itertools.product(QS, ALPHAS):
         ctx = QContext(q=q, alpha=alpha)
-        x = q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0)
+        x = q ** LATTICE
         for n in NS[:2]:
             try:
                 value = relation_residual(kind, n, np.concatenate((-x, x)), ctx)
@@ -157,7 +158,7 @@ def test_array_square_overflow_raises_domain_error(fn):
     # leaked from the weight where its product rejects the argument
     ctx = QContext(q=1e-4, alpha=0.25)
     with pytest.raises(DomainError):
-        fn(ctx.q ** np.arange(context.LATTICE_LO, context.LATTICE_HI + 1.0), ctx)
+        fn(ctx.q ** LATTICE, ctx)
 
 
 @pytest.mark.parametrize("fn, q, alpha, args", [

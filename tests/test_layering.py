@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qlab
-from qlab import qcore
+from qlab import context, qcore
 
 NUMERIC = ("qcore", "qfunctions", "qhermite", "qoscillator")
 UPPER = {"report", "suites", "cli"}
@@ -82,10 +82,18 @@ def test_scanner_sees_readers():
     assert _readers("_GAUSS_LEGENDRE = rules()\n", QUADRATURE_RULES) == set()
 
 
-def test_only_the_product_and_the_series_sum_read_max_terms():
-    # one ceiling, read where a product and a series are formed, nowhere else
+def test_only_the_product_and_the_sums_read_max_terms():
+    # one ceiling, read where a product, a series and a Jackson sum are formed, nowhere else
     assert _qlab_readers({"MAX_TERMS"}) == {("qcore", "_qpoch_inf_product"),
-                                            ("qcore", "_sum_series")}
+                                            ("qcore", "_sum_series"),
+                                            ("qcore", "jackson_integral")}
+
+
+def test_no_lattice_window():
+    # a Jackson sum takes its extent from its terms, the discrete table from q,
+    # alpha and the degree: no module keeps or reads a global window
+    assert _qlab_readers({"LATTICE_LO", "LATTICE_HI"}) == set()
+    assert not {"LATTICE_LO", "LATTICE_HI"} & set(vars(context))
 
 
 def test_only_the_node_table_reads_the_quadrature_rules():
@@ -110,15 +118,17 @@ def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
 
 
 def test_one_quadrature_table_and_one_jackson_sum():
-    # the continuous relations read _piecewise_quad's table, and nothing else reads
-    # its cutoff; the line's Jackson sum is the half-line one of f(x) + f(-x), and
+    # the continuous relations read _piecewise_quad's table, and the discrete lattice
+    # takes its far end from the same cutoff; the line's Jackson sum is the half-line
+    # one of f(x) + f(-x), and
     # the first q-difference of j_alpha is bessel_delta_residual's odd order at n = 0
     def readers(names):
         return {found for found in _qlab_readers(names) if found[1] != "<module>"}
 
     assert readers({"_piecewise_quad"}) == {("qhermite", "continuous_orthogonality"),
                                             ("qoscillator", "selfadjoint_residual")}
-    assert _qlab_readers({"_auto_cutoff"}) == {("qhermite", "_piecewise_quad")}
+    assert _qlab_readers({"_auto_cutoff"}) == {("qhermite", "_piecewise_quad"),
+                                               ("qhermite", "_jackson_nodes")}
     assert _qlab_readers({"qderiv"}) == {("__init__", "<module>")}  # its export alone
     assert list(inspect.signature(qcore.jackson_integral).parameters) == ["f", "ctx"]
 

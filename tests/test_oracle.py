@@ -13,8 +13,9 @@ mp.qhyper for the modified q-Bessel function; errors are relative to
 max(1, |reference|).
 
 Jackson sums of small integrands are checked against the same sums in
-60-digit mpf, a Jackson sum's tail bound against the 40-digit sum of the terms
-it drops, and the normalization offset of the wave functions against
+60-digit mpf, a Jackson sum's tail bound against 40-digit lattice sums and the
+Bessel transform's closed form, the sums near q = 1 and alpha = -1 against
+closed forms, and the normalization offset of the wave functions against
 Ramanujan's q-beta integral by 40-digit quadrature.
 """
 
@@ -25,10 +26,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qlab import (NonConvergence, PoleError, QContext, QError, continuous_orthogonality,
+from qlab import (PoleError, QContext, QError, continuous_orthogonality,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
-                  jackson_integral, moment_constant, norm_constant, phi, qbessel, qexp_gen,
-                  qexp_small, qpoch_inf, qtrig, weight)
+                  jackson_integral, moment_check, moment_constant, norm_constant, phi, qbessel,
+                  qexp_gen, qexp_small, qpoch_inf, qtrig, weight)
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -106,13 +107,16 @@ def test_norm_constant(ctx):
     assert _rel_err(norm_constant(0, ctx), _d0(ctx)) <= 1e-13
 
 
-@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
-def test_moment_constant(ctx):
+def _mp_moment_constant(ctx):
     q, a = _mp(ctx)
     q2 = q * q
-    want = ((1 - q) * _qp(-q ** (2 * a + 3), q2) * _qp(-q ** (-2 * a - 1), q2) * _qp(q2, q2)
+    return ((1 - q) * _qp(-q ** (2 * a + 3), q2) * _qp(-q ** (-2 * a - 1), q2) * _qp(q2, q2)
             / (_qp(-q, q2) ** 2 * _qp(q ** (2 * a + 2), q2)))
-    assert _rel_err(moment_constant(ctx), want) <= 1e-12
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
+def test_moment_constant(ctx):
+    assert _rel_err(moment_constant(ctx), _mp_moment_constant(ctx)) <= 1e-12
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
@@ -267,29 +271,81 @@ def test_jackson_sum_of_a_small_integrand():
     assert _rel_err(got, mp.mpf("1.08004207281026754e-13")) <= 1e-14
 
 
+def _mp_lattice(q, p, c, walked=()):
+    """(1 - q) sum over every integer k of q^{kp} / (-c q^{2k}; q^2)_inf in 40-digit
+    mpf, or, given walked, over the other k only: the Jackson sum of the moment
+    integrand (p = 2a + 2, c = q) and of the weight's (c = q^{-2a-1}).  Toward
+    infinity term by term, until they fall below 1e-45 of the term at k = 0; past
+    k = 30 and the walked points by the q-binomial series
+    1 / (-z; q^2)_inf = sum_j (-z)^j / (q^2; q^2)_j, whose sum over k is geometric."""
+    q, p, c = mp.mpf(q), mp.mpf(p), mp.mpf(c)
+    q2, start = q * q, max([30, *walked]) + 1
+
+    def term(k):
+        return q ** (k * p) / _qp(-c * q ** (2 * k), q2)
+
+    total = mp.fsum(term(k) for k in range(start) if k not in walked)
+    total += mp.fsum((-c) ** j / mp.qp(q2, q2, j) * q ** (start * (p + 2 * j))
+                     / (1 - q ** (p + 2 * j)) for j in range(80))
+    k, small = -1, mp.mpf(10) ** -45 * term(0)
+    while k in walked or term(k) >= small:
+        total += 0 if k in walked else term(k)
+        k -= 1
+    return (1 - q) * total
+
+
 @pytest.mark.parametrize("q, alpha", [(0.5, -0.6), (0.4, -0.75), (0.3, -0.85), (0.2, -0.9)])
 def test_jackson_tail_bound_covers_the_dropped_terms(q, alpha):
     # moment_check(0)'s integrand e_{q^2}(-q y^2) y^{2 alpha + 1}: toward 0 its terms
     # fall like q^{2 alpha + 2}, slower than q; a bound that took q as their ratio
-    # read 1.3 (at q = 0.5) to 10.5 (at q = 0.2) times below the terms it dropped
-    points = []
+    # read 1.3 (at q = 0.5) to 10.5 (at q = 0.2) times below the terms it dropped.
+    # The walk now sums those terms as a geometric tail: its value is within its
+    # tail bound of the whole lattice sum
+    got = jackson_integral(lambda y: qexp_small(-q * y * y, q * q).value * y ** (2.0 * alpha + 1.0),
+                           QContext(q=q, alpha=alpha))
+    assert abs(got.value - _mp_lattice(q, 2 * mp.mpf(alpha) + 2, q)) <= got.tail_bound
+
+
+def test_jackson_tail_bound_covers_the_tail_error():
+    # at q = 0.9, alpha = -0.9 the terms fall like q^{0.2 k} toward 0; the window
+    # q^120 cut them at 0.08 of the largest, and the sum was 1.9e-10 off with a
+    # tail bound of 4.9e-11.  What the walked terms' own rounding (1.4e-14 here)
+    # does not explain is the tail's error, within the tail bound
+    q, alpha, points = 0.9, -0.9, []
 
     def f(y):
-        points.append(y)
-        return qexp_small(-q * y * y, q * q).value * y ** (2.0 * alpha + 1.0)
+        value = qexp_small(-q * y * y, q * q).value * y ** (2.0 * alpha + 1.0)
+        points.append((round(math.log(y) / math.log(q)), y * value))
+        return value
 
     got = jackson_integral(f, QContext(q=q, alpha=alpha))
-    qm, am = mp.mpf(q), mp.mpf(alpha)
-    exponents = [round(math.log(y) / math.log(q)) for y in points]
-    remainder = mp.mpf(0)
-    for k, step in ((max(exponents) + 1, 1), (min(exponents) - 1, -1)):
-        while True:  # every term past the last lattice point, until they fall below 1e-45
-            t = (1 - qm) * qm ** (k * (2 * am + 2)) / mp.qp(-qm ** (2 * k + 1), qm * qm)
-            remainder += t
-            if t < mp.mpf(10) ** -45 * remainder:
-                break
-            k += step
-    assert got.tail_bound >= remainder * (1 - 1e-12)
+    p = 2 * mp.mpf(alpha) + 2
+    walked = {k for k, _ in points}
+    rest = _mp_lattice(q, p, q, walked)
+    summed = (1 - mp.mpf(q)) * mp.fsum(mp.mpf(t) for _, t in points)
+    assert abs(got.value - summed - rest) <= got.tail_bound
+
+
+@pytest.mark.parametrize("q, alpha, frac", [(0.5, -0.5, 0.9), (0.5, 0.25, 0.9), (0.5, 1.3, 0.9),
+                                             (0.8, 0.25, 0.99)])
+def test_jackson_tail_bound_near_the_disc_edge(q, alpha, frac):
+    # bessel_weight_transform's sum near the radius: the terms at y = q^{-k}
+    # alternate with ratio near -frac^2.  At q = 0.5 the envelope underflows below
+    # 1e-250 at k = 29, inside the old window, and the integrand reads 0 there: the
+    # sum stopped on those zeros, up to 5.3e-5 off with a tail bound of 1.7e-17.  At
+    # q = 0.8 the walk meets that cut (k = 51) before its ratio settles: the edge rule
+    # sums the rest.  The identity's right side is c e_{q^2}(-q^{-2a-1} x^2)
+    ctx = QContext(q=q, alpha=alpha)
+    x = frac * q ** (alpha + 0.5)
+
+    def f(y):
+        env = qexp_small(-q * y * y, q * q).value
+        return 0.0 if env < 1e-250 else env * qbessel(x * y, alpha, "modified", ctx) * y ** (2 * alpha + 1)
+
+    got = jackson_integral(f, ctx)
+    qm, am = _mp(ctx)
+    want = _mp_moment_constant(ctx) / _qp(-qm ** (-2 * am - 1) * mp.mpf(x) ** 2, qm * qm)
+    assert abs(got.value - want) <= got.tail_bound + 1e-15 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +431,17 @@ def test_normalization_offset_at_small_q_and_high_degree(q, alpha, degrees):
         assert value is None or abs(value - offset) <= 1e-12 * offset, n
 
 
+@pytest.mark.parametrize("q", [0.5, 0.8, 0.9])
+def test_normalization_offset_at_large_alpha(q):
+    # at alpha = 20.3 the mass w (h_8 / c)^2 x^{2a+1} of the quadrature cutoff stays
+    # below 1e-24 on the whole line; that absolute floor put the cutoff at x = 1,
+    # inside the mass, and the diagonals read 50-99 % below the offset without raising
+    ctx = QContext(q=q, alpha=20.3)
+    offset = q ** ((ctx.alpha + 1.0) * (ctx.alpha + 0.5))
+    for n in range(7):
+        assert abs(continuous_orthogonality(n, n, ctx) - offset) <= 1e-12 * offset, n
+
+
 @pytest.mark.parametrize("q, n_max", [(0.2, 20), (0.5, 27)])
 def test_discrete_diagonal_at_high_degree(q, n_max):
     # the per-point sums lost the weight where it underflows: (20, 20) at
@@ -386,16 +453,36 @@ def test_discrete_diagonal_at_high_degree(q, n_max):
         assert residual is None or residual <= 1e-12, n
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_discrete_diagonal_where_the_window_ends_inside_the_mass(n):
-    # at q = 0.99 the window [q^120, q^-40] covers only 0.30 <= x <= 1.49 and
-    # the terms still grow at its small-x end; (3, 3) read 0.1505 from a
-    # geometric tail whose ratio had not settled, without raising
-    ctx = QContext(q=0.99, alpha=0.25)
-    try:
-        assert discrete_orthogonality_residual(n, n, ctx) <= 1e-10
-    except NonConvergence:
-        pass
+@pytest.mark.parametrize("q", [0.99, 0.995])
+def test_discrete_diagonals_near_q_one(q):
+    # the window [q^120, q^-40] covered only 0.30 <= x <= 1.49 at q = 0.99, and the
+    # terms still grew at its small-x end: (3, 3) read 0.1505 from a geometric tail
+    # whose ratio had not settled, and later raised NonConvergence
+    ctx = QContext(q=q, alpha=0.25)
+    for n in range(9):
+        assert discrete_orthogonality_residual(n, n, ctx) <= 1e-10, n
+
+
+@pytest.mark.parametrize("q, degrees", [(0.99, range(4)), (0.995, (0, 3))])
+def test_moment_check_near_q_one(q, degrees):
+    # the Jackson sum against the moment formula's closed form (test_moment_constant
+    # pins the constant to 40 digits there); the window ended inside the mass and
+    # the sums raised NonConvergence
+    ctx = QContext(q=q, alpha=0.25)
+    for n in degrees:
+        assert moment_check(n, ctx) <= 1e-10, n
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_discrete_diagonal_near_alpha_minus_one(q):
+    # at alpha = -0.99 the terms fall like q^{0.02 j} toward 0: past the window's
+    # end q^120 the edge rule's tail was not known to SERIES_TOL and the entry
+    # raised NonConvergence.  The reference is the 40-digit lattice sum of w |x|^{2a+1}
+    ctx = QContext(q=q, alpha=-0.99)
+    qm, am = _mp(ctx)
+    want = 2 * _mp_lattice(q, 2 * am + 2, qm ** (-2 * am - 1))
+    assert _rel_err(discrete_orthogonality_rhs(0, ctx), want) <= 1e-13
+    assert discrete_orthogonality_residual(0, 0, ctx) <= 1e-12
 
 
 @pytest.mark.parametrize("ctx", OFFSET_CONTEXTS, ids=OFFSET_IDS)

@@ -220,12 +220,13 @@ class TestProductCache:
 
     @pytest.mark.parametrize("alpha, n, m", [(-0.5, 0, 0), (0.25, 5, 5), (5.0, 2, 5)])
     def test_lattice_far_end_carries_no_mass(self, alpha, n, m):
-        # at q = 1e-4 the window's far end x = q^-40 = 1e160 squares to inf, where
-        # the weight's product raises; the rows formed in logs read 0 there, and
-        # the entry matches the point-by-point sum, which stops long before it
+        # at q = 1e-4 the window's far end was x = q^-40 = 1e160, whose square is
+        # inf; it is now the quadrature cutoff (1e64 or 1e52 here), where the rows
+        # carry no mass, and the entry matches the point-by-point sum
         ctx = QContext(q=1e-4, alpha=alpha)
+        assert qhermite._jackson_nodes(8, ctx)[0][0] == qhermite._auto_cutoff(8, ctx) < 1e65
         (gram,), top, ends = qhermite._gram(qhermite._jackson_nodes, 8, ctx)
-        assert (ends[:, 0] == 0.0).all() and np.isfinite(gram).all()
+        assert (abs(ends[:, 0]) < 1e-40).all() and np.isfinite(gram).all()
         g = _ortho_integrand(n, m, ctx)
         ref = jackson_integral(lambda y: g(y) + g(-y), ctx).value
         scale = math.sqrt(discrete_orthogonality_rhs(n, ctx) * discrete_orthogonality_rhs(m, ctx))

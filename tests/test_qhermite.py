@@ -28,6 +28,8 @@ from qlab.suites import SuiteConfig, suite_orthogonality
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
         for a in (-0.5, 0.25, 1.3)]
+#: the exponents j of the lattice points q^j the array tests evaluate at
+LATTICE = np.arange(-40.0, 121.0)
 
 
 class TestPolynomial:
@@ -75,7 +77,7 @@ class TestPolynomial:
         # under a warnings-as-errors filter numpy's overflow warning escaped
         # as a RuntimeWarning, and otherwise the message held all 322 points
         ctx = QContext(q=0.05, alpha=0.25)
-        x = ctx.q ** np.arange(qlab.context.LATTICE_LO, qlab.context.LATTICE_HI + 1.0)
+        x = ctx.q ** LATTICE
         with warnings.catch_warnings(), pytest.raises(DomainError) as info:
             warnings.simplefilter("error")
             fn(20, np.concatenate((-x, x)), ctx)
@@ -85,14 +87,14 @@ class TestPolynomial:
         # degree 20 on the same lattice: phi read the explicit sum, which leaves
         # double range at points where sqrt(w) is 0, and raised DomainError
         ctx = QContext(q=0.05, alpha=0.25)
-        x = ctx.q ** np.arange(qlab.context.LATTICE_LO, qlab.context.LATTICE_HI + 1.0)
+        x = ctx.q ** LATTICE
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = phi(20, np.concatenate((-x, x)), ctx)
         assert np.isfinite(values).all()
         # the largest |phi_20| there, first at x = -q^7, against d_20 sqrt(w) h_20 in 60
         # digits: the explicit sum times mp.qp's weight
-        assert np.argmax(np.abs(values)) == 7 - qlab.context.LATTICE_LO
+        assert np.argmax(np.abs(values)) == 7 + 40
         assert np.abs(values).max() == pytest.approx(1.0180119330044445988394e-13, rel=1e-12)
 
     def test_scaled_variant(self):
@@ -559,9 +561,9 @@ class TestTransformsAndKernels:
                 assert integral_representation_residual(n, x, ctx) < 1e-8
 
     def test_integral_representation_outside_disc_raises(self, monkeypatch):
-        # no silently wrong value outside the disc: a lattice window too short
-        # for the continued sum to settle raises
-        monkeypatch.setattr(qlab.context, "LATTICE_LO", -3)
+        # no silently wrong value outside the disc: continued points too few
+        # for the sum to settle raise
+        monkeypatch.setattr(qhermite, "_CONTINUED_POINTS", 3)
         with pytest.raises(NonConvergence):
             integral_representation_residual(2, 1.5, CTX)
 
