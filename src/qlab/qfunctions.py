@@ -112,17 +112,19 @@ def qbessel(x: Points, order: float, kind: str, ctx: QContext) -> Points:
     return _in_range(value, "q-Bessel function", ctx)
 
 
-def _bessel_terms(u: float, order: float, second_jackson: bool, q: float):
+def _bessel_terms(u: Points, order: float, second_jackson: bool, q: float):
     """Terms of sum_n (-1)^n w_n u^{2n} / (q;q)_{2n,order}, w_n = q^{2n(n+order)}
-    (second Jackson) or q^{n(n+1)} (Hahn-Exton, modified), each formed from
-    the one before so that u**(2n) never overflows on its own."""
+    (second Jackson) or q^{n(n+1)} (Hahn-Exton, modified), each the one before
+    times u^2 w / d, w and d from the Bessel columns of the factorial table of
+    (q, order), so that u**(2n) never overflows on its own and no term forms a
+    power."""
+    fac = _factorials(q, order)
     t = 1.0
     u2 = u * u
-    for n in count():
-        yield t
-        w = q ** (2.0 * (2 * n + 1 + order)) if second_jackson else q ** (2 * (n + 1))
-        t *= -w * u2 / ((1.0 - q ** (2 * n + 2))
-                        * (1.0 - q ** (2.0 * order + 2.0 + 2 * n)))
+    for chunk in count():
+        for w, d in zip(*fac.bessel_chunk(chunk, second_jackson)):
+            yield t
+            t *= w * u2 / d
 
 
 @_guarded

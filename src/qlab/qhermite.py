@@ -20,8 +20,8 @@ from . import context
 from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
-from .qcore import (Points, _edge_tail, _factorials, _guarded, _in_range, _qpoch_inf,
-                    _show, _sum_series, gen_qpoch, jackson_integral, theta)
+from .qcore import (Points, _edge_tail, _enveloped_jackson, _factorials, _guarded, _in_range,
+                    _qpoch_inf, _show, _sum_series, gen_qpoch, theta)
 from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -309,16 +309,11 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
 @_guarded
 def moment_check(n: int, ctx: QContext) -> float:
     """Relative residual of the even-moment formula of the half-line weight."""
-    q, alpha, q2 = ctx.q, ctx.alpha, ctx.q * ctx.q
-
-    def f(y: float) -> float:
-        env = qexp_small(-q * y * y, q2).value  # 0 once negligible: y^p may overflow there
-        return 0.0 if env < 1e-250 else env * y ** (2.0 * n + 2.0 * alpha + 1.0)
-
+    q, alpha = ctx.q, ctx.alpha
     # the constant first: where it leaves double range the check raises before any walk
     closed = (moment_constant(ctx) * q ** (-float(n * n) - 2.0 * n * (alpha + 1.0))
               * _factorials(q, alpha).upto(n).ab[n])
-    integral = jackson_integral(f, ctx).value
+    integral = _enveloped_jackson(lambda y: y ** (2.0 * n + 2.0 * alpha + 1.0), ctx).value
     return abs(integral - closed) / abs(closed)
 
 
@@ -336,17 +331,13 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
     still the Jackson sum, and the divergent part y >= 1 is summed to its
     analytic continuation by _continued_halfline.
     """
-    q, q2 = ctx.q, ctx.q * ctx.q
-
-    def f(y: float) -> float:
-        env = qexp_small(-q * y * y, q2).value  # 0 once negligible, as in moment_check
-        # the unguarded body: jackson_integral maps an overflow at each lattice point
-        return 0.0 if env < 1e-250 else env * (
-            qbessel.__wrapped__(shift * x * y, order, "modified", ctx) * y ** power)
+    def g(y: float) -> float:
+        # the unguarded body: the Jackson walk maps an overflow at each lattice point
+        return qbessel.__wrapped__(shift * x * y, order, "modified", ctx) * y ** power
 
     if _lattice_ratio(x, ctx) >= 1.0:
-        return _continued_halfline(f, x, shift, order, power, ctx)
-    return jackson_integral(f, ctx).value
+        return _continued_halfline(g, x, shift, order, power, ctx)
+    return _enveloped_jackson(g, ctx).value
 
 
 @_guarded
@@ -364,15 +355,15 @@ def bessel_weight_transform(x: float, ctx: QContext) -> float:
 _CONTINUED_POINTS = 40
 
 
-def _continued_halfline(f, x: float, shift: float, order: float, power: float,
+def _continued_halfline(g, x: float, shift: float, order: float, power: float,
                         ctx: QContext) -> float:
-    """Half-line Jackson integral of f(y) = e_{q^2}(-q y^2) j_order(shift x y; q^2)
-    y^power where its lattice sum diverges, r = x^2 q^{-2a-1} >= 1.
+    """Half-line Jackson integral of e_{q^2}(-q y^2) g(y), g(y) = j_order(shift x y; q^2)
+    y^power, where its lattice sum diverges, r = x^2 q^{-2a-1} >= 1.
 
     The points y = q^k, k >= 1, still converge and are summed by
-    jackson_integral.  The terms at y = q^{-k}, 0 <= k <= K = _CONTINUED_POINTS,
+    _enveloped_jackson.  The terms at y = q^{-k}, 0 <= k <= K = _CONTINUED_POINTS,
     grow like (-r)^k; Wynn's epsilon algorithm (the iterated Shanks transform)
-    sums their partial sums, formed from f's definition in mpmath at
+    sums their partial sums, formed from the integrand's definition in mpmath at
     -log10(SERIES_TOL) + 6 + K log10(r) digits, to the value of the series'
     analytic continuation.  It stops once two successive estimates agree to
     SERIES_TOL relative to |small half| + |estimate|.  Raises NonConvergence if
@@ -382,7 +373,7 @@ def _continued_halfline(f, x: float, shift: float, order: float, power: float,
     """
     import mpmath
 
-    small = jackson_integral(lambda y: f(y) if y < 1.0 else 0.0, ctx)
+    small = _enveloped_jackson(lambda y: g(y) if y < 1.0 else 0.0, ctx)
     window, tol = _CONTINUED_POINTS, context.SERIES_TOL
     base_digits = 6 + math.ceil(-math.log10(tol))
     mp = mpmath.MPContext()

@@ -2,13 +2,13 @@
 reports and tables as JSON or CSV.
 
 The renderer writes the bytes of ``json.dumps(..., indent=2)`` and of
-``csv.writer`` rows, and renders each parameter item once per report:
-``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
+``csv.writer`` rows, the latter without the csv module, and renders each
+parameter item once per report: ``json.dumps`` runs its pure-Python encoder
+whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -50,12 +50,32 @@ def _layout(parts: Iterable[str], indent: str, brackets: str) -> str:
     return f"{brackets[0]}\n  {indent}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
+def _csv_field(v: Any) -> str:
+    """v as csv.writer writes a field: a float by float.__repr__, None as the
+    empty string, anything else by str; quoted where it holds a comma, a quote,
+    \r or \n (QUOTE_MINIMAL), with its quotes doubled."""
+    if isinstance(v, float):
+        return float.__repr__(v)
+    text = "" if v is None else str(v)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\r" in text or "\n" in text:
+        return '"' + text + '"'
+    return text
+
+
+def _csv_line(row: Iterable[Any]) -> str:
+    fields = [*map(_csv_field, row)]
+    # the writer quotes a row of one empty field, which would otherwise be an empty line
+    return (",".join(fields) if fields != [""] else '""') + "\r\n"
+
+
 def csv_records(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    """The header and the rows as CSV; the csv module writes a float by repr."""
+    """The header and the rows as CSV, the bytes csv.writer writes.  The lines go
+    to one buffer as they are formed: a join would hold them all at once."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf.write(_csv_line(header))
+    buf.writelines(map(_csv_line, rows))
     return buf.getvalue()
 
 

@@ -83,10 +83,10 @@ def test_scanner_sees_readers():
 
 
 def test_only_the_product_and_the_sums_read_max_terms():
-    # one ceiling, read where a product, a series and a Jackson sum are formed, nowhere else
+    # one ceiling, read where a product, a series and the Jackson walk are formed, nowhere else
     assert _qlab_readers({"MAX_TERMS"}) == {("qcore", "_qpoch_inf_product"),
                                             ("qcore", "_sum_series"),
-                                            ("qcore", "jackson_integral")}
+                                            ("qcore", "_jackson_walk")}
 
 
 def test_no_lattice_window():
@@ -107,9 +107,9 @@ def test_the_orthogonality_reads_gram_matrices_not_jackson_sums():
     def readers(names):
         return {found for found in _qlab_readers(names) if found[1] != "<module>"}
 
-    assert readers({"jackson_integral"}) == {("qhermite", "moment_check"),
-                                             ("qhermite", "_bessel_transform"),
-                                             ("qhermite", "_continued_halfline")}
+    assert readers({"_enveloped_jackson"}) == {("qhermite", "moment_check"),
+                                               ("qhermite", "_bessel_transform"),
+                                               ("qhermite", "_continued_halfline")}
     assert readers({"_gram"}) == {("qhermite", "continuous_orthogonality"),
                                   ("qhermite", "discrete_orthogonality_residual")}
     assert readers({"_log_rows"}) == {("qhermite", "_gram"), ("qhermite", "_auto_cutoff"),
@@ -131,6 +131,46 @@ def test_one_quadrature_table_and_one_jackson_sum():
                                                ("qhermite", "_jackson_nodes")}
     assert _qlab_readers({"qderiv"}) == {("__init__", "<module>")}  # its export alone
     assert list(inspect.signature(qcore.jackson_integral).parameters) == ["f", "ctx"]
+
+
+#: the Jackson sums, and the products an integrand would re-form at every lattice point
+JACKSON_ENTRIES = {"jackson_integral", "_enveloped_jackson"}
+PER_POINT_PRODUCTS = {"qexp_small", "_qpoch_inf"}
+
+
+def _integrands_reading(source: str, names: set[str]) -> set[str]:
+    """The top-level definitions of source that read a Jackson entry and hold a
+    nested function or lambda that reads one of names."""
+    owners = set()
+    for top in ast.parse(source).body:
+        if not _readers(ast.unparse(top), JACKSON_ENTRIES):
+            continue
+        for node in ast.walk(top):
+            if (node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda))
+                    and _readers(ast.unparse(node), names)):
+                owners.add(top.name)
+    return owners
+
+
+def test_scanner_sees_integrands():
+    source = ("def m(ctx):\n    return _enveloped_jackson(lambda y: qexp_small(y, 0.5), ctx)\n\n"
+              "def b(ctx):\n    def g(y):\n        return _qpoch_inf(-y, 0.25).value\n"
+              "    return jackson_integral(g, ctx)\n\n"
+              "def c(ctx):\n    return qexp_small(0.5, 0.25)\n")
+    assert _integrands_reading(source, PER_POINT_PRODUCTS) == {"m", "b"}
+
+
+def test_one_jackson_walk():
+    # jackson_integral and the enveloped sum are the one walk; every sum in qhermite is
+    # enveloped, and none of its integrands re-forms a product at each lattice point
+    def readers(names):
+        return {found for found in _qlab_readers(names) if found[1] != "<module>"}
+
+    assert readers({"_jackson_walk"}) == {("qcore", "jackson_integral"),
+                                          ("qcore", "_enveloped_jackson")}
+    assert _qlab_readers({"jackson_integral"}) == {("__init__", "<module>")}  # its export alone
+    source = Path(qlab.__file__).with_name("qhermite.py").read_text()
+    assert _integrands_reading(source, PER_POINT_PRODUCTS) == set()
 
 
 def test_the_wave_functions_read_the_walk_not_the_explicit_sum():
@@ -257,7 +297,7 @@ def test_only_qcore_maps_overflow():
     owners = {(path.stem, owner) for path in _modules()
               for owner in _overflow_handlers(path.read_text())}
     assert owners == {("qcore", "_guarded"), ("qcore", "_sum_series"),
-                      ("qcore", "jackson_integral")}
+                      ("qcore", "_jackson_walk")}
 
 
 def _points_functions() -> dict[str, object]:

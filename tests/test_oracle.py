@@ -21,6 +21,7 @@ Ramanujan's q-beta integral by 40-digit quadrature.
 
 import math
 from functools import lru_cache
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from qlab import (PoleError, QContext, QError, continuous_orthogonality,
                   discrete_orthogonality_residual, discrete_orthogonality_rhs, hermite_h,
                   jackson_integral, moment_check, moment_constant, norm_constant, phi, qbessel,
                   qexp_gen, qexp_small, qpoch_inf, qtrig, weight)
+from qlab.qcore import _enveloped_jackson, _lattice
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -198,6 +200,43 @@ def test_modified_qbessel(qf, af):
         assert _series_err(qbessel(xf, af, "modified", ctx), want) <= 5e-12
 
 
+def _mp_bessel(kind, x, nu, q):
+    """The q-Bessel function of base q^2 by mp.qhyper in 40-digit mpf, with its
+    condition: the sum of its series' |terms| over the |sum|."""
+    base, b = q * q, q ** (2 * nu + 2)
+    if kind == "second_jackson":
+        x = x / 2
+        series = mp.qhyper([], [b], base, -b * x * x)
+    else:
+        series = mp.qhyper([0], [b], base, base * x * x)
+    t, n, total = mp.mpf(1), 0, mp.mpf(0)
+    while n < 5 or abs(t) > mp.mpf(10) ** -45:
+        total += abs(t)
+        w = b * base ** (2 * n) if kind == "second_jackson" else base ** (n + 1)
+        t *= -w * x * x / ((1 - base ** (n + 1)) * (1 - b * base ** n))
+        n += 1
+    pref = 1 if kind == "modified" else mp.qp(b, base) / mp.qp(base, base) * x ** nu
+    return pref * series, total / abs(series)
+
+
+@pytest.mark.parametrize("kind", ["modified", "hahn_exton", "second_jackson"])
+def test_qbessel_kinds_against_qhyper(kind):
+    # the terms' ratios come from the factorial table's Bessel columns; where the
+    # series is well conditioned (|terms| sum to at most 10 |sum|) each kind is
+    # within 1e-14 relative of mp.qhyper (measured: modified 8e-16, the two
+    # prefactored kinds 4.6e-15, their prefactor's product truncated at SERIES_TOL)
+    checked = 0
+    for qf in (0.2, 0.5, 0.8, 0.95):
+        for nu in (-0.5, 0.25, 1.3, 4.0):
+            for xf in (0.3, 1.2, 3.0, 6.0):
+                want, cond = _mp_bessel(kind, mp.mpf(xf), mp.mpf(nu), mp.mpf(qf))
+                if cond <= 10:
+                    checked += 1
+                    got = qbessel(xf, nu, kind, QContext(q=qf, alpha=nu))
+                    assert abs(got - want) <= 1e-14 * abs(want)
+    assert checked >= 20
+
+
 # ---------------------------------------------------------------------------
 # Jackson sums at 60 digits
 # ---------------------------------------------------------------------------
@@ -326,6 +365,33 @@ def test_jackson_tail_bound_covers_the_tail_error():
     assert abs(got.value - summed - rest) <= got.tail_bound
 
 
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.995])
+def test_walked_envelope_against_40_digits(q):
+    # _enveloped_jackson's envelope, the cached product at y = 1 stepped by one factor
+    # a point, at every point moment_check(0)'s walk visits at alpha = 0.25, against
+    # 1 / (-q y^2; q^2)_inf in 40-digit mpf.  Measured: at most 4.9e-15 relative up to
+    # q = 0.9, 3.7e-14 at 0.99 and 4.4e-13 at 0.995, nearly all of it the product at
+    # y = 1 (its thousands of factors' rounding).  Relative to the walk's first
+    # point, the steps themselves drift by at most 2.8e-15, over 1874 points toward
+    # 0 at q = 0.995
+    walked = []
+    _enveloped_jackson(lambda y: walked.append(y) or y ** 1.5, QContext(q=q, alpha=0.25))
+    qm = mp.mpf(q)
+    for start, step in ((0, 1), (-1, -1)):
+        ns = [n for n in (round(math.log(y) / math.log(q)) for y in walked)
+              if (n >= 0) == (step > 0)]
+        points = list(islice(_lattice(q, start, step, True), max(abs(n) for n in ns) + 1))
+        # the walk's first envelope over its reference: 1 + the product's own error
+        first = points[0][1] * _qp(-qm ** (2 * start + 1), qm * qm)
+        for n in ns:
+            y, env = points[abs(n - start)]
+            want = 1 / _qp(-qm ** (2 * n + 1), qm * qm)
+            assert y in walked
+            assert abs(env - want) <= 1e-12 * want
+            assert abs(env / first - want) <= 1e-14 * want  # the steps' own rounding
+    assert len(walked) > 10
+
+
 @pytest.mark.parametrize("q, alpha, frac", [(0.5, -0.5, 0.9), (0.5, 0.25, 0.9), (0.5, 1.3, 0.9),
                                              (0.8, 0.25, 0.99)])
 def test_jackson_tail_bound_near_the_disc_edge(q, alpha, frac):
@@ -340,12 +406,16 @@ def test_jackson_tail_bound_near_the_disc_edge(q, alpha, frac):
 
     def f(y):
         env = qexp_small(-q * y * y, q * q).value
-        return 0.0 if env < 1e-250 else env * qbessel(x * y, alpha, "modified", ctx) * y ** (2 * alpha + 1)
+        return 0.0 if env < 1e-250 else env * g(y)
 
-    got = jackson_integral(f, ctx)
+    def g(y):
+        return qbessel(x * y, alpha, "modified", ctx) * y ** (2 * alpha + 1)
+
     qm, am = _mp(ctx)
     want = _mp_moment_constant(ctx) / _qp(-qm ** (-2 * am - 1) * mp.mpf(x) ** 2, qm * qm)
-    assert abs(got.value - want) <= got.tail_bound + 1e-15 * abs(want)
+    # the walk with the envelope in the integrand, and with it stepped along the walk
+    for got in (jackson_integral(f, ctx), _enveloped_jackson(g, ctx)):
+        assert abs(got.value - want) <= got.tail_bound + 1e-15 * abs(want)
 
 
 # ---------------------------------------------------------------------------

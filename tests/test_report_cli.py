@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlab.cli
 from qlab import (CheckResult, ConfigError, QContext, QError, SuiteConfig, TruncatedValue,
@@ -21,6 +23,7 @@ from qlab.qhermite import (RELATION_KINDS, bessel_expansion_residual,
                            moment_constant, poisson_kernel_residual, qlaguerre,
                            relation_residual, rogers_ramanujan_residual, weight)
 from qlab.qoscillator import eigen_residual, phi
+from qlab.report import csv_records
 
 SMALL = ["--q", "0.5", "--alpha", "0.25", "--n-max", "3", "--dim", "6"]
 
@@ -128,6 +131,26 @@ class TestReportBytes:
             rep.to_json()
         with pytest.raises(TypeError):
             rep.to_csv()
+
+
+#: fields csv_records may meet: text with the characters QUOTE_MINIMAL quotes for,
+#: the floats with special spellings, and the other scalars a table or report holds
+_CSV_FIELDS = st.one_of(
+    st.text(alphabet=st.sampled_from(['a', ' ', ',', '"', '\r', '\n', "'", '\u00e9', '\\', ';']),
+            max_size=6),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, "", None, True, False]),
+    st.floats(allow_nan=True, allow_infinity=True), st.integers())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=4), max_size=3),
+       st.lists(st.lists(_CSV_FIELDS, max_size=4), max_size=5))
+def test_csv_records_writes_the_csv_writer_bytes(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert csv_records(header, rows) == buf.getvalue()
 
 
 class TestRunSuite:
