@@ -483,8 +483,15 @@ def _auto_cutoff(n_max: int, ctx: QContext) -> float:
 #: quadrature error
 QUAD_TOL = 1e-6
 
-#: (nodes, weights) of the 20- and 40-node Gauss-Legendre rules on [-1, 1]
-_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 40))
+
+@lru_cache(maxsize=256)
+def _gauss_legendre(k: int) -> tuple[ndarray, ndarray]:
+    """(nodes, weights) of the k-node Gauss-Legendre rule on [-1, 1], built on
+    first use: numpy.polynomial loads then, not at import.  The rule is cached,
+    so both arrays are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=256)
@@ -523,7 +530,7 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half, mid = (hi - lo)[:, None] / 2.0, (hi + lo)[:, None] / 2.0
     points, sums = [], []
-    for nodes, weights in _GAUSS_LEGENDRE:
+    for nodes, weights in map(_gauss_legendre, (20, 40)):
         t, w = np.tile(nodes, (len(lo), 1)), np.tile(weights, (len(lo), 1))
         t[0], w[0] = _gauss_jacobi(len(nodes), beta)
         points.append((mid + half * t).ravel())

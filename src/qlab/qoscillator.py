@@ -223,14 +223,23 @@ RELATION_NAMES = tuple(_RELATIONS)
 
 def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
     """Max-norm residual of one relation on the block without its top indices."""
+    return _algebra_residual(relation, dim, ctx, {})
+
+
+def _algebra_residual(relation: str, dim: int, ctx: QContext, matrices: dict) -> float:
+    """algebra_residual on the operator matrices held in matrices, which the
+    first call with it empty builds: the relations of one (dim, ctx) share one
+    build.  The residuals only read the matrices."""
     if relation not in _RELATIONS:
         raise ArgumentError(f"unknown algebra relation: {relation!r}")
     excluded, residual = _RELATIONS[relation]
     if dim < excluded + 3:
         raise DimensionError(f"relation {relation} needs dim >= {excluded + 3}, got {dim}")
     keep = dim - excluded
+    if not matrices:
+        matrices.update(_operator_matrices(dim, ctx))
     with np.errstate(all="ignore"):
-        r = float(np.max(np.abs(residual(_operator_matrices(dim, ctx), ctx)[:keep, :keep])))
+        r = float(np.max(np.abs(residual(matrices, ctx)[:keep, :keep])))
     if not math.isfinite(r):
         # entries past double range, or a log of 1 - (1 - q) [[n]] rounded to
         # <= 0 in the number recovery (from dim 55 at q = 0.5)

@@ -107,7 +107,7 @@ class _ParamItems:
         return item
 
 
-@dataclass
+@dataclass(slots=True)  # no per-instance __dict__: a report holds tens of thousands
 class CheckResult:
     """One verified identity: name, parameters, residual, tolerance, verdict."""
 

@@ -4,6 +4,8 @@ layers, which are built on them."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,7 +72,7 @@ def _qlab_readers(names: set[str]) -> set[tuple[str, str]]:
 
 
 #: the quadrature rules of the node table
-QUADRATURE_RULES = {"_GAUSS_LEGENDRE", "_gauss_jacobi"}
+QUADRATURE_RULES = {"_GAUSS_LEGENDRE", "_gauss_legendre", "_gauss_jacobi"}
 
 
 def test_scanner_sees_readers():
@@ -212,9 +214,71 @@ def test_one_caching_policy():
     assert cached == {("cli", "_parser"), ("qcore", "_qpoch_inf_cached"),
                       ("qcore", "_factorials"), ("qhermite", "norm_constant"),
                       ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
-                      ("qhermite", "_gram")}
+                      ("qhermite", "_gauss_legendre"), ("qhermite", "_gram")}
     for module, name in cached:
         assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize
+
+
+def _numpy_random_reads(source: str) -> list[str]:
+    """The lines of source that read numpy.random: as np.random or
+    numpy.random, or by importing it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "random" and getattr(node.value, "id", None) in {"np", "numpy"}
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if hit:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_scanner_sees_numpy_random_reads():
+    source = ("import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+              "from numpy.random import default_rng\nimport random\n"
+              "np.random.default_rng(0)\nrandom.Random(0)\n")
+    assert _numpy_random_reads(source) == ["import numpy.random", "from numpy import random",
+                                           "from numpy.random import default_rng",
+                                           "np.random"]
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.stem)
+def test_no_module_reads_numpy_random(path):
+    # the addition triples come from the standard library's random.Random;
+    # importing numpy.random costs a run several MB of resident memory
+    assert _numpy_random_reads(path.read_text()) == []
+
+
+_FOOTPRINT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import qlab
+
+def loaded():
+    return sorted(m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules)
+
+print(loaded())
+for suite in ("qcalculus", "special_functions", "hermite_identities", "kernels"):
+    cfg = qlab.SuiteConfig(suite=suite, q_values=(0.5,), alpha_values=(0.25,), n_max=2)
+    qlab.run_suite(cfg, tool_version="footprint")
+print(loaded())
+qlab.continuous_orthogonality(0, 1, qlab.QContext(q=0.5, alpha=0.25))
+print(loaded())
+"""
+
+
+def test_series_runs_load_neither_numpy_random_nor_polynomial():
+    # a fresh interpreter: import qlab and the series-only suites load neither
+    # module; the first quadrature loads numpy.polynomial for its rules
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT,
+                           str(Path(qlab.__file__).parent.parent)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines() == ["[]", "[]", "['numpy.polynomial']"]
 
 
 #: what forms finite q-shifted factorials: the table of qcore, and the product it extends
