@@ -489,11 +489,14 @@ def _jackson_walk(f, ctx: QContext, enveloped: bool) -> TruncatedValue:
                 raise NonConvergence(f"Jackson integral term is {t} at q^{n}")
             terms.append(t)
             total += t
-            peak = max(peak, mag)
+            if mag > peak:
+                peak = mag
             zero, small = mag == 0.0, mag == 0.0 or mag < tol * peak
             if len(terms) - first > 4 + zero and (zero and not below or not small):
                 # the edge rule where the terms are not small, or at a first 0 after them
-                beyond, bound, settled = _edge_tail(terms[-1 - zero:-6 - zero:-1])
+                i = len(terms) - 1 - zero
+                beyond, bound, settled = _edge_tail(terms[i], terms[i - 1], terms[i - 2],
+                                                    terms[i - 3], terms[i - 4])
                 if bound < math.inf and (zero or settled and bound <= tol * max(peak, abs(total))):
                     edges.append(beyond)
                     tail += bound
@@ -526,17 +529,23 @@ def _lattice(q: float, start: int, step: int, enveloped: bool):
             env *= 1.0 + q * y * y
 
 
-def _edge_tail(last: list[float]) -> tuple[float, float, bool]:
-    # the edge rule of a Jackson sum from its last five terms, t = last[0] first: the tail
-    # t r / (1 - r), r = t / last[1], how far it moves as r drifts by at most D,
+def _edge_tail(t: float, t1: float, t2: float, t3: float, t4: float
+               ) -> tuple[float, float, bool]:
+    # the edge rule of a Jackson sum from its last five terms, finite, t the last: the
+    # tail t r / (1 - r), r = t / t1, how far it moves as r drifts by at most D,
     # |t| (D + 1e-15) / ((1 - r)(1 - r - D)), and whether r has settled: its last three
     # steps d, d0, d1 go one way and shrink by at most rho < 1 a step, D = |d| / (1 - rho);
-    # else D = 2 max |d|, settled at rounding level.  (nan, inf, False) unless -1 < r, r + D < 1
-    r, r0, r1, r2 = ratios = [a / b if b else math.nan for a, b in zip(last, last[1:])]
+    # else D = 2 max |d|, settled at rounding level.  (nan, inf, False) unless the four
+    # ratios are finite, -1 < r and r + D < 1; a ratio that overflows to +-inf makes D
+    # inf or puts r outside (-1, 1), so only a ratio over 0 needs its own test
+    if not (t1 and t2 and t3 and t4):
+        return math.nan, math.inf, False
+    r, r0, r1, r2 = t / t1, t1 / t2, t2 / t3, t3 / t4
     d, d0, d1 = r - r0, r0 - r1, r1 - r2
     settled = d0 != 0.0 != d1 and 0.0 < d / d0 < 1.0 and 0.0 < d0 / d1 < 1.0
-    drift = abs(d) / (1.0 - max(d / d0, d0 / d1)) if settled else 2.0 * max(map(abs, (d, d0, d1)))
-    if not (all(map(math.isfinite, ratios)) and -1.0 < r < 1.0 and r + drift < 1.0):
+    drift = (abs(d) / (1.0 - max(d / d0, d0 / d1)) if settled
+             else 2.0 * max(abs(d), abs(d0), abs(d1)))
+    if not (-1.0 < r < 1.0 and r + drift < 1.0):
         return math.nan, math.inf, False
-    bound = abs(last[0]) * (drift + 1e-15) / ((1.0 - r) * (1.0 - r - drift))
-    return last[0] * r / (1.0 - r), bound, settled or drift <= 2e-15
+    bound = abs(t) * (drift + 1e-15) / ((1.0 - r) * (1.0 - r - drift))
+    return t * r / (1.0 - r), bound, settled or drift <= 2e-15

@@ -10,6 +10,7 @@ one, Bessel expansion and the Rogers-Ramanujan type summation.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import count, islice
 
@@ -22,7 +23,7 @@ from .context import (ArgumentError, DomainError, NegativeRadicand,
                       QuadratureFailure)
 from .qcore import (Points, _edge_tail, _enveloped_jackson, _factorials, _guarded, _in_range,
                     _qpoch_inf, _show, _sum_series, gen_qpoch, theta)
-from .qfunctions import qbessel, qexp_gen, qexp_small, qtrig
+from .qfunctions import _bessel_terms, qbessel, qexp_gen, qexp_small, qtrig
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,8 @@ def norm_constant(n: int, ctx: QContext) -> float:
     d_n = C q^{n^2/2} sqrt((q;q)_{n,alpha}) / (q;q)_n, where C^2 holds the Gamma
     combination Gamma(-a) Gamma(a+1), the exact reflection value
     -pi / sin(pi a); nonnegative integer a is a pole.  Where (q;q)_{n,alpha}
-    or d_n itself underflows to 0 it raises DomainError.
+    or d_n itself underflows to 0, or a product of C^2 leaves the normal doubles
+    (_normal_product), it raises DomainError.
     """
     q, alpha = ctx.q, ctx.alpha
     q2 = q * q
@@ -171,8 +173,8 @@ def norm_constant(n: int, ctx: QContext) -> float:
         raise PoleError(f"Gamma reflection pole at alpha={alpha}")
     gamma_prod = -math.pi / s
 
-    radicand = (q ** (-(alpha + 1.0) * (alpha + 0.5)) * _qpoch_inf(q2, q2).value
-                / (gamma_prod * _qpoch_inf(q ** (-2.0 * alpha), q2).value))
+    radicand = (q ** (-(alpha + 1.0) * (alpha + 0.5)) * _normal_product(q2, "norm_constant", ctx)
+                / (gamma_prod * _normal_product(q ** (-2.0 * alpha), "norm_constant", ctx)))
     if radicand <= 0.0:
         raise NegativeRadicand(f"C_alpha radicand {radicand} <= 0 at alpha={alpha}")
     d = (math.sqrt(radicand) * q ** (n * n / 2.0) * math.sqrt(gen_qpoch(n, ctx))
@@ -187,17 +189,31 @@ def moment_constant(ctx: QContext) -> float:
     """The half-line moment constant c; defined for every alpha > -1.
 
     Raises DomainError where c leaves double range (q = 0.05, alpha = 20:
-    c is about 5.4e573).
+    c is about 5.4e573), or where a product of it leaves the normal doubles
+    (_normal_product).
     """
     q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
+    what = "moment_constant"
     c = ((1.0 - q)
-         * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
-         * _qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
-         * _qpoch_inf(q2, q2).value
-         / (_qpoch_inf(-q, q2).value ** 2
-            * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value))
+         * _normal_product(-(q ** (2.0 * alpha + 3.0)), what, ctx)
+         * _normal_product(-(q ** (-2.0 * alpha - 1.0)), what, ctx)
+         * _normal_product(q * q, what, ctx)
+         / (_normal_product(-q, what, ctx) ** 2
+            * _normal_product(q ** (2.0 * alpha + 2.0), what, ctx)))
     return _in_range(c, "moment constant", ctx)
+
+
+def _normal_product(a: float, what: str, ctx: QContext) -> float:
+    """(a; q^2)_inf, a factor of the constant what.  DomainError where it rounds to 0
+    or into the subnormals, which keep too few digits for a ratio of products: at
+    q = 0.999, (q^2;q^2)_inf = e^-818 and (q;q^2)_inf = e^-822 both round to 1.5e-323,
+    and norm_constant's d_0 read 0.577 for 3.552."""
+    q2 = ctx.q * ctx.q
+    p = _qpoch_inf(a, q2).value
+    if abs(p) < sys.float_info.min:
+        raise DomainError(f"{what}: ({a!r}; q^2)_inf rounds to {p!r}, below the normal "
+                          f"doubles, at q = {ctx.q}, alpha = {ctx.alpha}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +345,66 @@ def _bessel_transform(x: float, shift: float, order: float, power: float,
     Inside the disc r = x^2 q^{-2a-1} < 1 it is the plain lattice sum.  Outside
     it the lattice terms at y = q^{-k} grow like (-r)^k: the part y < 1 is
     still the Jackson sum, and the divergent part y >= 1 is summed to its
-    analytic continuation by _continued_halfline.
+    analytic continuation by _continued_halfline.  Both sum the integrand of
+    _lattice_bessel, which calls no qbessel at a lattice point.
     """
-    def g(y: float) -> float:
-        # the unguarded body: the Jackson walk maps an overflow at each lattice point
-        return qbessel.__wrapped__(shift * x * y, order, "modified", ctx) * y ** power
-
+    g = _lattice_bessel(shift * x, order, power, ctx.q)
     if _lattice_ratio(x, ctx) >= 1.0:
         return _continued_halfline(g, x, shift, order, power, ctx)
     return _enveloped_jackson(g, ctx).value
+
+
+def _lattice_bessel(c: float, order: float, power: float, q: float):
+    """The integrand g(y) = j_order(c y; q^2) y^power of a Bessel transform at the
+    points y = q^n of its Jackson walk, with one _sum_series call per transform.
+
+    Term k of the modified series at u = c y is b_k y^{2k}, b_k its term k at y = 1;
+    the column b_0 .. b_{K-1} holds the terms the y = 1 sum took (_bessel_terms,
+    _sum_series).  Toward 0 (y <= 1) g sums the column by Horner in y^2.  A term it
+    drops, k >= K, is at most |b_k| there, its y = 1 value, so the cut drops no more
+    than the y = 1 sum did.  Outward (y > 1) g forms the terms afresh at each point,
+    by the series' ratio w_k u^2 / d_k from the factorial table's Bessel columns,
+    and sums them to _sum_series' rule: bit for bit the series' value, without its
+    two generators.  Stepping the previous point's terms by q^{-2k} instead
+    compounds the rounding of q^{-2k} over the walk's steps: near the disc's edge at
+    q = 0.95 the transforms came out 100 times less accurate, and no faster.
+    """
+    tol, fac = context.SERIES_TOL, _factorials(q, order)
+    hx, bd = fac.hx, fac.bd  # the ratio's columns, grown in place by bessel_chunk
+    column = []
+    _sum_series((column.append(t) or t for t in _bessel_terms(c, order, False, q)),
+                "q-Bessel series")
+    horner = column[::-1]
+
+    def g(y: float) -> float:
+        if y <= 1.0:
+            z, s = y * y, 0.0
+            for b in horner:
+                s = s * z + b
+            return s * y ** power
+        u = c * y
+        u2, top = u * u, context.MAX_TERMS
+        t, total, below = 1.0, 0.0, 0
+        for lo in range(0, top, 16):
+            if lo >= len(bd):
+                fac.bessel_chunk(lo // 16, False)
+            for k in range(lo, min(lo + 16, top)):
+                total += t
+                if total - total != 0.0:
+                    raise DomainError(f"q-Bessel series: partial sum leaves double range "
+                                      f"at term {k}")
+                scale = abs(total)
+                if abs(t) < (tol * scale if scale > 1.0 else tol):
+                    below += 1
+                    if below >= 3 and k > 4:
+                        return total * y ** power
+                else:
+                    below = 0
+                t *= hx[k] * u2 / bd[k]
+        raise NonConvergence(f"q-Bessel series: did not meet tol={tol} within {top} terms "
+                             f"(u = {u})")
+
+    return g
 
 
 @_guarded
@@ -445,16 +512,17 @@ def integral_representation_residual(n: int, x: float, ctx: QContext) -> float:
 
 @_guarded
 def discrete_orthogonality_rhs(n: int, ctx: QContext) -> float:
-    """Closed-form diagonal of the discrete (Jackson) orthogonality."""
+    """Closed-form diagonal of the discrete (Jackson) orthogonality; DomainError where
+    it or a product of it leaves double range (_normal_product)."""
     q, alpha = ctx.q, ctx.alpha
-    q2 = q * q
+    what = "discrete_orthogonality_rhs"
     fac = _factorials(q, alpha).upto(n)
     # q^{-n^2} may overflow, or (q;q)_{n,alpha} underflow to 0 with (1-q)^n
-    num = (2.0 * (1.0 - q) * _qpoch_inf(-q, q2).value ** 2 * _qpoch_inf(q2, q2).value
-           * q ** (-float(n * n)) * fac.qp[n] ** 2)
-    den = (_qpoch_inf(-(q ** (-2.0 * alpha - 1.0)), q2).value
-           * _qpoch_inf(-(q ** (2.0 * alpha + 3.0)), q2).value
-           * _qpoch_inf(q ** (2.0 * alpha + 2.0), q2).value
+    num = (2.0 * (1.0 - q) * _normal_product(-q, what, ctx) ** 2
+           * _normal_product(q * q, what, ctx) * q ** (-float(n * n)) * fac.qp[n] ** 2)
+    den = (_normal_product(-(q ** (-2.0 * alpha - 1.0)), what, ctx)
+           * _normal_product(-(q ** (2.0 * alpha + 3.0)), what, ctx)
+           * _normal_product(q ** (2.0 * alpha + 2.0), what, ctx)
            * fac.gp[n])
     value = _in_range(num / den, f"degree-{n} discrete norm", ctx)
     if value == 0.0:  # q = 0.05, alpha = 20: the diagonal is about 3.3e-574
@@ -516,16 +584,29 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
     """The continuous relation's node table (x, 0.0, weights) of
     int_0^cutoff f(x) x^{2 alpha + 1} dx, f smooth at 0, cutoff = _auto_cutoff(n_max):
     x holds the nodes of a 20- and a 40-node rule on each geometric panel
-    [0, cutoff q^45], then x 1/q up to cutoff, and weights @ f(x) is (the
+    [0, cutoff r^45], then x 1/r up to cutoff, and weights @ f(x) is (the
     20-node sum, the 40-node sum).  The first panel takes the Gauss-Jacobi
     rules of the weight x^{2 alpha + 1}, accurate where that power is
-    singular at 0 (alpha < -1/2), the others Gauss-Legendre rules."""
+    singular at 0 (alpha < -1/2), the others Gauss-Legendre rules.
+
+    The panel ratio is r = min(q, 0.8).  The integrand's singularities are the
+    branch point of x^{2 alpha + 1} at 0 and the weight's poles on the imaginary
+    axis, the nearest at modulus q^{alpha + 1/2}.  A panel [a, a/r] keeps them all
+    outside its Bernstein ellipse of parameter rho = s + sqrt(s^2 - 1),
+    s = (1 + r) / (1 - r): rho = 17.9 at r = 0.8, so its 20-node rule errs by about
+    rho^-40 = 1e-50 of the integrand's size there.  The first panel's Jacobi rule
+    converges only if the panel ends well inside that nearest pole.  At r = q = 0.99
+    it ended at 0.64 cutoff = 1.19, past the pole at modulus 1, and 65 entries of
+    the orthogonality suite at q in {0.99, 0.995} raised QuadratureFailure; at
+    r = 0.8 it ends at 4.4e-5 cutoff, at most 0.012 for q >= 0.8 (cutoff 265 at
+    q = 0.8, falling with q).  The cap 0.8 leaves every q <= 0.8 as before."""
     q, beta, cutoff = ctx.q, 2.0 * ctx.alpha + 1.0, _auto_cutoff(n_max, ctx)
+    r = min(q, 0.8)
     edges = [0.0]
-    x = cutoff * q ** 45
+    x = cutoff * r ** 45
     while x < cutoff:
         edges.append(x)
-        x /= q
+        x /= r
     edges.append(cutoff)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half, mid = (hi - lo)[:, None] / 2.0, (hi + lo)[:, None] / 2.0
@@ -594,7 +675,7 @@ def discrete_orthogonality_residual(n: int, m: int, ctx: QContext) -> float:
     t = (ends[n] * ends[m]).tolist()
     total = float(gram[n, m]) + t[-1] / math.expm1(-(2.0 * ctx.alpha + 2.0 + 2 * (n % 2))
                                                   * math.log(ctx.q))
-    beyond, bound, _ = _edge_tail(t[:5]) if abs(t[0]) >= context.SERIES_TOL else (0.0, 0.0, True)
+    beyond, bound, _ = _edge_tail(*t[:5]) if abs(t[0]) >= context.SERIES_TOL else (0.0, 0.0, True)
     scale = 2.0 * math.exp(top[n] + top[m] - log_scale)
     if not bound * scale <= context.SERIES_TOL:
         raise NonConvergence(f"Jackson sum of ({n}, {m}): the tail past its far end is "

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 _INF = float("inf")
 
@@ -65,17 +65,23 @@ def _csv_field(v: Any) -> str:
 
 
 def _csv_line(row: Iterable[Any]) -> str:
-    fields = [*map(_csv_field, row)]
+    return _csv_joined([*map(_csv_field, row)])
+
+
+def _csv_joined(fields: Sequence[str]) -> str:
     # the writer quotes a row of one empty field, which would otherwise be an empty line
-    return (",".join(fields) if fields != [""] else '""') + "\r\n"
+    return (",".join(fields) if len(fields) != 1 or fields[0] else '""') + "\r\n"
 
 
-def csv_records(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    """The header and the rows as CSV, the bytes csv.writer writes.  The lines go
-    to one buffer as they are formed: a join would hold them all at once."""
+def csv_records(header: Iterable[str], rows: Iterable[Iterable[Any]],
+                rendered: bool = False) -> str:
+    """The header and the rows as CSV, the bytes csv.writer writes.  Where rendered,
+    each row is a sequence of fields already as _csv_field renders them, so that a
+    caller renders a field it repeats once.  The lines go to one buffer as they are
+    formed: a join would hold them all at once."""
     buf = io.StringIO()
     buf.write(_csv_line(header))
-    buf.writelines(map(_csv_line, rows))
+    buf.writelines(map(_csv_joined if rendered else _csv_line, rows))
     return buf.getvalue()
 
 
@@ -89,12 +95,14 @@ def json_records(keys: tuple[str, ...], rows: Iterable[Iterable[Any]]) -> str:
 
 
 class _ParamItems:
-    """The '"key": value' items of parameter dicts, each rendered once.
+    """The '"key": value' items of parameter dicts, each rendered once; where
+    quoted, with their quotes doubled, as inside a quoted CSV field.
 
     A float zero is rendered afresh each time: 0.0 and -0.0 are equal keys."""
 
-    def __init__(self):
+    def __init__(self, quoted: bool = False):
         self._memo: dict[tuple, str] = {}
+        self._quoted = quoted
 
     def items(self, pairs: Iterable[tuple[str, Any]]) -> list[str]:
         memo = self._memo
@@ -102,6 +110,8 @@ class _ParamItems:
 
     def _render(self, k: str, v: Any) -> str:
         item = encode_basestring_ascii(k) + ": " + _scalar(v)
+        if self._quoted:
+            item = item.replace('"', '""')
         if v or not isinstance(v, float):
             self._memo[k, v.__class__, v] = item
         return item
@@ -222,9 +232,21 @@ class VerificationReport:
         return report
 
     def to_csv(self) -> str:
-        """One row per check; params as json.dumps(params, sort_keys=True)."""
-        params = _ParamItems()
-        return csv_records(("name", "params", "residual", "tolerance", "pass"), (
-            (r.name, "{" + ", ".join(params.items(sorted(r.params.items()))) + "}",
-             r.residual, r.tolerance, str(r.passed).lower())
-            for r in self.results))
+        """One row per check; params as json.dumps(params, sort_keys=True).  Each
+        name and each params item is rendered once, already CSV-quoted: the params
+        text of a nonempty dict holds quotes, so its field is that text quoted, and
+        quoting it is quoting each item."""
+        params, names = _ParamItems(quoted=True), {}
+
+        def row(r: CheckResult) -> tuple[str, ...]:
+            name = names.get(r.name)
+            if name is None:
+                name = names[r.name] = _csv_field(r.name)
+            items = params.items(sorted(r.params.items()))
+            # residual and tolerance are floats (__post_init__), _csv_field's float.__repr__
+            return (name, '"{' + ", ".join(items) + '}"' if items else "{}",
+                    float.__repr__(r.residual), float.__repr__(r.tolerance),
+                    str(r.passed).lower())
+
+        return csv_records(("name", "params", "residual", "tolerance", "pass"),
+                           map(row, self.results), rendered=True)

@@ -85,10 +85,13 @@ def test_scanner_sees_readers():
 
 
 def test_only_the_product_and_the_sums_read_max_terms():
-    # one ceiling, read where a product, a series and the Jackson walk are formed, nowhere else
+    # one ceiling, read where a product, a series and the Jackson walk are formed, nowhere else;
+    # the Bessel transform's outward terms are a series grown point by point, so
+    # its integrand reads the series' ceiling
     assert _qlab_readers({"MAX_TERMS"}) == {("qcore", "_qpoch_inf_product"),
                                             ("qcore", "_sum_series"),
-                                            ("qcore", "_jackson_walk")}
+                                            ("qcore", "_jackson_walk"),
+                                            ("qhermite", "_lattice_bessel")}
 
 
 def test_no_lattice_window():

@@ -21,8 +21,9 @@ from qlab import (DomainError, NonConvergence, PoleError,
                   poisson_kernel_residual, qexp_small, qlaguerre,
                   relation_residual, rogers_ramanujan_residual, selfadjoint_residual,
                   weight)
-from qlab import qhermite
-from qlab.qcore import _Factorials, _factorials, _qpoch
+from qlab import qbessel, qhermite
+from qlab.qcore import _Factorials, _factorials, _qpoch, _sum_series
+from qlab.qfunctions import _bessel_terms
 from qlab.suites import SuiteConfig, suite_orthogonality
 
 CTX = QContext(q=0.5, alpha=0.25)
@@ -259,6 +260,14 @@ class TestFactorialTable:
         assert _factorials.cache_info().maxsize is not None
 
 
+def _mp_qpoch_inf(a, q):
+    # (a; q)_inf as the mpf product of its factors down to 1e-30
+    out = mpmath.mpf(1)
+    while abs(a) > 1e-30:
+        out, a = out * (1 - a), a * q
+    return out
+
+
 class TestOutOfRangeRaisesDomainError:
     # each case raised a raw OverflowError or ZeroDivisionError before
 
@@ -282,6 +291,26 @@ class TestOutOfRangeRaisesDomainError:
         with pytest.raises(DomainError):
             integral_representation_residual(0, 0.5 * 0.5 ** 20.5,
                                              QContext(q=0.5, alpha=20.0))
+
+    @pytest.mark.parametrize("q", [0.999, 0.9995])
+    def test_constants_refuse_a_subnormal_product(self, q):
+        # at q = 0.999, (q^2;q^2)_inf = e^-818 and (q;q^2)_inf = e^-822 both round to
+        # the subnormal 1.5e-323, and d_0 at alpha = -1/2 read 0.577 for 3.552 (mpmath:
+        # sqrt((q^2;q^2)_inf / (pi (q;q^2)_inf))); at 0.9995 they round to 0
+        ctx = QContext(q=q, alpha=-0.5)
+        for fn, args in ((norm_constant, (0, ctx)), (moment_constant, (ctx,)),
+                         (discrete_orthogonality_rhs, (0, ctx))):
+            with pytest.raises(DomainError, match="^" + fn.__name__):
+                fn(*args)
+        with pytest.raises(DomainError, match="below the normal doubles"):
+            norm_constant(0, ctx)
+        # one step from the edge the products are normal and d_0 is right
+        with mpmath.workdps(30):
+            qm = mpmath.mpf(0.995)
+            want = mpmath.sqrt(_mp_qpoch_inf(qm ** 2, qm ** 2)
+                               / (mpmath.pi * _mp_qpoch_inf(qm, qm ** 2)))
+        assert norm_constant(0, QContext(q=0.995, alpha=-0.5)) == pytest.approx(float(want),
+                                                                               rel=1e-11)
 
     def test_hermite_h_generalized_factorial_underflow(self):
         # (q;q)_{n,alpha} = (1-q)^n n!_{q,alpha} underflows to 0 with (1-q)^n
@@ -390,6 +419,17 @@ class TestOrthogonality:
         for (n, m) in ((0, 2), (1, 3), (2, 4)):
             r = abs(continuous_orthogonality(n, m, CTX))
             assert r < 1e-6
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.25, 1.3])
+    def test_continuous_entries_near_q_one(self, alpha):
+        # panels that grew by q = 0.99 put the first one's end, 0.64 cutoff, past the
+        # weight's nearest pole: the entries of degree 4 to 6 raised QuadratureFailure
+        ctx = QContext(q=0.99, alpha=alpha)
+        values = [continuous_orthogonality(n, n, ctx) for n in range(7)]
+        for v in values[1:]:
+            assert v == pytest.approx(values[0], abs=qhermite.QUAD_TOL)
+        for n, m in ((2, 6), (4, 6)):
+            assert abs(continuous_orthogonality(n, m, ctx)) < qhermite.QUAD_TOL
 
     def test_continuous_diagonal_constant_in_n(self):
         values = []
@@ -625,3 +665,90 @@ class TestTransformsAndKernels:
         # about 600 terms at q = 0.97; a sum capped below that reads 4e-7
         ctx = QContext(q=0.97, alpha=0.25)
         assert rogers_ramanujan_residual(ctx) < 1e-10
+
+
+class TestBesselTransformIntegrand:
+    """The Bessel transforms' integrand j_order(c y; q^2) y^power, with one
+    _sum_series call a transform (qhermite._lattice_bessel)."""
+
+    @staticmethod
+    def _visited(monkeypatch, run) -> list:
+        # (c, order, power, y, value) at every point the transforms' walks evaluate
+        seen, build = [], qhermite._lattice_bessel
+
+        def spy(c, order, power, q):
+            g = build(c, order, power, q)
+
+            def recorded(y):
+                value = g(y)
+                seen.append((c, order, power, y, value))
+                return value
+            return recorded
+
+        monkeypatch.setattr(qhermite, "_lattice_bessel", spy)
+        run()
+        return seen
+
+    @pytest.mark.parametrize("q, alpha, frac", [(0.8, -0.5, 0.9), (0.8, 0.25, 0.9),
+                                                 (0.8, 1.3, 0.9), (0.9, -0.9, 0.5),
+                                                 (0.5, 0.25, 1.5), (0.3, 1.3, 1.5)])
+    def test_equals_the_series_at_every_visited_point(self, monkeypatch, q, alpha, frac):
+        # against qbessel(c y, order, "modified") y^power at every lattice point, both
+        # directions inside the disc (0.9 of the radius, and q = 0.9 at alpha = -0.9)
+        # and the continued sum's small half outside it (frac 1.5).  Outward the terms
+        # and the stop are the series' own: equal bit for bit.  Toward 0 the column's
+        # Horner sum rounds otherwise: to 16 eps relative to max(1, sum |terms|) y^power,
+        # the rounding of a sum of those terms.  Measured: at most 3.5 eps
+        ctx = QContext(q=q, alpha=alpha)
+        x = frac * q ** (alpha + 0.5)
+
+        def run():
+            bessel_weight_transform(x, ctx)
+            for n in range(5):
+                integral_representation_residual(n, x, ctx)
+
+        seen = self._visited(monkeypatch, run)
+        for c, order, power, y, value in seen:
+            u = c * y
+            want = qbessel(u, order, "modified", ctx) * y ** power
+            if y > 1.0:
+                assert value == want, y
+                continue
+            size = max(1.0, _sum_series(map(abs, _bessel_terms(u, order, False, q)), "sizes"))
+            assert abs(value - want) <= 16 * 2.2e-16 * size * y ** power, y
+        inward = sum(y <= 1.0 for *_, y, _ in seen)
+        assert inward > 30
+        assert len(seen) - inward > (30 if frac < 1.0 else -1)
+        if frac > 1.0:  # the small half: the continued sum forms the rest in mpmath
+            assert all(y < 1.0 for *_, y, _ in seen)
+
+    def test_one_series_summed_and_no_per_point_qbessel(self, monkeypatch):
+        # each transform sums one series through _sum_series, its column at y = 1, and
+        # calls qbessel nowhere
+        columns, sums = [], []
+        bessel_terms, sum_series = qhermite._bessel_terms, qhermite._sum_series
+        monkeypatch.setattr(qhermite, "_bessel_terms",
+                            lambda *args: columns.append(args) or bessel_terms(*args))
+        monkeypatch.setattr(qhermite, "_sum_series",
+                            lambda *args: sums.append(args[1]) or sum_series(*args))
+
+        def refuse(*args):
+            raise AssertionError("qbessel at a lattice point")
+
+        monkeypatch.setattr(qhermite, "qbessel", refuse)
+        ctx = QContext(q=0.9, alpha=-0.9)
+        lim = ctx.q ** (ctx.alpha + 0.5)
+        for frac in (0.5, 1.5):  # the plain walk, and the continued sum
+            columns.clear()
+            sums.clear()
+            bessel_weight_transform(frac * lim, ctx)
+            assert sums == ["q-Bessel series"]
+            assert [args[0] for args in columns] == [frac * lim]
+
+    def test_outward_terms_take_the_series_ceiling(self, monkeypatch):
+        # outward the terms are formed to the stop rule, up to MAX_TERMS, as in the series
+        g = qhermite._lattice_bessel(0.5, 0.25, 1.5, 0.8)
+        monkeypatch.setattr(qlab.context, "MAX_TERMS", 10)
+        assert math.isfinite(g(0.8 ** 4))  # toward 0: the column, summed by Horner
+        with pytest.raises(NonConvergence, match="q-Bessel series"):
+            g(0.8 ** -30)

@@ -23,7 +23,7 @@ from qlab.qhermite import (RELATION_KINDS, bessel_expansion_residual,
                            moment_constant, poisson_kernel_residual, qlaguerre,
                            relation_residual, rogers_ramanujan_residual, weight)
 from qlab.qoscillator import eigen_residual, phi
-from qlab.report import csv_records
+from qlab.report import _csv_field, csv_records
 
 SMALL = ["--q", "0.5", "--alpha", "0.25", "--n-max", "3", "--dim", "6"]
 
@@ -151,6 +151,9 @@ def test_csv_records_writes_the_csv_writer_bytes(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     assert csv_records(header, rows) == buf.getvalue()
+    # the same rows with their fields rendered first, as VerificationReport.to_csv passes them
+    rendered = [[*map(_csv_field, row)] for row in rows]
+    assert csv_records(header, rendered, rendered=True) == buf.getvalue()
 
 
 class TestRunSuite:
