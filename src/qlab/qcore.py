@@ -269,6 +269,9 @@ class _Factorials:
     less the u^2, as a numerator over bd[n] = (1 - q^{2n+2})(1 - q^{2 alpha + 2 + 2n}):
     hx[n] = -q^{2n+2} (Hahn-Exton and modified) or j2[n] = -q^{4n + 2 alpha + 2}
     (second Jackson).  bessel_chunk grows the three columns in chunks of 16.
+
+    The explicit sums of one degree n read their x-independent parts from row:
+    formed once per (sum, n) from the columns above and kept with them.
     """
 
     def __init__(self, q: float, alpha: float):
@@ -278,6 +281,7 @@ class _Factorials:
         # unboxed doubles: a float object and its list slot take four times the memory,
         # and the cache holds a table for every (q, Bessel order) too
         self.hx, self.j2, self.bd = array("d"), array("d"), array("d")
+        self.rows = {}  # (build, n) -> build(self, n)
         self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
 
     def upto(self, n: int) -> "_Factorials":
@@ -309,6 +313,15 @@ class _Factorials:
             self.hx.append(-q ** (2 * (n + 1)))
             self.j2.append(-q ** (2.0 * (2 * n + 1 + self.alpha)))
         return (self.j2 if second_jackson else self.hx)[lo:lo + 16], self.bd[lo:lo + 16]
+
+    def row(self, build, n: int):
+        """build(self, n), the x-independent parts of degree n of one explicit sum,
+        with this table holding index n: formed on first use and kept.  A build
+        that raises (a q-power past double range) keeps nothing."""
+        row = self.rows.get((build, n))
+        if row is None:
+            row = self.rows[build, n] = build(self.upto(n), n)
+        return row
 
 
 @lru_cache(maxsize=256)
@@ -464,7 +477,9 @@ def _enveloped_jackson(g: FunctionHandle, ctx: QContext) -> TruncatedValue:
     """The half-line Jackson integral of e_{q^2}(-q y^2) g(y), on jackson_integral's
     walk and stop rule.  The envelope is the cached product at y = 1, stepped by
     one factor a point, e(q y) = e(y) (1 + q y^2); where it falls below 1e-250 the
-    term is 0 and g is not evaluated (a power of y may overflow there)."""
+    term is 0 and g is not evaluated (a power of y may overflow there).  A cut after
+    terms that were not small takes the edge rule, and NonConvergence where it knows
+    no tail: past the cut g may grow like 1 / e, so the rest need not be small."""
     return _jackson_walk(g, ctx, True)
 
 
@@ -501,6 +516,10 @@ def _jackson_walk(f, ctx: QContext, enveloped: bool) -> TruncatedValue:
                     edges.append(beyond)
                     tail += bound
                     break
+            if env < 1e-250 and not below and len(terms) - first > 1:
+                # past the cut the integrand may grow like 1 / env: the rest is not small
+                raise NonConvergence(f"Jackson sum: the envelope cut at q^{n} = {xn} follows "
+                                     f"terms that are not small, and no tail past it is known")
             below = below + 1 if small else 0
             if below >= 3:
                 # toward 0, f ~ y^p gives terms falling like q^(p+1): slower than q if p < 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from functools import lru_cache
 from itertools import count, islice
 
@@ -34,18 +35,28 @@ from .qfunctions import _bessel_terms, qbessel, qexp_gen, qexp_small, qtrig
 def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
     """Generalized discrete q-Hermite II polynomial of degree n at x, by its
     explicit sum; x may be a numpy array."""
-    q = ctx.q
-    fac = _factorials(q, ctx.alpha).upto(n)
+    fac = _factorials(ctx.q, ctx.alpha)
+    row = iter(fac.row(_hermite_row, n))  # a_0, b_0, a_1, b_1, ...
     total = 0.0
-    for k in range(n // 2 + 1):  # a power may overflow, or (q;q)_{n,alpha} round to 0
-        total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
-                  * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
+    for a, b, m in zip(row, row, range(n, -1, -2)):  # x^m may overflow, or b be 0
+        total += a * x ** m / b
     value = fac.qp[n] * total
     # an array holding inf or nan, or a float holding nan, raises through the
     # guard; a float keeps +-inf where its terms overflow (README, known limitations)
     if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
         raise OverflowError("the sum holds an overflow as nan")
     return value
+
+
+def _hermite_row(fac, n: int) -> array:
+    # a_0, b_0, a_1, b_1, ...: term k of hermite_h's sum is a_k x^{n-2k} / b_k, with
+    # a_k = (-1)^k q^{-2nk+k(2k+1)} (the power may overflow) and
+    # b_k = (q^2;q^2)_k (q;q)_{n-2k,alpha} (it may round to 0)
+    q, row = fac.q, array("d")
+    for k in range(n // 2 + 1):
+        row.append((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0)))
+        row.append(fac.qq[k] * fac.gp[n - 2 * k])
+    return row
 
 
 @_guarded
@@ -118,14 +129,24 @@ def _log_rows(n_max: int, x: ndarray, ctx: QContext) -> tuple[ndarray, ndarray]:
 @_guarded
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     """q-Laguerre polynomial L_n^{(order)}(x; q^2), generalized-factorial form."""
-    q = ctx.q
-    fac = _factorials(q, order).upto(n).upto(2 * n)  # upto(n) names a negative n as given
+    fac = _factorials(ctx.q, order)
+    row = iter(fac.row(_laguerre_row, n))  # a_0, b_0, a_1, b_1, ... of order `order`
     total = 0.0
-    for k in range(n + 1):
-        # x^k may overflow, or (q;q)_{2k,alpha} underflow to 0 with (1-q)^{2k}
-        total += ((-1.0) ** k * q ** (2.0 * k * (k + order)) * x ** k
-                  / (fac.gp[2 * k] * fac.qq[n - k]))
+    for k, (a, b) in enumerate(zip(row, row)):  # x^k may overflow, or b be 0
+        total += a * x ** k / b
     return _in_range(fac.ab[n] * total, f"degree-{n} q-Laguerre polynomial", ctx)
+
+
+def _laguerre_row(fac, n: int) -> array:
+    # a_0, b_0, a_1, b_1, ...: term k of qlaguerre's sum is a_k x^k / b_k, with
+    # a_k = (-1)^k q^{2k(k+order)} and b_k = (q;q)_{2k,order} (q^2;q^2)_{n-k}, which may
+    # underflow to 0 with (1-q)^{2k}
+    q, order, row = fac.q, fac.alpha, array("d")
+    fac.upto(2 * n)
+    for k in range(n + 1):
+        row.append((-1.0) ** k * q ** (2.0 * k * (k + order)))
+        row.append(fac.gp[2 * k] * fac.qq[n - k])
+    return row
 
 
 @_guarded
@@ -133,11 +154,16 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     """hermite_h through its q-Laguerre factorization (independent route)."""
     q, alpha = ctx.q, ctx.alpha
     arg = q ** (-2.0 * alpha - 1.0) * x * x
-    fac = _factorials(q, alpha).upto(n)
-    m, s = divmod(n, 2)  # an odd degree takes the factor x and the order alpha + 1
-    # q^{-m(2m-1+2s)} may overflow, or a finite q-shifted factorial underflow to 0
-    return ((-1.0) ** m * q ** (-m * (2.0 * m - 1.0 + 2 * s)) * fac.qp[n] / fac.ab[m + s]
-            * x ** s * qlaguerre(m, alpha + s, arg, ctx))
+    s = n % 2  # an odd degree takes the factor x and the order alpha + 1
+    return (_factorials(q, alpha).row(_laguerre_prefix, n) * x ** s
+            * qlaguerre(n // 2, alpha + s, arg, ctx))
+
+
+def _laguerre_prefix(fac, n: int) -> float:
+    # (-1)^m q^{-m(2m-1+2s)} (q;q)_n / (q^{2a+2};q^2)_{m+s}, n = 2m + s: the power may
+    # overflow, or the q-shifted factorial underflow to 0
+    m, s = divmod(n, 2)
+    return (-1.0) ** m * fac.q ** (-m * (2.0 * m - 1.0 + 2 * s)) * fac.qp[n] / fac.ab[m + s]
 
 
 @_guarded
@@ -246,24 +272,33 @@ def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
                      f"{kind} relation residual at x = {_show(x)}", ctx)
 
 
+def _generating_residual(x, ctx: QContext):
+    # the generating relation at z = 0.3 sums every degree: it does not depend on n
+    q, z = ctx.q, 0.3
+    lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
+    fac = _factorials(q, ctx.alpha)
+    rhs = _sum_series((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
+                       for m, s in enumerate(_scaled_walk(x, ctx))),
+                      "generating-function kernel series", x)
+    return _rel(lhs, rhs)
+
+
+#: the generating residual at a float x, which the relation's n = 0 ... 8 checks repeat
+_generating_cached = lru_cache(maxsize=256)(_generating_residual)
+
+
 def _relation_residual(kind: str, n: int, x, ctx: QContext):
     q, alpha = ctx.q, ctx.alpha
     if kind == "generating":
-        z = 0.3
-        lhs = qexp_small(-z * z, q * q).value * qexp_gen(x * z, ctx)
-        fac = _factorials(q, alpha)
-        rhs = _sum_series((q ** (-m / 2.0) * s * z ** m / fac.upto(m).qp[m]
-                           for m, s in enumerate(_scaled_walk(x, ctx))),
-                          "generating-function kernel series", x)
-        return _rel(lhs, rhs)
+        return (_generating_cached if type(x) is float else _generating_residual)(x, ctx)
 
     if kind == "inversion":
-        fac = _factorials(q, alpha).upto(n)
+        fac = _factorials(q, alpha)
+        row = iter(fac.row(_inversion_row, n))  # a_0, b_0, a_1, b_1, ...
         total = 0.0
         scale = 0.0
-        for k in range(n // 2 + 1):
-            t = (q ** (-2.0 * n * k + 3.0 * k * k) * hermite_h(n - 2 * k, x, ctx)
-                 / (fac.qq[k] * fac.qp[n - 2 * k]))
+        for k, (a, b) in enumerate(zip(row, row)):
+            t = a * hermite_h(n - 2 * k, x, ctx) / b
             total += t
             scale += abs(t)
         gp = fac.gp[n]
@@ -298,17 +333,9 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
     if kind == "rodrigues":
         if (x == 0.0).any() if isinstance(x, ndarray) else x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
-        # (1/q;1/q)_n / (1/q;1/q)_{n,alpha}: the factors of even k cancel
-        ratio = math.prod((1.0 - q ** -k) / (1.0 - q ** (-k - 2.0 * alpha - 1.0))
-                          for k in range(1, n + 1, 2))
-        pref = (q - 1.0) ** n * q ** (-n * (n - 1.0) / 2.0) * ratio
+        pref, a = _factorials(q, alpha).row(_rodrigues_row, n)
         # Delta^n w(x) = sum_j a_j w(q^j x) / x^n, one weight per point; differences toward
         # x = 0 amplify roundoff, so the honest scale is the expansion's summed magnitude
-        a = [1.0]
-        for k in range(n):
-            s_fac = 1.0 if k % 2 == 0 else q ** (2.0 * alpha + 1.0)
-            a = [(left - s_fac * right * q ** (-k)) / (1.0 - q)
-                 for left, right in zip(a + [0.0], [0.0] + a)]
         w = [weight(q ** j * x, ctx) for j in range(n + 1)]
         terms = [a_j * w_j for a_j, w_j in zip(a, w)]
         lhs, rhs = w[0] * hermite_h(n, x, ctx), pref / x ** n * sum(terms)
@@ -316,6 +343,31 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
         return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + cond)
 
     raise ArgumentError(f"unknown relation kind: {kind!r}")
+
+
+def _inversion_row(fac, n: int) -> array:
+    # a_0, b_0, a_1, b_1, ...: term k of the inversion sum is a_k h_{n-2k}(x) / b_k, with
+    # a_k = q^{-2nk+3k^2} (it may overflow) and b_k = (q^2;q^2)_k (q;q)_{n-2k}
+    row = array("d")
+    for k in range(n // 2 + 1):
+        row.append(fac.q ** (-2.0 * n * k + 3.0 * k * k))
+        row.append(fac.qq[k] * fac.qp[n - 2 * k])
+    return row
+
+
+def _rodrigues_row(fac, n: int) -> tuple[float, array]:
+    # the Rodrigues prefactor (q - 1)^n q^{-n(n-1)/2} (1/q;1/q)_n / (1/q;1/q)_{n,alpha},
+    # where the factors of even k cancel, and the stencil a_j of Delta^n w(x) x^n
+    q, alpha = fac.q, fac.alpha
+    ratio = math.prod((1.0 - q ** -k) / (1.0 - q ** (-k - 2.0 * alpha - 1.0))
+                      for k in range(1, n + 1, 2))
+    pref = (q - 1.0) ** n * q ** (-n * (n - 1.0) / 2.0) * ratio
+    a = [1.0]
+    for k in range(n):
+        s_fac = 1.0 if k % 2 == 0 else q ** (2.0 * alpha + 1.0)
+        a = [(left - s_fac * right * q ** (-k)) / (1.0 - q)
+             for left, right in zip(a + [0.0], [0.0] + a)]
+    return pref, array("d", a)
 
 
 # ---------------------------------------------------------------------------

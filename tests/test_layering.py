@@ -217,7 +217,8 @@ def test_one_caching_policy():
     assert cached == {("cli", "_parser"), ("qcore", "_qpoch_inf_cached"),
                       ("qcore", "_factorials"), ("qhermite", "norm_constant"),
                       ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
-                      ("qhermite", "_gauss_legendre"), ("qhermite", "_gram")}
+                      ("qhermite", "_gauss_legendre"), ("qhermite", "_gram"),
+                      ("qhermite", "_generating_cached")}
     for module, name in cached:
         assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize
 

@@ -387,6 +387,101 @@ class TestRelations:
                         (kind, ctx.q, ctx.alpha, n, x)
 
 
+def _bits(values) -> bytes:
+    # the doubles of a nested list of floats and arrays, -0.0 told from 0.0
+    return np.concatenate([np.ravel(v) for v in values]).astype(float).tobytes()
+
+
+def _clear_sum_caches():
+    _factorials.cache_clear()
+    qhermite._generating_cached.cache_clear()
+
+
+class TestExplicitSumRows:
+    """The x-independent parts of the explicit sums, kept per degree in the
+    factorial table (_Factorials.row), and the generating residual's cache: no
+    value depends on what the tables held before."""
+
+    XS = (-1.7, -0.7, -0.3, 0.3, 0.7, 1.5, 2.2)
+    CTXS = (QContext(q=0.3, alpha=-0.5), QContext(q=0.5, alpha=0.25),
+            QContext(q=0.8, alpha=1.3))
+
+    def _floats(self, ctx):
+        return ([hermite_h(n, x, ctx) for n in range(13) for x in self.XS]
+                + [f(n, 0.7, ctx) for n in range(13)
+                   for f in (hermite_via_laguerre, lambda n, x, c: qlaguerre(n, c.alpha, x, c))]
+                + [relation_residual(kind, n, x, ctx) for kind in ("inversion", "rodrigues",
+                                                                    "generating")
+                   for n in range(9) for x in self.XS])
+
+    def _arrays(self, ctx):
+        xs = np.array(self.XS)
+        return ([hermite_h(n, xs, ctx) for n in range(13)]
+                + [relation_residual(kind, n, xs, ctx) for kind in ("inversion", "rodrigues",
+                                                                     "generating")
+                   for n in range(9)])
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"{c.q}-{c.alpha}")
+    def test_values_do_not_depend_on_the_rows_held(self, ctx):
+        # floats, then arrays on the rows they formed; arrays, then floats
+        _clear_sum_caches()
+        floats_cold, arrays_warm = _bits(self._floats(ctx)), _bits(self._arrays(ctx))
+        _clear_sum_caches()
+        arrays_cold, floats_warm = _bits(self._arrays(ctx)), _bits(self._floats(ctx))
+        assert floats_cold == floats_warm
+        assert arrays_cold == arrays_warm
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"{c.q}-{c.alpha}")
+    def test_sums_keep_their_operation_order(self, ctx):
+        # each term is a x^m / b, as the sums formed it term by term with the
+        # q-power in place: the same doubles
+        q, a = ctx.q, ctx.alpha
+        for n in range(13):
+            fac = _Factorials(q, a).upto(2 * n)
+            for x in self.XS:
+                total = 0.0
+                for k in range(n // 2 + 1):
+                    total += ((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0))
+                              * x ** (n - 2 * k) / (fac.qq[k] * fac.gp[n - 2 * k]))
+                assert _bits([hermite_h(n, x, ctx)]) == _bits([fac.qp[n] * total])
+                total = 0.0
+                for k in range(n + 1):
+                    total += ((-1.0) ** k * q ** (2.0 * k * (k + a)) * x ** k
+                              / (fac.gp[2 * k] * fac.qq[n - k]))
+                assert _bits([qlaguerre(n, a, x, ctx)]) == _bits([fac.ab[n] * total])
+
+    def test_raising_call_leaves_later_values_as_a_fresh_table(self):
+        ctx = QContext(q=0.5, alpha=0.25)
+        _clear_sum_caches()
+        with pytest.raises(DomainError):
+            hermite_h(8, 1e200, ctx)  # x^8 overflows, on rows already formed
+        with pytest.raises(DomainError):
+            relation_residual("inversion", 8, 1e200, ctx)
+        after = _bits(self._floats(ctx) + self._arrays(ctx))
+        _clear_sum_caches()
+        assert after == _bits(self._floats(ctx) + self._arrays(ctx))
+
+    def test_a_row_that_overflows_is_not_kept(self):
+        ctx = QContext(q=0.05, alpha=0.25)
+        for _ in range(2):  # and raises again
+            with pytest.raises(DomainError):
+                hermite_h(40, 0.7, ctx)  # q^{-2nk + k(2k+1)} leaves double range
+        assert (qhermite._hermite_row, 40) not in _factorials(ctx.q, ctx.alpha).rows
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"{c.q}-{c.alpha}")
+    def test_generating_residual_is_one_value_for_every_degree(self, ctx):
+        _clear_sum_caches()
+        xs = np.array(self.XS)
+        for x in (*self.XS, 0.0, -0.0):
+            want = _bits([qhermite._generating_residual(x, ctx)])
+            assert {_bits([relation_residual("generating", n, x, ctx)]) for n in range(9)} == {want}
+        # a float x of either sign of 0 reads the one entry of 0.0
+        assert (_bits([qhermite._generating_residual(0.0, ctx)])
+                == _bits([qhermite._generating_residual(-0.0, ctx)]))
+        assert len({_bits([relation_residual("generating", n, xs, ctx)]) for n in range(9)}) == 1
+        assert qhermite._generating_cached.cache_info().currsize == len(self.XS) + 1
+
+
 class TestOrthogonality:
     def test_discrete_offdiagonal(self):
         for n in range(7):
@@ -618,6 +713,16 @@ class TestTransformsAndKernels:
         for ctx, x in cases:
             with pytest.raises(NonConvergence):
                 integral_representation_residual(0, x, ctx)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_envelope_cut_after_large_terms_raises(self, n):
+        # at q = 1e-8 the envelope is cut (below 1e-250) from y = 1e48 on, while the
+        # outward terms are still about 2e32 and their ratio has not settled; past the
+        # cut j grows like 1 / envelope, and with the rest dropped the residuals read
+        # 2.4, 0.92 and 2.5
+        ctx = QContext(q=1e-8, alpha=-0.99)
+        with pytest.raises(NonConvergence, match="envelope cut"):
+            integral_representation_residual(n, 0.99 * ctx.q ** (ctx.alpha + 0.5), ctx)
 
     def test_import_does_not_load_mpmath(self):
         # mpmath serves only the continued lattice sum outside the disc
