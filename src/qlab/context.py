@@ -71,7 +71,7 @@ class QContext:
     """Global evaluation parameters threaded through every operation.
 
     q     : deformation parameter, strictly inside (0, 1)
-    alpha : order parameter, > -1
+    alpha : order parameter, finite and > -1
     """
 
     q: float
@@ -80,8 +80,8 @@ class QContext:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ConfigError(f"q must lie in (0, 1), got {self.q}")
-        if not self.alpha > -1.0:
-            raise ConfigError(f"alpha must be > -1, got {self.alpha}")
+        if not -1.0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be finite and > -1, got {self.alpha}")
 
     def with_alpha(self, alpha: float) -> "QContext":
         """Same context with a different order parameter."""

@@ -34,7 +34,7 @@ Points = float | ndarray
 
 def qpoch(a: float, n: int, ctx: QContext) -> float:
     """Finite q-shifted factorial (a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)."""
-    return _qpoch(a, n, ctx.q)
+    return _in_range(_qpoch(a, n, ctx.q), f"({a}; q)_{n}", ctx)
 
 
 def _qpoch(a: float, n: int, q: float) -> float:
@@ -203,8 +203,8 @@ def _qnumber(x: float, q: float) -> float:
 @_guarded
 def sym_qnumber(x: float, base: float) -> float:
     """Symmetric q-number [x]_base = (base^x - base^-x) / (base - 1/base)."""
-    if base == 1.0:
-        raise DomainError("sym_qnumber is undefined at base 1")
+    if not 0.0 < base < math.inf or base == 1.0:
+        raise DomainError(f"sym_qnumber needs a base in (0, 1) or (1, inf), got {base}")
     if not math.isfinite(x):
         raise DomainError(f"sym_qnumber needs a finite x, got {x}")
     return (base ** x - base ** (-x)) / (base - 1.0 / base)

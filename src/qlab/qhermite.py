@@ -605,16 +605,6 @@ QUAD_TOL = 1e-6
 
 
 @lru_cache(maxsize=256)
-def _gauss_legendre(k: int) -> tuple[ndarray, ndarray]:
-    """(nodes, weights) of the k-node Gauss-Legendre rule on [-1, 1], built on
-    first use: numpy.polynomial loads then, not at import.  The rule is cached,
-    so both arrays are read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@lru_cache(maxsize=256)
 def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """k-node Gauss-Jacobi rule of the weight (1 + t)^beta on [-1, 1], beta > -1,
     by Golub-Welsch, with its weights divided by (1 + t)^beta at the nodes:
@@ -639,7 +629,7 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
     [0, cutoff r^45], then x 1/r up to cutoff, and weights @ f(x) is (the
     20-node sum, the 40-node sum).  The first panel takes the Gauss-Jacobi
     rules of the weight x^{2 alpha + 1}, accurate where that power is
-    singular at 0 (alpha < -1/2), the others Gauss-Legendre rules.
+    singular at 0 (alpha < -1/2), the others Gauss-Legendre rules (beta = 0).
 
     The panel ratio is r = min(q, 0.8).  The integrand's singularities are the
     branch point of x^{2 alpha + 1} at 0 and the weight's poles on the imaginary
@@ -663,9 +653,9 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half, mid = (hi - lo)[:, None] / 2.0, (hi + lo)[:, None] / 2.0
     points, sums = [], []
-    for nodes, weights in map(_gauss_legendre, (20, 40)):
-        t, w = np.tile(nodes, (len(lo), 1)), np.tile(weights, (len(lo), 1))
-        t[0], w[0] = _gauss_jacobi(len(nodes), beta)
+    for k in (20, 40):
+        t, w = (np.tile(v, (len(lo), 1)) for v in _gauss_jacobi(k, 0.0))
+        t[0], w[0] = _gauss_jacobi(k, beta)
         points.append((mid + half * t).ravel())
         sums.append((half * w).ravel() * points[-1] ** beta)
     x, k = np.concatenate(points), len(points[0])

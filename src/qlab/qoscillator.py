@@ -10,7 +10,7 @@ residuals of every commutation/factorization relation they satisfy.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 from operator import add
 
@@ -123,10 +123,11 @@ def _sym(n: float, q: float) -> float:
     return sym_qnumber(n, math.sqrt(q))
 
 
+@lru_cache(maxsize=16)
 @_guarded
 def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
-    """Every operator of OPERATOR_NAMES on the first dim basis vectors, each
-    built from the ones before it: a, b, K0, K+- and then the Casimir."""
+    """Every operator of OPERATOR_NAMES on the first dim basis vectors, each built from
+    the ones before it: a, b, K0, K+- and then the Casimir; cached, so read-only."""
     q, alpha = ctx.q, ctx.alpha
     a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
     k0 = np.diag(np.array([(n + alpha + 1.0) / 2.0 for n in range(dim)]))
@@ -138,15 +139,18 @@ def _operator_matrices(dim: int, ctx: QContext) -> dict[str, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness
         k_plus, k_minus = gamma * (b.T @ b.T), gamma * (b @ b)
         casimir = bracket @ bracket - k_plus @ k_minus
-    return {"a": a, "a_plus": a.T.copy(), "N": np.diag(np.arange(dim, dtype=float)),
-            "parity_K": np.diag(np.array([(-1.0) ** n for n in range(dim)])),
-            "H": np.diag(np.array([_gen_qint(n, q, alpha) for n in range(dim)])),
-            "b": b, "b_plus": b.T.copy(), "K0": k0, "K_plus": k_plus, "K_minus": k_minus,
-            "casimir": casimir}
+    out = {"a": a, "a_plus": a.T.copy(), "N": np.diag(np.arange(dim, dtype=float)),
+           "parity_K": np.diag(np.array([(-1.0) ** n for n in range(dim)])),
+           "H": np.diag(np.array([_gen_qint(n, q, alpha) for n in range(dim)])),
+           "b": b, "b_plus": b.T.copy(), "K0": k0, "K_plus": k_plus, "K_minus": k_minus,
+           "casimir": casimir}
+    for m in out.values():
+        m.flags.writeable = False
+    return out
 
 
 def build_matrix(which: str, dim: int, ctx: QContext) -> np.ndarray:
-    """Dense matrix of one operator on the first dim basis vectors."""
+    """Dense matrix of one operator on the first dim basis vectors, a copy the caller owns."""
     if which not in OPERATOR_NAMES:
         raise ArgumentError(f"unknown operator: {which!r}")
     if dim < 3:
@@ -154,7 +158,7 @@ def build_matrix(which: str, dim: int, ctx: QContext) -> np.ndarray:
     m = _operator_matrices(dim, ctx)[which]
     if not np.all(np.isfinite(m)):
         raise ArgumentError(f"non-finite entries in operator {which!r}")
-    return m
+    return m.copy()
 
 
 def _diagonal(m: np.ndarray, what: str) -> np.ndarray:
@@ -222,22 +226,14 @@ RELATION_NAMES = tuple(_RELATIONS)
 
 
 def algebra_residual(relation: str, dim: int, ctx: QContext) -> float:
-    """Max-norm residual of one relation on the block without its top indices."""
-    return _algebra_residual(relation, dim, ctx, {})
-
-
-def _algebra_residual(relation: str, dim: int, ctx: QContext, matrices: dict) -> float:
-    """algebra_residual on the operator matrices held in matrices, which the
-    first call with it empty builds: the relations of one (dim, ctx) share one
-    build.  The residuals only read the matrices."""
+    """Max-norm residual of one relation on the block without its top indices, over
+    the cached operator matrices of (dim, ctx), which all its relations share."""
     if relation not in _RELATIONS:
         raise ArgumentError(f"unknown algebra relation: {relation!r}")
     excluded, residual = _RELATIONS[relation]
     if dim < excluded + 3:
         raise DimensionError(f"relation {relation} needs dim >= {excluded + 3}, got {dim}")
-    keep = dim - excluded
-    if not matrices:
-        matrices.update(_operator_matrices(dim, ctx))
+    keep, matrices = dim - excluded, _operator_matrices(dim, ctx)
     with np.errstate(all="ignore"):
         r = float(np.max(np.abs(residual(matrices, ctx)[:keep, :keep])))
     if not math.isfinite(r):

@@ -1,9 +1,11 @@
 """Named verification suites sweeping the identity checks over (q, alpha) grids.
 
-Each suite produces an ordered, deterministic list of CheckResult; the
-`all` suite concatenates every other suite.  Randomized spot checks (the
-symmetric q-number addition identity) draw from a ``random.Random`` whose
-seed the report configuration records.
+Each suite yields rows (name, params, tolerance, residual, *args) in a fixed
+order, and one runner checks each row, so a suite is an ordered, deterministic
+list of CheckResult; the `all` suite concatenates every other suite.  Work the
+checks of a context share sits in bounded lru_caches, not in their arguments.
+Randomized spot checks (the symmetric q-number addition identity) draw from a
+``random.Random`` whose seed the report configuration records.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import lru_cache, wraps
+from typing import Callable, Iterator
 
 from . import qoscillator
 from .context import ConfigError, DomainError, QContext, QError
@@ -48,8 +51,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite: {self.suite!r}")
         if not self.q_values or not all(0.0 < q < 1.0 for q in self.q_values):
             raise ConfigError(f"q values must lie in (0, 1): {self.q_values}")
-        if not self.alpha_values or not all(a > -1.0 for a in self.alpha_values):
-            raise ConfigError(f"alpha values must exceed -1: {self.alpha_values}")
+        if not self.alpha_values or not all(-1.0 < a < math.inf for a in self.alpha_values):
+            raise ConfigError(f"alpha values must be finite and exceed -1: {self.alpha_values}")
         if not 0 < self.n_max <= 40:
             raise ConfigError(f"n_max must be in [1, 40], got {self.n_max}")
         if not 3 <= self.dim <= 64:
@@ -70,8 +73,7 @@ class SuiteConfig:
         }
 
 
-def _checked(name: str, params: dict, tol: float, fn: Callable[..., float],
-             *args) -> CheckResult:
+def _checked(name: str, params: dict, tol: float, fn: Callable[..., float], *args) -> CheckResult:
     """Run the residual fn(*args) as one check, trapping library errors as entries."""
     t0 = time.perf_counter()
     try:
@@ -83,20 +85,33 @@ def _checked(name: str, params: dict, tol: float, fn: Callable[..., float],
     return result
 
 
-def _grid(cfg: SuiteConfig) -> Iterable[QContext]:
+def _runner(rows: Callable[[SuiteConfig], Iterator[tuple]]) -> Callable:
+    """The suite that runs each row of rows(cfg) through _checked, in order; a
+    row is drawn after the one before it ran, so it may read what that recorded."""
+    @wraps(rows)
+    def suite(cfg: SuiteConfig) -> list[CheckResult]:
+        return [_checked(*row) for row in rows(cfg)]
+    return suite
+
+
+def _grid(cfg: SuiteConfig, **extra) -> Iterator[tuple[QContext, dict]]:
+    # each context of the grid with its params {"q": ..., "alpha": ..., **extra}
     for q in cfg.q_values:
         for alpha in cfg.alpha_values:
-            yield QContext(q=q, alpha=alpha)
+            yield QContext(q=q, alpha=alpha), {"q": q, "alpha": alpha, **extra}
 
 
-def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext, lattices: dict) -> float:
-    # level k of one order-n lattice per (n, x); one past its end raises in qderiv_pow
-    if (n, x) not in lattices:
-        lattices[n, x] = qderiv_levels(lambda t: t ** n, n, "delta_alpha", ctx)(x)
-    levels = lattices[n, x]
+@lru_cache(maxsize=256)
+def _monomial_lattice(n: int, x: float, ctx: QContext) -> tuple[float, ...]:
+    # levels 0..n of Delta_alpha t^n at x; it stops before one qderiv_pow raises for
+    return tuple(qderiv_levels(lambda t: t ** n, n, "delta_alpha", ctx)(x))
+
+
+def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext) -> float:
+    # level k of the order-n lattice of (n, x); one past its end raises in qderiv_pow
+    levels = _monomial_lattice(n, x, ctx)
     lhs = levels[k] if k < len(levels) else qderiv_pow(lambda t: t ** n, k, "delta_alpha", ctx)(x)
-    rhs = (gen_qpoch(n, ctx) * x ** (n - k)
-           / ((1.0 - ctx.q) ** k * gen_qpoch(n - k, ctx)))
+    rhs = gen_qpoch(n, ctx) * x ** (n - k) / ((1.0 - ctx.q) ** k * gen_qpoch(n - k, ctx))
     return _rel(lhs, rhs)
 
 
@@ -122,26 +137,20 @@ def _addition_residual(q: float, rng: random.Random) -> float:
     return worst
 
 
-def suite_qcalculus(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha}
-        lattices: dict = {}
+@_runner
+def suite_qcalculus(cfg: SuiteConfig):
+    for ctx, base in _grid(cfg):
         for n in range(min(cfg.n_max, 12) + 1):
             for k in range(n + 1):
                 for x in (0.3, -1.1):
-                    out.append(_checked(
-                        "monomial_delta_rule", {**base, "n": n, "k": k, "x": x},
-                        max(cfg.tol, 1e-12), _monomial_rule_residual, n, k, x, ctx, lattices))
+                    yield ("monomial_delta_rule", {**base, "n": n, "k": k, "x": x},
+                           max(cfg.tol, 1e-12), _monomial_rule_residual, n, k, x, ctx)
         for x in (1.0, 2.0, 2.0 * ctx.alpha + 2.0, 7.3):
-            out.append(_checked("sym_qnumber_bridge", {**base, "x": x}, 1e-12,
-                                _bridge_residual, x, ctx))
+            yield "sym_qnumber_bridge", {**base, "x": x}, 1e-12, _bridge_residual, x, ctx
     rng = random.Random(cfg.seed)
     for q in cfg.q_values:
-        out.append(_checked("qnumber_addition_identity",
-                            {"q": q, "triples": 50, "seed": cfg.seed}, 1e-12,
-                            _addition_residual, q, rng))
-    return out
+        yield ("qnumber_addition_identity", {"q": q, "triples": 50, "seed": cfg.seed}, 1e-12,
+               _addition_residual, q, rng)
 
 
 def _qexp_series(z: float, q: float) -> float:
@@ -163,37 +172,30 @@ def _collapse_residual(z: float, ctx: QContext) -> float:
     return abs(qexp_gen(z, ctx) - qexp_big(z, ctx.q).value)
 
 
-def suite_special_functions(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
+@_runner
+def suite_special_functions(cfg: SuiteConfig):
     for q in cfg.q_values:
-        base = {"q": q}
         for z in (0.3, -0.7, 1.2):
-            out.append(_checked("qexp_big_product_vs_series", {**base, "z": z}, 1e-12,
-                                _qexp_residual, z, q))
+            yield "qexp_big_product_vs_series", {"q": q, "z": z}, 1e-12, _qexp_residual, z, q
         ctx_half = QContext(q=q, alpha=-0.5)
         for z in (0.5, -0.8):
-            out.append(_checked(
-                "qexp_gen_collapse_classical", {**base, "z": z, "alpha": -0.5}, 1e-12,
-                _collapse_residual, z, ctx_half))
+            yield ("qexp_gen_collapse_classical", {"q": q, "z": z, "alpha": -0.5}, 1e-12,
+                   _collapse_residual, z, ctx_half)
         for x in (0.4, 0.9):
             for which, order in (("cos", -0.5), ("sin", 0.5)):
-                out.append(_checked(
-                    "qbessel_half_integer_trig", {**base, "x": x, "which": which},
-                    cfg.tol, _half_integer_residual, x, which, order, ctx_half))
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha}
+                yield ("qbessel_half_integer_trig", {"q": q, "x": x, "which": which}, cfg.tol,
+                       _half_integer_residual, x, which, order, ctx_half)
+    for ctx, base in _grid(cfg):
         for x in (0.4, 0.9):
-            out.append(_checked("qbessel_contiguous_recurrence", {**base, "x": x},
-                                cfg.tol, _contiguous_residual, x, ctx))
-            out.append(_checked("qbessel_first_difference", {**base, "lam": 0.8, "x": x},
-                                cfg.tol, bessel_delta_residual, 0, 0.8, x, "odd_order", ctx))
+            yield ("qbessel_contiguous_recurrence", {**base, "x": x}, cfg.tol,
+                   _contiguous_residual, x, ctx)
+            yield ("qbessel_first_difference", {**base, "lam": 0.8, "x": x}, cfg.tol,
+                   bessel_delta_residual, 0, 0.8, x, "odd_order", ctx)
         for n in (1, 2):
             for parity in ("even_order", "odd_order"):
-                out.append(_checked(
-                    "qbessel_iterated_difference",
-                    {**base, "n": n, "parity": parity, "lam": 0.7, "x": 0.9},
-                    cfg.tol, bessel_delta_residual, n, 0.7, 0.9, parity, ctx))
-    return out
+                yield ("qbessel_iterated_difference",
+                       {**base, "n": n, "parity": parity, "lam": 0.7, "x": 0.9}, cfg.tol,
+                       bessel_delta_residual, n, 0.7, 0.9, parity, ctx)
 
 
 @_guarded
@@ -214,38 +216,33 @@ def _contiguous_residual(x: float, ctx: QContext) -> float:
     return _rel(lhs, rhs)
 
 
-def suite_hermite_identities(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha}
+@_runner
+def suite_hermite_identities(cfg: SuiteConfig):
+    for ctx, base in _grid(cfg):
         for kind in RELATION_KINDS:
             for n in range(min(cfg.n_max, 8) + 1):
                 for x in (0.3, -0.7, 1.5):
-                    out.append(_checked("hermite_relation_" + kind,
-                                        {**base, "n": n, "x": x}, cfg.tol,
-                                        relation_residual, kind, n, x, ctx))
+                    yield ("hermite_relation_" + kind, {**base, "n": n, "x": x}, cfg.tol,
+                           relation_residual, kind, n, x, ctx)
         for n in range(min(cfg.n_max, 12) + 1):
             for x in (-1.2, 0.8):
-                out.append(_checked("hermite_two_route", {**base, "n": n, "x": x},
-                                    cfg.tol, _two_route_residual, n, x, ctx))
-                out.append(_checked("hermite_parity", {**base, "n": n, "x": x},
-                                    1e-13, _parity_residual, n, x, ctx))
+                yield ("hermite_two_route", {**base, "n": n, "x": x}, cfg.tol,
+                       _two_route_residual, n, x, ctx)
+                yield "hermite_parity", {**base, "n": n, "x": x}, 1e-13, _parity_residual, n, x, ctx
         for n in range(5):
-            out.append(_checked("weight_moment", {**base, "n": n}, cfg.tol,
-                                moment_check, n, ctx))
+            yield "weight_moment", {**base, "n": n}, cfg.tol, moment_check, n, ctx
         # the Bessel-transform identities are sampled inside the disc
         # |x| < q^{alpha+1/2}, where they are plain lattice sums; outside it
         # they take the continued sum in mpmath, at tens of ms a check
         lim = ctx.q ** (ctx.alpha + 0.5)
         for frac in (0.3, 0.6):
             x = frac * lim
-            out.append(_checked("weight_bessel_transform", {**base, "x": x}, cfg.tol,
-                                bessel_weight_transform, x, ctx))
+            yield ("weight_bessel_transform", {**base, "x": x}, cfg.tol,
+                   bessel_weight_transform, x, ctx)
         for n in range(5):
             x = 0.5 * lim
-            out.append(_checked("integral_representation", {**base, "n": n, "x": x},
-                                cfg.tol, integral_representation_residual, n, x, ctx))
-    return out
+            yield ("integral_representation", {**base, "n": n, "x": x}, cfg.tol,
+                   integral_representation_residual, n, x, ctx)
 
 
 def _two_route_residual(n: int, x: float, ctx: QContext) -> float:
@@ -259,66 +256,60 @@ def _parity_residual(n: int, x: float, ctx: QContext) -> float:
 
 def _diagonal_residual(n: int, ctx: QContext, diag: list[float], params: dict) -> float:
     # the continuous diagonal must not depend on n: compare with the first
-    # one, and record the value in the entry's parameters
+    # one, and record the value in diag and in the entry's parameters
     value = continuous_orthogonality(n, n, ctx)
     diag.append(value)
     params["value"] = value
     return abs(value - diag[0])
 
 
-def suite_orthogonality(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha}
-        n_hi = min(cfg.n_max, 8)
+def _offdiagonal_residual(n: int, m: int, ctx: QContext) -> float:
+    return abs(continuous_orthogonality(n, m, ctx))
+
+
+@_runner
+def suite_orthogonality(cfg: SuiteConfig):
+    n_hi, n_cont = min(cfg.n_max, 8), min(cfg.n_max, 6)
+    for ctx, base in _grid(cfg):
         for n in range(n_hi + 1):
             for m in range(n, n_hi + 1):
-                out.append(_checked("discrete_orthogonality", {**base, "n": n, "m": m},
-                                    cfg.tol, discrete_orthogonality_residual, n, m, ctx))
+                yield ("discrete_orthogonality", {**base, "n": n, "m": m}, cfg.tol,
+                       discrete_orthogonality_residual, n, m, ctx)
         # continuous quadrature: off-diagonal entries must vanish; the
-        # diagonal is checked for independence of n, and its common value
-        # (the normalization constant of the continuous measure) is reported
-        n_cont = min(cfg.n_max, 6)
+        # diagonal is checked for independence of n, and its common value (the
+        # continuous measure's normalization constant) is reported at residual 0
         diag: list[float] = []
         for n in range(n_cont + 1):
             params = {**base, "n": n}
-            out.append(_checked("continuous_diagonal_consistency", params, QUAD_TOL,
-                                _diagonal_residual, n, ctx, diag, params))
+            yield ("continuous_diagonal_consistency", params, QUAD_TOL,
+                   _diagonal_residual, n, ctx, diag, params)
         if diag:
-            out.append(CheckResult(
-                "continuous_diagonal_offset",
-                {**base, "value": diag[0], "offset_from_unity": abs(diag[0] - 1.0)},
-                0.0, QUAD_TOL))
+            yield ("continuous_diagonal_offset",
+                   {**base, "value": diag[0], "offset_from_unity": abs(diag[0] - 1.0)},
+                   QUAD_TOL, float, 0.0)
         if abs(ctx.alpha + 0.5) < 1e-12 and diag:
-            out.append(CheckResult(
-                "continuous_unit_diagonal_classical", {**base},
-                max(abs(v - 1.0) for v in diag), QUAD_TOL))
+            yield ("continuous_unit_diagonal_classical", {**base}, QUAD_TOL,
+                   max, [abs(v - 1.0) for v in diag])
         for n in range(n_cont + 1):
             for m in range(n + 1, n_cont + 1):
-                out.append(_checked("continuous_offdiagonal", {**base, "n": n, "m": m},
-                                    QUAD_TOL, lambda: abs(continuous_orthogonality(n, m, ctx))))
-    return out
+                yield ("continuous_offdiagonal", {**base, "n": n, "m": m}, QUAD_TOL,
+                       _offdiagonal_residual, n, m, ctx)
 
 
-def suite_kernels(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha}
+@_runner
+def suite_kernels(cfg: SuiteConfig):
+    for ctx, base in _grid(cfg):
         for (x, y) in ((0.8, 0.3), (1.2, 0.5)):
-            out.append(_checked("poisson_kernel_at_one", {**base, "x": x, "y": y},
-                                cfg.tol, poisson_kernel_residual, x, y, "general", ctx))
+            yield ("poisson_kernel_at_one", {**base, "x": x, "y": y}, cfg.tol,
+                   poisson_kernel_residual, x, y, "general", ctx)
         for x in (0.5, 1.2):
-            out.append(_checked("bessel_expansion", {**base, "x": x}, cfg.tol,
-                                bessel_expansion_residual, x, ctx))
-        out.append(_checked("rogers_ramanujan_sum", base, max(cfg.tol, 1e-10),
-                            rogers_ramanujan_residual, ctx))
+            yield "bessel_expansion", {**base, "x": x}, cfg.tol, bessel_expansion_residual, x, ctx
+        yield "rogers_ramanujan_sum", base, max(cfg.tol, 1e-10), rogers_ramanujan_residual, ctx
     for q in cfg.q_values:
         ctx = QContext(q=q, alpha=-0.5)
         for (x, y) in ((0.8, 0.3), (1.2, 0.5)):
-            out.append(_checked(
-                "poisson_kernel_trig_corollary", {"q": q, "alpha": -0.5, "x": x, "y": y},
-                cfg.tol, poisson_kernel_residual, x, y, "half_integer_corollary", ctx))
-    return out
+            yield ("poisson_kernel_trig_corollary", {"q": q, "alpha": -0.5, "x": x, "y": y},
+                   cfg.tol, poisson_kernel_residual, x, y, "half_integer_corollary", ctx)
 
 
 def _ladder_residual(n: int, which: str, ctx: QContext) -> float:
@@ -335,32 +326,27 @@ def _raising_residual(n: int, ctx: QContext) -> float:
     return abs(qoscillator.raised_from_ground(n, 0.7, ctx) - qoscillator.phi(n, 0.7, ctx))
 
 
-def suite_oscillator_algebra(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for ctx in _grid(cfg):
-        base = {"q": ctx.q, "alpha": ctx.alpha, "dim": cfg.dim}
-        matrices: dict = {}  # the first relation's check builds them for the others
+@_runner
+def suite_oscillator_algebra(cfg: SuiteConfig):
+    for ctx, base in _grid(cfg, dim=cfg.dim):
         for name in qoscillator.RELATION_NAMES:
-            out.append(_checked("algebra_" + name, base, max(cfg.tol, 1e-11),
-                                qoscillator._algebra_residual, name, cfg.dim, ctx, matrices))
+            yield ("algebra_" + name, base, max(cfg.tol, 1e-11),
+                   qoscillator.algebra_residual, name, cfg.dim, ctx)
         for n in range(min(cfg.n_max, 8) + 1):
             for k in (-2, 0, 3):
                 x = ctx.q ** k
-                out.append(_checked("oscillator_eigenrelation", {**base, "n": n, "x": x},
-                                    1e-9, qoscillator.eigen_residual, n, x, ctx))
-        out.append(_checked("ground_state_annihilation", {**base, "x": 0.7}, 1e-11,
-                            _ladder_residual, 0, "a", ctx))
+                yield ("oscillator_eigenrelation", {**base, "n": n, "x": x}, 1e-9,
+                       qoscillator.eigen_residual, n, x, ctx)
+        yield "ground_state_annihilation", {**base, "x": 0.7}, 1e-11, _ladder_residual, 0, "a", ctx
         for n in (1, 3, min(cfg.n_max, 6)):
-            out.append(_checked("ladder_lowering", {**base, "n": n, "x": 0.7}, 1e-9,
-                                _ladder_residual, n, "a", ctx))
-            out.append(_checked("ladder_raising", {**base, "n": n, "x": 0.7}, 1e-9,
-                                _ladder_residual, n, "a_plus", ctx))
+            yield ("ladder_lowering", {**base, "n": n, "x": 0.7}, 1e-9,
+                   _ladder_residual, n, "a", ctx)
+            yield ("ladder_raising", {**base, "n": n, "x": 0.7}, 1e-9,
+                   _ladder_residual, n, "a_plus", ctx)
         for n in range(min(cfg.n_max, 5) + 1):
-            out.append(_checked("repeated_raising", {**base, "n": n, "x": 0.7}, cfg.tol,
-                                _raising_residual, n, ctx))
-        out.append(_checked("h_selfadjointness", {**base, "pair": "phi1_phi3"}, 1e-7,
-                            qoscillator.selfadjoint_residual, 1, 3, ctx))
-    return out
+            yield "repeated_raising", {**base, "n": n, "x": 0.7}, cfg.tol, _raising_residual, n, ctx
+        yield ("h_selfadjointness", {**base, "pair": "phi1_phi3"}, 1e-7,
+               qoscillator.selfadjoint_residual, 1, 3, ctx)
 
 
 _SUITES = {

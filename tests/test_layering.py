@@ -101,6 +101,11 @@ def test_no_lattice_window():
     assert not {"LATTICE_LO", "LATTICE_HI"} & set(vars(context))
 
 
+def test_only_the_suite_runner_runs_checks():
+    # every suite yields rows, and one runner turns each into a CheckResult
+    assert _qlab_readers({"_checked"}) == {("suites", "_runner")}
+
+
 def test_only_the_node_table_reads_the_quadrature_rules():
     # one quadrature path: every quadrature integral is a sum over _piecewise_quad's table
     assert _qlab_readers(QUADRATURE_RULES) == {("qhermite", "_piecewise_quad")}
@@ -217,8 +222,8 @@ def test_one_caching_policy():
     assert cached == {("cli", "_parser"), ("qcore", "_qpoch_inf_cached"),
                       ("qcore", "_factorials"), ("qhermite", "norm_constant"),
                       ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
-                      ("qhermite", "_gauss_legendre"), ("qhermite", "_gram"),
-                      ("qhermite", "_generating_cached")}
+                      ("qhermite", "_gram"), ("qhermite", "_generating_cached"),
+                      ("qoscillator", "_operator_matrices"), ("suites", "_monomial_lattice")}
     for module, name in cached:
         assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize
 
@@ -277,12 +282,12 @@ print(loaded())
 
 
 def test_series_runs_load_neither_numpy_random_nor_polynomial():
-    # a fresh interpreter: import qlab and the series-only suites load neither
-    # module; the first quadrature loads numpy.polynomial for its rules
+    # a fresh interpreter: import qlab, the series-only suites and a quadrature
+    # load neither module; the quadrature builds its rules by Golub-Welsch
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT,
                            str(Path(qlab.__file__).parent.parent)],
                           capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.splitlines() == ["[]", "[]", "['numpy.polynomial']"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 #: what forms finite q-shifted factorials: the table of qcore, and the product it extends

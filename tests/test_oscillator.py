@@ -15,6 +15,7 @@ from qlab import (ArgumentError, DimensionError, DomainError,
                   sym_qnumber, wave_function)
 from qlab import qhermite, qoscillator
 from qlab.qcore import _gen_qint
+from qlab.suites import SuiteConfig, suite_oscillator_algebra
 
 CTX = QContext(q=0.5, alpha=0.25)
 GRID = [QContext(q=q, alpha=a) for q in (0.3, 0.5, 0.8)
@@ -372,6 +373,15 @@ class TestMatrices:
         with pytest.raises(DimensionError):
             build_matrix("a", 1, CTX)
 
+    def test_build_matrix_returns_a_copy_of_the_read_only_build(self):
+        # the cached build is shared by every reader; build_matrix's caller owns its copy
+        mine = build_matrix("a", 6, CTX)
+        mine[0, 1] = 7.0
+        shared = qoscillator._operator_matrices(6, CTX)["a"]
+        assert shared[0, 1] == build_matrix("a", 6, CTX)[0, 1] == math.sqrt(gen_qint(1, CTX))
+        with pytest.raises(ValueError):
+            shared[0, 1] = 7.0
+
     def test_sym_qbracket_diag(self):
         h_mat = build_matrix("N", 5, CTX)
         br = sym_qbracket_diag(h_mat, math.sqrt(CTX.q))
@@ -380,6 +390,13 @@ class TestMatrices:
 
 
 class TestAlgebraRelations:
+    def test_the_suite_builds_the_matrices_once_per_context(self):
+        # the 11 relations of a (dim, ctx) read one cached build
+        qoscillator._operator_matrices.cache_clear()
+        suite_oscillator_algebra(SuiteConfig(suite="oscillator_algebra"))
+        info = qoscillator._operator_matrices.cache_info()
+        assert (info.misses, info.hits) == (9, 9 * 10)
+
     @pytest.mark.parametrize("name", [
         "N_a", "N_a_plus", "K0_K_plus", "K0_K_minus", "Kminus_Kplus",
         "casimir_even", "casimir_odd", "deformed_commut_plus",

@@ -46,9 +46,11 @@ class TestContext:
         with pytest.raises(ConfigError):
             QContext(q=0.0)
 
-    def test_rejects_bad_alpha(self):
+    @pytest.mark.parametrize("alpha", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_alpha(self, alpha):
+        # at alpha = inf norm_constant's sin(pi alpha) raised a raw ValueError
         with pytest.raises(ConfigError):
-            QContext(q=0.5, alpha=-1.0)
+            QContext(q=0.5, alpha=alpha)
 
     def test_with_alpha(self):
         assert CTX.with_alpha(-0.5).alpha == -0.5
@@ -65,6 +67,12 @@ class TestPochhammer:
         assert qpoch(0.3, 0, CTX) == 1.0
         assert qpoch(0.3, 1, CTX) == pytest.approx(0.7)
         assert qpoch(0.3, 2, CTX) == pytest.approx(0.7 * (1 - 0.3 * q))
+
+    @pytest.mark.parametrize("a", [1e300, -1e300, math.inf, -math.inf, math.nan])
+    def test_a_product_out_of_range_raises(self, a):
+        # (1e300; q)_3 read -inf; a nan or infinite a gave nan or inf
+        with pytest.raises(DomainError):
+            qpoch(a, 3, CTX)
 
     def test_infinite_product_matches_truncated(self):
         a, q = -0.4, 0.7
@@ -233,7 +241,14 @@ class TestProductCache:
         expected = abs(ref - scale) / scale if n == m else abs(ref) / scale
         assert discrete_orthogonality_residual(n, m, ctx) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("k, beta", [(20, -0.6), (40, 0.5), (40, 3.6)])
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_gauss_legendre_rule_is_the_jacobi_rule_at_beta_0(self, k):
+        # exact to degree 2k - 1: x^(2k - 2) to a few ulp (leggauss errs by 2.4e-13 at k = 40)
+        nodes, weights = _gauss_jacobi(k, 0.0)
+        assert weights @ nodes ** (2 * k - 2) == pytest.approx(2.0 / (2 * k - 1), rel=1e-14)
+        assert weights.sum() == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("k, beta", [(20, -0.6), (40, 0.5), (40, 3.6), (40, 0.0)])
     def test_gauss_jacobi_rules_are_read_only(self, k, beta):
         nodes, weights = _gauss_jacobi(k, beta)
         fresh = _gauss_jacobi.__wrapped__(k, beta)
@@ -254,6 +269,12 @@ class TestQNumbers:
 
     def test_sym_qnumber_odd(self):
         assert sym_qnumber(-2.3, 0.6) == pytest.approx(-sym_qnumber(2.3, 0.6))
+
+    @pytest.mark.parametrize("base", [1.0, 0.0, -0.5, -1e300, math.inf, -math.inf, math.nan])
+    def test_sym_qnumber_outside_its_bases_raises(self, base):
+        # a negative base gave a complex number at x = 0.5, a non-finite one nan
+        with pytest.raises(DomainError):
+            sym_qnumber(0.5, base)
 
     @given(x=st.floats(-6, 6), y=st.floats(-6, 6))
     @settings(max_examples=80, deadline=None)

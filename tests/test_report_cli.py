@@ -1,9 +1,11 @@
 """Tests for report serialization and the command-line interface."""
 
 import csv
+import inspect
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,46 @@ class TestRegistryNearTheEdges:
     @pytest.mark.parametrize("name, kv", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
     def test_overflow_raises_a_qerror(self, name, kv):
         _finite_or_qerror(name, _parse_kv(kv.split()))
+
+
+#: the values each real argument takes in turn in the sweep below
+EXTREMES = ("nan", "inf", "-inf", "1e300", "-1e300")
+
+
+def _real_keys(name: str) -> list[str]:
+    """The keys of name's real arguments: q and alpha for a context, and every
+    parameter annotated neither int nor str."""
+    keys = []
+    for key, p in inspect.signature(getattr(qlab.cli, name), eval_str=True).parameters.items():
+        if p.annotation is QContext:
+            keys += ["q", "alpha"]
+        elif p.annotation not in (int, str):
+            keys.append(key)
+    return keys
+
+
+def test_eval_at_extreme_arguments_prints_a_finite_value_or_an_error(capsys):
+    # each registered function at its EVAL_CASES baseline, one real argument at a
+    # time set to an extreme: qpoch printed +-inf or nan for a = +-1e300, +-inf or
+    # nan, and sym_qnumber nan for a non-finite base; phi and eigen_residual raised
+    # a raw ValueError at alpha = inf
+    wrong = []
+    for name, (kv, _) in EVAL_CASES.items():
+        baseline = dict(pair.split("=") for pair in kv.split())
+        for key in _real_keys(name):
+            for value in EXTREMES:
+                args = [f"{k}={v}" for k, v in {**baseline, key: value}.items()]
+                try:
+                    code = main(["eval", name, *args])
+                except Exception as exc:  # a raise is listed with the other failures
+                    code = repr(exc)
+                out, err = capsys.readouterr()
+                if code == 0 and math.isfinite(float(out.split()[0])):
+                    continue
+                if code in (1, 2) and re.fullmatch(r"error: \w+: .*\n", err):
+                    continue
+                wrong.append((name, key, value, code, out, err))
+    assert wrong == []
 
 
 class TestCliVerify:

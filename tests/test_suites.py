@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from qlab import SuiteConfig, run_suite
+from qlab.suites import _monomial_lattice
 
 FIXTURE = Path(__file__).parent / "data" / "suite_checks_golden.json"
 CONFIG = SuiteConfig(q_values=(0.5,), alpha_values=(-0.5, 1.0), n_max=2, dim=4)
@@ -75,6 +76,14 @@ def test_qcalculus_where_lattice_points_and_products_leave_double_range():
             for r in mono if r.error] == [(12, 12, "DomainError")] * 2
     (addition,) = [r for r in results if r.name == "qnumber_addition_identity"]
     assert addition.error.startswith("DomainError") and not addition.passed
+
+
+def test_qcalculus_builds_one_lattice_per_monomial_and_point():
+    # n <= 8 and two points: 18 lattices serve the 90 monomial entries of a context
+    _monomial_lattice.cache_clear()
+    run_suite(SuiteConfig(suite="qcalculus", alpha_values=(0.25,)), tool_version="cache")
+    info = _monomial_lattice.cache_info()
+    assert (info.misses, info.hits) == (3 * 18, 3 * (90 - 18))
 
 
 @pytest.mark.parametrize("suite, q, name", [
