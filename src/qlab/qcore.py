@@ -87,7 +87,7 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
     need = math.ceil((math.log(tol * one_minus_q / 2.0) - math.log(top)) / math.log(q))
     if need <= context.MAX_TERMS:
         out = 1.0
-        aq = a.copy() if array else a  # an array is updated in place
+        aq = 0.0 if array else a  # an array runs the loop for its factor count alone
         for k in range(1, context.MAX_TERMS + 1):
             out *= 1.0 - aq
             aq *= q
@@ -98,12 +98,32 @@ def _qpoch_inf_product(a, q: float) -> TruncatedValue:
                 rel_tail = math.expm1(2.0 * s)
                 if rel_tail <= tol:
                     if array:
+                        out = _array_product(a, q, k)
                         tail = np.where(np.isfinite(out), np.abs(out) * rel_tail, np.inf)
                     else:
                         tail = abs(out) * rel_tail if math.isfinite(out) else math.inf
                     return TruncatedValue(out, tail, k)
     raise NonConvergence(f"(a;q)_inf needs about {max(1, need)} factors to meet tol={tol}, "
                          f"beyond the ceiling of {context.MAX_TERMS} (a={_show(a)}, q={q})")
+
+
+def _array_product(a: ndarray, q: float, k: int) -> ndarray:
+    """prod_{i<k} (1 - a q^i) on an array, multiplied in the scalar loop's order, so bit for
+    bit its value.  A small array (at most 256 points, 2^18 factors in all) forms every
+    factor in one table: row i holds a q^i, by multiply.accumulate down a column of q, and
+    one multiply.reduce along axis 0 takes the product.  At 64 points that took 2-5 times
+    less time than one pass a factor, and at 512 points more, so a larger array multiplies
+    its factors in a loop, one pass over the points each."""
+    if a.size <= 256 and a.size * k <= 1 << 18:
+        table = np.empty((k,) + a.shape)
+        table[0], table[1:] = a, q
+        np.multiply.accumulate(table, axis=0, out=table)
+        return np.multiply.reduce(np.subtract(1.0, table, out=table), axis=0)
+    out, aq = 1.0, a.copy()  # a is the caller's, left as it was
+    for _ in range(k):
+        out *= 1.0 - aq
+        aq *= q
+    return out
 
 
 _qpoch_inf_cached = lru_cache(maxsize=256)(_qpoch_inf_product)
@@ -225,11 +245,13 @@ def gen_qfact(n: int, ctx: QContext) -> float:
     return _in_range(_factorials(ctx.q, ctx.alpha).upto(n).gf[n], f"{n}!_(q,alpha)", ctx)
 
 
-def _in_range(value: Points, what: str, ctx: QContext) -> Points:
+def _in_range(value: Points, what: str, ctx: QContext, x: Points | None = None) -> Points:
     # as q -> 1 factorials, sums and products overflow at large n or |x|,
-    # and (1-q)^n underflows; an array is in range where all of it is
+    # and (1-q)^n underflows; an array is in range where all of it is.  The message
+    # names the point x, where given, only when it raises
     if not (np.isfinite(value).all() if isinstance(value, ndarray) else math.isfinite(value)):
-        raise DomainError(f"{what} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
+        where = "" if x is None else f" at x = {_show(x)}"
+        raise DomainError(f"{what}{where} leaves double range at q = {ctx.q}, alpha = {ctx.alpha}")
     return value
 
 

@@ -100,14 +100,12 @@ def _scaled_walk(x, ctx: QContext):
                           else (q ** (n + 0.5) * x * cur - q * (1.0 - q ** n) * prev) / a)
 
 
-def _log_rows(n_max: int, x: ndarray, ctx: QContext) -> tuple[ndarray, ndarray]:
-    """The sign and log|sqrt(w) h_k| at the points x, k <= n_max, formed in logs:
-    no row under- or overflows.  log w = log w(q^K x) - sum_{j<K} log(1 + q^{2j} z),
-    z = q^{-2a-1} x^2, with K the fewest steps that take every q^{2K} z below
-    1 - q^2 (there w lies in [1/e, 1]); h_k = q^{-k^2/2} s_k, from _scaled_walk
-    rescaled per point by a power of two after each degree."""
+def _log_weight(x: ndarray, ctx: QContext) -> ndarray:
+    """log w at the points x, in logs where w underflows: log w = log w(q^K x) -
+    sum_{j<K} log(1 + q^{2j} z), z = q^{-2a-1} x^2, with K the fewest steps that take
+    every q^{2K} z below 1 - q^2 (there w lies in [1/e, 1])."""
     q, log_q = ctx.q, math.log(ctx.q)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: x = 0, or an odd row there
+    with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0
         log_z = (-2.0 * ctx.alpha - 1.0) * log_q + 2.0 * np.log(np.abs(x))
         steps = int(max(0.0, np.ceil((log_z.max() - math.log1p(-q * q)) / (-2.0 * log_q))))
         log_w = np.log(weight(q ** steps * x, ctx))
@@ -115,6 +113,37 @@ def _log_rows(n_max: int, x: ndarray, ctx: QContext) -> tuple[ndarray, ndarray]:
         for j in range(0, steps, block):  # log(1 + e^y), in range
             y = log_z + 2.0 * log_q * np.arange(j, min(j + block, steps))[:, None]
             log_w -= (np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))).sum(axis=0)
+    return log_w
+
+
+def _lattice_log_weight(j: ndarray, ctx: QContext) -> ndarray:
+    """log w at the lattice points q^j, j consecutive integers in any order, in O(points):
+    _log_weight at the point nearest 0, q^J (J the largest j), and outward from it the
+    weight's functional equation w(x) = w(qx) / (1 + q^{-2a-1} x^2) as one cumulative
+    sum, log w(q^i) = log w(q^{i+1}) - log(1 + q^{2i-2a-1})."""
+    q, top = ctx.q, int(j.max())
+    i = np.arange(top - 1.0, j.min() - 1.0, -1.0)  # the outward steps, J - 1 down to min j
+    outward = np.cumsum(np.logaddexp(0.0, (2.0 * i - 2.0 * ctx.alpha - 1.0) * math.log(q)))
+    log_w = _log_weight(np.array([q ** top]), ctx)[0] - np.concatenate(([0.0], outward))
+    return log_w[(top - j).astype(int)]
+
+
+def _shifted_log_weight(t: ndarray, log_w: ndarray, ctx: QContext) -> tuple[ndarray, ...]:
+    """log w at t / q, t and q t from log_w = log w(t), t > 0, by the weight's functional
+    equation: w(t / q) = w(t) / (1 + q^{-2a-3} t^2) and w(q t) = (1 + q^{-2a-1} t^2) w(t)."""
+    log_q = math.log(ctx.q)
+    log_z = (-2.0 * ctx.alpha - 1.0) * log_q + 2.0 * np.log(t)  # z = q^{-2a-1} t^2
+    return (log_w - np.logaddexp(0.0, log_z - 2.0 * log_q), log_w,
+            log_w + np.logaddexp(0.0, log_z))
+
+
+def _log_rows(n_max: int, x: ndarray, log_w: ndarray, ctx: QContext) -> tuple[ndarray, ndarray]:
+    """The sign and log|sqrt(W) h_k| at the points x, k <= n_max, where log_w holds log W
+    at each point (the weight, or the weight times a measure), formed in logs: no row
+    under- or overflows.  h_k = q^{-k^2/2} s_k, from _scaled_walk rescaled per point by a
+    power of two after each degree."""
+    log_q = math.log(ctx.q)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: an odd row at x = 0
         sign, log = np.empty((2, n_max + 1, len(x)))
         walk, shift, prev, exponent = _scaled_walk(x, ctx), None, 0.0, np.zeros(x.shape)
         for k in range(n_max + 1):
@@ -268,8 +297,7 @@ def relation_residual(kind: str, n: int, x: Points, ctx: QContext) -> Points:
 
     A non-finite residual raises DomainError.
     """
-    return _in_range(_relation_residual(kind, n, x, ctx),
-                     f"{kind} relation residual at x = {_show(x)}", ctx)
+    return _in_range(_relation_residual(kind, n, x, ctx), kind + " relation residual", ctx, x)
 
 
 def _generating_residual(x, ctx: QContext):
@@ -590,8 +618,10 @@ def _auto_cutoff(n_max: int, ctx: QContext) -> float:
     q, beta, x, end = ctx.q, 2.0 * ctx.alpha + 1.0, np.empty(0), np.floor(700.0 / -math.log(ctx.q))
     log_c = math.log(_factorials(q, ctx.alpha).upto(n_max).qp[n_max] / gen_qpoch(n_max, ctx))
     while len(x) < end:
-        x = q ** -np.arange(min(2.0 * len(x) + 16.0, end))
-        log_mass = 2.0 * (_log_rows(n_max, x, ctx)[1][-1] - log_c) + beta * np.log(x)
+        j = -np.arange(min(2.0 * len(x) + 16.0, end))
+        x = q ** j
+        log_mass = (2.0 * (_log_rows(n_max, x, _lattice_log_weight(j, ctx), ctx)[1][-1] - log_c)
+                    + beta * np.log(x))
         floor = math.log(1e-24) + min(0.0, log_mass.max())
         if log_mass[-1] < floor and (np.diff(log_mass[-3:]) < 0.0).all():
             break
@@ -622,8 +652,9 @@ def _gauss_jacobi(k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]:
-    """The continuous relation's node table (x, 0.0, weights) of
+@lru_cache(maxsize=16)
+def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
+    """The continuous relation's node table (x, log w(x), weights) of
     int_0^cutoff f(x) x^{2 alpha + 1} dx, f smooth at 0, cutoff = _auto_cutoff(n_max):
     x holds the nodes of a 20- and a 40-node rule on each geometric panel
     [0, cutoff r^45], then x 1/r up to cutoff, and weights @ f(x) is (the
@@ -641,7 +672,10 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
     it ended at 0.64 cutoff = 1.19, past the pole at modulus 1, and 65 entries of
     the orthogonality suite at q in {0.99, 0.995} raised QuadratureFailure; at
     r = 0.8 it ends at 4.4e-5 cutoff, at most 0.012 for q >= 0.8 (cutoff 265 at
-    q = 0.8, falling with q).  The cap 0.8 leaves every q <= 0.8 as before."""
+    q = 0.8, falling with q).  The cap 0.8 leaves every q <= 0.8 as before.
+
+    The table is cached (about 90 KB an entry), so _gram and selfadjoint_residual form
+    log w once per table, and its arrays are read-only."""
     q, beta, cutoff = ctx.q, 2.0 * ctx.alpha + 1.0, _auto_cutoff(n_max, ctx)
     r = min(q, 0.8)
     edges = [0.0]
@@ -657,18 +691,23 @@ def _piecewise_quad(n_max: int, ctx: QContext) -> tuple[ndarray, float, ndarray]
         t, w = (np.tile(v, (len(lo), 1)) for v in _gauss_jacobi(k, 0.0))
         t[0], w[0] = _gauss_jacobi(k, beta)
         points.append((mid + half * t).ravel())
-        sums.append((half * w).ravel() * points[-1] ** beta)
+        with np.errstate(over="ignore"):  # x^beta past double range: inf, which readers reject
+            sums.append((half * w).ravel() * points[-1] ** beta)
     x, k = np.concatenate(points), len(points[0])
     weights = np.zeros((2, len(x)))
     weights[0, :k], weights[1, k:] = sums
-    return x, 0.0, weights
+    table = x, _log_weight(x, ctx), weights
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _jackson_nodes(n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
     """The discrete relation's node table: the Jackson lattice q^j, -K <= j <= J, from
-    the quadrature cutoff q^-K (_auto_cutoff), its measure (1 - q) x^{2a+2} as the log
-    factor, one rule of unit weights.  Toward 0 the row sqrt((1-q) w) h_k x^{a+1} is
-    c x^{a+1+s} (s the parity of k) times 1 + e, |e| <= 2 B x^2 where B x^2 <= 1/4, with
+    the quadrature cutoff q^-K (_auto_cutoff), log W at each point, W = (1 - q) x^{2a+2} w
+    the lattice's measure times the weight (_lattice_log_weight), and one rule of unit
+    weights.  Toward 0 the row sqrt(W) h_k = sqrt((1-q) w) h_k x^{a+1} is c x^{a+1+s} (s
+    the parity of k) times 1 + e, |e| <= 2 B x^2 where B x^2 <= 1/4, with
     B = (q^{-2a-1} + 2 q / (1 - q^{2a+2})) / (1 - q^2) from w and h_k's lowest two
     coefficients.  So a product t of two rows of one parity at q^J has the tail
     t r / (1 - r), r = q^{2a+2+2s}, to 8 B q^{2J} r / (1 - r) of t: 1e-3 SERIES_TOL."""
@@ -681,21 +720,20 @@ def _jackson_nodes(n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray
     j = np.arange(round(math.log(_auto_cutoff(n_max, ctx)) / log_q),
                   max(2, math.ceil(room / (2.0 * log_q))) + 1.0)
     return (_in_range(q ** j, "the Jackson lattice", ctx),
-            math.log1p(-q) + (2.0 * ctx.alpha + 2.0) * log_q * j, np.ones((1, len(j))))
+            _lattice_log_weight(j, ctx) + math.log1p(-q) + (2.0 * ctx.alpha + 2.0) * log_q * j,
+            np.ones((1, len(j))))
 
 
 @lru_cache(maxsize=256)
 def _gram(nodes, n_max: int, ctx: QContext) -> tuple[ndarray, ndarray, ndarray]:
-    """The Gram matrices of the rows sqrt(w) h_k, k <= n_max, over a node table
-    nodes(n_max, ctx) (_piecewise_quad or _jackson_nodes): its points, a log factor
-    each row takes half of, and one row of weights per rule.  Each row from
-    _log_rows is scaled by its largest magnitude exp(top[k]), so no product leaves
-    double range: entry (n, m) of rule r is grams[r, n, m] exp(top[n] + top[m]).
+    """The Gram matrices of the rows sqrt(W) h_k, k <= n_max, over a node table
+    nodes(n_max, ctx) (_piecewise_quad or _jackson_nodes): its points, log W at each,
+    and one row of weights per rule.  Each row from _log_rows is scaled by its largest
+    magnitude exp(top[k]), so no product leaves double range: entry (n, m) of rule r is grams[r, n, m] exp(top[n] + top[m]).
     ends holds the scaled rows at the table's first five points and its last one."""
     with np.errstate(all="ignore"):  # the readers reject a non-finite entry
-        x, log_factor, weights = nodes(n_max, ctx)
-        sign, log = _log_rows(n_max, x, ctx)
-        log += 0.5 * log_factor
+        x, log_w, weights = nodes(n_max, ctx)
+        sign, log = _log_rows(n_max, x, log_w, ctx)
         top = log.max(axis=1)
         rows = sign * np.exp(log - top[:, None])
         return np.stack([(rows * w) @ rows.T for w in weights]), top, rows[:, [0, 1, 2, 3, 4, -1]]

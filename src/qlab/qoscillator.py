@@ -19,8 +19,9 @@ import numpy as np
 from .context import (ArgumentError, DimensionError, DomainError, NotDiagonal, QContext,
                       QuadratureFailure)
 from .qcore import (FunctionHandle, Points, _gen_qint, _guarded, _in_range, _lattice_power,
-                    _level, _show, gen_qfact, sym_qnumber)
-from .qhermite import _log_rows, _piecewise_quad, _scaled_walk, norm_constant, weight
+                    _level, gen_qfact, sym_qnumber)
+from .qhermite import (_log_rows, _log_weight, _piecewise_quad, _scaled_walk,
+                       _shifted_log_weight, norm_constant, weight)
 
 OPERATOR_NAMES = ("a", "a_plus", "N", "parity_K", "H", "b", "b_plus",
                   "K0", "K_plus", "K_minus", "casimir")
@@ -37,7 +38,8 @@ def phi(n: int, x: Points, ctx: QContext) -> Points:
         return value if root >= 1e-250 else float(phi(n, np.array([x]), ctx)[0])
     low = root < 1e-250
     if low.any():
-        sign, log = _log_rows(n, x[low], ctx)
+        far = x[low]
+        sign, log = _log_rows(n, far, _log_weight(far, ctx), ctx)
         value[low] = sign[n] * np.exp(log[n] + math.log(d))
     return value
 
@@ -266,21 +268,24 @@ def eigen_residual(n: int, x: Points, ctx: QContext) -> Points:
     rhs = _gen_qint(n, q, alpha) * values[0]
     scale = abs(pref) * reduce(add, map(abs, terms))
     return _in_range(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs) + scale),
-                     f"eigenrelation residual at x = {_show(x)}", ctx)
+                     "eigenrelation residual", ctx, x)
 
 
 def selfadjoint_residual(n: int, m: int, ctx: QContext) -> float:
     """|<H phi_n, phi_m> - <phi_n, H phi_m>| over _piecewise_quad's table for degrees up
     to max(8, n, m), from one _log_rows call at t / q, t and q t, each row scaled by its
-    largest value over the three.  QuadratureFailure where a side is not finite or its
-    error exceeds 1e-7: its two rules' difference plus eps times the summed magnitude of
-    H's terms, whose 1/x^2 amplifies a cancelling bracket (even pairs at alpha <= -1/2)."""
+    largest value over the three.  log w at t is the table's, and at t / q and q t it is
+    shifted from it by the weight's functional equation (_shifted_log_weight).
+    QuadratureFailure where a side is not finite or its error exceeds 1e-7: its two rules'
+    difference plus eps times the summed magnitude of H's terms, whose 1/x^2 amplifies a
+    cancelling bracket (even pairs at alpha <= -1/2)."""
     q, top_degree, sides = ctx.q, max(n, m), []
-    t, _, weights = _piecewise_quad(max(8, top_degree), ctx)
+    t, log_w, weights = _piecewise_quad(max(8, top_degree), ctx)
     log_d = math.log(norm_constant(n, ctx)) + math.log(norm_constant(m, ctx))
     pref, groups = _ladder_terms("H", t, q, ctx.alpha)
     with np.errstate(all="ignore"):  # the gate rejects a non-finite value or error
-        sign, log = _log_rows(top_degree, np.concatenate((t / q, t, q * t)), ctx)
+        sign, log = _log_rows(top_degree, np.concatenate((t / q, t, q * t)),
+                              np.concatenate(_shifted_log_weight(t, log_w, ctx)), ctx)
         top = log.max(axis=1)
         rows = (sign * np.exp(log - top[:, None])).reshape(top_degree + 1, 3, len(t))
         scale = (1.0 + (-1.0) ** (n + m)) * np.exp(top[n] + top[m] + log_d)

@@ -42,6 +42,22 @@ def _scalar(v: Any) -> str:
     raise TypeError(f"Object of type {v.__class__.__name__} is not a JSON scalar")
 
 
+def _number(v: Any) -> str:
+    """_scalar(v), with a finite float written at once."""
+    return float.__repr__(v) if v.__class__ is float and v - v == 0.0 else _scalar(v)
+
+
+def _once(memo: dict, v: Any) -> str:
+    """_scalar(v), rendered once per memo; a float zero afresh each time, as 0.0 and
+    -0.0 are equal keys."""
+    text = memo.get(v)
+    if text is None:
+        text = _scalar(v)
+        if v or not isinstance(v, float):
+            memo[v] = text
+    return text
+
+
 def _layout(parts: Iterable[str], indent: str, brackets: str) -> str:
     """The rendered parts (object items or array elements) inside brackets, "{}"
     or "[]", laid out as json.dumps(indent=2) lays them out with the closing
@@ -199,25 +215,24 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """The bytes of json.dumps(self.to_dict(), indent=2)."""
+        """The bytes of json.dumps(self.to_dict(), indent=2).  Each name, tolerance and
+        params item is rendered once per report, and each entry by one f-string."""
         head = json.dumps({"tool_version": self.tool_version, "config": self.config}, indent=2)
         tail = json.dumps({"summary": self.summary}, indent=2)
-        params = _ParamItems()
+        params, names, tolerances = _ParamItems(), {}, {}
         entries = []
         for r in self.results:
-            fields = [
-                '"name": ' + _scalar(r.name),
-                '"params": ' + _layout(params.items(r.params.items()), "      ", "{}"),
-                '"residual": ' + _scalar(r.residual),
-                '"tolerance": ' + _scalar(r.tolerance),
-                '"pass": ' + _scalar(r.passed),
-            ]
-            if r.terms_used is not None:
-                fields.append('"terms_used": ' + _scalar(r.terms_used))
+            extra = ("" if r.terms_used is None
+                     else ',\n      "terms_used": ' + _scalar(r.terms_used))
             if r.error is not None:
-                fields.append('"error": ' + _scalar(r.error))
-            fields.append('"runtime_ms": ' + _scalar(r.runtime_ms))
-            entries.append(_layout(fields, "    ", "{}"))
+                extra += ',\n      "error": ' + _scalar(r.error)
+            entries.append(
+                f'{{\n      "name": {_once(names, r.name)},'
+                f'\n      "params": {_layout(params.items(r.params.items()), "      ", "{}")},'
+                f'\n      "residual": {_number(r.residual)},'
+                f'\n      "tolerance": {_once(tolerances, r.tolerance)},'
+                f'\n      "pass": {_scalar(r.passed)}{extra},'
+                f'\n      "runtime_ms": {_number(r.runtime_ms)}\n    }}')
         # the results go between the header, less its closing brace, and the
         # summary, less its opening one
         return (head[:-2] + ',\n  "results": ' + _layout(entries, "  ", "[]") + ","

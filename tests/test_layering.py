@@ -223,6 +223,7 @@ def test_one_caching_policy():
                       ("qcore", "_factorials"), ("qhermite", "norm_constant"),
                       ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
                       ("qhermite", "_gram"), ("qhermite", "_generating_cached"),
+                      ("qhermite", "_piecewise_quad"),
                       ("qoscillator", "_operator_matrices"), ("suites", "_monomial_lattice")}
     for module, name in cached:
         assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize

@@ -32,6 +32,8 @@ from qlab import (PoleError, QContext, QError, continuous_orthogonality,
                   jackson_integral, moment_check, moment_constant, norm_constant, phi, qbessel,
                   qexp_gen, qexp_small, qpoch_inf, qtrig, weight)
 from qlab.qcore import _enveloped_jackson, _lattice
+from qlab.qhermite import (_jackson_nodes, _lattice_log_weight, _piecewise_quad,
+                           _shifted_log_weight)
 
 QS = (0.97, 0.99, 0.995)
 ALPHAS = (-0.99, -0.5, 0.25, 5.3, 20.0)
@@ -125,6 +127,53 @@ def test_moment_constant(ctx):
 def test_qpoch_inf(ctx):
     for a in (-2.0, -1.0, 0.5, ctx.q ** (2.0 * ctx.alpha + 2.0)):
         assert _rel_err(qpoch_inf(a, ctx).value, _qp(a, ctx.q)) <= 5e-13
+
+
+# ---------------------------------------------------------------------------
+# log w by the weight's functional equation, against 1 / (-z; q^2)_inf
+# ---------------------------------------------------------------------------
+
+LOG_WEIGHT_CONTEXTS = [QContext(q=q, alpha=alpha) for q in (0.05, 0.3, 0.8, 0.95, 0.995)
+                       for alpha in (-0.99, -0.5, 0.25, 20.0)]
+LOG_WEIGHT_IDS = [f"q={c.q}-alpha={c.alpha}" for c in LOG_WEIGHT_CONTEXTS]
+
+#: the relative error allowed in w = exp(log w) where w > 1e-300; over these contexts
+#: the lattice log w errs by at most 4.7e-13 and the shifted one by 3.6e-13, a few eps
+#: times |log w| <= 690
+LOG_WEIGHT_TOL = 2e-12
+
+
+def _log_weight_errors(point, log_w: np.ndarray, ctx: QContext) -> list:
+    """The relative errors of exp(log_w[i]) against the weight at point(i), an mpf, at
+    40 indices spread over those where w > 1e-300."""
+    q, a = _mp(ctx)
+    keep = np.flatnonzero(log_w > math.log(1e-300))
+    spread = np.unique(np.linspace(0, keep.size - 1, min(40, keep.size)).astype(int))
+    return [_rel_err(mp.exp(log_w[i]), 1 / _qp(-q ** (-2 * a - 1) * point(i) ** 2, q * q))
+            for i in keep[spread]]
+
+
+@pytest.mark.parametrize("ctx", LOG_WEIGHT_CONTEXTS, ids=LOG_WEIGHT_IDS)
+def test_lattice_log_weight(ctx):
+    # the Jackson table's lattice, ascending from its far end, and the cutoff scan's,
+    # outward from 1 to e^700 (at q = 0.05, alpha = 20 all of it below 1e-300); each
+    # point is the exact power q^j
+    q = mp.mpf(ctx.q)
+    table = np.rint(np.log(_jackson_nodes(8, ctx)[0]) / math.log(ctx.q))
+    scan = -np.arange(math.floor(700.0 / -math.log(ctx.q)))
+    errors = [_log_weight_errors(lambda i: q ** int(j[i]), _lattice_log_weight(j, ctx), ctx)
+              for j in (table, scan)]
+    assert errors[0] and max(errors[0] + errors[1]) <= LOG_WEIGHT_TOL
+
+
+@pytest.mark.parametrize("ctx", LOG_WEIGHT_CONTEXTS, ids=LOG_WEIGHT_IDS)
+def test_shifted_log_weight(ctx):
+    # log w at t / q, t and q t, t the quadrature table's nodes
+    q = mp.mpf(ctx.q)
+    t, log_w, _ = _piecewise_quad(8, ctx)
+    for power, shifted in zip((-1, 0, 1), _shifted_log_weight(t, log_w, ctx)):
+        errors = _log_weight_errors(lambda i: mp.mpf(t[i]) * q ** power, shifted, ctx)
+        assert errors and max(errors) <= LOG_WEIGHT_TOL
 
 
 def test_phi_at_q_099():

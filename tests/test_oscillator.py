@@ -340,6 +340,28 @@ class TestSelfAdjoint:
             except QuadratureFailure:
                 assert ctx.alpha <= -0.5, (n, m)
 
+    def test_log_weight_is_formed_on_the_table_only(self, monkeypatch):
+        # one log-weight pass over the quadrature table's nodes t, none at t / q or q t
+        # (those are shifted by the functional equation), and none once the table is cached;
+        # the cutoff scan's lattice reads log w at one point per scan
+        ctx, real, passes = QContext(q=0.5, alpha=0.25), qhermite._log_weight, []
+
+        def spy(x, ctx):
+            if len(x) > 1:
+                passes.append(x.copy())
+            return real(x, ctx)
+
+        for module in (qhermite, qoscillator):
+            monkeypatch.setattr(module, "_log_weight", spy)
+        qhermite._piecewise_quad.cache_clear()
+        qhermite._auto_cutoff.cache_clear()
+        selfadjoint_residual(2, 4, ctx)
+        assert len(passes) == 1
+        assert np.array_equal(passes[0], qhermite._piecewise_quad(8, ctx)[0])
+        passes.clear()
+        selfadjoint_residual(1, 7, ctx)
+        assert not passes
+
 
 class TestMatrices:
     def test_shapes_and_structure(self):

@@ -156,6 +156,16 @@ class TestProductCache:
         assert _outcome(a, q, _qpoch_inf) == want
         assert a.tolist() == values
 
+    @pytest.mark.parametrize("size, q", [(257, 0.5), (3000, 0.9), (100, 0.998)])
+    def test_large_array_bitwise_equal_to_reference(self, size, q):
+        # past 256 points, or 2^18 factors in all (21 252 factors a point at
+        # q = 0.998), the factors are multiplied a pass each instead of in one table
+        a = -np.linspace(0.0, 30.0, size)
+        with np.errstate(over="ignore"):
+            want = _outcome(a, q, _reference)
+        assert _outcome(a, q, _qpoch_inf) == want
+        assert a[-1] == -30.0
+
     def test_int_float_and_numpy_keys_agree(self):
         _qpoch_inf_cached.cache_clear()
         got = [_qpoch_inf(a, 0.5) for a in (-3, -3.0, np.float64(-3.0))]
