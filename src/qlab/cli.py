@@ -41,7 +41,7 @@ from .qhermite import (bessel_expansion_residual, bessel_weight_transform,
                        moment_constant, poisson_kernel_residual, qlaguerre,
                        relation_residual, rogers_ramanujan_residual, weight)
 from .qoscillator import eigen_residual, phi
-from .report import csv_records, json_records
+from .report import _csv_field, csv_records, json_records
 from .suites import SuiteConfig, run_suite
 
 
@@ -223,7 +223,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     values = _sweep_values(fn, key in _ARRAY_KEYS[args.function], fixed, key, points)
     rows = zip(points, values)
     _write(json_records((key, "value"), rows) + "\n" if args.format == "json"
-           else csv_records((key, "value"), rows), args.out)
+           else csv_records((key, "value"), [(_csv_field(p), _csv_field(v)) for p, v in rows]),
+           args.out)
     return 0
 
 

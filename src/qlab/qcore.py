@@ -13,7 +13,7 @@ import math
 from array import array
 from functools import lru_cache, wraps
 from itertools import count, islice
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy import ndarray  # isinstance(a, np.ndarray) looks the class up on every call
@@ -292,8 +292,8 @@ class _Factorials:
     hx[n] = -q^{2n+2} (Hahn-Exton and modified) or j2[n] = -q^{4n + 2 alpha + 2}
     (second Jackson).  bessel_chunk grows the three columns in chunks of 16.
 
-    The explicit sums of one degree n read their x-independent parts from row:
-    formed once per (sum, n) from the columns above and kept with them.
+    The explicit sums of one degree n read their x-independent parts, formed from
+    the columns above, through _row.
     """
 
     def __init__(self, q: float, alpha: float):
@@ -303,7 +303,6 @@ class _Factorials:
         # unboxed doubles: a float object and its list slot take four times the memory,
         # and the cache holds a table for every (q, Bessel order) too
         self.hx, self.j2, self.bd = array("d"), array("d"), array("d")
-        self.rows = {}  # (build, n) -> build(self, n)
         self._aq = [q, q * q, q ** (2.0 * alpha + 2.0)]  # next a q^n of qp, qq, ab
 
     def upto(self, n: int) -> "_Factorials":
@@ -336,19 +335,18 @@ class _Factorials:
             self.j2.append(-q ** (2.0 * (2 * n + 1 + self.alpha)))
         return (self.j2 if second_jackson else self.hx)[lo:lo + 16], self.bd[lo:lo + 16]
 
-    def row(self, build, n: int):
-        """build(self, n), the x-independent parts of degree n of one explicit sum,
-        with this table holding index n: formed on first use and kept.  A build
-        that raises (a q-power past double range) keeps nothing."""
-        row = self.rows.get((build, n))
-        if row is None:
-            row = self.rows[build, n] = build(self.upto(n), n)
-        return row
-
 
 @lru_cache(maxsize=256)
 def _factorials(q: float, alpha: float) -> _Factorials:
     return _Factorials(q, alpha)
+
+
+@lru_cache(maxsize=4096)  # a series-grid run forms 3648 rows, `qlab verify` 414
+def _row(build, q: float, alpha: float, n: int):
+    """build(table, n), the x-independent parts of degree n of one explicit sum, with
+    the factorial table of (q, alpha) holding index n.  A build that raises (a q-power
+    past double range) is not cached."""
+    return build(_factorials(q, alpha).upto(n), n)
 
 
 def theta(n: int) -> int:
@@ -396,7 +394,7 @@ def _lattice_power(f, x, k: int, stencil, reach: tuple[int, int], q) -> list:
     return levels
 
 
-def _level(levels: list, k: int):
+def _level(levels: Sequence, k: int):
     if len(levels) <= k:  # the _lattice_power list stops short
         raise DomainError("lattice operators are not evaluated at x = 0")
     return levels[k]

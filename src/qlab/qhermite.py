@@ -23,7 +23,7 @@ from .context import (ArgumentError, DomainError, NegativeRadicand,
                       NonConvergence, PoleError, QContext,
                       QuadratureFailure)
 from .qcore import (Points, _edge_tail, _enveloped_jackson, _factorials, _guarded, _in_range,
-                    _qpoch_inf, _show, _sum_series, gen_qpoch, theta)
+                    _qpoch_inf, _row, _show, _sum_series, gen_qpoch, theta)
 from .qfunctions import _bessel_terms, qbessel, qexp_gen, qexp_small, qtrig
 
 
@@ -35,12 +35,12 @@ from .qfunctions import _bessel_terms, qbessel, qexp_gen, qexp_small, qtrig
 def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
     """Generalized discrete q-Hermite II polynomial of degree n at x, by its
     explicit sum; x may be a numpy array."""
-    fac = _factorials(ctx.q, ctx.alpha)
-    row = iter(fac.row(_hermite_row, n))  # a_0, b_0, a_1, b_1, ...
+    row = iter(_row(_hermite_row, ctx.q, ctx.alpha, n))  # (q;q)_n, a_0, b_0, a_1, b_1, ...
+    qp = next(row)
     total = 0.0
     for a, b, m in zip(row, row, range(n, -1, -2)):  # x^m may overflow, or b be 0
         total += a * x ** m / b
-    value = fac.qp[n] * total
+    value = qp * total
     # an array holding inf or nan, or a float holding nan, raises through the
     # guard; a float keeps +-inf where its terms overflow (README, known limitations)
     if not np.isfinite(value).all() if isinstance(value, ndarray) else math.isnan(value):
@@ -49,10 +49,10 @@ def hermite_h(n: int, x: Points, ctx: QContext) -> Points:
 
 
 def _hermite_row(fac, n: int) -> array:
-    # a_0, b_0, a_1, b_1, ...: term k of hermite_h's sum is a_k x^{n-2k} / b_k, with
-    # a_k = (-1)^k q^{-2nk+k(2k+1)} (the power may overflow) and
+    # (q;q)_n, then a_0, b_0, a_1, b_1, ...: term k of hermite_h's sum is a_k x^{n-2k} / b_k,
+    # with a_k = (-1)^k q^{-2nk+k(2k+1)} (the power may overflow) and
     # b_k = (q^2;q^2)_k (q;q)_{n-2k,alpha} (it may round to 0)
-    q, row = fac.q, array("d")
+    q, row = fac.q, array("d", [fac.qp[n]])
     for k in range(n // 2 + 1):
         row.append((-1.0) ** k * q ** (-2.0 * n * k + k * (2.0 * k + 1.0)))
         row.append(fac.qq[k] * fac.gp[n - 2 * k])
@@ -158,19 +158,19 @@ def _log_rows(n_max: int, x: ndarray, log_w: ndarray, ctx: QContext) -> tuple[nd
 @_guarded
 def qlaguerre(n: int, order: float, x: float, ctx: QContext) -> float:
     """q-Laguerre polynomial L_n^{(order)}(x; q^2), generalized-factorial form."""
-    fac = _factorials(ctx.q, order)
-    row = iter(fac.row(_laguerre_row, n))  # a_0, b_0, a_1, b_1, ... of order `order`
+    row = iter(_row(_laguerre_row, ctx.q, order, n))  # (q^{2order+2};q^2)_n, a_0, b_0, ...
+    ab = next(row)
     total = 0.0
     for k, (a, b) in enumerate(zip(row, row)):  # x^k may overflow, or b be 0
         total += a * x ** k / b
-    return _in_range(fac.ab[n] * total, f"degree-{n} q-Laguerre polynomial", ctx)
+    return _in_range(ab * total, f"degree-{n} q-Laguerre polynomial", ctx)
 
 
 def _laguerre_row(fac, n: int) -> array:
-    # a_0, b_0, a_1, b_1, ...: term k of qlaguerre's sum is a_k x^k / b_k, with
-    # a_k = (-1)^k q^{2k(k+order)} and b_k = (q;q)_{2k,order} (q^2;q^2)_{n-k}, which may
-    # underflow to 0 with (1-q)^{2k}
-    q, order, row = fac.q, fac.alpha, array("d")
+    # (q^{2order+2};q^2)_n, then a_0, b_0, a_1, b_1, ...: term k of qlaguerre's sum is
+    # a_k x^k / b_k, with a_k = (-1)^k q^{2k(k+order)} and
+    # b_k = (q;q)_{2k,order} (q^2;q^2)_{n-k}, which may underflow to 0 with (1-q)^{2k}
+    q, order, row = fac.q, fac.alpha, array("d", [fac.ab[n]])
     fac.upto(2 * n)
     for k in range(n + 1):
         row.append((-1.0) ** k * q ** (2.0 * k * (k + order)))
@@ -184,7 +184,7 @@ def hermite_via_laguerre(n: int, x: float, ctx: QContext) -> float:
     q, alpha = ctx.q, ctx.alpha
     arg = q ** (-2.0 * alpha - 1.0) * x * x
     s = n % 2  # an odd degree takes the factor x and the order alpha + 1
-    return (_factorials(q, alpha).row(_laguerre_prefix, n) * x ** s
+    return (_row(_laguerre_prefix, q, alpha, n) * x ** s
             * qlaguerre(n // 2, alpha + s, arg, ctx))
 
 
@@ -321,15 +321,14 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
         return (_generating_cached if type(x) is float else _generating_residual)(x, ctx)
 
     if kind == "inversion":
-        fac = _factorials(q, alpha)
-        row = iter(fac.row(_inversion_row, n))  # a_0, b_0, a_1, b_1, ...
+        row = iter(_row(_inversion_row, q, alpha, n))  # (q;q)_{n,alpha}, a_0, b_0, ...
+        gp = next(row)
         total = 0.0
         scale = 0.0
         for k, (a, b) in enumerate(zip(row, row)):
             t = a * hermite_h(n - 2 * k, x, ctx) / b
             total += t
             scale += abs(t)
-        gp = fac.gp[n]
         return abs(x ** n - gp * total) / (1.0 + abs(x) ** n + gp * scale)
 
     if kind == "forward_shift":
@@ -361,7 +360,7 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
     if kind == "rodrigues":
         if (x == 0.0).any() if isinstance(x, ndarray) else x == 0.0:
             raise DomainError("Rodrigues residual is evaluated away from x = 0")
-        pref, a = _factorials(q, alpha).row(_rodrigues_row, n)
+        pref, a = _row(_rodrigues_row, q, alpha, n)
         # Delta^n w(x) = sum_j a_j w(q^j x) / x^n, one weight per point; differences toward
         # x = 0 amplify roundoff, so the honest scale is the expansion's summed magnitude
         w = [weight(q ** j * x, ctx) for j in range(n + 1)]
@@ -374,9 +373,10 @@ def _relation_residual(kind: str, n: int, x, ctx: QContext):
 
 
 def _inversion_row(fac, n: int) -> array:
-    # a_0, b_0, a_1, b_1, ...: term k of the inversion sum is a_k h_{n-2k}(x) / b_k, with
-    # a_k = q^{-2nk+3k^2} (it may overflow) and b_k = (q^2;q^2)_k (q;q)_{n-2k}
-    row = array("d")
+    # (q;q)_{n,alpha}, then a_0, b_0, a_1, b_1, ...: term k of the inversion sum is
+    # a_k h_{n-2k}(x) / b_k, with a_k = q^{-2nk+3k^2} (it may overflow) and
+    # b_k = (q^2;q^2)_k (q;q)_{n-2k}
+    row = array("d", [fac.gp[n]])
     for k in range(n // 2 + 1):
         row.append(fac.q ** (-2.0 * n * k + 3.0 * k * k))
         row.append(fac.qq[k] * fac.qp[n - 2 * k])

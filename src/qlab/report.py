@@ -3,8 +3,8 @@ reports and tables as JSON or CSV.
 
 The renderer writes the bytes of ``json.dumps(..., indent=2)`` and of
 ``csv.writer`` rows, the latter without the csv module, and renders each
-parameter item once per report: ``json.dumps`` runs its pure-Python encoder
-whenever ``indent`` is set.
+repeated text once per report through one memo type: ``json.dumps`` runs its
+pure-Python encoder whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 _INF = float("inf")
 
@@ -21,6 +21,8 @@ _INF = float("inf")
 def _scalar(v: Any) -> str:
     """v as json.dumps writes it: NaN, Infinity and -Infinity for the
     non-finite floats, and strings escaped to ASCII."""
+    if v.__class__ is float and v - v == 0.0:  # most values: a finite float, at once
+        return float.__repr__(v)
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None:
@@ -42,20 +44,25 @@ def _scalar(v: Any) -> str:
     raise TypeError(f"Object of type {v.__class__.__name__} is not a JSON scalar")
 
 
-def _number(v: Any) -> str:
-    """_scalar(v), with a finite float written at once."""
-    return float.__repr__(v) if v.__class__ is float and v - v == 0.0 else _scalar(v)
+class _Memo(dict):
+    """The texts of one report, each rendered once: memo[*args, v.__class__, v] is
+    render(*args, v), formed on the first lookup of its key and kept.  The key holds
+    the value's class, as 1, 1.0 and True are equal keys; a float zero is rendered
+    afresh each time, as 0.0 and -0.0 are equal keys too."""
+
+    def __init__(self, render: Callable[..., str]):
+        self.render = render
+
+    def __missing__(self, key: tuple) -> str:
+        text = self.render(*key[:-2], key[-1])
+        if key[-1] or not isinstance(key[-1], float):
+            self[key] = text
+        return text
 
 
-def _once(memo: dict, v: Any) -> str:
-    """_scalar(v), rendered once per memo; a float zero afresh each time, as 0.0 and
-    -0.0 are equal keys."""
-    text = memo.get(v)
-    if text is None:
-        text = _scalar(v)
-        if v or not isinstance(v, float):
-            memo[v] = text
-    return text
+def _item(k: str, v: Any) -> str:
+    """The JSON object item '"k": v'."""
+    return encode_basestring_ascii(k) + ": " + _scalar(v)
 
 
 def _layout(parts: Iterable[str], indent: str, brackets: str) -> str:
@@ -80,24 +87,19 @@ def _csv_field(v: Any) -> str:
     return text
 
 
-def _csv_line(row: Iterable[Any]) -> str:
-    return _csv_joined([*map(_csv_field, row)])
-
-
 def _csv_joined(fields: Sequence[str]) -> str:
     # the writer quotes a row of one empty field, which would otherwise be an empty line
     return (",".join(fields) if len(fields) != 1 or fields[0] else '""') + "\r\n"
 
 
-def csv_records(header: Iterable[str], rows: Iterable[Iterable[Any]],
-                rendered: bool = False) -> str:
-    """The header and the rows as CSV, the bytes csv.writer writes.  Where rendered,
-    each row is a sequence of fields already as _csv_field renders them, so that a
-    caller renders a field it repeats once.  The lines go to one buffer as they are
-    formed: a join would hold them all at once."""
+def csv_records(header: Iterable[Any], rows: Iterable[Sequence[str]]) -> str:
+    """The header and the rows as CSV, the bytes csv.writer writes.  Each row is a
+    sequence of fields already as _csv_field renders them, so that a caller renders
+    a field it repeats once.  The lines go to one buffer as they are formed: a join
+    would hold them all at once."""
     buf = io.StringIO()
-    buf.write(_csv_line(header))
-    buf.writelines(map(_csv_joined if rendered else _csv_line, rows))
+    buf.write(_csv_joined([*map(_csv_field, header)]))
+    buf.writelines(map(_csv_joined, rows))
     return buf.getvalue()
 
 
@@ -108,29 +110,6 @@ def json_records(keys: tuple[str, ...], rows: Iterable[Iterable[Any]]) -> str:
     names = [encode_basestring_ascii(k) + ": " for k in keys]
     return _layout((_layout([n + _scalar(v) for n, v in zip(names, row)], "  ", "{}")
                     for row in rows), "", "[]")
-
-
-class _ParamItems:
-    """The '"key": value' items of parameter dicts, each rendered once; where
-    quoted, with their quotes doubled, as inside a quoted CSV field.
-
-    A float zero is rendered afresh each time: 0.0 and -0.0 are equal keys."""
-
-    def __init__(self, quoted: bool = False):
-        self._memo: dict[tuple, str] = {}
-        self._quoted = quoted
-
-    def items(self, pairs: Iterable[tuple[str, Any]]) -> list[str]:
-        memo = self._memo
-        return [memo.get((k, v.__class__, v)) or self._render(k, v) for k, v in pairs]
-
-    def _render(self, k: str, v: Any) -> str:
-        item = encode_basestring_ascii(k) + ": " + _scalar(v)
-        if self._quoted:
-            item = item.replace('"', '""')
-        if v or not isinstance(v, float):
-            self._memo[k, v.__class__, v] = item
-        return item
 
 
 @dataclass(slots=True)  # no per-instance __dict__: a report holds tens of thousands
@@ -215,24 +194,24 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """The bytes of json.dumps(self.to_dict(), indent=2).  Each name, tolerance and
-        params item is rendered once per report, and each entry by one f-string."""
+        """The bytes of json.dumps(self.to_dict(), indent=2).  Each name, tolerance, verdict
+        and params item is rendered once per report, and each entry by one f-string."""
         head = json.dumps({"tool_version": self.tool_version, "config": self.config}, indent=2)
         tail = json.dumps({"summary": self.summary}, indent=2)
-        params, names, tolerances = _ParamItems(), {}, {}
-        entries = []
+        items, scalars, entries = _Memo(_item), _Memo(_scalar), []
         for r in self.results:
             extra = ("" if r.terms_used is None
                      else ',\n      "terms_used": ' + _scalar(r.terms_used))
             if r.error is not None:
                 extra += ',\n      "error": ' + _scalar(r.error)
+            params = [items[k, v.__class__, v] for k, v in r.params.items()]
             entries.append(
-                f'{{\n      "name": {_once(names, r.name)},'
-                f'\n      "params": {_layout(params.items(r.params.items()), "      ", "{}")},'
-                f'\n      "residual": {_number(r.residual)},'
-                f'\n      "tolerance": {_once(tolerances, r.tolerance)},'
-                f'\n      "pass": {_scalar(r.passed)}{extra},'
-                f'\n      "runtime_ms": {_number(r.runtime_ms)}\n    }}')
+                f'{{\n      "name": {scalars[r.name.__class__, r.name]},'
+                f'\n      "params": {_layout(params, "      ", "{}")},'
+                f'\n      "residual": {_scalar(r.residual)},'
+                f'\n      "tolerance": {scalars[r.tolerance.__class__, r.tolerance]},'
+                f'\n      "pass": {scalars[r.passed.__class__, r.passed]}{extra},'
+                f'\n      "runtime_ms": {_scalar(r.runtime_ms)}\n    }}')
         # the results go between the header, less its closing brace, and the
         # summary, less its opening one
         return (head[:-2] + ',\n  "results": ' + _layout(entries, "  ", "[]") + ","
@@ -248,20 +227,18 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         """One row per check; params as json.dumps(params, sort_keys=True).  Each
-        name and each params item is rendered once, already CSV-quoted: the params
-        text of a nonempty dict holds quotes, so its field is that text quoted, and
-        quoting it is quoting each item."""
-        params, names = _ParamItems(quoted=True), {}
+        name, tolerance and params item is rendered once, already CSV-quoted: the
+        params text of a nonempty dict holds quotes, so its field is that text quoted,
+        and quoting it is quoting each item."""
+        fields, items = _Memo(_csv_field), _Memo(lambda k, v: _item(k, v).replace('"', '""'))
 
         def row(r: CheckResult) -> tuple[str, ...]:
-            name = names.get(r.name)
-            if name is None:
-                name = names[r.name] = _csv_field(r.name)
-            items = params.items(sorted(r.params.items()))
-            # residual and tolerance are floats (__post_init__), _csv_field's float.__repr__
-            return (name, '"{' + ", ".join(items) + '}"' if items else "{}",
-                    float.__repr__(r.residual), float.__repr__(r.tolerance),
+            params = [items[k, v.__class__, v] for k, v in sorted(r.params.items())]
+            # the residual is a float (__post_init__), _csv_field's float.__repr__
+            return (fields[r.name.__class__, r.name],
+                    '"{' + ", ".join(params) + '}"' if params else "{}",
+                    float.__repr__(r.residual), fields[r.tolerance.__class__, r.tolerance],
                     str(r.passed).lower())
 
         return csv_records(("name", "params", "residual", "tolerance", "pass"),
-                           map(row, self.results), rendered=True)
+                           map(row, self.results))

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from . import qoscillator
 from .context import ConfigError, DomainError, QContext, QError
-from .qcore import (_guarded, gen_qint, gen_qpoch, qderiv_levels, qderiv_pow, qnumber, qpoch_inf,
+from .qcore import (_guarded, _level, gen_qint, gen_qpoch, qderiv_levels, qnumber, qpoch_inf,
                     sym_qnumber)
 from .qfunctions import bessel_delta_residual, qbessel, qexp_big, qexp_gen, qtrig
 from .qhermite import (QUAD_TOL, RELATION_KINDS, _rel, bessel_expansion_residual,
@@ -108,9 +108,8 @@ def _monomial_lattice(n: int, x: float, ctx: QContext) -> tuple[float, ...]:
 
 
 def _monomial_rule_residual(n: int, k: int, x: float, ctx: QContext) -> float:
-    # level k of the order-n lattice of (n, x); one past its end raises in qderiv_pow
-    levels = _monomial_lattice(n, x, ctx)
-    lhs = levels[k] if k < len(levels) else qderiv_pow(lambda t: t ** n, k, "delta_alpha", ctx)(x)
+    # level k of the order-n lattice of (n, x); one past its end raises as in qderiv_pow
+    lhs = _level(_monomial_lattice(n, x, ctx), k)
     rhs = gen_qpoch(n, ctx) * x ** (n - k) / ((1.0 - ctx.q) ** k * gen_qpoch(n - k, ctx))
     return _rel(lhs, rhs)
 

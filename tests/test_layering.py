@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qlab
-from qlab import context, qcore
+from qlab import context, qcore, report
 
 NUMERIC = ("qcore", "qfunctions", "qhermite", "qoscillator")
 UPPER = {"report", "suites", "cli"}
@@ -220,13 +220,29 @@ def test_one_caching_policy():
     # functions): none is keyed on an array's contents
     cached = {(path.stem, name) for path in _modules() for name in _lru_cached(path.read_text())}
     assert cached == {("cli", "_parser"), ("qcore", "_qpoch_inf_cached"),
-                      ("qcore", "_factorials"), ("qhermite", "norm_constant"),
+                      ("qcore", "_factorials"), ("qcore", "_row"),
+                      ("qhermite", "norm_constant"),
                       ("qhermite", "_auto_cutoff"), ("qhermite", "_gauss_jacobi"),
                       ("qhermite", "_gram"), ("qhermite", "_generating_cached"),
                       ("qhermite", "_piecewise_quad"),
                       ("qoscillator", "_operator_matrices"), ("suites", "_monomial_lattice")}
     for module, name in cached:
         assert getattr(importlib.import_module(f"qlab.{module}"), name).cache_info().maxsize
+
+
+def test_one_renderer_shape():
+    # csv_records takes rendered rows only, and a report renders each repeated text
+    # through one memo type: no second memo, no rendered or quoted switch
+    assert [*inspect.signature(report.csv_records).parameters] == ["header", "rows"]
+    tree = ast.parse(Path(report.__file__).read_text())
+    top = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    memos = [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+             and any(getattr(base, "id", None) == "dict" for base in node.bases)]
+    assert memos == ["_Memo"]
+    assert not top & {"_ParamItems", "_once", "_number", "_csv_line"}
+    params = {a.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for a in node.args.args + node.args.kwonlyargs}
+    assert not params & {"quoted", "rendered"}
 
 
 def _numpy_random_reads(source: str) -> list[str]:

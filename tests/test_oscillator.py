@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import (ArgumentError, DimensionError, DomainError,
+from qlab import (ArgumentError, DimensionError, DomainError, NotDiagonal,
                   QContext, QError, QuadratureFailure, algebra_residual, apply_ladder,
                   build_matrix, eigen_residual, gen_qfact, gen_qint, phi,
                   raised_from_ground, selfadjoint_residual, sym_qbracket_diag,
@@ -409,6 +409,10 @@ class TestMatrices:
         br = sym_qbracket_diag(h_mat, math.sqrt(CTX.q))
         want = [sym_qnumber(float(k), math.sqrt(CTX.q)) for k in range(5)]
         assert np.allclose(np.diag(br), want)
+
+    def test_sym_qbracket_diag_refuses_a_matrix_off_its_diagonal(self):
+        with pytest.raises(NotDiagonal, match="up to 0.001"):
+            sym_qbracket_diag(np.array([[1.0, 1e-3], [0.0, 2.0]]), math.sqrt(CTX.q))
 
 
 class TestAlgebraRelations:

@@ -359,6 +359,30 @@ class TestDerivatives:
                 * 0.7 ** (n - 1)
             assert got == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("x", [0.7, -1.3])
+    def test_alpha_variants_are_the_delta_operators_on_an_odd_function(self, x):
+        # an odd f has no even part, and on the odd part Delta_alpha is backward_alpha
+        # and Delta_alpha^+ is forward_alpha
+        f = lambda t: t ** 3  # noqa: E731
+        assert qderiv(f, x, "backward_alpha", CTX) == qderiv(f, x, "delta_alpha", CTX)
+        assert qderiv(f, x, "forward_alpha", CTX) == qderiv(f, x, "delta_alpha_plus", CTX)
+
+    def test_alpha_variants_on_monomials(self):
+        # their definitions bit for bit, and on t^m the closed forms
+        # x^{m-1} (1 - q^{m+2a+1}) / (1-q) and x^{m-1} (q^{-m} - q^{2a+1}) / (1-q)
+        q, s = CTX.q, CTX.q ** (2.0 * CTX.alpha + 1.0)
+        for m in range(6):
+            for x in (0.7, -1.3):
+                f = lambda t: t ** m  # noqa: E731
+                backward = qderiv(f, x, "backward_alpha", CTX)
+                forward = qderiv(f, x, "forward_alpha", CTX)
+                assert backward == (f(x) - s * f(q * x)) / ((1.0 - q) * x)
+                assert forward == (f(x / q) - s * f(x)) / ((1.0 - q) * x)
+                assert backward == pytest.approx(x ** (m - 1) * (1.0 - q ** m * s) / (1.0 - q),
+                                                 rel=1e-14)
+                assert forward == pytest.approx(x ** (m - 1) * (q ** -m - s) / (1.0 - q),
+                                                rel=1e-14)
+
     def test_qderiv_pow_composes(self):
         one = qderiv_pow(lambda t: t ** 5, 1, "delta_alpha", CTX)
         two = qderiv_pow(lambda t: t ** 5, 2, "delta_alpha", CTX)
@@ -401,6 +425,13 @@ class TestIntegrals:
         from qlab import NonConvergence
         with pytest.raises(NonConvergence):
             jackson_integral(lambda t: t, CTX)
+
+    def test_a_walk_with_no_stop_raises_at_the_ceiling(self, monkeypatch):
+        # a constant integrand neither falls off nor settles a tail: the walk runs
+        # to MAX_TERMS points
+        monkeypatch.setattr(context, "MAX_TERMS", 10)
+        with pytest.raises(NonConvergence, match="no stop within 10 points"):
+            jackson_integral(lambda y: 1.0, CTX)
 
 
 def _memoized(f):

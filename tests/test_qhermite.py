@@ -22,7 +22,7 @@ from qlab import (DomainError, NonConvergence, PoleError,
                   relation_residual, rogers_ramanujan_residual, selfadjoint_residual,
                   weight)
 from qlab import qbessel, qhermite
-from qlab.qcore import _Factorials, _factorials, _qpoch, _sum_series
+from qlab.qcore import _Factorials, _factorials, _qpoch, _row, _sum_series
 from qlab.qfunctions import _bessel_terms
 from qlab.suites import SuiteConfig, suite_orthogonality
 
@@ -394,12 +394,13 @@ def _bits(values) -> bytes:
 
 def _clear_sum_caches():
     _factorials.cache_clear()
+    _row.cache_clear()
     qhermite._generating_cached.cache_clear()
 
 
 class TestExplicitSumRows:
     """The x-independent parts of the explicit sums, kept per degree in the
-    factorial table (_Factorials.row), and the generating residual's cache: no
+    qcore._row lru_cache, and the generating residual's cache: no
     value depends on what the tables held before."""
 
     XS = (-1.7, -0.7, -0.3, 0.3, 0.7, 1.5, 2.2)
@@ -463,10 +464,12 @@ class TestExplicitSumRows:
 
     def test_a_row_that_overflows_is_not_kept(self):
         ctx = QContext(q=0.05, alpha=0.25)
+        _row.cache_clear()
         for _ in range(2):  # and raises again
             with pytest.raises(DomainError):
                 hermite_h(40, 0.7, ctx)  # q^{-2nk + k(2k+1)} leaves double range
-        assert (qhermite._hermite_row, 40) not in _factorials(ctx.q, ctx.alpha).rows
+        info = _row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"{c.q}-{c.alpha}")
     def test_generating_residual_is_one_value_for_every_degree(self, ctx):
@@ -857,3 +860,11 @@ class TestBesselTransformIntegrand:
         assert math.isfinite(g(0.8 ** 4))  # toward 0: the column, summed by Horner
         with pytest.raises(NonConvergence, match="q-Bessel series"):
             g(0.8 ** -30)
+
+    def test_outward_terms_leave_double_range_as_the_series_does(self):
+        g = qhermite._lattice_bessel(1.0, 0.25, 1.5, 0.5)
+        with pytest.raises(DomainError, match="partial sum leaves double range") as walk:
+            g(2.0 ** 200)
+        with pytest.raises(DomainError) as series:
+            qbessel(2.0 ** 200, 0.25, "modified", QContext(q=0.5))
+        assert str(walk.value) == str(series.value)

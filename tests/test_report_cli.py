@@ -7,6 +7,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,8 +96,10 @@ def _hand_made() -> VerificationReport:
     rep.add(CheckResult("empty", {}, 1e-12, 1e-8))
     rep.add(CheckResult("non_finite_params",
                         {"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0}, 0.0, 1e-8))
-    # the float zeros of one key in both signs, and equal values of other types
-    for v in (0.0, -0.0, 0.0, 1, 1.0, True, False, 0, None, "1"):
+    # the float zeros of one key in both signs, also of a float subclass, and equal
+    # values of other types
+    for v in (0.0, -0.0, 0.0, np.float64(0.0), np.float64(-0.0), 1, 1.0, True, False, 0,
+              None, "1"):
         rep.add(CheckResult("types", {"v": v, "a": "b"}, 0.0, 1e-8))
     rep.add(CheckResult("error", {"kind": "rodrigues", "b": True, "n": 2, "none": None},
                         math.inf, 1e-8, terms_used=17,
@@ -152,10 +155,8 @@ def test_csv_records_writes_the_csv_writer_bytes(header, rows):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    assert csv_records(header, rows) == buf.getvalue()
-    # the same rows with their fields rendered first, as VerificationReport.to_csv passes them
-    rendered = [[*map(_csv_field, row)] for row in rows]
-    assert csv_records(header, rendered, rendered=True) == buf.getvalue()
+    # the rows with their fields rendered, as every caller passes them
+    assert csv_records(header, [[*map(_csv_field, row)] for row in rows]) == buf.getvalue()
 
 
 class TestRunSuite:
